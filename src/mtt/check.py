@@ -18,7 +18,9 @@ the use site), and re-evaluating the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 from .modeth import (
     Cell2,
@@ -58,12 +60,15 @@ from .normal import (
     tele_lock,
 )
 from .nbe import (
+    NO_DEFS,
     CNeutral,
     Closure,
+    Definition,
     Env,
     ModBoxed,
     NbeError,
     NeAbs,
+    Signature,
     TBool,
     TDec,
     TMod,
@@ -82,8 +87,6 @@ from .nbe import (
     eval_tm,
     eval_ty,
     inst_ty,
-    normalize,
-    normalize_ty,
     reflect,
     reify,
     reify_ty,
@@ -113,10 +116,10 @@ class CheckCtx:
         return self.telescope.mode
 
 
-def empty_ctx(mt: ModeTheory, mode: str) -> CheckCtx:
+def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
     if mode not in mt.modes:
         raise CheckError(f"unknown mode {mode!r} in mode theory {mt.name!r}")
-    return CheckCtx(mt, Telescope(mode, ()), Env(mode, ()))
+    return CheckCtx(mt, Telescope(mode, ()), Env(mode, (), sig))
 
 
 def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
@@ -124,7 +127,7 @@ def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
         tele = tele_lock(ctx.telescope, mu)
     except NormalError as e:
         raise CheckError(str(e)) from None
-    return CheckCtx(ctx.mt, tele, Env(mu.mode_src, ctx.env.vals), ctx.types)
+    return CheckCtx(ctx.mt, tele, Env(mu.mode_src, ctx.env.vals, ctx.env.sig), ctx.types)
 
 
 def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> CheckCtx:
@@ -254,6 +257,15 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
     match t:
         case S.Var(k, cell):
             return lookup_var(ctx, k, cell)
+        case S.Const(name):
+            defn = ctx.env.sig.get(name)
+            if defn is None:
+                raise CheckError(f"definition {name!r} is undefined or failed to check")
+            if defn.mode != ctx.mode:
+                raise CheckError(
+                    f"definition {name!r} lives at mode {defn.mode}, used at mode {ctx.mode}"
+                )
+            return defn.ty
         case S.App(fn, arg):
             tf = infer(ctx, fn)
             if not isinstance(tf, TPi):
@@ -404,13 +416,19 @@ class DeclResult:
     mode: str
     ok: bool
     ty_nf: "NfTy | None" = None
-    body_nf: "Nf | None" = None
     error: "str | None" = None
+    reify_body: "Callable[[], Nf] | None" = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def body_nf(self) -> "Nf | None":
+        """The body's normal form, read back on first use only."""
+        return None if self.reify_body is None else self.reify_body()
 
 
 @dataclass(frozen=True)
 class Report:
-    results: tuple[DeclResult, ...] = ()
+    results: tuple[DeclResult, ...]
+    signature: Signature = field(repr=False)
 
     @property
     def ok(self) -> bool:
@@ -420,29 +438,35 @@ class Report:
 def check_program(mt: ModeTheory, decls) -> Report:
     """Check a sequence of (name, mode, type, body) declarations.
 
-    Declarations are closed: any earlier-name references were inlined
-    before reaching the kernel.  A failing declaration does not stop the
-    rest; each result carries either normal forms or an error message.
+    Declarations have no free variables; they refer to earlier ones by
+    ``Const`` name.  Each declaration that checks is added to the signature
+    once, with its type and body values, so a reference costs a lookup and
+    never re-checks the body.  A failing declaration does not stop the
+    rest, but it stays out of the signature, so any later reference to it
+    fails too.  Each result carries either normal forms or an error
+    message; the body's normal form is read back only when first asked for.
     """
     results: list[DeclResult] = []
+    sig: Signature = NO_DEFS
     for name, mode, ty, body in decls:
         try:
-            ctx = empty_ctx(mt, mode)
+            ctx = empty_ctx(mt, mode, sig)
             for part in (ty, body):
                 if not S.scope_check(S.Context(mode), part):
                     raise CheckError(f"declaration {name!r} has an out-of-scope variable")
             tyv = check_type(ctx, ty)
             check_tm(ctx, body, tyv)
-            tele = Telescope(mode, ())
+            val = eval_tm(mt, ctx.env, body)
             results.append(
                 DeclResult(
                     name,
                     mode,
                     True,
-                    normalize_ty(mt, tele, ty),
-                    normalize(mt, tele, ty, body),
+                    reify_ty(mt, 0, mode, tyv),
+                    reify_body=partial(reify, mt, 0, mode, tyv, val),
                 )
             )
+            sig = {**sig, name: Definition(mode, tyv, val)}
         except (CheckError, NormalError, NbeError, ModeError) as e:
             results.append(DeclResult(name, mode, False, error=str(e)))
-    return Report(tuple(results))
+    return Report(tuple(results), sig)

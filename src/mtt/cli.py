@@ -8,10 +8,10 @@ A source file is an optional mode-theory block followed by declarations::
 
 Shipped theories can be selected by name (``theory walking``) or forced
 from the command line with ``--mode-theory``.  Surface terms use names;
-parsing resolves them to de Bruijn indices, attaches the binder's modality
-as the identity cell on bare occurrences (``x^CELL`` for explicit keys),
-and splices the bodies of earlier ``def``s in place of their names, so the
-kernel only ever sees closed declarations.
+parsing resolves them to de Bruijn indices and attaches the binder's modality
+as the identity cell on bare occurrences (``x^CELL`` for explicit keys).
+The name of an earlier ``def`` becomes a ``Const`` reference: the kernel
+checks each declaration once and looks its type up at every use.
 
 Identity modalities written bare (``id``) resolve at the lexically
 enclosing mode; ``id(m)`` names a mode explicitly.  Exit codes: 0 success,
@@ -537,12 +537,7 @@ class Parser:
                     t.line,
                     t.col,
                 )
-            if isinstance(d.body, (S.Lam, S.Pair, S.DecIsoInv)):
-                # Checking-only introductions cannot head an application, so
-                # attach the declared type through a Bool elimination that
-                # computes away: if [_. ty] true then body else body.
-                return S.If(d.ty, d.body, d.body, S.True_())
-            return d.body
+            return S.Const(t.text)
         raise ParseError(f"unknown identifier {t.text!r}", t.line, t.col)
 
     # -- theory block
@@ -838,15 +833,17 @@ def cmd_normalize(
     mt, decls = loaded
     if print_core:
         _print_core(decls)
+    shown = slice(None)
     if name is not None:
-        wanted = [d for d in decls if d.name == name]
-        if not wanted:
+        at = next((i for i, d in enumerate(decls) if d.name == name), None)
+        if at is None:
             print(f"{path}: no declaration named {name!r}", file=sys.stderr)
             return 1
-        decls = wanted
+        # The declarations before NAME are checked for the signature only.
+        decls, shown = decls[: at + 1], slice(at, None)
     report = C.check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
     status = 0
-    for d, r in zip(decls, report.results):
+    for d, r in zip(decls[shown], report.results[shown]):
         if r.ok:
             print(f"{r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}")
             print(f"{r.name} = {surface_nf(mt, r.body_nf, r.mode)}")

@@ -7,6 +7,11 @@ cell composition; levels convert to de Bruijn indices only at reify time
 (index = depth - 1 - level).  Fresh variables come from the depth parameter —
 the kernel holds no counter and no mutable state.
 
+Earlier declarations are constants of a signature that every environment
+carries.  A constant evaluates to its stored body value, computed once when
+the declaration checked; that value is closed, so it is valid at every
+depth and under every lock, and read-back unfolds it like any other value.
+
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
 payloads; reify wraps the boundary markers back on, so normal forms at
@@ -15,7 +20,9 @@ payloads; reify wraps the boundary markers back on, so normal forms at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .modeth import (
     Cell2,
@@ -85,16 +92,33 @@ class CodeValue:
 
 
 @dataclass(frozen=True)
-class Env:
-    """One value per variable entry; locks contribute nothing.  The mode is
-    carried for inspection only — evaluation never consults it."""
+class Definition:
+    """A checked declaration: its mode, type value and body value, both
+    closed (evaluated in the empty context)."""
 
     mode: str
-    vals: tuple[Value, ...] = ()
+    ty: TypeValue
+    val: Value
+
+
+# Declaration names to their definitions; never mutated once built.
+Signature = Mapping[str, Definition]
+NO_DEFS: Signature = MappingProxyType({})
+
+
+@dataclass(frozen=True)
+class Env:
+    """One value per variable entry; locks contribute nothing.  The mode is
+    carried for inspection only — evaluation never consults it.  ``sig``
+    holds the constants the terms evaluated here may refer to."""
+
+    mode: str
+    vals: tuple[Value, ...]
+    sig: Signature = field(compare=False, repr=False)
 
 
 def env_push(env: Env, v: Value) -> Env:
-    return Env(env.mode, env.vals + (v,))
+    return Env(env.mode, env.vals + (v,), env.sig)
 
 
 @dataclass(frozen=True)
@@ -315,6 +339,11 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
             if isinstance(cell.expr, CellId) or is_id_cell(mt, cell):
                 return v
             return key_val(mt, cell, v)
+        case S.Const(name):
+            defn = env.sig.get(name)
+            if defn is None:
+                raise NbeError(f"unknown definition {name!r}")
+            return defn.val
         case S.Lam(body):
             return VLam(Closure(env, body))
         case S.App(fn, arg):
@@ -644,21 +673,23 @@ def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
 # Entry points
 
 
-def atoms_env(mt: ModeTheory, tele: Telescope) -> Env:
+def atoms_env(mt: ModeTheory, tele: Telescope, sig: Signature = NO_DEFS) -> Env:
     """The initial environment: each variable entry reflected at its own type
     with an identity cell at its level."""
     vals: list[Value] = []
     level = 0
     for e in tele.entries:
         if isinstance(e, S.EVar):
-            tyv = eval_ty(mt, Env(e.mod.mode_src, tuple(vals)), e.ty)
+            tyv = eval_ty(mt, Env(e.mod.mode_src, tuple(vals), sig), e.ty)
             vals.append(reflect(mt, tyv, NeAbs(level, id_cell(e.mod))))
             level += 1
-    return Env(tele.mode, tuple(vals))
+    return Env(tele.mode, tuple(vals), sig)
 
 
-def normalize(mt: ModeTheory, tele: Telescope, ty: Term, tm: Term) -> Nf:
-    env = atoms_env(mt, tele)
+def normalize(
+    mt: ModeTheory, tele: Telescope, ty: Term, tm: Term, sig: Signature = NO_DEFS
+) -> Nf:
+    env = atoms_env(mt, tele, sig)
     return reify(
         mt, tele_depth(tele), tele.mode, eval_ty(mt, env, ty), eval_tm(mt, env, tm)
     )

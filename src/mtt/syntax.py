@@ -25,6 +25,13 @@ class Var(Term):
 
 
 @dataclass(frozen=True)
+class Const(Term):
+    """A reference to an earlier declaration of the signature, by name."""
+
+    name: str
+
+
+@dataclass(frozen=True)
 class Pi(Term):
     mod: Modality
     dom: Term
@@ -161,7 +168,7 @@ class DecIsoInv(Term):
 
 
 TermT = Union[
-    Var, Pi, Sig, Bool, Uni, Mod, Dec, Lam, App, Pair, Proj1, Proj2,
+    Var, Const, Pi, Sig, Bool, Uni, Mod, Dec, Lam, App, Pair, Proj1, Proj2,
     True_, False_, If, MkBox, LetMod, PiCode, SigCode, BoolCode, ModCode,
     DecIso, DecIsoInv,
 ]
@@ -254,7 +261,7 @@ def _scope(depth: int, t: Term) -> bool:
             return _scope(depth, dom) and _scope(depth + 1, cod)
         case Sig(fst, snd) | SigCode(fst, snd):
             return _scope(depth, fst) and _scope(depth + 1, snd)
-        case Bool() | Uni() | True_() | False_() | BoolCode():
+        case Const() | Bool() | Uni() | True_() | False_() | BoolCode():
             return True
         case Mod(_, ty):
             return _scope(depth, ty)
@@ -298,6 +305,8 @@ def show_term(t: Term) -> str:
     match t:
         case Var(idx, cell):
             return f"x{idx}^{cell}"
+        case Const(name):
+            return name
         case Pi(mod, dom, cod):
             return f"(Pi ({mod} | {show_term(dom)}) -> {show_term(cod)})"
         case Sig(fst, snd):

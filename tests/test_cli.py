@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from mtt import check as C
 from mtt import cli
 from mtt import syntax as S
 from mtt.check import check_program, check_tm, check_type, empty_ctx
@@ -217,9 +218,9 @@ def test_parse_file_rejects_duplicate_definitions():
     assert "duplicate definition 't'" in e.value.msg
 
 
-def test_definition_reference_splices_body():
+def test_definition_reference_elaborates_to_const():
     _, decls = parse_file("def t @m : Bool := true\ndef u @m : Bool := t")
-    assert decls[1].body == S.True_()
+    assert decls[1].body == S.Const("t")
 
 
 def test_lambda_definition_reference_is_inferable():
@@ -230,7 +231,7 @@ def test_lambda_definition_reference_is_inferable():
     )
     report = check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
     assert report.ok
-    # the inferability wrapper computes away during normalization
+    # the reference infers k's declared type and unfolds to k's body
     from mtt.normal import NfMkBox, NfTrue
 
     assert report.results[1].body_nf == NfMkBox(MU, NfTrue())
@@ -316,6 +317,79 @@ def test_checking_continues_past_a_failing_declaration(tmp_path, capsys):
     assert "error: broken:" in cap.err
 
 
+LEAK = (
+    "theory walking\n"
+    "def f @m : Bool := box mu true\n"
+    "def g @m : Mod mu Bool := f\n"
+)
+
+
+def test_reference_to_a_failed_definition_fails_at_the_use(tmp_path, capsys):
+    path = write(tmp_path, "leak.mtt", LEAK)
+    assert main(["check", path]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"{path}:2:1: error: f:" in cap.err
+    assert f"{path}:3:1: error: g: definition 'f'" in cap.err
+
+
+def test_normalize_name_reports_only_its_own_failed_dependency(tmp_path, capsys):
+    path = write(tmp_path, "leak.mtt", LEAK)
+    assert main(["normalize", path, "g"]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"{path}:3:1: error: g: definition 'f' is undefined or failed to check\n"
+
+
+def chain(n: int) -> str:
+    """``f0 := \\x -> x``, n definitions that each use the previous one
+    twice, and ``use := f<n> true``."""
+    lines = ["def f0 @m : Pi (x : Bool) -> Bool := \\x -> x"]
+    lines += [
+        f"def f{i} @m : Pi (x : Bool) -> Bool := \\x -> f{i - 1} (f{i - 1} x)"
+        for i in range(1, n + 1)
+    ]
+    lines.append(f"def use @m : Bool := f{n} true")
+    return "\n".join(lines) + "\n"
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that appends to the returned list."""
+    calls: list = []
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_definition_chain_checks_in_linear_inference_steps(tmp_path, monkeypatch, capsys):
+    infers = counting(monkeypatch, C, "infer")
+    counts = []
+    for n in (8, 9, 10):
+        path = write(tmp_path, f"chain{n}.mtt", chain(n))
+        infers.clear()
+        assert main(["check", path]) == 0
+        counts.append(len(infers))
+    assert counts[1] - counts[0] == counts[2] - counts[1] > 0, counts
+    capsys.readouterr()
+    assert main(["normalize", path, "use"]) == 0
+    assert capsys.readouterr().out == "use : Bool\nuse = true\n"
+
+
+def test_check_command_reads_back_no_bodies(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "chain3.mtt", chain(3))
+    reads = counting(monkeypatch, C, "reify")
+    assert main(["check", path]) == 0
+    assert reads == []
+    assert main(["normalize", path, "use"]) == 0
+    assert reads != []
+    assert capsys.readouterr().out.endswith("use = true\n")
+
+
 def test_mode_theory_override_flag(tmp_path, capsys):
     path = write(tmp_path, "good.mtt", GOOD)
     assert main(["check", path, "--mode-theory", "trivial"]) == 2
@@ -335,6 +409,12 @@ def test_print_core_dumps_elaborated_terms(tmp_path, capsys):
     assert main(["check", path, "--print-core"]) == 0
     cap = capsys.readouterr()
     assert "core k = (lam (box mu x0^id))" in cap.out
+
+
+def test_print_core_names_earlier_definitions(tmp_path, capsys):
+    path = write(tmp_path, "chain2.mtt", chain(2))
+    assert main(["check", path, "--print-core"]) == 0
+    assert "core f2 = (lam (f1 (f1 x0^id)))" in capsys.readouterr().out
 
 
 def test_normalize_unknown_name_exits_one(tmp_path, capsys):
@@ -436,7 +516,8 @@ def test_corpus_normal_forms_roundtrip(path):
     for d, r in zip(decls, report.results):
         rendered = surface_nf(mt, r.body_nf, d.mode)
         reparsed = cli.Parser(tokenize(rendered), mt).parse_term(d.mode, [])
-        ctx = empty_ctx(mt, d.mode)
+        # declared types may name earlier definitions
+        ctx = empty_ctx(mt, d.mode, report.signature)
         check_tm(ctx, reparsed, check_type(ctx, d.ty))
-        nf2 = normalize(mt, Telescope(d.mode, ()), d.ty, reparsed)
+        nf2 = normalize(mt, Telescope(d.mode, ()), d.ty, reparsed, report.signature)
         assert eq_nf(mt, r.body_nf, nf2), d.name
