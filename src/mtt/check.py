@@ -1,12 +1,15 @@
 """Bidirectional type checking with conversion by normalization.
 
-The checker carries a telescope together with its atom environment and the
-semantic types of its variables.  Inference and checking follow the usual
-bidirectional split: eliminations and annotated introductions infer,
-unannotated introductions (lambdas, pairs, the inverse decoding coercion)
-only check.  Conversion reifies both sides to normal forms and compares
-them structurally, with all 2-cell equality questions delegated to the
-mode theory's decider.
+The checker carries a telescope (``syntax.Telescope``) together with its
+atom environment and the semantic types of its variables; the number of
+types is the telescope's depth, so the checker never recounts it.  A lock
+or extension whose modality lands in the wrong mode is a ``CheckError``.
+
+Inference and checking follow the usual bidirectional split: eliminations
+and annotated introductions infer, unannotated introductions (lambdas,
+pairs, the inverse decoding coercion) only check.  Conversion reifies both
+sides to normal forms and compares them structurally, with all 2-cell
+equality questions delegated to the mode theory's decider.
 
 Accessing a variable demands an explicit 2-cell from its annotation to the
 composite of the locks in front of it; no search is performed.  When that
@@ -14,6 +17,9 @@ cell is not an identity, the variable's stored type is transported to the
 use site by reifying it in its own prefix, pushing it through the key
 renaming (composed with the weakenings and locks separating the entry from
 the use site), and re-evaluating the result.
+
+Diagnostics print types with ``normal.surface_nfty``, the printer of
+``mtt normalize``, so a type quoted in an error message parses again.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .modeth import (
     is_id_cell,
 )
 from . import syntax as S
-from .syntax import Term
+from .syntax import Telescope, Term, tele_extend, tele_lock
 from .normal import (
     Nf,
     NfTy,
@@ -47,17 +53,13 @@ from .normal import (
     RenLock,
     RenWeaken,
     Renaming,
-    Telescope,
     decode_nfty,
-    depth,
     eq_nf,
     eq_nfty,
     locks_of,
     rename_nfty,
-    show_nfty,
+    surface_nfty,
     tele_entry,
-    tele_extend,
-    tele_lock,
 )
 from .nbe import (
     NO_DEFS,
@@ -102,8 +104,9 @@ class CheckCtx:
     """A telescope paired with its atoms and semantic variable types.
 
     ``types`` is parallel to the telescope's variable entries in telescope
-    order (first entry first); ``env`` is always the atom environment of
-    ``telescope``, extended incrementally instead of rebuilt.
+    order (first entry first), so its length is the telescope's depth;
+    ``env`` is always the atom environment of ``telescope``, extended
+    incrementally instead of rebuilt.
     """
 
     mt: ModeTheory
@@ -115,6 +118,11 @@ class CheckCtx:
     def mode(self) -> str:
         return self.telescope.mode
 
+    @property
+    def depth(self) -> int:
+        """Number of variable entries, without recounting the telescope."""
+        return len(self.types)
+
 
 def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
     if mode not in mt.modes:
@@ -125,7 +133,7 @@ def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
 def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
     try:
         tele = tele_lock(ctx.telescope, mu)
-    except NormalError as e:
+    except ModeError as e:
         raise CheckError(str(e)) from None
     return CheckCtx(ctx.mt, tele, Env(mu.mode_src, ctx.env.vals, ctx.env.sig), ctx.types)
 
@@ -135,9 +143,9 @@ def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> Ch
     well-scoped under the entry's lock (it is stored, never re-checked)."""
     try:
         tele = tele_extend(ctx.telescope, mu, ty_term)
-    except NormalError as e:
+    except ModeError as e:
         raise CheckError(str(e)) from None
-    atom = reflect(ctx.mt, tyv, NeAbs(depth(ctx.telescope), id_cell(mu)))
+    atom = reflect(ctx.mt, tyv, NeAbs(ctx.depth, id_cell(mu)))
     return CheckCtx(ctx.mt, tele, env_push(ctx.env, atom), ctx.types + (tyv,))
 
 
@@ -173,7 +181,8 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
             f"variable not accessible: no 2-cell {ann} => {nu} declared "
             f"(variable {k} carries {alpha.src} => {alpha.tgt})"
         )
-    stored = ctx.types[len(ctx.types) - 1 - k]
+    level = ctx.depth - 1 - k  # also the depth of the entry's prefix
+    stored = ctx.types[level]
     if isinstance(alpha.expr, CellId) or is_id_cell(ctx.mt, alpha):
         return stored
     # Transport along the key: reify in the entry's prefix, rename through
@@ -181,9 +190,9 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
     positions = [
         i for i, e in enumerate(ctx.telescope.entries) if isinstance(e, S.EVar)
     ]
-    pos = positions[len(ctx.types) - 1 - k]
+    pos = positions[level]
     prefix = Telescope(ann.mode_tgt, ctx.telescope.entries[:pos])
-    nf = reify_ty(ctx.mt, depth(prefix), ann.mode_src, stored)
+    nf = reify_ty(ctx.mt, level, ann.mode_src, stored)
     r = RenComp(RenKey(alpha, prefix), _drop_tail(ctx.telescope.entries[pos:]))
     moved = rename_nfty(ctx.mt, r, nf, ann.mode_src)
     return eval_ty(ctx.mt, ctx.env, decode_nfty(moved))
@@ -194,7 +203,7 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
 
 
 def convert_ty(ctx: CheckCtx, a: TypeValue, b: TypeValue) -> bool:
-    d = depth(ctx.telescope)
+    d = ctx.depth
     return eq_nfty(
         ctx.mt,
         reify_ty(ctx.mt, d, ctx.mode, a),
@@ -203,7 +212,7 @@ def convert_ty(ctx: CheckCtx, a: TypeValue, b: TypeValue) -> bool:
 
 
 def convert_tm(ctx: CheckCtx, ty: TypeValue, v: Value, w: Value) -> bool:
-    d = depth(ctx.telescope)
+    d = ctx.depth
     return eq_nf(
         ctx.mt,
         reify(ctx.mt, d, ctx.mode, ty, v),
@@ -212,7 +221,9 @@ def convert_tm(ctx: CheckCtx, ty: TypeValue, v: Value, w: Value) -> bool:
 
 
 def _show_ty(ctx: CheckCtx, ty: TypeValue) -> str:
-    return show_nfty(ctx.mt, reify_ty(ctx.mt, depth(ctx.telescope), ctx.mode, ty))
+    """``ty`` in the surface syntax of ``mtt normalize``, so it re-parses."""
+    nf = reify_ty(ctx.mt, ctx.depth, ctx.mode, ty)
+    return surface_nfty(ctx.mt, nf, ctx.mode, ctx.depth)
 
 
 def _require_mode(ctx: CheckCtx, mod: Modality, role: str) -> None:
@@ -308,15 +319,13 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
                     f"got {_show_ty(ctx_lock(ctx, mu), ts)}"
                 )
             inner = ts.inner
-            inner_term = decode_nfty(
-                reify_ty(mt, depth(ctx.telescope), nu.mode_src, inner)
-            )
+            inner_term = decode_nfty(reify_ty(mt, ctx.depth, nu.mode_src, inner))
             check_type(
                 ctx_extend(ctx, mu, S.Mod(nu, inner_term), TMod(nu, inner)), motive
             )
             mot = Closure(ctx.env, motive)
             comp = compose_mod(mu, nu)
-            fresh = reflect(mt, inner, NeAbs(depth(ctx.telescope), id_cell(comp)))
+            fresh = reflect(mt, inner, NeAbs(ctx.depth, id_cell(comp)))
             check_tm(
                 ctx_extend(ctx, comp, inner_term, inner),
                 branch,
@@ -369,10 +378,8 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
     mt = ctx.mt
     match t, ty:
         case S.Lam(body), TPi(mod, dom, cod):
-            fresh = reflect(mt, dom, NeAbs(depth(ctx.telescope), id_cell(mod)))
-            dom_term = decode_nfty(
-                reify_ty(mt, depth(ctx.telescope), mod.mode_src, dom)
-            )
+            fresh = reflect(mt, dom, NeAbs(ctx.depth, id_cell(mod)))
+            dom_term = decode_nfty(reify_ty(mt, ctx.depth, mod.mode_src, dom))
             check_tm(ctx_extend(ctx, mod, dom_term, dom), body, inst_ty(mt, cod, fresh))
         case S.Lam(_), _:
             raise CheckError(f"function literal at non-function type {_show_ty(ctx, ty)}")
@@ -452,7 +459,7 @@ def check_program(mt: ModeTheory, decls) -> Report:
         try:
             ctx = empty_ctx(mt, mode, sig)
             for part in (ty, body):
-                if not S.scope_check(S.Context(mode), part):
+                if not S.scope_check(ctx.telescope, part):
                     raise CheckError(f"declaration {name!r} has an out-of-scope variable")
             tyv = check_type(ctx, ty)
             check_tm(ctx, body, tyv)

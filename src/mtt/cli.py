@@ -6,30 +6,35 @@ A source file is an optional mode-theory block followed by declarations::
 
     def k @m : Pi (mu | x : Bool) -> Mod mu Bool := \\(mu | x) -> box mu x
 
-Shipped theories can be selected by name (``theory walking``) or forced
-from the command line with ``--mode-theory``.  Surface terms use names;
-parsing resolves them to de Bruijn indices and attaches the binder's modality
-as the identity cell on bare occurrences (``x^CELL`` for explicit keys).
+Shipped theories (``modeth.THEORIES``) can be selected by name (``theory
+walking``) or forced from the command line with ``--mode-theory``.  Surface
+terms use names; parsing resolves them to de Bruijn indices and attaches the
+binder's modality as the identity cell on bare occurrences (``x^CELL`` for
+explicit keys).
 The name of an earlier ``def`` becomes a ``Const`` reference: the kernel
 checks each declaration once and looks its type up at every use.
 
 Identity modalities written bare (``id``) resolve at the lexically
 enclosing mode; ``id(m)`` names a mode explicitly.  Exit codes: 0 success,
 1 type error, 2 parse error.  Diagnostics go to stderr; all stdout output
-is a deterministic function of the input.
+is a deterministic function of the input.  Normal forms print through
+``normal.surface_nf``/``surface_nfty``, whose output parses again; a
+closed stdout discards the rest of the output and changes neither the
+diagnostics nor the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass
 
 from . import check as C
-from . import normal as N
 from . import syntax as S
 from .modeth import (
+    THEORIES,
     Cell2,
     CellExpr,
     CellGen,
@@ -41,22 +46,15 @@ from .modeth import (
     Modality,
     RewriteDecider,
     FreeDecider,
-    adjoint,
-    cell_atoms,
     cell_boundary,
     compose_mod,
     id_cell,
     id_mod,
-    pointed,
     trivial,
     validate,
-    walking,
 )
-from .normal import (
-    Ne,
-    Nf,
-    NfTy,
-)
+# All three are bound here: ``bench/tracer.py`` times them as ``cli:surface_*``.
+from .normal import surface_ne, surface_nf, surface_nfty  # noqa: F401
 from .syntax import Term
 
 
@@ -68,12 +66,7 @@ class ParseError(Exception):
         self.col = col
 
 
-SHIPPED = {
-    "trivial": trivial,
-    "walking": walking,
-    "pointed": pointed,
-    "adjoint": adjoint,
-}
+SHIPPED = THEORIES  # the shipped mode theories, by name
 
 
 # ---------------------------------------------------------------------------
@@ -655,123 +648,6 @@ def parse_file(text: str, mt_override: "ModeTheory | None" = None):
 
 
 # ---------------------------------------------------------------------------
-# Surface rendering of normal forms (round-trips through the parser)
-
-
-def _render_mod(mod: Modality) -> str:
-    if not mod.word:
-        return f"id({mod.mode_src})"
-    return ".".join(reversed(mod.word))
-
-
-def _render_cell(mt: ModeTheory, cell: Cell2) -> "str | None":
-    atoms = cell_atoms(mt, cell)
-    if not atoms:
-        return None
-    parts = []
-    for a in reversed(atoms):
-        s = a.gen
-        for g in reversed(a.pre):
-            s = f"{s}>{g}"
-        for g in a.post:
-            s = f"{g}<{s}"
-        parts.append(s)
-    return ".".join(parts)
-
-
-def _wrap(s: str) -> str:
-    if re.fullmatch(r"[A-Za-z0-9_'^.<>|]+", s) or (s.startswith("(") and s.endswith(")")):
-        return s
-    return f"({s})"
-
-
-def surface_nf(mt: ModeTheory, u: Nf, amb: str, depth: int = 0) -> str:
-    match u:
-        case N.NfTrue():
-            return "true"
-        case N.NfFalse():
-            return "false"
-        case N.NfLam(mod, body):
-            b = surface_nf(mt, body, amb, depth + 1)
-            return f"\\({_render_mod(mod)} | x{depth}) -> {b}"
-        case N.NfPair(a, b):
-            return f"({surface_nf(mt, a, amb, depth)}, {surface_nf(mt, b, amb, depth)})"
-        case N.NfMkBox(mod, body):
-            return f"box {_render_mod(mod)} {_wrap(surface_nf(mt, body, mod.mode_src, depth))}"
-        case N.NfInj(e):
-            return surface_ne(mt, e, amb, depth)
-        case N.NfFnCode(mod, dom, cod):
-            d = surface_nf(mt, dom, mod.mode_src, depth)
-            c = surface_nf(mt, cod, amb, depth + 1)
-            return f"PiC ({_render_mod(mod)} | x{depth} : {d}) -> {c}"
-        case N.NfProdCode(fst, snd):
-            f = surface_nf(mt, fst, amb, depth)
-            s = surface_nf(mt, snd, amb, depth + 1)
-            return f"SigC (x{depth} : {f}) * {s}"
-        case N.NfBoolCode():
-            return "BoolC"
-        case N.NfModifyCode(mod, code):
-            return f"ModC {_render_mod(mod)} {_wrap(surface_nf(mt, code, mod.mode_src, depth))}"
-        case N.NfDecIsoStar(body):
-            return f"iso-inv {_wrap(surface_nf(mt, body, amb, depth))}"
-    raise ValueError(f"cannot render {type(u).__name__}")
-
-
-def surface_ne(mt: ModeTheory, e: Ne, amb: str, depth: int = 0) -> str:
-    match e:
-        case N.NeVar(idx, cell):
-            name = f"x{depth - 1 - idx}"
-            key = _render_cell(mt, cell)
-            return name if key is None else f"{name}^{key}"
-        case N.NeApp(fn, mod, arg):
-            f = surface_ne(mt, fn, amb, depth)
-            a = surface_nf(mt, arg, mod.mode_src, depth)
-            return f"({f} {_wrap(a)})"
-        case N.NeProj1(p):
-            return f"{_wrap(surface_ne(mt, p, amb, depth))}.1"
-        case N.NeProj2(p):
-            return f"{_wrap(surface_ne(mt, p, amb, depth))}.2"
-        case N.NeBoolRec(motive, scrut, tcase, fcase):
-            m = surface_nfty(mt, motive, amb, depth + 1)
-            s = surface_ne(mt, scrut, amb, depth)
-            t = surface_nf(mt, tcase, amb, depth)
-            f = surface_nf(mt, fcase, amb, depth)
-            return f"(if [x{depth}. {m}] {_wrap(s)} then {_wrap(t)} else {_wrap(f)})"
-        case N.NeLetMod(mu, nu, motive, scrut, branch):
-            m = surface_nfty(mt, motive, amb, depth + 1)
-            s = surface_ne(mt, scrut, mu.mode_src, depth)
-            b = surface_nf(mt, branch, amb, depth + 1)
-            return (
-                f"(letbox ({_render_mod(mu)} | {_render_mod(nu)}) "
-                f"[x{depth}. {m}] x{depth} = {_wrap(s)} in {b})"
-            )
-        case N.NeDecIso(body):
-            return f"iso {_wrap(surface_ne(mt, body, amb, depth))}"
-    raise ValueError(f"cannot render {type(e).__name__}")
-
-
-def surface_nfty(mt: ModeTheory, t: NfTy, amb: str, depth: int = 0) -> str:
-    match t:
-        case N.NfBool():
-            return "Bool"
-        case N.NfUni():
-            return "Uni"
-        case N.NfFn(mod, dom, cod):
-            d = surface_nfty(mt, dom, mod.mode_src, depth)
-            c = surface_nfty(mt, cod, amb, depth + 1)
-            return f"Pi ({_render_mod(mod)} | x{depth} : {d}) -> {c}"
-        case N.NfProd(fst, snd):
-            f = surface_nfty(mt, fst, amb, depth)
-            s = surface_nfty(mt, snd, amb, depth + 1)
-            return f"Sig (x{depth} : {f}) * {s}"
-        case N.NfModify(mod, inner):
-            return f"Mod {_render_mod(mod)} ({surface_nfty(mt, inner, mod.mode_src, depth)})"
-        case N.NfDec(code):
-            return f"dec {_wrap(surface_nf(mt, code, amb, depth))}"
-    raise ValueError(f"cannot render {type(t).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Commands
 
 
@@ -797,10 +673,29 @@ def _load(path: str, override_name: "str | None"):
         return None
 
 
+def _out(line: "str | None" = None) -> None:
+    """Print ``line`` to stdout, or flush stdout when there is none.
+
+    When the reader has closed stdout, stdout is pointed at the null device
+    (the SIGPIPE note in the docs of Python's ``signal`` module): the run
+    goes on, diagnostics still reach stderr and the exit status is the
+    run's own.
+    """
+    try:
+        if line is None:
+            sys.stdout.flush()
+        else:
+            print(line)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_core(decls) -> None:
     for d in decls:
-        print(f"core {d.name} : {S.show_term(d.ty)}")
-        print(f"core {d.name} = {S.show_term(d.body)}")
+        _out(f"core {d.name} : {S.show_term(d.ty)}")
+        _out(f"core {d.name} = {S.show_term(d.body)}")
 
 
 def cmd_check(path: str, override: "str | None" = None, print_core: bool = False) -> int:
@@ -814,7 +709,7 @@ def cmd_check(path: str, override: "str | None" = None, print_core: bool = False
     status = 0
     for d, r in zip(decls, report.results):
         if r.ok:
-            print(f"checked {r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}")
+            _out(f"checked {r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}")
         else:
             print(f"{path}:{d.line}:{d.col}: error: {r.name}: {r.error}", file=sys.stderr)
             status = 1
@@ -845,8 +740,8 @@ def cmd_normalize(
     status = 0
     for d, r in zip(decls[shown], report.results[shown]):
         if r.ok:
-            print(f"{r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}")
-            print(f"{r.name} = {surface_nf(mt, r.body_nf, r.mode)}")
+            _out(f"{r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}")
+            _out(f"{r.name} = {surface_nf(mt, r.body_nf, r.mode)}")
         else:
             print(f"{path}:{d.line}:{d.col}: error: {r.name}: {r.error}", file=sys.stderr)
             status = 1
@@ -875,8 +770,11 @@ def main(argv: "list[str] | None" = None) -> int:
         )
     args = ap.parse_args(argv)
     if args.command == "check":
-        return cmd_check(args.file, args.mode_theory, args.print_core)
-    return cmd_normalize(args.file, args.name, args.mode_theory, args.print_core)
+        status = cmd_check(args.file, args.mode_theory, args.print_core)
+    else:
+        status = cmd_normalize(args.file, args.name, args.mode_theory, args.print_core)
+    _out()  # a closed stdout surfaces here at the latest, not at exit
+    return status
 
 
 if __name__ == "__main__":

@@ -43,16 +43,15 @@ from .check import (
     lookup_var,
 )
 from .modeth import (
+    THEORIES,
     Cell2,
     CellGen,
     ModeTheory,
     Modality,
-    adjoint,
     compose_mod,
     eq_mod,
     id_cell,
     id_mod,
-    pointed,
     trivial,
     walking,
 )
@@ -66,7 +65,6 @@ from .nbe import (
     TSig,
     TUni,
     TypeValue,
-    atoms_env,
     code_of,
     dec_unfold,
     do_proj,
@@ -75,13 +73,8 @@ from .nbe import (
     reflect,
     reify_ty,
 )
-from .normal import (
-    Telescope,
-    decode_nfty,
-    depth,
-    locks_of,
-    tele_entry,
-)
+from .normal import decode_nfty, locks_of, tele_entry
+from .syntax import Telescope
 
 
 class HarnessError(Exception):
@@ -90,14 +83,6 @@ class HarnessError(Exception):
 
 class GenExhausted(HarnessError):
     """The generator found no term of the requested type within budget."""
-
-
-THEORIES = {
-    "trivial": trivial,
-    "walking": walking,
-    "pointed": pointed,
-    "adjoint": adjoint,
-}
 
 
 DEFAULT_WEIGHTS = (
@@ -403,7 +388,7 @@ class _Gen:
         mt = self.mt
         match ty:
             case TPi(mod, dom, cod):
-                d = depth(ctx.telescope)
+                d = ctx.depth
                 dom_term = decode_nfty(reify_ty(mt, d, mod.mode_src, dom))
                 fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
                 ctx2 = ctx_extend(ctx, mod, dom_term, dom)
@@ -442,7 +427,7 @@ class _Gen:
     def _weaken_ty(self, ctx: CheckCtx, ty: TypeValue) -> Term:
         """The type as a term, shifted to sit under one more binder."""
         return shift(
-            decode_nfty(reify_ty(self.mt, depth(ctx.telescope), ctx.mode, ty)), 1
+            decode_nfty(reify_ty(self.mt, ctx.depth, ctx.mode, ty)), 1
         )
 
     def _spine(self, ctx: CheckCtx, ty: TypeValue, size: int) -> Term:
@@ -481,7 +466,7 @@ class _Gen:
                     fc = self.term(ctx, ty, budget // 2)
                     head, head_ty = S.If(motive, tc, fc, head), ty
                 case TMod(nu, inner):
-                    d = depth(ctx.telescope)
+                    d = ctx.depth
                     motive = self._weaken_ty(ctx, ty)
                     inner_term = decode_nfty(reify_ty(mt, d, nu.mode_src, inner))
                     comp = compose_mod(id_mod(ctx.mode), nu)
@@ -550,7 +535,7 @@ def gen_distinct_pair(
             case TBool():
                 return S.True_(), S.False_()
             case TPi(mod, dom, cod):
-                d = depth(ctx.telescope)
+                d = ctx.depth
                 dom_term = decode_nfty(reify_ty(mt, d, mod.mode_src, dom))
                 fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
                 ctx2 = ctx_extend(ctx, mod, dom_term, dom)

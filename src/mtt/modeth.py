@@ -44,9 +44,6 @@ class Modality:
     mode_tgt: str
     word: Word = ()
 
-    def is_identity_word(self) -> bool:
-        return self.word == ()
-
     def __str__(self) -> str:
         if not self.word:
             return f"id_{self.mode_src}"
@@ -460,12 +457,6 @@ def check_word_any(mt: ModeTheory, word: Word) -> str:
 
 def _bad(word: Word) -> str:
     raise ModeError(f"unknown modality generator {word[0]!r}")
-
-
-def mod_from_word(mt: ModeTheory, word: Word, start: str) -> Modality:
-    """Build a modality from a word, checking mode chaining."""
-    end = check_word(mt, word, start)
-    return Modality(start, end, word)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .modeth import (
     vcomp,
 )
 from . import syntax as S
-from .syntax import Term
+from .syntax import Telescope, Term, depth as tele_depth
 from .normal import (
     Ne,
     NeApp,
@@ -66,8 +66,6 @@ from .normal import (
     NfTrue,
     NfTy,
     NfUni,
-    Telescope,
-    depth as tele_depth,
 )
 
 

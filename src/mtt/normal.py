@@ -1,22 +1,28 @@
-"""Telescopes, renamings, and unquotiented normal/neutral forms.
+"""Renamings, unquotiented normal/neutral forms, and their printer.
 
-Normal forms are indexed by *telescopes*: formal sequences of locks and
-annotated variable entries that present a context without quotienting by the
-lock equations.  Renamings are the structural morphisms between telescopes
-(weakening, locks, keys, variable-for-variable extension); they act on
-neutrals and normals, and on variables the action composes 2-cells onto the
-head.  Renamings are kept as unevaluated trees: only their actions are ever
-compared, never the trees themselves.
+Normal forms are indexed by *telescopes* (``syntax.Telescope``): formal
+sequences of locks and annotated variable entries that present a context
+without quotienting by the lock equations.  Renamings are the structural
+morphisms between telescopes (weakening, locks, keys, variable-for-variable
+extension); they act on neutrals and normals, and on variables the action
+composes 2-cells onto the head.  Renamings are kept as unevaluated trees:
+only their actions are ever compared, never the trees themselves.
+
+``surface_nf``/``surface_ne``/``surface_nfty`` print normal forms in the
+surface syntax the parser reads; the CLI's output and the checker's
+diagnostics both use them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .modeth import (
     Cell2,
     Modality,
     ModeTheory,
+    cell_atoms,
     compose_mod,
     eq_cell,
     eq_mod,
@@ -27,7 +33,9 @@ from .modeth import (
     whisker_right,
 )
 from . import syntax as S
-from .syntax import ELock, EVar, Entry, Term
+
+# ``depth`` is re-exported: ``bench/tracer.py`` times it as ``normal:depth``.
+from .syntax import ELock, EVar, Telescope, Term, depth  # noqa: F401
 
 
 class NormalError(Exception):
@@ -35,36 +43,7 @@ class NormalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Telescopes
-
-
-@dataclass(frozen=True)
-class Telescope:
-    """Entries oldest first; ``mode`` is the ambient mode at the end."""
-
-    mode: str
-    entries: tuple[Entry, ...] = ()
-
-
-def tele_lock(tele: Telescope, mu: Modality) -> Telescope:
-    if mu.mode_tgt != tele.mode:
-        raise NormalError(f"lock {mu} targets {mu.mode_tgt}, telescope is at {tele.mode}")
-    return Telescope(mu.mode_src, tele.entries + (ELock(mu),))
-
-
-def tele_extend(tele: Telescope, mu: Modality, ty: Term) -> Telescope:
-    if mu.mode_tgt != tele.mode:
-        raise NormalError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {tele.mode}")
-    return Telescope(tele.mode, tele.entries + (EVar(mu, ty),))
-
-
-def depth(tele: Telescope) -> int:
-    """Number of variable entries."""
-    return sum(1 for e in tele.entries if isinstance(e, EVar))
-
-
-def erase(tele: Telescope) -> S.Context:
-    return S.Context(tele.mode, tele.entries)
+# Variables of a telescope
 
 
 def _var_position(tele: Telescope, k: int) -> int:
@@ -280,11 +259,6 @@ class Renaming:
 
 
 @dataclass(frozen=True)
-class RenEmpty(Renaming):
-    """Into the empty telescope."""
-
-
-@dataclass(frozen=True)
 class RenId(Renaming):
     pass
 
@@ -378,10 +352,6 @@ def _act_var(mt: ModeTheory, r: Renaming, k: int, cell: Cell2, mode: str) -> Ne:
                     return _act_var(
                         mt, RenLock(compose_mod(kappa2, kappa), inner2), k, cell, mode
                     )
-                case RenEmpty():
-                    raise NormalError("variable under a renaming into the empty telescope")
-        case RenEmpty():
-            raise NormalError("variable under a renaming into the empty telescope")
     raise AssertionError(r)
 
 
@@ -469,13 +439,6 @@ def rename_nfty(mt: ModeTheory, r: Renaming, t: NfTy, mode: str) -> NfTy:
         case NfDec(u):
             return NfDec(rename_nf(mt, r, u, mode))
     raise AssertionError(t)
-
-
-def ren_respects_equations(
-    mt: ModeTheory, r1: Renaming, r2: Renaming, x: Ne, mode: str
-) -> bool:
-    """Test oracle: do two parallel renamings act identically on x?"""
-    return eq_ne(mt, rename_ne(mt, r1, x, mode), rename_ne(mt, r2, x, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -616,94 +579,120 @@ def eq_nfty(mt: ModeTheory, a: NfTy, b: NfTy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Printing.  Layout: prefix constructors, de Bruijn indices, cells in
-# canonical form.  Deterministic; the CLI's output contract lives here.
+# Printing in surface syntax.  The output re-parses: a binder at depth d
+# is named x<d>, modalities print in composition order, and keys print as
+# canonical whisker expressions.  Deterministic; the CLI's output contract
+# lives here, and diagnostics print types the same way.
 
 
-def show_cell(mt: ModeTheory, cell: Cell2) -> str:
-    from .modeth import TableDecider, _canon_atoms, _table_value
+def _render_mod(mod: Modality) -> str:
+    if not mod.word:
+        return f"id({mod.mode_src})"
+    return ".".join(reversed(mod.word))
 
-    if isinstance(mt.decider, TableDecider):
-        v = _table_value(mt, cell)
-        return "id" if v is None else v
-    atoms = _canon_atoms(mt, cell)
+
+def _render_cell(mt: ModeTheory, cell: Cell2) -> "str | None":
+    atoms = cell_atoms(mt, cell)
     if not atoms:
-        return "id"
+        return None
     parts = []
-    for a in reversed(atoms):  # composition order: last applied leftmost
-        if not a.pre and not a.post:
-            parts.append(a.gen)
-        else:
-            post = ".".join(reversed(a.post)) or "id"
-            pre = ".".join(reversed(a.pre)) or "id"
-            parts.append(f"[{post}|{a.gen}|{pre}]")
-    return "*".join(parts)
+    for a in reversed(atoms):
+        s = a.gen
+        for g in reversed(a.pre):
+            s = f"{s}>{g}"
+        for g in a.post:
+            s = f"{g}<{s}"
+        parts.append(s)
+    return ".".join(parts)
 
 
-def show_nf(mt: ModeTheory, u: Nf) -> str:
+def _wrap(s: str) -> str:
+    if re.fullmatch(r"[A-Za-z0-9_'^.<>|]+", s) or (s.startswith("(") and s.endswith(")")):
+        return s
+    return f"({s})"
+
+
+def surface_nf(mt: ModeTheory, u: Nf, amb: str, depth: int = 0) -> str:
     match u:
         case NfTrue():
             return "true"
         case NfFalse():
             return "false"
         case NfLam(mod, body):
-            return f"(lam {mod} {show_nf(mt, body)})"
+            b = surface_nf(mt, body, amb, depth + 1)
+            return f"\\({_render_mod(mod)} | x{depth}) -> {b}"
         case NfPair(a, b):
-            return f"(pair {show_nf(mt, a)} {show_nf(mt, b)})"
+            return f"({surface_nf(mt, a, amb, depth)}, {surface_nf(mt, b, amb, depth)})"
         case NfMkBox(mod, body):
-            return f"(box {mod} {show_nf(mt, body)})"
+            return f"box {_render_mod(mod)} {_wrap(surface_nf(mt, body, mod.mode_src, depth))}"
         case NfInj(e):
-            return show_ne(mt, e)
-        case NfFnCode(mod, a, b):
-            return f"(PiC {mod} {show_nf(mt, a)} {show_nf(mt, b)})"
-        case NfProdCode(a, b):
-            return f"(SigC {show_nf(mt, a)} {show_nf(mt, b)})"
+            return surface_ne(mt, e, amb, depth)
+        case NfFnCode(mod, dom, cod):
+            d = surface_nf(mt, dom, mod.mode_src, depth)
+            c = surface_nf(mt, cod, amb, depth + 1)
+            return f"PiC ({_render_mod(mod)} | x{depth} : {d}) -> {c}"
+        case NfProdCode(fst, snd):
+            f = surface_nf(mt, fst, amb, depth)
+            s = surface_nf(mt, snd, amb, depth + 1)
+            return f"SigC (x{depth} : {f}) * {s}"
         case NfBoolCode():
             return "BoolC"
-        case NfModifyCode(mod, a):
-            return f"(ModC {mod} {show_nf(mt, a)})"
+        case NfModifyCode(mod, code):
+            return f"ModC {_render_mod(mod)} {_wrap(surface_nf(mt, code, mod.mode_src, depth))}"
         case NfDecIsoStar(body):
-            return f"(iso-inv {show_nf(mt, body)})"
-    raise AssertionError(u)
+            return f"iso-inv {_wrap(surface_nf(mt, body, amb, depth))}"
+    raise ValueError(f"cannot render {type(u).__name__}")
 
 
-def show_ne(mt: ModeTheory, e: Ne) -> str:
+def surface_ne(mt: ModeTheory, e: Ne, amb: str, depth: int = 0) -> str:
     match e:
-        case NeVar(k, cell):
-            return f"x{k}^{show_cell(mt, cell)}"
-        case NeApp(fn, _, arg):
-            return f"({show_ne(mt, fn)} {show_nf(mt, arg)})"
+        case NeVar(idx, cell):
+            name = f"x{depth - 1 - idx}"
+            key = _render_cell(mt, cell)
+            return name if key is None else f"{name}^{key}"
+        case NeApp(fn, mod, arg):
+            f = surface_ne(mt, fn, amb, depth)
+            a = surface_nf(mt, arg, mod.mode_src, depth)
+            return f"({f} {_wrap(a)})"
         case NeProj1(p):
-            return f"(fst {show_ne(mt, p)})"
+            return f"{_wrap(surface_ne(mt, p, amb, depth))}.1"
         case NeProj2(p):
-            return f"(snd {show_ne(mt, p)})"
-        case NeBoolRec(motive, scrut, t, f):
-            return (
-                f"(boolrec [{show_nfty(mt, motive)}] {show_ne(mt, scrut)} "
-                f"{show_nf(mt, t)} {show_nf(mt, f)})"
-            )
+            return f"{_wrap(surface_ne(mt, p, amb, depth))}.2"
+        case NeBoolRec(motive, scrut, tcase, fcase):
+            m = surface_nfty(mt, motive, amb, depth + 1)
+            s = surface_ne(mt, scrut, amb, depth)
+            t = surface_nf(mt, tcase, amb, depth)
+            f = surface_nf(mt, fcase, amb, depth)
+            return f"(if [x{depth}. {m}] {_wrap(s)} then {_wrap(t)} else {_wrap(f)})"
         case NeLetMod(mu, nu, motive, scrut, branch):
+            m = surface_nfty(mt, motive, amb, depth + 1)
+            s = surface_ne(mt, scrut, mu.mode_src, depth)
+            b = surface_nf(mt, branch, amb, depth + 1)
             return (
-                f"(letbox {mu} {nu} [{show_nfty(mt, motive)}] {show_ne(mt, scrut)} "
-                f"{show_nf(mt, branch)})"
+                f"(letbox ({_render_mod(mu)} | {_render_mod(nu)}) "
+                f"[x{depth}. {m}] x{depth} = {_wrap(s)} in {b})"
             )
         case NeDecIso(body):
-            return f"(iso {show_ne(mt, body)})"
-    raise AssertionError(e)
+            return f"iso {_wrap(surface_ne(mt, body, amb, depth))}"
+    raise ValueError(f"cannot render {type(e).__name__}")
 
 
-def show_nfty(mt: ModeTheory, t: NfTy) -> str:
+def surface_nfty(mt: ModeTheory, t: NfTy, amb: str, depth: int = 0) -> str:
     match t:
         case NfBool():
             return "Bool"
         case NfUni():
             return "Uni"
         case NfFn(mod, dom, cod):
-            return f"(Pi ({mod} | {show_nfty(mt, dom)}) -> {show_nfty(mt, cod)})"
-        case NfProd(a, b):
-            return f"(Sig {show_nfty(mt, a)} * {show_nfty(mt, b)})"
-        case NfModify(mod, a):
-            return f"(Mod {mod} {show_nfty(mt, a)})"
-        case NfDec(u):
-            return f"(dec {show_nf(mt, u)})"
-    raise AssertionError(t)
+            d = surface_nfty(mt, dom, mod.mode_src, depth)
+            c = surface_nfty(mt, cod, amb, depth + 1)
+            return f"Pi ({_render_mod(mod)} | x{depth} : {d}) -> {c}"
+        case NfProd(fst, snd):
+            f = surface_nfty(mt, fst, amb, depth)
+            s = surface_nfty(mt, snd, amb, depth + 1)
+            return f"Sig (x{depth} : {f}) * {s}"
+        case NfModify(mod, inner):
+            return f"Mod {_render_mod(mod)} ({surface_nfty(mt, inner, mod.mode_src, depth)})"
+        case NfDec(code):
+            return f"dec {_wrap(surface_nf(mt, code, amb, depth))}"
+    raise ValueError(f"cannot render {type(t).__name__}")

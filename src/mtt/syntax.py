@@ -1,9 +1,13 @@
-"""Core abstract syntax: de Bruijn terms, contexts with locks, scope checking.
+"""Core abstract syntax: de Bruijn terms, telescopes, scope checking.
 
 Terms are quotient-free trees.  Variables carry an explicit 2-cell (the key
 used to reach them through the locks in scope); binders are nameless and each
 introduces exactly one variable entry.  De Bruijn indices count variable
 entries only — locks are transparent to indexing.
+
+Contexts are telescopes: unquotiented runs of locks and annotated variable
+entries.  ``Telescope`` is the one context record; the checker's contexts,
+the renamings and the normal forms of ``normal`` are all indexed by it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .modeth import Cell2, Modality, ModeError, ModeTheory, canon_word, compose_mod
+from .modeth import Cell2, Modality, ModeError
 
 
 class Term:
@@ -175,7 +179,7 @@ TermT = Union[
 
 
 # ---------------------------------------------------------------------------
-# Contexts
+# Contexts (telescopes)
 
 
 @dataclass(frozen=True)
@@ -193,64 +197,44 @@ Entry = Union[ELock, EVar]
 
 
 @dataclass(frozen=True)
-class Context:
-    """Entries oldest first; ``mode`` is the ambient mode at the context's end."""
+class Telescope:
+    """A context as a formal sequence of locks and annotated variables, not
+    quotiented by the lock equations.  Entries oldest first; ``mode`` is the
+    ambient mode at the end."""
 
     mode: str
     entries: tuple[Entry, ...] = ()
 
 
-def ctx_lock(ctx: Context, mu: Modality) -> Context:
+def tele_lock(tele: Telescope, mu: Modality) -> Telescope:
     """Push a lock.  mu : n -> m moves the ambient mode from m to n."""
-    if mu.mode_tgt != ctx.mode:
-        raise ModeError(f"lock {mu} targets mode {mu.mode_tgt}, context is at {ctx.mode}")
-    return Context(mu.mode_src, ctx.entries + (ELock(mu),))
+    if mu.mode_tgt != tele.mode:
+        raise ModeError(f"lock {mu} targets {mu.mode_tgt}, telescope is at {tele.mode}")
+    return Telescope(mu.mode_src, tele.entries + (ELock(mu),))
 
 
-def ctx_extend(ctx: Context, mu: Modality, ty: Term) -> Context:
+def tele_extend(tele: Telescope, mu: Modality, ty: Term) -> Telescope:
     """Push a variable annotated mu; its type lives behind an extra mu-lock."""
-    if mu.mode_tgt != ctx.mode:
-        raise ModeError(
-            f"annotation {mu} targets mode {mu.mode_tgt}, context is at {ctx.mode}"
-        )
-    return Context(ctx.mode, ctx.entries + (EVar(mu, ty),))
+    if mu.mode_tgt != tele.mode:
+        raise ModeError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {tele.mode}")
+    return Telescope(tele.mode, tele.entries + (EVar(mu, ty),))
 
 
-def ctx_var_count(ctx: Context) -> int:
-    return sum(1 for e in ctx.entries if isinstance(e, EVar))
-
-
-def canon_entries(mt: ModeTheory, ctx: Context) -> tuple[Entry, ...]:
-    """Normal form under the lock equations: identity locks erased, composite
-    locks split into generator locks (words canonicalized first)."""
-    out: list[Entry] = []
-    for e in ctx.entries:
-        if isinstance(e, ELock):
-            word = canon_word(mt, e.mod.word)
-            # split into single-generator locks, first applied nearest the end:
-            # a lock for mu with word (g0, g1) is the two locks for g1 then g0,
-            # since lock(mu.nu) == lock(mu) then lock(nu) and composition
-            # prepends the inner word.
-            at = e.mod.mode_tgt
-            for g in reversed(word):
-                src = mt.modality_gens[g][0]
-                out.append(ELock(Modality(src, at, (g,))))
-                at = src
-        else:
-            out.append(e)
-    return tuple(out)
+def depth(tele: Telescope) -> int:
+    """Number of variable entries."""
+    return sum(1 for e in tele.entries if isinstance(e, EVar))
 
 
 # ---------------------------------------------------------------------------
 # Scope checking
 
 
-def scope_check(ctx: Context, t: Term) -> bool:
+def scope_check(tele: Telescope, t: Term) -> bool:
     """True iff every variable resolves to a variable entry.
 
     Purely structural: types and 2-cell boundaries are the checker's job.
     """
-    return _scope(ctx_var_count(ctx), t)
+    return _scope(depth(tele), t)
 
 
 def _scope(depth: int, t: Term) -> bool:
@@ -298,7 +282,7 @@ def _scope(depth: int, t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Printing (debug surface; the CLI has the documented printer)
+# Printing core terms (``--print-core``; normal forms print via ``normal``)
 
 
 def show_term(t: Term) -> str:

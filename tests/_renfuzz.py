@@ -33,12 +33,11 @@ from mtt.normal import (
     RenKey,
     RenLock,
     RenWeaken,
-    Telescope,
-    depth,
     locks_of,
     rename_ne,
     tele_entry,
 )
+from mtt.syntax import Telescope, depth
 
 P = pointed()
 PT = gen_cell(P, "pt")

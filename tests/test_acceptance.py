@@ -28,7 +28,6 @@ from mtt.cli import main as cli_main
 from mtt.harness import (
     CONNECTIVES,
     PAIRS_THEORY,
-    THEORIES,
     GenConfig,
     GenExhausted,
     Oracle,
@@ -41,7 +40,7 @@ from mtt.harness import (
     oracle_eval_bool,
     theory_of,
 )
-from mtt.modeth import eq_mod, id_cell, id_mod, trivial
+from mtt.modeth import THEORIES, eq_mod, id_cell, id_mod, trivial
 from mtt.nbe import TBool, TPi, eval_tm, inst_ty, normalize, normalize_ty
 from mtt.normal import (
     NeApp,
@@ -68,11 +67,11 @@ from mtt.normal import (
     NfProdCode,
     NfTrue,
     NfUni,
-    Telescope,
     decode_nf,
     eq_nf,
     eq_ne,
 )
+from mtt.syntax import Telescope
 
 IDM = id_mod("m")
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.mtt"))

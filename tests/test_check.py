@@ -54,7 +54,6 @@ from mtt.normal import (
     NfProdCode,
     NfTrue,
     NfUni,
-    depth,
     eq_nfty,
 )
 
@@ -91,6 +90,14 @@ def test_lookup_without_cell_is_rejected():
         assert "mu => id_m" in str(e)
 
 
+def test_lock_or_extension_at_the_wrong_mode_is_a_check_error():
+    ctx = empty_ctx(W, "n")  # mu : n -> m targets m
+    with pytest.raises(CheckError, match="targets m, telescope is at n"):
+        ctx_lock(ctx, MU)
+    with pytest.raises(CheckError, match="targets m, telescope is at n"):
+        ctx_extend(ctx, MU, S.Bool(), TBool())
+
+
 def test_lookup_trivial_theory_always_accessible():
     ctx = ctx_extend(empty_ctx(T, "m"), IDM, S.Bool(), TBool())
     assert lookup_var(ctx, 0, id_cell(IDM)) == TBool()
@@ -110,7 +117,7 @@ def test_lookup_transports_type_along_key():
     ctx2 = ctx_extend(ctx1, IDM, S.Dec(var(0)), x_ty)
     ctx3 = ctx_lock(ctx2, L)
     moved = lookup_var(ctx3, 0, PT)
-    got = reify_ty(P, depth(ctx3.telescope), ctx3.mode, moved)
+    got = reify_ty(P, ctx3.depth, ctx3.mode, moved)
     assert eq_nfty(P, got, NfDec(NfInj(NeVar(1, PT))))
 
 
@@ -202,7 +209,7 @@ def test_dependent_if_motive_through_universe():
             )
         )
     )
-    assert eq_nfty(T, reify_ty(T, depth(ctx.telescope), "m", got), want)
+    assert eq_nfty(T, reify_ty(T, ctx.depth, "m", got), want)
 
 
 # ---------------------------------------------------------------------------

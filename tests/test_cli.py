@@ -1,6 +1,9 @@
 """Tests for the surface language: lexing, parsing, commands, round-trips."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +25,8 @@ from mtt.modeth import (
     walking,
 )
 from mtt.nbe import normalize
-from mtt.normal import Telescope, eq_nf
+from mtt.normal import eq_nf
+from mtt.syntax import Telescope
 
 IDM = id_mod("m")
 MU = Modality("n", "m", ("mu",))
@@ -421,6 +425,45 @@ def test_normalize_unknown_name_exits_one(tmp_path, capsys):
     path = write(tmp_path, "good.mtt", GOOD)
     assert main(["normalize", path, "nosuch"]) == 1
     assert "no declaration named 'nosuch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad, status",
+    [("", 0), ("def oops @m : Bool := (true, false)\n", 1)],
+    ids=["ok", "type-error"],
+)
+def test_closed_stdout_keeps_the_exit_status_and_diagnostics(tmp_path, bad, status):
+    path = write(tmp_path, "good.mtt", GOOD + bad)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]  # the mtt under test
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    p = subprocess.Popen(
+        [sys.executable, "-m", "mtt.cli", "normalize", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    p.stdout.close()  # the reader goes away before anything is written
+    err = p.stderr.read().decode()
+    p.stderr.close()
+    assert p.wait(timeout=60) == status
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert ("error: oops: pair literal" in err) == bool(bad)
+
+
+def test_type_in_a_diagnostic_parses_again(tmp_path, capsys):
+    defs = (
+        "theory walking\n"
+        "def h @m : Mod mu (Pi (y : Bool) -> Bool) := box mu (\\y -> y)\n"
+    )
+    path = write(tmp_path, "diag.mtt", defs + "def k @m : Mod mu Bool := h\n")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert "k: type mismatch: expected Mod mu (Bool), actual " in err
+    actual = err.split("actual ", 1)[1].strip()
+    assert actual == "Mod mu (Pi (id(n) | x0 : Bool) -> Bool)"
+    again = write(tmp_path, "again.mtt", defs + f"def t @m : {actual} := h\n")
+    assert main(["check", again]) == 0
+    assert "checked t : " in capsys.readouterr().out
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -32,7 +32,8 @@ from mtt.harness import (
 )
 from mtt.modeth import id_cell, id_mod, trivial
 from mtt.nbe import TBool, eval_tm, normalize
-from mtt.normal import NfFalse, NfTrue, Telescope
+from mtt.normal import NfFalse, NfTrue
+from mtt.syntax import Telescope
 
 IDM = id_mod("m")
 

@@ -50,10 +50,10 @@ from mtt.normal import (
     NfProdCode,
     NfTrue,
     NfUni,
-    Telescope,
     eq_nf,
     eq_nfty,
 )
+from mtt.syntax import Telescope
 
 T = trivial()
 W = walking()

@@ -39,24 +39,20 @@ from mtt.normal import (
     RenKey,
     RenLock,
     RenWeaken,
-    Telescope,
     decode_ne,
     decode_nf,
     decode_nfty,
     NfBool,
     NfFn,
-    depth,
     eq_ne,
     eq_nf,
     eq_nfty,
     lift,
     locks_of,
-    ren_respects_equations,
     rename_ne,
     rename_nf,
-    tele_extend,
-    tele_lock,
 )
+from mtt.syntax import Telescope, tele_extend, tele_lock
 
 import _renfuzz as RF
 
@@ -258,6 +254,11 @@ def test_coherence_equations_random(name):
         assert eq_ne(RF.P, got, want)
 
 
+def ren_respects_equations(mt, r1, r2, x, mode) -> bool:
+    """Do two parallel renamings act identically on the neutral x?"""
+    return eq_ne(mt, rename_ne(mt, r1, x, mode), rename_ne(mt, r2, x, mode))
+
+
 def test_ren_respects_equations_comp_unit():
     theta = tele_extend(Telescope("m"), IDM, S.Bool())
     r = RenKey(PT, theta)
@@ -337,13 +338,3 @@ def test_eq_nfty_compares_cells_inside():
     b = NfFn(Modality("m", "m", ("l",)), NfBool(), NfBool())
     assert eq_nfty(P, a, b)
     assert not eq_nfty(P, a, NfFn(IDM, NfBool(), NfBool()))
-
-
-def test_telescope_depth_and_modes():
-    t = Telescope("m")
-    t = tele_extend(t, IDM, S.Bool())
-    t = tele_lock(t, L)
-    t = tele_extend(t, L, S.Bool())
-    assert depth(t) == 2
-    with pytest.raises(NormalError):
-        tele_lock(t, id_mod("n"))  # its target mode is not the ambient mode

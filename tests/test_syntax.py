@@ -1,47 +1,46 @@
-"""Scope checking and context operations."""
+"""Scope checking and telescope operations."""
 
 import pytest
 
-from mtt.modeth import ModeError, Modality, compose_mod, gen_mod, id_cell, id_mod, trivial, walking
+from mtt.modeth import ModeError, gen_mod, id_cell, id_mod, pointed, walking
 from mtt.syntax import (
     App,
     Bool,
-    Context,
-    ELock,
     EVar,
     If,
     Lam,
     LetMod,
     MkBox,
     Pi,
+    Telescope,
     True_,
     Var,
-    canon_entries,
-    ctx_extend,
-    ctx_lock,
+    depth,
     scope_check,
+    tele_extend,
+    tele_lock,
 )
 
 
 def test_scope_var_in_singleton_context():
-    ctx = ctx_extend(Context("m"), id_mod("m"), Bool())
+    ctx = tele_extend(Telescope("m"), id_mod("m"), Bool())
     assert scope_check(ctx, Var(0, id_cell(id_mod("m"))))
 
 
 def test_scope_empty_context_rejects_var():
-    assert not scope_check(Context("m"), Var(0, id_cell(id_mod("m"))))
+    assert not scope_check(Telescope("m"), Var(0, id_cell(id_mod("m"))))
 
 
 def test_scope_locks_are_transparent():
     mt = walking()
     mu = gen_mod(mt, "mu")
-    ctx = ctx_lock(ctx_extend(Context("m"), mu, Bool()), mu)
+    ctx = tele_lock(tele_extend(Telescope("m"), mu, Bool()), mu)
     assert scope_check(ctx, Var(0, id_cell(mu)))
     assert not scope_check(ctx, Var(1, id_cell(mu)))
 
 
 def test_scope_binders():
-    ctx = Context("m")
+    ctx = Telescope("m")
     i = id_mod("m")
     assert scope_check(ctx, Lam(Var(0, id_cell(i))))
     assert not scope_check(ctx, Lam(Var(1, id_cell(i))))
@@ -58,54 +57,32 @@ def test_scope_binders():
 def test_ctx_lock_mode_discipline():
     mt = walking()
     mu = gen_mod(mt, "mu")  # n -> m
-    ctx = Context("m")
-    locked = ctx_lock(ctx, mu)
+    locked = tele_lock(Telescope("m"), mu)
     assert locked.mode == "n"
     with pytest.raises(ModeError):
-        ctx_lock(locked, mu)  # mu targets m, context now at n
+        tele_lock(locked, mu)  # mu targets m, telescope now at n
+    with pytest.raises(ModeError):
+        tele_extend(locked, mu, Bool())
+    # locks move the mode and count no variables
+    l = gen_mod(pointed(), "l")
+    t = tele_extend(Telescope("m"), id_mod("m"), Bool())
+    t = tele_extend(tele_lock(t, l), l, Bool())
+    assert t.mode == "m" and depth(t) == 2
+    with pytest.raises(ModeError):
+        tele_lock(t, id_mod("n"))  # its target mode is not the ambient mode
 
 
 def test_ctx_extend_keeps_mode():
-    ctx = ctx_extend(Context("m"), id_mod("m"), Bool())
+    ctx = tele_extend(Telescope("m"), id_mod("m"), Bool())
     assert ctx.mode == "m"
     assert len(ctx.entries) == 1
-
-
-def test_lock_identity_erased():
-    mt = trivial()
-    ctx = ctx_lock(Context("m"), id_mod("m"))
-    assert canon_entries(mt, ctx) == ()
-
-
-def test_lock_composite_splits():
-    mt = walking()
-    mu = gen_mod(mt, "mu")
-    # against the one-mode wall: build a two-generator composite in a theory
-    # where it chains; use walking's mu against an identity
-    both = ctx_lock(ctx_lock(Context("m"), mu), id_mod("n"))
-    one = ctx_lock(Context("m"), compose_mod(mu, id_mod("n")))
-    assert canon_entries(mt, both) == canon_entries(mt, one)
-
-
-def test_lock_composite_splits_two_generators():
-    from mtt.modeth import FreeDecider, ModeTheory, validate
-
-    mt = validate(
-        ModeTheory("pq", ("p", "q", "r"), {"a": ("p", "q"), "b": ("q", "r")}, {}, FreeDecider())
-    )
-    a, b = gen_mod(mt, "a"), gen_mod(mt, "b")
-    ba = compose_mod(b, a)  # word (a, b) : p -> r
-    split = canon_entries(mt, ctx_lock(Context("r"), ba))
-    steps = canon_entries(mt, ctx_lock(ctx_lock(Context("r"), b), a))
-    assert split == steps
-    assert all(isinstance(e, ELock) and len(e.mod.word) == 1 for e in split)
 
 
 def test_indexing_transparency():
     # inserting a lock after an entry does not change which entry an index hits
     mt = walking()
     mu = gen_mod(mt, "mu")
-    base = ctx_extend(Context("m"), mu, Bool())
-    locked = ctx_lock(base, mu)
+    base = tele_extend(Telescope("m"), mu, Bool())
+    locked = tele_lock(base, mu)
     var_entries = [e for e in locked.entries if isinstance(e, EVar)]
     assert var_entries == [e for e in base.entries if isinstance(e, EVar)]
