@@ -7,6 +7,7 @@ import pytest
 from mtt import syntax as S
 from mtt.modeth import (
     Modality,
+    ModeError,
     ModeTheory,
     FreeDecider,
     compose_mod,
@@ -52,7 +53,7 @@ from mtt.normal import (
     rename_ne,
     rename_nf,
 )
-from mtt.syntax import Telescope, tele_extend, tele_lock
+from mtt.syntax import Telescope, depth, tele_extend, tele_lock
 
 import _renfuzz as RF
 
@@ -338,3 +339,16 @@ def test_eq_nfty_compares_cells_inside():
     b = NfFn(Modality("m", "m", ("l",)), NfBool(), NfBool())
     assert eq_nfty(P, a, b)
     assert not eq_nfty(P, a, NfFn(IDM, NfBool(), NfBool()))
+
+
+# --- telescopes -------------------------------------------------------------
+
+
+def test_telescope_depth_and_modes():
+    t = Telescope("m")
+    t = tele_extend(t, IDM, S.Bool())
+    t = tele_lock(t, L)
+    t = tele_extend(t, L, S.Bool())
+    assert depth(t) == 2
+    with pytest.raises(ModeError):
+        tele_lock(t, id_mod("n"))  # its target mode is not the ambient mode

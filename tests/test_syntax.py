@@ -2,7 +2,7 @@
 
 import pytest
 
-from mtt.modeth import ModeError, gen_mod, id_cell, id_mod, pointed, walking
+from mtt.modeth import ModeError, gen_mod, id_cell, id_mod, walking
 from mtt.syntax import (
     App,
     Bool,
@@ -15,7 +15,6 @@ from mtt.syntax import (
     Telescope,
     True_,
     Var,
-    depth,
     scope_check,
     tele_extend,
     tele_lock,
@@ -63,13 +62,6 @@ def test_ctx_lock_mode_discipline():
         tele_lock(locked, mu)  # mu targets m, telescope now at n
     with pytest.raises(ModeError):
         tele_extend(locked, mu, Bool())
-    # locks move the mode and count no variables
-    l = gen_mod(pointed(), "l")
-    t = tele_extend(Telescope("m"), id_mod("m"), Bool())
-    t = tele_extend(tele_lock(t, l), l, Bool())
-    assert t.mode == "m" and depth(t) == 2
-    with pytest.raises(ModeError):
-        tele_lock(t, id_mod("n"))  # its target mode is not the ambient mode
 
 
 def test_ctx_extend_keeps_mode():
