@@ -13,10 +13,13 @@ equality questions delegated to the mode theory's decider.
 
 Accessing a variable demands an explicit 2-cell from its annotation to the
 composite of the locks in front of it; no search is performed.  When that
-cell is not an identity, the variable's stored type is transported to the
-use site by reifying it in its own prefix, pushing it through the key
-renaming (composed with the weakenings and locks separating the entry from
-the use site), and re-evaluating the result.
+cell is not an identity, the variable's stored type is transported along
+it: read back in the entry's own prefix, renamed along the key alone, and
+evaluated over the prefix's atoms.  Nothing has to move it past the
+entries after the variable, because values carry absolute levels, so a
+type valid in a prefix is valid at the use site as it stands.  (A key
+acting on type values directly would have to reach inside their closures,
+whiskered by the locks crossed there, which evaluation does not track.)
 
 Diagnostics print types with ``normal.surface_nfty``, the printer of
 ``mtt normalize``, so a type quoted in an error message parses again.
@@ -47,19 +50,14 @@ from .normal import (
     Nf,
     NfTy,
     NormalError,
-    RenComp,
-    RenId,
     RenKey,
-    RenLock,
-    RenWeaken,
-    Renaming,
+    _var_position,
     decode_nfty,
     eq_nf,
     eq_nfty,
     locks_of,
     rename_nfty,
     surface_nfty,
-    tele_entry,
 )
 from .nbe import (
     NO_DEFS,
@@ -127,7 +125,7 @@ class CheckCtx:
 def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
     if mode not in mt.modes:
         raise CheckError(f"unknown mode {mode!r} in mode theory {mt.name!r}")
-    return CheckCtx(mt, Telescope(mode, ()), Env(mode, (), sig))
+    return CheckCtx(mt, Telescope(mode, ()), Env((), sig))
 
 
 def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
@@ -135,7 +133,7 @@ def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
         tele = tele_lock(ctx.telescope, mu)
     except ModeError as e:
         raise CheckError(str(e)) from None
-    return CheckCtx(ctx.mt, tele, Env(mu.mode_src, ctx.env.vals, ctx.env.sig), ctx.types)
+    return CheckCtx(ctx.mt, tele, ctx.env, ctx.types)
 
 
 def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> CheckCtx:
@@ -153,26 +151,12 @@ def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> Ch
 # Variables
 
 
-def _drop_tail(entries: tuple) -> Renaming:
-    """The renaming that forgets a telescope suffix, fusing its locks into
-    one composite lock (acting: neutrals under the fused lock embed into
-    the full telescope with their indices shifted past the suffix's
-    variables)."""
-    if not entries:
-        return RenId()
-    init, last = entries[:-1], entries[-1]
-    inner = _drop_tail(init)
-    if isinstance(last, S.ELock):
-        return RenLock(last.mod, inner)
-    return RenComp(inner, RenWeaken())
-
-
 def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
     try:
-        entry = tele_entry(ctx.telescope, k)
+        pos = _var_position(ctx.telescope, k)
     except NormalError:
         raise CheckError(f"unbound variable index {k}") from None
-    ann = entry.mod
+    ann = ctx.telescope.entries[pos].mod
     nu = locks_of(ctx.telescope, k)
     if not cell_check(ctx.mt, alpha):
         raise CheckError(f"ill-formed 2-cell {alpha} on variable {k}")
@@ -185,17 +169,12 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
     stored = ctx.types[level]
     if isinstance(alpha.expr, CellId) or is_id_cell(ctx.mt, alpha):
         return stored
-    # Transport along the key: reify in the entry's prefix, rename through
-    # the key followed by the suffix embedding, and re-evaluate here.
-    positions = [
-        i for i, e in enumerate(ctx.telescope.entries) if isinstance(e, S.EVar)
-    ]
-    pos = positions[level]
+    # Transport along the key: read back in the entry's prefix, rename
+    # along the key, and evaluate over the prefix's atoms.
     prefix = Telescope(ann.mode_tgt, ctx.telescope.entries[:pos])
     nf = reify_ty(ctx.mt, level, ann.mode_src, stored)
-    r = RenComp(RenKey(alpha, prefix), _drop_tail(ctx.telescope.entries[pos:]))
-    moved = rename_nfty(ctx.mt, r, nf, ann.mode_src)
-    return eval_ty(ctx.mt, ctx.env, decode_nfty(moved))
+    moved = rename_nfty(ctx.mt, RenKey(alpha, prefix), nf, ann.mode_src)
+    return eval_ty(ctx.mt, Env(ctx.env.vals[:level], ctx.env.sig), decode_nfty(moved))
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +303,8 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
                 ctx_extend(ctx, mu, S.Mod(nu, inner_term), TMod(nu, inner)), motive
             )
             mot = Closure(ctx.env, motive)
-            comp = compose_mod(mu, nu)
-            fresh = reflect(mt, inner, NeAbs(ctx.depth, id_cell(comp)))
-            check_tm(
-                ctx_extend(ctx, comp, inner_term, inner),
-                branch,
-                inst_ty(mt, mot, VMod(ModBoxed(fresh))),
-            )
+            ext = ctx_extend(ctx, compose_mod(mu, nu), inner_term, inner)
+            check_tm(ext, branch, inst_ty(mt, mot, VMod(ModBoxed(ext.env.vals[-1]))))
             return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
         case S.DecIso(body):
             tb = infer(ctx, body)
@@ -378,9 +352,9 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
     mt = ctx.mt
     match t, ty:
         case S.Lam(body), TPi(mod, dom, cod):
-            fresh = reflect(mt, dom, NeAbs(ctx.depth, id_cell(mod)))
             dom_term = decode_nfty(reify_ty(mt, ctx.depth, mod.mode_src, dom))
-            check_tm(ctx_extend(ctx, mod, dom_term, dom), body, inst_ty(mt, cod, fresh))
+            ext = ctx_extend(ctx, mod, dom_term, dom)
+            check_tm(ext, body, inst_ty(mt, cod, ext.env.vals[-1]))
         case S.Lam(_), _:
             raise CheckError(f"function literal at non-function type {_show_ty(ctx, ty)}")
         case S.Pair(a, b), TSig(fst, snd):

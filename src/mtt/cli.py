@@ -631,7 +631,12 @@ class Parser:
 
 
 def parse_file(text: str, mt_override: "ModeTheory | None" = None):
-    """Parse a source file into its mode theory and declaration list."""
+    """Parse a source file into its mode theory and declaration list.
+
+    The parser recurses once per level of nesting; input nested deeper than
+    the interpreter's recursion limit allows is a ``ParseError`` at the
+    token where the parser ran out of stack, not a crash.
+    """
     toks = tokenize(text)
     bootstrap = mt_override if mt_override is not None else trivial()
     p = Parser(toks, bootstrap)
@@ -642,8 +647,11 @@ def parse_file(text: str, mt_override: "ModeTheory | None" = None):
         else:
             p.mt = mt_override
     decls: list[Decl] = []
-    while p.peek().kind != "eof":
-        decls.append(p.parse_decl())
+    try:
+        while p.peek().kind != "eof":
+            decls.append(p.parse_decl())
+    except RecursionError:
+        raise p.fail("nested too deeply to parse") from None
     return p.mt, decls
 
 

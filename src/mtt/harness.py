@@ -57,7 +57,6 @@ from .modeth import (
 )
 from .nbe import (
     CNeutral,
-    NeAbs,
     TBool,
     TDec,
     TMod,
@@ -70,7 +69,6 @@ from .nbe import (
     do_proj,
     eval_tm,
     inst_ty,
-    reflect,
     reify_ty,
 )
 from .normal import decode_nfty, locks_of, tele_entry
@@ -388,11 +386,9 @@ class _Gen:
         mt = self.mt
         match ty:
             case TPi(mod, dom, cod):
-                d = ctx.depth
-                dom_term = decode_nfty(reify_ty(mt, d, mod.mode_src, dom))
-                fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
+                dom_term = decode_nfty(reify_ty(mt, ctx.depth, mod.mode_src, dom))
                 ctx2 = ctx_extend(ctx, mod, dom_term, dom)
-                return S.Lam(self.term(ctx2, inst_ty(mt, cod, fresh), size - 1))
+                return S.Lam(self.term(ctx2, inst_ty(mt, cod, ctx2.env.vals[-1]), size - 1))
             case TSig(fst, snd):
                 a = self.term(ctx, fst, size // 2)
                 b_ty = inst_ty(mt, snd, eval_tm(mt, ctx.env, a))
@@ -535,11 +531,9 @@ def gen_distinct_pair(
             case TBool():
                 return S.True_(), S.False_()
             case TPi(mod, dom, cod):
-                d = ctx.depth
-                dom_term = decode_nfty(reify_ty(mt, d, mod.mode_src, dom))
-                fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
+                dom_term = decode_nfty(reify_ty(mt, ctx.depth, mod.mode_src, dom))
                 ctx2 = ctx_extend(ctx, mod, dom_term, dom)
-                a, b = go(ctx2, inst_ty(mt, cod, fresh))
+                a, b = go(ctx2, inst_ty(mt, cod, ctx2.env.vals[-1]))
                 return S.Lam(a), S.Lam(b)
             case TSig(fst, snd):
                 a1, a2 = go(ctx, fst)

@@ -7,9 +7,11 @@ modalities and of 2-cells.  Three decider kinds exist:
 
 - ``FreeDecider``: no relations.  Words compare literally; 2-cells compare by
   the layered interchange normal form (see ``left_normal``).
-- ``RewriteDecider``: a confluent, terminating word rewrite system supplied by
-  the presenter normalizes 1-cells; 2-cells compare as in the free case with
-  whisker words normalized piecewise.
+- ``RewriteDecider``: a confluent word rewrite system supplied by the
+  presenter normalizes 1-cells; 2-cells compare as in the free case with
+  whisker words normalized piecewise.  ``validate`` makes every rule shrink
+  its word in shortlex order, so rewriting terminates; confluence is the
+  presenter's promise and is not checked.
 - ``TableDecider``: for theories with finitely many cells.  Every whiskered
   generator layer is looked up in an explicit table and vertical composites
   are folded through a composition table.
@@ -396,7 +398,8 @@ class FreeDecider:
 
 @dataclass(frozen=True, eq=False)
 class RewriteDecider:
-    """Word rules (lhs -> rhs), declared confluent and terminating."""
+    """Word rules (lhs -> rhs), each shrinking in shortlex order (checked by
+    ``validate``) and declared confluent (not checked)."""
 
     word_rules: tuple[tuple[Word, Word], ...]
 
@@ -443,8 +446,17 @@ def validate(mt: ModeTheory) -> ModeTheory:
     for lhs, rhs in getattr(mt.decider, "word_rules", ()):
         start = check_word_any(mt, lhs)
         end = check_word(mt, lhs, start)
+        rule = f"{Modality(start, end, lhs)} ~> {Modality(start, end, rhs)}"
         if check_word(mt, rhs, start) != end:
-            raise ModeError(f"word rule {lhs} -> {rhs} does not preserve boundaries")
+            raise ModeError(f"word rule {rule} does not preserve boundaries")
+        # Shortlex is a well-order that rewriting inside a word preserves, so
+        # rules that decrease in it make ``canon_word`` terminate.
+        if (len(rhs), rhs) >= (len(lhs), lhs):
+            raise ModeError(
+                f"word rule {rule} does not shrink the word: the right side must be "
+                "shorter, or as long and smaller in name order from the first-applied "
+                "generator on"
+            )
     return mt
 
 

@@ -106,17 +106,18 @@ NO_DEFS: Signature = MappingProxyType({})
 
 @dataclass(frozen=True)
 class Env:
-    """One value per variable entry; locks contribute nothing.  The mode is
-    carried for inspection only — evaluation never consults it.  ``sig``
-    holds the constants the terms evaluated here may refer to."""
+    """One value per variable entry, first entry first; locks contribute
+    nothing, so a locked context shares its environment.  A prefix of
+    ``vals`` is the environment of a prefix of the telescope: values carry
+    absolute levels, so dropping the entries after them renames nothing.
+    ``sig`` holds the constants the terms evaluated here may refer to."""
 
-    mode: str
     vals: tuple[Value, ...]
     sig: Signature = field(compare=False, repr=False)
 
 
 def env_push(env: Env, v: Value) -> Env:
-    return Env(env.mode, env.vals + (v,), env.sig)
+    return Env(env.vals + (v,), env.sig)
 
 
 @dataclass(frozen=True)
@@ -678,10 +679,10 @@ def atoms_env(mt: ModeTheory, tele: Telescope, sig: Signature = NO_DEFS) -> Env:
     level = 0
     for e in tele.entries:
         if isinstance(e, S.EVar):
-            tyv = eval_ty(mt, Env(e.mod.mode_src, tuple(vals), sig), e.ty)
+            tyv = eval_ty(mt, Env(tuple(vals), sig), e.ty)
             vals.append(reflect(mt, tyv, NeAbs(level, id_cell(e.mod))))
             level += 1
-    return Env(tele.mode, tuple(vals), sig)
+    return Env(tuple(vals), sig)
 
 
 def normalize(

@@ -308,50 +308,36 @@ def lift(r: Renaming, mu: Modality) -> Renaming:
 
 # The action on variables.  Keys compose whisker-adjusted cells onto the
 # head; extension substitutes its payload variable, keyed by the incoming
-# cell; everything else is index arithmetic.
+# cell; everything else is index arithmetic.  ``lock`` is the composite of
+# the locks the action has passed through: nested locks fuse (the outer one
+# applied last), a composite hands it to its second half, and a key under it
+# is whiskered by it.
 
 
-def _act_var(mt: ModeTheory, r: Renaming, k: int, cell: Cell2, mode: str) -> Ne:
+def _act_var(
+    mt: ModeTheory, r: Renaming, k: int, cell: Cell2, mode: str,
+    lock: "Modality | None" = None,
+) -> Ne:
     match r:
         case RenId():
             return NeVar(k, cell)
         case RenWeaken():
             return NeVar(k + 1, cell)
         case RenComp(r1, r2):
-            return rename_ne(mt, r2, _act_var(mt, r1, k, cell, mode), mode)
+            after = r2 if lock is None else RenLock(lock, r2)
+            return rename_ne(mt, after, _act_var(mt, r1, k, cell, mode, lock), mode)
         case RenKey(beta, tele):
+            if lock is not None:
+                beta = whisker_right(beta, lock)
             lk = locks_of(tele, k)
             return NeVar(k, vcomp(whisker_left(lk, beta), cell, mt))
         case RenExt(inner, payload, plocks):
             if k == 0:
                 return NeVar(payload.idx, vcomp(whisker_left(plocks, cell), payload.cell, mt))
-            return _act_var(mt, inner, k - 1, cell, mode)
+            return _act_var(mt, inner, k - 1, cell, mode, lock)
         case RenLock(kappa, inner):
-            match inner:
-                case RenId():
-                    return NeVar(k, cell)
-                case RenWeaken():
-                    return NeVar(k + 1, cell)
-                case RenComp(r1, r2):
-                    return rename_ne(
-                        mt, RenLock(kappa, r2),
-                        _act_var(mt, RenLock(kappa, r1), k, cell, mode), mode,
-                    )
-                case RenExt(inner2, payload, plocks):
-                    if k == 0:
-                        return NeVar(
-                            payload.idx,
-                            vcomp(whisker_left(plocks, cell), payload.cell, mt),
-                        )
-                    return _act_var(mt, RenLock(kappa, inner2), k - 1, cell, mode)
-                case RenKey(beta, tele):
-                    return _act_var(
-                        mt, RenKey(whisker_right(beta, kappa), tele), k, cell, mode
-                    )
-                case RenLock(kappa2, inner2):
-                    return _act_var(
-                        mt, RenLock(compose_mod(kappa2, kappa), inner2), k, cell, mode
-                    )
+            fused = kappa if lock is None else compose_mod(kappa, lock)
+            return _act_var(mt, inner, k, cell, mode, fused)
     raise AssertionError(r)
 
 

@@ -5,6 +5,8 @@ cases pin both the rejection and the error wording that the surface
 diagnostics rely on.
 """
 
+from random import Random
+
 import pytest
 
 from mtt import syntax as S
@@ -23,13 +25,25 @@ from mtt.check import (
     lookup_var,
 )
 from mtt.modeth import (
+    ModeError,
+    ModeTheory,
+    Modality,
+    RewriteDecider,
+    adjoint,
+    compose_mod,
+    eq_mod,
     gen_cell,
     gen_mod,
     id_cell,
     id_mod,
+    is_id_cell,
     pointed,
     trivial,
+    validate,
+    vcomp,
     walking,
+    whisker_left,
+    whisker_right,
 )
 from mtt.nbe import (
     CBool,
@@ -40,6 +54,7 @@ from mtt.nbe import (
     TPi,
     TUni,
     eval_tm,
+    eval_ty,
     reify_ty,
 )
 from mtt.normal import (
@@ -54,8 +69,19 @@ from mtt.normal import (
     NfProdCode,
     NfTrue,
     NfUni,
+    RenComp,
+    RenId,
+    RenKey,
+    RenLock,
+    RenWeaken,
+    Renaming,
+    decode_nfty,
     eq_nfty,
+    locks_of,
+    rename_nfty,
+    tele_entry,
 )
+from mtt.syntax import Telescope
 
 T = trivial()
 W = walking()
@@ -119,6 +145,155 @@ def test_lookup_transports_type_along_key():
     moved = lookup_var(ctx3, 0, PT)
     got = reify_ty(P, ctx3.depth, ctx3.mode, moved)
     assert eq_nfty(P, got, NfDec(NfInj(NeVar(1, PT))))
+
+
+# The key transport, differentially: ``lookup_var`` reads a keyed variable's
+# type back in the entry's prefix, renames it along the key alone and
+# evaluates it over the prefix's atoms.  The reference below does it the long
+# way: it renames along the key followed by the embedding that forgets the
+# telescope suffix, and evaluates over the whole environment.
+
+
+def _drop_tail(entries: tuple) -> Renaming:
+    """The renaming that forgets a telescope suffix, fusing its locks."""
+    if not entries:
+        return RenId()
+    inner = _drop_tail(entries[:-1])
+    if isinstance(entries[-1], S.ELock):
+        return RenLock(entries[-1].mod, inner)
+    return RenComp(inner, RenWeaken())
+
+
+def transport_past_the_suffix(ctx, k, alpha):
+    level = ctx.depth - 1 - k
+    entries = ctx.telescope.entries
+    pos = [i for i, e in enumerate(entries) if isinstance(e, S.EVar)][level]
+    ann = entries[pos].mod
+    nf = reify_ty(ctx.mt, level, ann.mode_src, ctx.types[level])
+    prefix = Telescope(ann.mode_tgt, entries[:pos])
+    r = RenComp(RenKey(alpha, prefix), _drop_tail(entries[pos:]))
+    moved = rename_nfty(ctx.mt, r, nf, ann.mode_src)
+    return eval_ty(ctx.mt, ctx.env, decode_nfty(moved))
+
+
+def _rewrite_with_a_cell():
+    c = Modality("s", "s", ("c",))
+    return validate(
+        ModeTheory(
+            "idem-pointed",
+            ("s",),
+            {"c": ("s", "s")},
+            {"p": (id_mod("s"), c)},
+            RewriteDecider(((("c", "c"), ("c",)),)),
+        )
+    )
+
+
+def _words(mt, tgt, longest):
+    """Every modality word of at most ``longest`` generators landing at ``tgt``."""
+    out, frontier = [id_mod(tgt)], [id_mod(tgt)]
+    for _ in range(longest):
+        frontier = [
+            compose_mod(w, Modality(src, t, (g,)))
+            for w in frontier
+            for g, (src, t) in sorted(mt.modality_gens.items())
+            if t == w.mode_src
+        ]
+        out += frontier
+    return out
+
+
+def _keys(mt):
+    """Generator cells whiskered by words of at most one generator on each
+    side, and the composable pairs of those."""
+    layers = []
+    for g in sorted(mt.cell_gens):
+        for mode in mt.modes:
+            for u in _words(mt, mode, 1):
+                for v in _words(mt, mt.cell_gens[g][0].mode_src, 1):
+                    try:
+                        layers.append(whisker_left(u, whisker_right(gen_cell(mt, g), v)))
+                    except ModeError:
+                        pass
+    pairs = [vcomp(b, a, mt) for a in layers for b in layers if eq_mod(mt, a.tgt, b.src)]
+    return [c for c in layers + pairs if not is_id_cell(mt, c)]
+
+
+def _access(ctx, keys, k):
+    """The keys that reach variable k from here: its identity cell, if the
+    locks in front of it allow one, and every matching key."""
+    ann = tele_entry(ctx.telescope, k).mod
+    nu = locks_of(ctx.telescope, k)
+    ident = [id_cell(ann)] if eq_mod(ctx.mt, ann, nu) else []
+    return ident + [c for c in keys if eq_mod(ctx.mt, c.src, ann) and eq_mod(ctx.mt, c.tgt, nu)]
+
+
+def _dec_of_a_code(ctx, keys, rng):
+    """``dec x`` for a random accessible variable x : Uni, or None."""
+    options = [
+        (k, cell)
+        for k in range(ctx.depth)
+        if isinstance(ctx.types[ctx.depth - 1 - k], TUni)
+        for cell in _access(ctx, keys, k)
+    ]
+    if not options:
+        return None
+    return S.Dec(S.Var(*rng.choice(options)))
+
+
+def _random_entry(ctx, keys, rng):
+    """Extend by a lock, a Uni variable, or a variable whose type decodes
+    accessible codes, bare or under a Pi, Sig or Mod."""
+    mu = rng.choice(_words(ctx.mt, ctx.mode, 2))
+    roll = rng.random()
+    if roll < 0.25:
+        return ctx_lock(ctx, mu)
+    if roll < 0.45:
+        return ctx_extend(ctx, mu, S.Uni(), TUni())
+    at = ctx_lock(ctx, mu)
+    nu = rng.choice(_words(ctx.mt, at.mode, 1))
+    shape = rng.choice(["bare", "pi", "sig", "mod"])
+    if shape == "bare":
+        ty = _dec_of_a_code(at, keys, rng)
+    elif shape == "pi":
+        cod = _dec_of_a_code(ctx_extend(at, nu, S.Bool(), TBool()), keys, rng)
+        ty = cod and S.Pi(nu, S.Bool(), cod)
+    elif shape == "mod":
+        inner = _dec_of_a_code(ctx_lock(at, nu), keys, rng)
+        ty = inner and S.Mod(nu, inner)
+    else:
+        fst = _dec_of_a_code(at, keys, rng)
+        idm = id_mod(at.mode)
+        snd = fst and _dec_of_a_code(ctx_extend(at, idm, fst, check_type(at, fst)), keys, rng)
+        ty = snd and S.Sig(fst, snd)
+    if ty is None:
+        return ctx_extend(ctx, mu, S.Uni(), TUni())
+    return ctx_extend(ctx, mu, ty, check_type(at, ty))
+
+
+@pytest.mark.parametrize(
+    "theory", [pointed, adjoint, _rewrite_with_a_cell], ids=["pointed", "adjoint", "rewrite"]
+)
+def test_key_transport_matches_the_renaming_past_the_suffix(theory):
+    mt = theory()
+    keys = _keys(mt)
+    rng = Random(f"transport-{mt.name}")
+    lookups = changed = 0
+    for _ in range(40):
+        ctx = empty_ctx(mt, rng.choice(sorted(mt.modes)))
+        for _ in range(7):
+            ctx = _random_entry(ctx, keys, rng)
+            for k in range(ctx.depth):
+                for alpha in _access(ctx, keys, k):
+                    if is_id_cell(mt, alpha):
+                        continue
+                    got = reify_ty(mt, ctx.depth, ctx.mode, lookup_var(ctx, k, alpha))
+                    ref = transport_past_the_suffix(ctx, k, alpha)
+                    assert eq_nfty(mt, got, reify_ty(mt, ctx.depth, ctx.mode, ref))
+                    stored = ctx.types[ctx.depth - 1 - k]
+                    lookups += 1
+                    changed += not eq_nfty(mt, got, reify_ty(mt, ctx.depth, ctx.mode, stored))
+    assert lookups >= 80 and changed >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -448,6 +449,62 @@ def test_closed_stdout_keeps_the_exit_status_and_diagnostics(tmp_path, bad, stat
     assert p.wait(timeout=60) == status
     assert "Traceback" not in err and "Exception ignored" not in err
     assert ("error: oops: pair literal" in err) == bool(bad)
+
+
+def run_mtt(tmp_path, text: str, cmd: str = "check") -> "subprocess.CompletedProcess[str]":
+    """``mtt CMD`` on ``text`` in a fresh interpreter, killed after 60 s."""
+    path = write(tmp_path, "run.mtt", text)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]  # the mtt under test
+    return subprocess.run(
+        [sys.executable, "-m", "mtt.cli", cmd, path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("rule", ["c ~> c.c", "c ~> c"], ids=["grows", "stays"])
+def test_rewrite_rule_that_does_not_shrink_is_rejected(tmp_path, rule):
+    # Both rules used to loop in canon_word at the first modal declaration.
+    text = (
+        f"theory {{ modes s; mod c : s -> s; rule {rule}; decider rewrite; }}\n"
+        "def k @s : Pi (c | x : Bool) -> Mod c Bool := \\(c | x) -> box c x\n"
+    )
+    done = run_mtt(tmp_path, text)
+    assert done.returncode == 2
+    assert f"run.mtt:1:1: ill-formed mode theory: word rule {rule} " in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "body, ty",
+    [
+        ("(" * 1500 + "true" + ")" * 1500, "Bool"),
+        (
+            "".join(f"\\x{i} -> " for i in range(1200)) + "true",
+            "".join(f"Pi (x{i} : Bool) -> " for i in range(1200)) + "Bool",
+        ),
+    ],
+    ids=["1500-parentheses", "1200-binders"],
+)
+def test_deep_nesting_is_a_located_parse_error(tmp_path, body, ty):
+    done = run_mtt(tmp_path, f"def d @m : {ty} := {body}\n")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert re.fullmatch(r".*run\.mtt:1:\d+: nested too deeply to parse\n", done.stderr)
+
+
+def test_nine_hundred_binders_check_and_normalize(tmp_path):
+    body = "".join(f"\\x{i} -> " for i in range(900)) + "x0"
+    ty = "".join(f"Pi (x{i} : Bool) -> " for i in range(900)) + "Bool"
+    text = f"def d @m : {ty} := {body}\n"
+    checked = run_mtt(tmp_path, text, "check")
+    assert checked.returncode == 0, checked.stderr[-300:]
+    assert checked.stdout.startswith("checked d : Pi (id(m) | x0 : Bool) -> Pi")
+    normalized = run_mtt(tmp_path, text, "normalize")
+    assert normalized.returncode == 0, normalized.stderr[-300:]
+    assert normalized.stdout.splitlines()[1].endswith(" -> x0")
 
 
 def test_type_in_a_diagnostic_parses_again(tmp_path, capsys):

@@ -297,3 +297,28 @@ def test_validate_rejects_bad_presentations():
                 FreeDecider(),
             )
         )
+
+
+def _rewrite_theory(*rules):
+    return ModeTheory(
+        "rw", ("s",), {"f": ("s", "s"), "g": ("s", "s")}, {}, RewriteDecider(rules)
+    )
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [(("f",), ("f", "f")), (("f",), ("f",)), (("f", "g"), ("g", "f")), ((), ())],
+    ids=["grows", "stays", "larger-in-name-order", "empty"],
+)
+def test_validate_rejects_rules_that_do_not_shrink(lhs, rhs):
+    # Rewriting with any of these could run forever in canon_word.
+    with pytest.raises(ModeError):
+        validate(_rewrite_theory((lhs, rhs)))
+
+
+def test_validate_accepts_rules_that_shrink_in_shortlex_order():
+    # Shorter, or as long and smaller in name order from the first-applied
+    # generator on; the shipped adjoint rule (r.l ~> id) shrinks too.
+    mt = validate(_rewrite_theory((("f", "f"), ("f",)), (("g", "f"), ("f", "g"))))
+    assert canon_word(mt, ("g", "g", "f", "f")) == ("f", "g", "g")
+    validate(adjoint())

@@ -193,6 +193,27 @@ def test_lock_functoriality_with_key_hand_computed():
     assert eq_ne(P, got, want)
 
 
+def test_nested_locks_fuse_outer_lock_last():
+    # Two distinct endo generators make the fusion order observable (in
+    # pointed every word is a power of l).  The outer lock b is applied last,
+    # so the fused lock is a.b, and the key's whisker a>a.b fits x's cell.
+    mt = ModeTheory(
+        "ab",
+        ("m",),
+        {"a": ("m", "m"), "b": ("m", "m")},
+        {"pa": (IDM, Modality("m", "m", ("a",)))},
+        FreeDecider(),
+    )
+    a, b, pa = gen_mod(mt, "a"), gen_mod(mt, "b"), gen_cell(mt, "pa")
+    ba = compose_mod(a, b)
+    t = tele_extend(Telescope("m"), ba, S.Bool())
+    x = NeVar(0, id_cell(ba))
+    nested = RenLock(b, RenLock(a, RenKey(pa, t)))
+    assert ren_respects_equations(mt, nested, RenLock(ba, RenKey(pa, t)), x, "m")
+    got = rename_ne(mt, nested, x, "m")
+    assert eq_cell(mt, got.cell, vcomp(whisker_right(pa, ba), id_cell(ba), mt))
+
+
 def test_lift_weaken_under_binder():
     # weakening a lambda bumps only the free variable
     free = NfLam(IDM, NfInj(NeVar(1, id_cell(IDM))))
