@@ -37,6 +37,7 @@ from .modeth import (
     ModeError,
     ModeTheory,
     Modality,
+    Word,
     cell_check,
     compose_mod,
     eq_mod,
@@ -51,11 +52,9 @@ from .normal import (
     NfTy,
     NormalError,
     RenKey,
-    _var_position,
     decode_nfty,
     eq_nf,
     eq_nfty,
-    locks_of,
     rename_nfty,
     surface_nfty,
 )
@@ -75,6 +74,7 @@ from .nbe import (
     TPi,
     TSig,
     TUni,
+    Thunk,
     TypeValue,
     VFalse,
     VMod,
@@ -104,13 +104,19 @@ class CheckCtx:
     ``types`` is parallel to the telescope's variable entries in telescope
     order (first entry first), so its length is the telescope's depth;
     ``env`` is always the atom environment of ``telescope``, extended
-    incrementally instead of rebuilt.
+    incrementally instead of rebuilt.  ``slots`` is parallel to ``types``:
+    each variable's position in the telescope's entries and the length of
+    ``locks`` when it was pushed.  ``locks`` is the word of every lock
+    pushed so far, newest first, so the locks after a variable compose to
+    a prefix of it.
     """
 
     mt: ModeTheory
     telescope: Telescope
     env: Env
     types: tuple[TypeValue, ...] = ()
+    slots: tuple[tuple[int, int], ...] = ()
+    locks: Word = ()
 
     @property
     def mode(self) -> str:
@@ -120,6 +126,16 @@ class CheckCtx:
     def depth(self) -> int:
         """Number of variable entries, without recounting the telescope."""
         return len(self.types)
+
+    def locate(self, k: int) -> "tuple[int, Modality]":
+        """Variable k's position in the telescope's entries and the composite
+        of the locks after it (``normal.locks_of``), read off by level."""
+        level = len(self.types) - 1 - k
+        if not 0 <= level < len(self.types):
+            raise CheckError(f"unbound variable index {k}")
+        pos, seen = self.slots[level]
+        crossed = self.locks[: len(self.locks) - seen]
+        return pos, Modality(self.telescope.mode, self.telescope.entries[pos].mod.mode_tgt, crossed)
 
 
 def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
@@ -133,7 +149,7 @@ def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
         tele = tele_lock(ctx.telescope, mu)
     except ModeError as e:
         raise CheckError(str(e)) from None
-    return CheckCtx(ctx.mt, tele, ctx.env, ctx.types)
+    return CheckCtx(ctx.mt, tele, ctx.env, ctx.types, ctx.slots, mu.word + ctx.locks)
 
 
 def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> CheckCtx:
@@ -144,7 +160,10 @@ def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> Ch
     except ModeError as e:
         raise CheckError(str(e)) from None
     atom = reflect(ctx.mt, tyv, NeAbs(ctx.depth, id_cell(mu)))
-    return CheckCtx(ctx.mt, tele, env_push(ctx.env, atom), ctx.types + (tyv,))
+    slot = (len(ctx.telescope.entries), len(ctx.locks))
+    return CheckCtx(
+        ctx.mt, tele, env_push(ctx.env, atom), ctx.types + (tyv,), ctx.slots + (slot,), ctx.locks
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +171,8 @@ def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> Ch
 
 
 def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
-    try:
-        pos = _var_position(ctx.telescope, k)
-    except NormalError:
-        raise CheckError(f"unbound variable index {k}") from None
+    pos, nu = ctx.locate(k)
     ann = ctx.telescope.entries[pos].mod
-    nu = locks_of(ctx.telescope, k)
     if not cell_check(ctx.mt, alpha):
         raise CheckError(f"ill-formed 2-cell {alpha} on variable {k}")
     if not (eq_mod(ctx.mt, alpha.src, ann) and eq_mod(ctx.mt, alpha.tgt, nu)):
@@ -261,7 +276,7 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
             if not isinstance(tf, TPi):
                 raise CheckError(f"application of a non-function: {_show_ty(ctx, tf)}")
             check_tm(ctx_lock(ctx, tf.mod), arg, tf.dom)
-            return inst_ty(mt, tf.cod, eval_tm(mt, ctx.env, arg))
+            return inst_ty(mt, tf.cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
         case S.Proj1(p):
             tp = infer(ctx, p)
             if not isinstance(tp, TSig):
@@ -416,13 +431,18 @@ class Report:
         return all(r.ok for r in self.results)
 
 
+def _reify_body(mt: ModeTheory, mode: str, tyv: TypeValue, val: Thunk) -> Nf:
+    return reify(mt, 0, mode, tyv, val.force())
+
+
 def check_program(mt: ModeTheory, decls) -> Report:
     """Check a sequence of (name, mode, type, body) declarations.
 
     Declarations have no free variables; they refer to earlier ones by
     ``Const`` name.  Each declaration that checks is added to the signature
-    once, with its type and body values, so a reference costs a lookup and
-    never re-checks the body.  A failing declaration does not stop the
+    once, with its type value and its body as a ``Thunk``, so a reference
+    costs a lookup and never re-checks the body, and a body is evaluated
+    only when something unfolds it.  A failing declaration does not stop the
     rest, but it stays out of the signature, so any later reference to it
     fails too.  Each result carries either normal forms or an error
     message; the body's normal form is read back only when first asked for.
@@ -437,14 +457,14 @@ def check_program(mt: ModeTheory, decls) -> Report:
                     raise CheckError(f"declaration {name!r} has an out-of-scope variable")
             tyv = check_type(ctx, ty)
             check_tm(ctx, body, tyv)
-            val = eval_tm(mt, ctx.env, body)
+            val = Thunk(partial(eval_tm, mt, ctx.env, body))
             results.append(
                 DeclResult(
                     name,
                     mode,
                     True,
                     reify_ty(mt, 0, mode, tyv),
-                    reify_body=partial(reify, mt, 0, mode, tyv, val),
+                    reify_body=partial(_reify_body, mt, mode, tyv, val),
                 )
             )
             sig = {**sig, name: Definition(mode, tyv, val)}

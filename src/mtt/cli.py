@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import check as C
 from . import syntax as S
@@ -46,6 +47,7 @@ from .modeth import (
     Modality,
     RewriteDecider,
     FreeDecider,
+    TheoryItemError,
     cell_boundary,
     compose_mod,
     id_cell,
@@ -73,44 +75,51 @@ SHIPPED = THEORIES  # the shipped mode theories, by name
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "num", "op", "eof"
     text: str
     line: int
     col: int
 
 
+# One match per token: the whitespace and comments before it (group 1), then
+# the token.  The skip must not backtrack: a token that fails to match after
+# a comment would otherwise shorten the comment and match inside it.  The
+# lookahead captures the longest skip and ``\1`` consumes exactly that, the
+# spelling of a possessive ``(?:...)*+`` that Python 3.10 accepts.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>--[^\n]*)
-    | (?P<op>:=|->|=>|~>|[(){}\[\]|,;:.*\\^<>@=])
+    (?=((?:\s+|--[^\n]*)*))\1
+    (?:
+      (?P<op>:=|->|=>|~>|[(){}\[\]|,;:.*\\^<>@=])
     | (?P<num>[0-9]+)
     | (?P<ident>iso-inv|[A-Za-z_][A-Za-z0-9_']*)
+    )?
     """,
     re.VERBOSE,
 )
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending in one ``eof`` token."""
     out: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            out.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
+    match = _TOKEN_RE.match
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's first character
+    while True:
+        m = match(text, pos)
+        start = m.end(1)
+        newlines = text.count("\n", pos, start)
         if newlines:
             line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+            line_start = text.rindex("\n", pos, start) + 1
+        kind = m.lastgroup
+        if kind is None:
+            break
         pos = m.end()
+        out.append(Token(kind, text[start:pos], line, start - line_start + 1))
+    col = start - line_start + 1
+    if start < len(text):
+        raise ParseError(f"unexpected character {text[start]!r}", line, col)
     out.append(Token("eof", "", line, col))
     return out
 
@@ -155,18 +164,23 @@ _TERM_KEYWORDS = {
     "id",
 }
 
+# The tokens each form of the grammar can start with.
+_TYPE_START = {"Pi", "Sig", "Bool", "Uni", "Mod", "dec", "("}
+_BINDER_TERMS = {"\\", "letbox", "if", "PiC", "SigC"}
+_ATOM_START = {"true", "false", "box", "iso", "iso-inv", "BoolC", "ModC", "("}
+
 
 class Parser:
     def __init__(self, toks: list[Token], mt: ModeTheory):
-        self.toks = toks
+        self.toks = toks + toks[-1:]  # a second eof, so peek(1) needs no bounds check
         self.pos = 0
         self.mt = mt
         self.defs: dict[str, Decl] = {}
 
-    # -- token plumbing
+    # -- token plumbing; only eof has empty text, and ``pos`` never passes it
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def advance(self) -> Token:
         t = self.toks[self.pos]
@@ -175,30 +189,32 @@ class Parser:
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.toks[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self.toks[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
+        t = self.toks[self.pos]
+        if t.text != text:
             got = t.text if t.kind != "eof" else "end of input"
             raise ParseError(f"expected {text!r}, found {got!r}", t.line, t.col)
-        return self.advance()
+        self.pos += 1
+        return t
 
     def expect_ident(self, what: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "ident":
             got = t.text if t.kind != "eof" else "end of input"
             raise ParseError(f"expected {what}, found {got!r}", t.line, t.col)
-        return self.advance()
+        self.pos += 1
+        return t
 
     def fail(self, msg: str) -> "ParseError":
-        t = self.peek()
+        t = self.toks[self.pos]
         return ParseError(msg, t.line, t.col)
 
     # -- modalities
@@ -316,21 +332,39 @@ class Parser:
     # -- binders
 
     def _binder(self, amb: str) -> "tuple[Modality, str]":
-        """``( mod | x`` or ``( x`` after the opening paren is consumed by
-        the caller's lookahead decision; here we parse from '(' inclusive."""
+        """``( mod | x`` or ``( x``, from the opening paren inclusive.  The
+        modality is tried only when the tokens ahead have its shape and a
+        ``|`` follows them; a binder whose modality fails to parse is read
+        as a plain one, whose name the caller's next token then rejects."""
         self.expect("(")
-        save = self.pos
-        try:
-            mod = self.parse_modexpr(amb)
-            if self.at("|"):
-                self.advance()
-                name = self.expect_ident("a variable name").text
-                return mod, name
-        except ParseError:
-            pass
-        self.pos = save
-        name = self.expect_ident("a variable name").text
-        return id_mod(amb), name
+        if self._modality_then_bar():
+            save = self.pos
+            try:
+                mod = self.parse_modexpr(amb)
+                self.expect("|")
+                return mod, self.expect_ident("a variable name").text
+            except ParseError:
+                self.pos = save
+        return id_mod(amb), self.expect_ident("a variable name").text
+
+    def _modality_then_bar(self) -> bool:
+        """Whether the tokens from here are ``id``, ``id ( NAME )`` or
+        ``NAME (. GEN)*``, as far as ``parse_modexpr`` reads, then ``|``."""
+        toks, i = self.toks, self.pos
+        if toks[i].text == "id":
+            i += 1
+            if toks[i].text == "(":
+                if toks[i + 1].kind != "ident" or toks[i + 2].text != ")":
+                    return False
+                i += 3
+        elif toks[i].kind == "ident":
+            i += 1
+            gens = self.mt.modality_gens
+            while toks[i].text == "." and toks[i + 1].kind == "ident" and toks[i + 1].text in gens:
+                i += 2
+        else:
+            return False
+        return toks[i].text == "|"
 
     def _guard_mode(self, mod: Modality, amb: str, tok: Token) -> None:
         if mod.mode_tgt != amb:
@@ -341,11 +375,15 @@ class Parser:
                 tok.col,
             )
 
-    # -- types
+    # -- types and terms: each form is chosen by its first token's text
 
     def parse_type(self, amb: str, scope: list) -> Term:
-        t = self.peek()
-        if self.accept("Pi"):
+        t = self.toks[self.pos]
+        head = t.text
+        if head not in _TYPE_START:
+            raise self.fail(f"expected a type, found {head!r}")
+        self.pos += 1
+        if head == "Pi":
             mod, name = self._binder(amb)
             self._guard_mode(mod, amb, t)
             self.expect(":")
@@ -354,7 +392,9 @@ class Parser:
             self.expect("->")
             cod = self.parse_type(amb, scope + [(name, mod)])
             return S.Pi(mod, dom, cod)
-        if self.accept("Sig"):
+        if head == "Bool":
+            return S.Bool()
+        if head == "Sig":
             self.expect("(")
             name = self.expect_ident("a variable name").text
             self.expect(":")
@@ -363,27 +403,25 @@ class Parser:
             self.expect("*")
             snd = self.parse_type(amb, scope + [(name, id_mod(amb))])
             return S.Sig(fst, snd)
-        if self.accept("Bool"):
-            return S.Bool()
-        if self.accept("Uni"):
+        if head == "Uni":
             return S.Uni()
-        if self.accept("Mod"):
+        if head == "Mod":
             mod = self.parse_modexpr(amb)
             self._guard_mode(mod, amb, t)
             return S.Mod(mod, self.parse_type(mod.mode_src, scope))
-        if self.accept("dec"):
+        if head == "dec":
             return S.Dec(self.parse_atom(amb, scope))
-        if self.accept("("):
-            inner = self.parse_type(amb, scope)
-            self.expect(")")
-            return inner
-        raise self.fail(f"expected a type, found {t.text!r}")
-
-    # -- terms
+        inner = self.parse_type(amb, scope)  # after "("
+        self.expect(")")
+        return inner
 
     def parse_term(self, amb: str, scope: list) -> Term:
-        t = self.peek()
-        if self.accept("\\"):
+        t = self.toks[self.pos]
+        head = t.text
+        if head not in _BINDER_TERMS:
+            return self.parse_app(amb, scope)
+        self.pos += 1
+        if head == "\\":
             if self.at("("):
                 mod, name = self._binder(amb)
                 self._guard_mode(mod, amb, t)
@@ -393,7 +431,7 @@ class Parser:
                 name = self.expect_ident("a variable name").text
             self.expect("->")
             return S.Lam(self.parse_term(amb, scope + [(name, mod)]))
-        if self.accept("letbox"):
+        if head == "letbox":
             self.expect("(")
             mu = self.parse_modexpr(amb)
             self._guard_mode(mu, amb, t)
@@ -418,7 +456,7 @@ class Parser:
             self.expect("in")
             branch = self.parse_term(amb, scope + [(yname, compose_mod(mu, nu))])
             return S.LetMod(mu, nu, motive, scrut, branch)
-        if self.accept("if"):
+        if head == "if":
             self.expect("[")
             bname = self.expect_ident("a variable name").text
             self.expect(".")
@@ -430,7 +468,7 @@ class Parser:
             self.expect("else")
             fcase = self.parse_term(amb, scope)
             return S.If(motive, tcase, fcase, scrut)
-        if self.accept("PiC"):
+        if head == "PiC":
             mod, name = self._binder(amb)
             self._guard_mode(mod, amb, t)
             self.expect(":")
@@ -439,64 +477,60 @@ class Parser:
             self.expect("->")
             cod = self.parse_term(amb, scope + [(name, mod)])
             return S.PiCode(mod, dom, cod)
-        if self.accept("SigC"):
-            self.expect("(")
-            name = self.expect_ident("a variable name").text
-            self.expect(":")
-            fst = self.parse_term(amb, scope)
-            self.expect(")")
-            self.expect("*")
-            snd = self.parse_term(amb, scope + [(name, id_mod(amb))])
-            return S.SigCode(fst, snd)
-        return self.parse_app(amb, scope)
-
-    _ATOM_START = {"true", "false", "box", "iso", "iso-inv", "BoolC", "ModC", "("}
+        self.expect("(")  # SigC
+        name = self.expect_ident("a variable name").text
+        self.expect(":")
+        fst = self.parse_term(amb, scope)
+        self.expect(")")
+        self.expect("*")
+        snd = self.parse_term(amb, scope + [(name, id_mod(amb))])
+        return S.SigCode(fst, snd)
 
     def parse_app(self, amb: str, scope: list) -> Term:
         out = self.parse_atom(amb, scope)
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t.text in self._ATOM_START or (
-                t.kind == "ident" and t.text not in _TERM_KEYWORDS
-            ):
+            t = toks[self.pos]
+            if t.text in _ATOM_START or (t.kind == "ident" and t.text not in _TERM_KEYWORDS):
                 out = S.App(out, self.parse_atom(amb, scope))
             else:
                 return out
 
     def parse_atom(self, amb: str, scope: list) -> Term:
-        t = self.peek()
+        toks = self.toks
+        t = toks[self.pos]
+        head = t.text
         out: Term
-        if self.accept("true"):
-            out = S.True_()
-        elif self.accept("false"):
-            out = S.False_()
-        elif self.accept("BoolC"):
-            out = S.BoolCode()
-        elif self.accept("box"):
-            mod = self.parse_modexpr(amb)
-            self._guard_mode(mod, amb, t)
-            out = S.MkBox(mod, self.parse_atom(mod.mode_src, scope))
-        elif self.accept("ModC"):
-            mod = self.parse_modexpr(amb)
-            self._guard_mode(mod, amb, t)
-            out = S.ModCode(mod, self.parse_atom(mod.mode_src, scope))
-        elif self.accept("iso"):
-            out = S.DecIso(self.parse_atom(amb, scope))
-        elif self.accept("iso-inv"):
-            out = S.DecIsoInv(self.parse_atom(amb, scope))
-        elif self.accept("("):
-            out = self.parse_term(amb, scope)
-            if self.accept(","):
-                out = S.Pair(out, self.parse_term(amb, scope))
-            self.expect(")")
-        elif t.kind == "ident" and t.text not in _TERM_KEYWORDS:
-            self.advance()
+        if t.kind == "ident" and head not in _TERM_KEYWORDS:
+            self.pos += 1
             out = self._name_ref(t, amb, scope)
+        elif head not in _ATOM_START:
+            raise self.fail(f"expected a term, found {head!r}")
         else:
-            raise self.fail(f"expected a term, found {t.text!r}")
-        while self.peek().text == "." and self.peek(1).kind == "num":
-            self.advance()
-            proj = self.advance()
+            self.pos += 1
+            if head == "(":
+                out = self.parse_term(amb, scope)
+                if self.accept(","):
+                    out = S.Pair(out, self.parse_term(amb, scope))
+                self.expect(")")
+            elif head == "true":
+                out = S.True_()
+            elif head == "false":
+                out = S.False_()
+            elif head == "BoolC":
+                out = S.BoolCode()
+            elif head == "iso":
+                out = S.DecIso(self.parse_atom(amb, scope))
+            elif head == "iso-inv":
+                out = S.DecIsoInv(self.parse_atom(amb, scope))
+            else:  # box or ModC
+                mod = self.parse_modexpr(amb)
+                self._guard_mode(mod, amb, t)
+                inner = self.parse_atom(mod.mode_src, scope)
+                out = S.MkBox(mod, inner) if head == "box" else S.ModCode(mod, inner)
+        while toks[self.pos].text == "." and toks[self.pos + 1].kind == "num":
+            proj = toks[self.pos + 1]
+            self.pos += 2
             if proj.text == "1":
                 out = S.Proj1(out)
             elif proj.text == "2":
@@ -553,6 +587,7 @@ class Parser:
         cells: dict[str, tuple[Modality, Modality]] = {}
         rules: list[tuple[tuple, tuple]] = []
         kind = "free"
+        items: dict[tuple, Token] = {}  # what ``validate`` may blame -> its keyword
         while not self.accept("}"):
             item = self.expect_ident("a theory item")
             if item.text == "modes":
@@ -567,6 +602,7 @@ class Parser:
                 self.expect("->")
                 tgt = self.expect_ident("a mode name").text
                 mods[g] = (src, tgt)
+                items["mod", g] = item
                 self.expect(";")
             elif item.text == "cell":
                 self.mt = ModeTheory("scratch", tuple(modes), mods, cells, FreeDecider())
@@ -576,12 +612,14 @@ class Parser:
                 self.expect("=>")
                 tgt = self.parse_modexpr(None)
                 cells[g] = (src, tgt)
+                items["cell", g] = item
                 self.expect(";")
             elif item.text == "rule":
                 self.mt = ModeTheory("scratch", tuple(modes), mods, cells, FreeDecider())
                 lhs = self.parse_modexpr(None)
                 self.expect("~>")
                 rhs = self.parse_modexpr(None)
+                items["rule", len(rules)] = item
                 rules.append((lhs.word, rhs.word))
                 self.expect(";")
             elif item.text == "decider":
@@ -608,8 +646,9 @@ class Parser:
             )
         try:
             return validate(ModeTheory("file", tuple(modes), mods, cells, decider))
-        except ModeError as e:
-            raise ParseError(f"ill-formed mode theory: {e}", t.line, t.col) from None
+        except TheoryItemError as e:
+            at = items[e.item]
+            raise ParseError(f"ill-formed mode theory: {e}", at.line, at.col) from None
 
     # -- declarations
 

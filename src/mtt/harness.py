@@ -46,6 +46,7 @@ from .modeth import (
     THEORIES,
     Cell2,
     CellGen,
+    ModeError,
     ModeTheory,
     Modality,
     compose_mod,
@@ -53,7 +54,10 @@ from .modeth import (
     id_cell,
     id_mod,
     trivial,
+    vcomp,
     walking,
+    whisker_left,
+    whisker_right,
 )
 from .nbe import (
     CNeutral,
@@ -408,16 +412,50 @@ class _Gen:
         raise GenExhausted(f"no introduction at {type(ty).__name__}")
 
     def _accessible(self, ctx: CheckCtx) -> list:
-        """(index, key) pairs for every variable reachable from here."""
+        """(index, key) pairs for every variable reachable from here: the
+        identity, a generator cell, a generator cell whiskered by the rest
+        of the lock word, or the vertical composite of two such cells."""
+        mt = self.mt
         out = []
         for k in range(len(ctx.types)):
             ann = tele_entry(ctx.telescope, k).mod
             nu = locks_of(ctx.telescope, k)
-            if eq_mod(self.mt, ann, nu):
+            if eq_mod(mt, ann, nu):
                 out.append((k, id_cell(ann)))
-            for name, (src, tgt) in self.mt.cell_gens.items():
-                if eq_mod(self.mt, src, ann) and eq_mod(self.mt, tgt, nu):
+            for name, (src, tgt) in mt.cell_gens.items():
+                if eq_mod(mt, src, ann) and eq_mod(mt, tgt, nu):
                     out.append((k, Cell2(src, tgt, CellGen(name))))
+            for last in self._layers_into(nu):
+                if not isinstance(last.expr, CellGen) and eq_mod(mt, last.src, ann):
+                    out.append((k, last))
+                for first in self._layers_into(last.src):
+                    if eq_mod(mt, first.src, ann):
+                        out.append((k, vcomp(last, first, mt)))
+        return out
+
+    def _layers_into(self, nu: Modality) -> list[Cell2]:
+        """Each generator cell whiskered by the words before and after an
+        occurrence of its target in ``nu``, so that it lands exactly at
+        ``nu``; bare when both words are empty."""
+        out = []
+        w = nu.word
+        at = [nu.mode_src] + [self.mt.modality_gens[g][1] for g in w]  # mode after w[:i]
+        for name, (src, tgt) in self.mt.cell_gens.items():
+            gen = Cell2(src, tgt, CellGen(name))
+            n = len(tgt.word)
+            for i in range(len(w) - n + 1):
+                if w[i : i + n] != tgt.word:
+                    continue
+                # words apply first to last: w[:i] before the cell, the rest after
+                before = Modality(nu.mode_src, at[i], w[:i])
+                after = Modality(at[i + n], nu.mode_tgt, w[i + n :])
+                if not (before.word or after.word):
+                    out.append(gen)
+                    continue
+                try:
+                    out.append(whisker_left(after, whisker_right(gen, before)))
+                except ModeError:
+                    pass  # the generator's modes do not fit here
         return out
 
     def _weaken_ty(self, ctx: CheckCtx, ty: TypeValue) -> Term:
@@ -716,8 +754,16 @@ CONNECTIVES = tuple(_PAIRS)
 # Invariant campaigns
 
 
-def _ctx_for(mt: ModeTheory, rng: random.Random) -> CheckCtx:
-    return empty_ctx(mt, rng.choice(list(mt.modes)))
+def ctx_for(mt: ModeTheory, rng: random.Random) -> CheckCtx:
+    """A context at a random mode with up to three random entries: locks,
+    and boolean variables with random annotations, so that generated terms
+    reach variables through whiskered and composite keys."""
+    ctx = empty_ctx(mt, rng.choice(list(mt.modes)))
+    pick = _Gen(mt, rng, {})._modality
+    for _ in range(rng.randrange(4)):
+        mu = pick(ctx.mode)
+        ctx = ctx_lock(ctx, mu) if rng.random() < 0.5 else ctx_extend(ctx, mu, S.Bool(), TBool())
+    return ctx
 
 
 def run_soundness(trials: int, seed: int, out=None) -> bool:
@@ -729,7 +775,7 @@ def run_soundness(trials: int, seed: int, out=None) -> bool:
         cfg = GenConfig(seed=seed + i, theory=names[i % len(names)])
         rng = random.Random(cfg.seed)
         mt = theory_of(cfg)
-        ctx = _ctx_for(mt, rng)
+        ctx = ctx_for(mt, rng)
         try:
             ty_term = gen_type(cfg, ctx, rng)
             tyv = check_type(ctx, ty_term)

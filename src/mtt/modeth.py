@@ -21,6 +21,7 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -29,6 +30,15 @@ Word = tuple[str, ...]
 
 class ModeError(Exception):
     """Raised for mode mismatches and malformed presentations."""
+
+
+class TheoryItemError(ModeError):
+    """``validate``'s complaint about one item of a presentation; ``item`` is
+    ``("mod", name)``, ``("cell", name)`` or ``("rule", index)``."""
+
+    def __init__(self, msg: str, item: tuple):
+        super().__init__(msg)
+        self.item = item
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +443,43 @@ class ModeTheory:
     decider: Decider
 
 
+@contextmanager
+def _blame(item: tuple):
+    try:
+        yield
+    except ModeError as e:
+        raise TheoryItemError(str(e), item) from None
+
+
 def validate(mt: ModeTheory) -> ModeTheory:
-    """Check the presentation's invariants; return the theory for chaining."""
+    """Check the presentation's invariants; return the theory for chaining.
+    A failure is a ``TheoryItemError`` that names the item at fault."""
     for g, (src, tgt) in mt.modality_gens.items():
         if src not in mt.modes or tgt not in mt.modes:
-            raise ModeError(f"modality generator {g!r} uses unknown mode(s) {src}, {tgt}")
-    for c, (src, tgt) in mt.cell_gens.items():
-        check_word(mt, src.word, src.mode_src)
-        check_word(mt, tgt.word, tgt.mode_src)
-        if (src.mode_src, src.mode_tgt) != (tgt.mode_src, tgt.mode_tgt):
-            raise ModeError(f"cell generator {c!r} is not between parallel modalities")
-    for lhs, rhs in getattr(mt.decider, "word_rules", ()):
-        start = check_word_any(mt, lhs)
-        end = check_word(mt, lhs, start)
-        rule = f"{Modality(start, end, lhs)} ~> {Modality(start, end, rhs)}"
-        if check_word(mt, rhs, start) != end:
-            raise ModeError(f"word rule {rule} does not preserve boundaries")
-        # Shortlex is a well-order that rewriting inside a word preserves, so
-        # rules that decrease in it make ``canon_word`` terminate.
-        if (len(rhs), rhs) >= (len(lhs), lhs):
-            raise ModeError(
-                f"word rule {rule} does not shrink the word: the right side must be "
-                "shorter, or as long and smaller in name order from the first-applied "
-                "generator on"
+            raise TheoryItemError(
+                f"modality generator {g!r} uses unknown mode(s) {src}, {tgt}", ("mod", g)
             )
+    for c, (src, tgt) in mt.cell_gens.items():
+        with _blame(("cell", c)):
+            check_word(mt, src.word, src.mode_src)
+            check_word(mt, tgt.word, tgt.mode_src)
+            if (src.mode_src, src.mode_tgt) != (tgt.mode_src, tgt.mode_tgt):
+                raise ModeError(f"cell generator {c!r} is not between parallel modalities")
+    for i, (lhs, rhs) in enumerate(getattr(mt.decider, "word_rules", ())):
+        with _blame(("rule", i)):
+            start = check_word_any(mt, lhs)
+            end = check_word(mt, lhs, start)
+            rule = f"{Modality(start, end, lhs)} ~> {Modality(start, end, rhs)}"
+            if check_word(mt, rhs, start) != end:
+                raise ModeError(f"word rule {rule} does not preserve boundaries")
+            # Shortlex is a well-order that rewriting inside a word preserves,
+            # so rules that decrease in it make ``canon_word`` terminate.
+            if (len(rhs), rhs) >= (len(lhs), lhs):
+                raise ModeError(
+                    f"word rule {rule} does not shrink the word: the right side must be "
+                    "shorter, or as long and smaller in name order from the first-applied "
+                    "generator on"
+                )
     return mt
 
 

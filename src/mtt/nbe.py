@@ -8,9 +8,16 @@ cell composition; levels convert to de Bruijn indices only at reify time
 the kernel holds no counter and no mutable state.
 
 Earlier declarations are constants of a signature that every environment
-carries.  A constant evaluates to its stored body value, computed once when
-the declaration checked; that value is closed, so it is valid at every
-depth and under every lock, and read-back unfolds it like any other value.
+carries.  A constant evaluates to its stored body value, computed on first
+use and then kept; that value is closed, so it is valid at every depth and
+under every lock, and read-back unfolds it like any other value.
+
+Environments are call-by-need: an entry may be a ``Thunk`` (a checked
+declaration's body, or an argument the checker substitutes into a
+codomain), computed the first time a ``Var`` or ``Const`` reaches it.
+Evaluation forces thunks only there, so none reaches a neutral frame,
+read-back or the key action, and an argument the codomain never mentions is
+never evaluated.  A thunk's memo is the kernel's only mutable state.
 
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
@@ -20,7 +27,7 @@ payloads; reify wraps the boundary markers back on, so normal forms at
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -89,14 +96,30 @@ class CodeValue:
     pass
 
 
+class Thunk:
+    """A value computed on first demand and then kept."""
+
+    __slots__ = ("_compute", "_value")
+
+    def __init__(self, compute: "Callable[[], Value]"):
+        self._compute = compute
+
+    def force(self) -> Value:
+        if self._compute is not None:
+            self._value = self._compute()
+            self._compute = None
+        return self._value
+
+
 @dataclass(frozen=True)
 class Definition:
     """A checked declaration: its mode, type value and body value, both
-    closed (evaluated in the empty context)."""
+    closed (evaluated in the empty context).  The body is evaluated when
+    first used, so a declaration nothing unfolds is never evaluated."""
 
     mode: str
     ty: TypeValue
-    val: Value
+    val: Thunk
 
 
 # Declaration names to their definitions; never mutated once built.
@@ -112,11 +135,11 @@ class Env:
     absolute levels, so dropping the entries after them renames nothing.
     ``sig`` holds the constants the terms evaluated here may refer to."""
 
-    vals: tuple[Value, ...]
+    vals: "tuple[Value | Thunk, ...]"
     sig: Signature = field(compare=False, repr=False)
 
 
-def env_push(env: Env, v: Value) -> Env:
+def env_push(env: Env, v: "Value | Thunk") -> Env:
     return Env(env.vals + (v,), env.sig)
 
 
@@ -335,6 +358,8 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
             if k < 0 or k >= len(env.vals):
                 raise NbeError(f"variable {k} out of range")
             v = env.vals[len(env.vals) - 1 - k]
+            if isinstance(v, Thunk):
+                v = v.force()
             if isinstance(cell.expr, CellId) or is_id_cell(mt, cell):
                 return v
             return key_val(mt, cell, v)
@@ -342,7 +367,7 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
             defn = env.sig.get(name)
             if defn is None:
                 raise NbeError(f"unknown definition {name!r}")
-            return defn.val
+            return defn.val.force()
         case S.Lam(body):
             return VLam(Closure(env, body))
         case S.App(fn, arg):
@@ -402,11 +427,11 @@ def eval_ty(mt: ModeTheory, env: Env, t: Term) -> TypeValue:
     raise NbeError(f"not a type former: {type(t).__name__}")
 
 
-def instantiate(mt: ModeTheory, clo: Closure, v: Value) -> Value:
+def instantiate(mt: ModeTheory, clo: Closure, v: "Value | Thunk") -> Value:
     return eval_tm(mt, env_push(clo.env, v), clo.body)
 
 
-def inst_ty(mt: ModeTheory, clo: "Closure | DecClosure", v: Value) -> TypeValue:
+def inst_ty(mt: ModeTheory, clo: "Closure | DecClosure", v: "Value | Thunk") -> TypeValue:
     if isinstance(clo, DecClosure):
         return TDec(code_of(instantiate(mt, clo.code_clo, v)))
     return eval_ty(mt, env_push(clo.env, v), clo.body)

@@ -296,6 +296,26 @@ def test_key_transport_matches_the_renaming_past_the_suffix(theory):
     assert lookups >= 80 and changed >= 20
 
 
+@pytest.mark.parametrize("theory", [pointed, adjoint], ids=["pointed", "adjoint"])
+def test_context_locates_variables_as_the_telescope_scan_does(theory):
+    mt = theory()
+    keys = _keys(mt)
+    rng = Random(f"locate-{mt.name}")
+    seen = 0
+    for _ in range(30):
+        ctx = empty_ctx(mt, rng.choice(sorted(mt.modes)))
+        for _ in range(8):
+            ctx = _random_entry(ctx, keys, rng)
+            for k in range(ctx.depth):
+                pos, nu = ctx.locate(k)
+                assert ctx.telescope.entries[pos] == tele_entry(ctx.telescope, k)
+                assert nu == locks_of(ctx.telescope, k)
+                seen += len(nu.word) > 1
+    assert seen > 20  # variables behind composite locks were met
+    with pytest.raises(CheckError):
+        ctx.locate(ctx.depth)
+
+
 # ---------------------------------------------------------------------------
 # Inference and checking
 

@@ -10,6 +10,7 @@ import pytest
 
 from mtt import check as C
 from mtt import cli
+from mtt import nbe
 from mtt import syntax as S
 from mtt.check import check_program, check_tm, check_type, empty_ctx
 from mtt.cli import ParseError, main, parse_file, surface_nf, tokenize
@@ -358,16 +359,20 @@ def chain(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def counting(monkeypatch, module, name: str) -> list:
-    """Replace ``module.name`` by a wrapper that appends to the returned list."""
-    calls: list = []
-    fn = getattr(module, name)
+def wrapped_as(fn, calls: list):
+    """``fn``, appending to ``calls`` on each call."""
 
     def wrapper(*args):
         calls.append(None)
         return fn(*args)
 
-    monkeypatch.setattr(module, name, wrapper)
+    return wrapper
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that appends to the returned list."""
+    calls: list = []
+    monkeypatch.setattr(module, name, wrapped_as(getattr(module, name), calls))
     return calls
 
 
@@ -383,6 +388,25 @@ def test_definition_chain_checks_in_linear_inference_steps(tmp_path, monkeypatch
     capsys.readouterr()
     assert main(["normalize", path, "use"]) == 0
     assert capsys.readouterr().out == "use : Bool\nuse = true\n"
+
+
+def test_definition_chain_checks_in_linear_evaluation_steps(tmp_path, monkeypatch, capsys):
+    # Arguments substituted into a codomain, and declaration bodies, are
+    # evaluated only when used: checking ``f<i-1> (f<i-1> x)`` once unfolded
+    # the whole chain below it, so the calls of eval_tm and eval_ty doubled
+    # with each level.
+    evals = counting(monkeypatch, nbe, "eval_tm")
+    monkeypatch.setattr(nbe, "eval_ty", wrapped_as(nbe.eval_ty, evals))
+    for name in ("eval_tm", "eval_ty"):  # the checker's own bindings
+        monkeypatch.setattr(C, name, getattr(nbe, name))
+    counts = []
+    for n in (8, 9, 10):
+        path = write(tmp_path, f"chain{n}.mtt", chain(n))
+        evals.clear()
+        assert main(["check", path]) == 0
+        counts.append(len(evals))
+    assert counts[1] - counts[0] == counts[2] - counts[1] > 0, counts
+    assert capsys.readouterr().out.endswith("checked use : Bool\n")
 
 
 def test_check_command_reads_back_no_bodies(tmp_path, monkeypatch, capsys):
@@ -473,8 +497,34 @@ def test_rewrite_rule_that_does_not_shrink_is_rejected(tmp_path, rule):
     )
     done = run_mtt(tmp_path, text)
     assert done.returncode == 2
-    assert f"run.mtt:1:1: ill-formed mode theory: word rule {rule} " in done.stderr
+    col = text.index("rule") + 1  # reported at the rule, not at the theory keyword
+    assert f"run.mtt:1:{col}: ill-formed mode theory: word rule {rule} " in done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("rule c ~> c.c;", "word rule c ~> c.c does not shrink the word"),
+        ("mod d : s -> t;", "modality generator 'd' uses unknown mode(s) s, t"),
+        ("cell p : c => d;", "cell generator 'p' is not between parallel modalities"),
+    ],
+    ids=["rule", "mod", "cell"],
+)
+def test_ill_formed_theory_item_is_reported_at_the_item(tmp_path, capsys, item, message):
+    text = (
+        "theory {\n"
+        "  modes s n; mod c : s -> s; mod d : s -> n;\n"
+        f"  {item}\n"
+        "  decider rewrite;\n"
+        "}\n"
+        "def t @s : Bool := true\n"
+    )
+    path = write(tmp_path, "bad.mtt", text)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:3:3: "), err
+    assert message in err
 
 
 @pytest.mark.parametrize(

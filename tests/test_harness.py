@@ -15,6 +15,7 @@ from mtt.harness import (
     Oracle,
     PAIRS_THEORY,
     beta_eta_pairs,
+    ctx_for,
     ctx_of_telescope,
     gen_closed_bool,
     gen_distinct_pair,
@@ -30,7 +31,7 @@ from mtt.harness import (
     subst,
     theory_of,
 )
-from mtt.modeth import id_cell, id_mod, trivial
+from mtt.modeth import CellGen, id_cell, id_mod, is_id_cell, trivial
 from mtt.nbe import TBool, eval_tm, normalize
 from mtt.normal import NfFalse, NfTrue
 from mtt.syntax import Telescope
@@ -137,6 +138,32 @@ def test_generated_terms_check(theory):
         except GenExhausted:
             continue
         check_tm(ctx, tm, tyv)
+
+
+def _keys_of(t):
+    if isinstance(t, S.Var):
+        yield t.cell
+    for v in vars(t).values():
+        if isinstance(v, S.Term):
+            yield from _keys_of(v)
+
+
+def test_generated_terms_use_whiskered_and_composite_keys():
+    cfg = GenConfig(seed=1, theory="pointed")
+    rng = random.Random(cfg.seed)
+    mt = theory_of(cfg)
+    keys = []
+    for _ in range(400):
+        ctx = ctx_for(mt, rng)
+        try:
+            ty = gen_type(cfg, ctx, rng)
+            tyv = check_type(ctx, ty)
+            tm = gen_typed_term(cfg, ctx, tyv, rng)
+        except GenExhausted:
+            continue
+        check_tm(ctx, tm, tyv)
+        keys += _keys_of(tm)
+    assert any(not is_id_cell(mt, c) and not isinstance(c.expr, CellGen) for c in keys)
 
 
 def test_generation_is_deterministic():
