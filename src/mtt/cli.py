@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from . import check as C
@@ -99,28 +100,27 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Token(...) without the Python frame of the generated ``Token.__new__``.
+_token = partial(tuple.__new__, Token)
+
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending in one ``eof`` token."""
+    """The tokens of ``text``, ending in one ``eof`` token.
+
+    No token or comment spans a newline, so each line is matched on its
+    own: one match per token, and one for the end of the line.
+    """
     out: list[Token] = []
-    match = _TOKEN_RE.match
-    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's first character
-    while True:
-        m = match(text, pos)
-        start = m.end(1)
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", pos, start) + 1
-        kind = m.lastgroup
-        if kind is None:
-            break
-        pos = m.end()
-        out.append(Token(kind, text[start:pos], line, start - line_start + 1))
-    col = start - line_start + 1
-    if start < len(text):
-        raise ParseError(f"unexpected character {text[start]!r}", line, col)
-    out.append(Token("eof", "", line, col))
+    for line, chunk in enumerate(text.split("\n"), 1):
+        for m in _TOKEN_RE.finditer(chunk):
+            kind = m.lastgroup
+            start = m.end(1)
+            if kind is None:  # the end of the line, or no token starts here
+                if start < len(chunk):
+                    raise ParseError(f"unexpected character {chunk[start]!r}", line, start + 1)
+                break
+            out.append(_token((kind, chunk[start : m.end()], line, start + 1)))
+    out.append(Token("eof", "", line, len(chunk) + 1))
     return out
 
 
@@ -332,12 +332,12 @@ class Parser:
     # -- binders
 
     def _binder(self, amb: str) -> "tuple[Modality, str]":
-        """``( mod | x`` or ``( x``, from the opening paren inclusive.  The
-        modality is tried only when the tokens ahead have its shape and a
-        ``|`` follows them; a binder whose modality fails to parse is read
-        as a plain one, whose name the caller's next token then rejects."""
+        """``( mod | x`` or ``( x``, from the opening paren inclusive.  A
+        modality is tried only when the token after the first one can
+        continue it (``|``, ``.`` or ``(``); if it then fails to parse, or
+        no ``|`` follows it, the binder is a plain one."""
         self.expect("(")
-        if self._modality_then_bar():
+        if self.toks[self.pos + 1].text in ("|", ".", "("):
             save = self.pos
             try:
                 mod = self.parse_modexpr(amb)
@@ -346,25 +346,6 @@ class Parser:
             except ParseError:
                 self.pos = save
         return id_mod(amb), self.expect_ident("a variable name").text
-
-    def _modality_then_bar(self) -> bool:
-        """Whether the tokens from here are ``id``, ``id ( NAME )`` or
-        ``NAME (. GEN)*``, as far as ``parse_modexpr`` reads, then ``|``."""
-        toks, i = self.toks, self.pos
-        if toks[i].text == "id":
-            i += 1
-            if toks[i].text == "(":
-                if toks[i + 1].kind != "ident" or toks[i + 2].text != ")":
-                    return False
-                i += 3
-        elif toks[i].kind == "ident":
-            i += 1
-            gens = self.mt.modality_gens
-            while toks[i].text == "." and toks[i + 1].kind == "ident" and toks[i + 1].text in gens:
-                i += 2
-        else:
-            return False
-        return toks[i].text == "|"
 
     def _guard_mode(self, mod: Modality, amb: str, tok: Token) -> None:
         if mod.mode_tgt != amb:

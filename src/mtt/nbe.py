@@ -5,19 +5,21 @@ unquotiented normal forms of the normal module.  Neutral spines use absolute
 levels with a 2-cell on the head, so weakening is free and the key action is
 cell composition; levels convert to de Bruijn indices only at reify time
 (index = depth - 1 - level).  Fresh variables come from the depth parameter —
-the kernel holds no counter and no mutable state.
+the kernel holds no counter.
 
 Earlier declarations are constants of a signature that every environment
 carries.  A constant evaluates to its stored body value, computed on first
 use and then kept; that value is closed, so it is valid at every depth and
 under every lock, and read-back unfolds it like any other value.
 
-Environments are call-by-need: an entry may be a ``Thunk`` (a checked
-declaration's body, or an argument the checker substitutes into a
-codomain), computed the first time a ``Var`` or ``Const`` reaches it.
-Evaluation forces thunks only there, so none reaches a neutral frame,
-read-back or the key action, and an argument the codomain never mentions is
-never evaluated.  A thunk's memo is the kernel's only mutable state.
+Evaluation is call-by-need where the checker would otherwise compute a
+value nobody asked for: an argument the checker substitutes into a
+codomain enters its environment as a ``Thunk``, and each body in the
+signature is one too.  A thunk is computed the first time a ``Var`` or
+``Const`` reaches it; evaluation forces thunks only there, so none reaches
+a neutral frame, read-back or the key action, and an argument the
+codomain never mentions is never evaluated.  A thunk's memo is the
+kernel's only mutable state.
 
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
