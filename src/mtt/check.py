@@ -60,6 +60,7 @@ from .normal import (
 )
 from .nbe import (
     NO_DEFS,
+    Body,
     CNeutral,
     Closure,
     Definition,
@@ -431,7 +432,7 @@ class Report:
         return all(r.ok for r in self.results)
 
 
-def _reify_body(mt: ModeTheory, mode: str, tyv: TypeValue, val: Thunk) -> Nf:
+def _reify_body(mt: ModeTheory, mode: str, tyv: TypeValue, val: Body) -> Nf:
     return reify(mt, 0, mode, tyv, val.force())
 
 
@@ -440,7 +441,7 @@ def check_program(mt: ModeTheory, decls) -> Report:
 
     Declarations have no free variables; they refer to earlier ones by
     ``Const`` name.  Each declaration that checks is added to the signature
-    once, with its type value and its body as a ``Thunk``, so a reference
+    once, with its type value and its body as a ``Body``, so a reference
     costs a lookup and never re-checks the body, and a body is evaluated
     only when something unfolds it.  A failing declaration does not stop the
     rest, but it stays out of the signature, so any later reference to it
@@ -457,7 +458,7 @@ def check_program(mt: ModeTheory, decls) -> Report:
                     raise CheckError(f"declaration {name!r} has an out-of-scope variable")
             tyv = check_type(ctx, ty)
             check_tm(ctx, body, tyv)
-            val = Thunk(partial(eval_tm, mt, ctx.env, body))
+            val = Body(mt, ctx.env, body)
             results.append(
                 DeclResult(
                     name,

@@ -337,7 +337,7 @@ class Parser:
         continue it (``|``, ``.`` or ``(``); if it then fails to parse, or
         no ``|`` follows it, the binder is a plain one."""
         self.expect("(")
-        if self.toks[self.pos + 1].text in ("|", ".", "("):
+        if self.peek(1).text in ("|", ".", "("):
             save = self.pos
             try:
                 mod = self.parse_modexpr(amb)
@@ -359,11 +359,11 @@ class Parser:
     # -- types and terms: each form is chosen by its first token's text
 
     def parse_type(self, amb: str, scope: list) -> Term:
-        t = self.toks[self.pos]
+        t = self.peek()
         head = t.text
         if head not in _TYPE_START:
             raise self.fail(f"expected a type, found {head!r}")
-        self.pos += 1
+        self.advance()
         if head == "Pi":
             mod, name = self._binder(amb)
             self._guard_mode(mod, amb, t)
@@ -397,11 +397,11 @@ class Parser:
         return inner
 
     def parse_term(self, amb: str, scope: list) -> Term:
-        t = self.toks[self.pos]
+        t = self.peek()
         head = t.text
         if head not in _BINDER_TERMS:
             return self.parse_app(amb, scope)
-        self.pos += 1
+        self.advance()
         if head == "\\":
             if self.at("("):
                 mod, name = self._binder(amb)
@@ -466,6 +466,10 @@ class Parser:
         self.expect("*")
         snd = self.parse_term(amb, scope + [(name, id_mod(amb))])
         return S.SigCode(fst, snd)
+
+    # parse_app and parse_atom run once per token of a term, so they index
+    # the padded token list by hand instead of calling peek and advance;
+    # they step ``pos`` only past a token they have seen is not eof.
 
     def parse_app(self, amb: str, scope: list) -> Term:
         out = self.parse_atom(amb, scope)

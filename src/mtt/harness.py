@@ -75,7 +75,7 @@ from .nbe import (
     inst_ty,
     reify_ty,
 )
-from .normal import decode_nfty, locks_of, tele_entry
+from .normal import decode_nfty
 from .syntax import Telescope
 
 
@@ -418,8 +418,8 @@ class _Gen:
         mt = self.mt
         out = []
         for k in range(len(ctx.types)):
-            ann = tele_entry(ctx.telescope, k).mod
-            nu = locks_of(ctx.telescope, k)
+            pos, nu = ctx.locate(k)
+            ann = ctx.telescope.entries[pos].mod
             if eq_mod(mt, ann, nu):
                 out.append((k, id_cell(ann)))
             for name, (src, tgt) in mt.cell_gens.items():

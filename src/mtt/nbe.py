@@ -15,11 +15,11 @@ under every lock, and read-back unfolds it like any other value.
 Evaluation is call-by-need where the checker would otherwise compute a
 value nobody asked for: an argument the checker substitutes into a
 codomain enters its environment as a ``Thunk``, and each body in the
-signature is one too.  A thunk is computed the first time a ``Var`` or
-``Const`` reaches it; evaluation forces thunks only there, so none reaches
-a neutral frame, read-back or the key action, and an argument the
-codomain never mentions is never evaluated.  A thunk's memo is the
-kernel's only mutable state.
+signature is a ``Body``.  A thunk is computed the first time a ``Var``
+reaches it, a body the first time a ``Const`` does; evaluation forces them
+only there, so none reaches a neutral frame, read-back or the key action,
+and an argument the codomain never mentions is never evaluated.  Their
+memos are the kernel's only mutable state.
 
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
@@ -29,7 +29,7 @@ payloads; reify wraps the boundary markers back on, so normal forms at
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -113,6 +113,42 @@ class Thunk:
         return self._value
 
 
+class Body:
+    """A declaration's body value, evaluated on first demand in the empty
+    context that carries the declarations before it.
+
+    Forcing a body first computes every body it names by ``Const`` that is
+    not computed yet, each after the bodies that one names, so every
+    evaluation meets only computed constants.  The stack depth of forcing
+    thus does not grow with a chain of definitions ``d_i := d_{i-1}``, as
+    it would if each link forced the one before from inside its own
+    evaluation."""
+
+    __slots__ = ("_mt", "_env", "_term", "_value")
+
+    def __init__(self, mt: ModeTheory, env: "Env", term: Term):
+        self._mt, self._env, self._term = mt, env, term
+
+    def force(self) -> Value:
+        if self._term is not None:
+            stack = [(self, self._named())]
+            while stack:
+                body, named = stack[-1]
+                for b in named:
+                    if b._term is not None:
+                        stack.append((b, b._named()))
+                        break
+                else:
+                    stack.pop()
+                    body._value = eval_tm(body._mt, body._env, body._term)
+                    body._term = None
+        return self._value
+
+    def _named(self) -> "Iterator[Body]":
+        sig = self._env.sig
+        return iter([sig[name].val for name in S.const_names(self._term)])
+
+
 @dataclass(frozen=True)
 class Definition:
     """A checked declaration: its mode, type value and body value, both
@@ -121,7 +157,7 @@ class Definition:
 
     mode: str
     ty: TypeValue
-    val: Thunk
+    val: Body
 
 
 # Declaration names to their definitions; never mutated once built.

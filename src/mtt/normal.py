@@ -58,6 +58,9 @@ def _var_position(tele: Telescope, k: int) -> int:
 
 
 def tele_entry(tele: Telescope, k: int) -> EVar:
+    """Variable k's entry, found by scanning.  The checker reads it by level
+    (``check.CheckCtx.locate``); this is the reference the tests hold that
+    to, and ``bench/tracer.py`` times it as ``normal:tele_entry``."""
     e = tele.entries[_var_position(tele, k)]
     assert isinstance(e, EVar)
     return e

@@ -281,6 +281,19 @@ def _scope(depth: int, t: Term) -> bool:
     raise AssertionError(f"not a term: {t!r}")
 
 
+def const_names(t: Term) -> "list[str]":
+    """The declarations ``t`` names, each once, in no particular order."""
+    names: dict[str, None] = {}
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Const):
+            names[u.name] = None
+        else:
+            todo.extend(c for c in vars(u).values() if isinstance(c, Term))
+    return list(names)
+
+
 # ---------------------------------------------------------------------------
 # Printing core terms (``--print-core``; normal forms print via ``normal``)
 

@@ -409,6 +409,30 @@ def test_definition_chain_checks_in_linear_evaluation_steps(tmp_path, monkeypatc
     assert capsys.readouterr().out.endswith("checked use : Bool\n")
 
 
+def aliases(n: int, first: str, ty: str) -> str:
+    """``d0 := first`` and n - 1 definitions ``d<i> := d<i-1>`` of type ``ty``."""
+    lines = [f"def d0 @m : {ty} := {first}"]
+    lines += [f"def d{i} @m : {ty} := d{i - 1}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+ALIASES = 1000  # forcing each link from inside the next overflows the default stack at about 500
+
+
+def test_normalizing_the_last_of_a_long_alias_chain(tmp_path, capsys):
+    path = write(tmp_path, "aliases.mtt", aliases(ALIASES, "true", "Bool"))
+    last = f"d{ALIASES - 1}"
+    assert main(["normalize", path, last]) == 0
+    assert capsys.readouterr().out == f"{last} : Bool\n{last} = true\n"
+
+
+def test_checking_a_type_that_decodes_a_long_alias_chain(tmp_path, capsys):
+    text = aliases(ALIASES, "BoolC", "Uni") + f"def u @m : dec d{ALIASES - 1} := iso-inv true\n"
+    path = write(tmp_path, "codes.mtt", text)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out.endswith("checked u : dec BoolC\n")
+
+
 def test_check_command_reads_back_no_bodies(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "chain3.mtt", chain(3))
     reads = counting(monkeypatch, C, "reify")
