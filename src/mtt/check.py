@@ -407,6 +407,9 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
 # Programs
 
 
+TOO_DEEP = "nested too deeply"
+
+
 @dataclass(frozen=True)
 class DeclResult:
     name: str
@@ -414,6 +417,7 @@ class DeclResult:
     ok: bool
     ty_nf: "NfTy | None" = None
     error: "str | None" = None
+    too_deep: bool = False  # the error is the interpreter's recursion limit
     reify_body: "Callable[[], Nf] | None" = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -447,11 +451,20 @@ def check_program(mt: ModeTheory, decls) -> Report:
     rest, but it stays out of the signature, so any later reference to it
     fails too.  Each result carries either normal forms or an error
     message; the body's normal form is read back only when first asked for.
+    A declaration that exhausts the interpreter's stack fails with
+    ``too_deep`` set instead of ending the program.
+
+    The signature is one dict that every declaration's environment shares
+    and that grows as declarations check: a declaration names only earlier
+    ones, so what it sees never changes under it, and a name that is
+    already defined is an error rather than a redefinition.
     """
     results: list[DeclResult] = []
-    sig: Signature = NO_DEFS
+    sig: dict[str, Definition] = {}
     for name, mode, ty, body in decls:
         try:
+            if name in sig:
+                raise CheckError(f"duplicate definition {name!r}")
             ctx = empty_ctx(mt, mode, sig)
             for part in (ty, body):
                 if not S.scope_check(ctx.telescope, part):
@@ -468,7 +481,9 @@ def check_program(mt: ModeTheory, decls) -> Report:
                     reify_body=partial(_reify_body, mt, mode, tyv, val),
                 )
             )
-            sig = {**sig, name: Definition(mode, tyv, val)}
+            sig[name] = Definition(mode, tyv, val)
         except (CheckError, NormalError, NbeError, ModeError) as e:
             results.append(DeclResult(name, mode, False, error=str(e)))
+        except RecursionError:
+            results.append(DeclResult(name, mode, False, error=TOO_DEEP, too_deep=True))
     return Report(tuple(results), sig)

@@ -16,7 +16,8 @@ checks each declaration once and looks its type up at every use.
 
 Identity modalities written bare (``id``) resolve at the lexically
 enclosing mode; ``id(m)`` names a mode explicitly.  Exit codes: 0 success,
-1 type error, 2 parse error.  Diagnostics go to stderr; all stdout output
+1 type error, 2 parse error or a declaration nested too deeply for the
+interpreter's stack.  Diagnostics go to stderr; all stdout output
 is a deterministic function of the input.  Normal forms print through
 ``normal.surface_nf``/``surface_nfty``, whose output parses again; a
 closed stdout discards the rest of the output and changes neither the
@@ -30,7 +31,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 from . import check as C
@@ -730,6 +731,29 @@ def _print_core(decls) -> None:
         _out(f"core {d.name} = {S.show_term(d.body)}")
 
 
+def _emit(path: str, decls, results, render) -> int:
+    """Print ``render(result)``'s lines for each declaration that checked and
+    a located diagnostic for each that did not.  Exit status 2 if some
+    declaration was nested too deeply for the interpreter's stack, while
+    checking it or reading back or printing its normal forms; else 1 if
+    some declaration failed; else 0."""
+    status = 0
+    for d, r in zip(decls, results):
+        error, too_deep = r.error, r.too_deep
+        if r.ok:
+            try:
+                lines = render(r)
+            except RecursionError:
+                error, too_deep = C.TOO_DEEP, True
+            else:
+                for line in lines:
+                    _out(line)
+                continue
+        print(f"{path}:{d.line}:{d.col}: error: {r.name}: {error}", file=sys.stderr)
+        status = max(status, 2 if too_deep else 1)
+    return status
+
+
 def cmd_check(path: str, override: "str | None" = None, print_core: bool = False) -> int:
     loaded = _load(path, override)
     if loaded is None:
@@ -738,14 +762,12 @@ def cmd_check(path: str, override: "str | None" = None, print_core: bool = False
     if print_core:
         _print_core(decls)
     report = C.check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
-    status = 0
-    for d, r in zip(decls, report.results):
-        if r.ok:
-            _out(f"checked {r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}")
-        else:
-            print(f"{path}:{d.line}:{d.col}: error: {r.name}: {r.error}", file=sys.stderr)
-            status = 1
-    return status
+    return _emit(
+        path,
+        decls,
+        report.results,
+        lambda r: [f"checked {r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}"],
+    )
 
 
 def cmd_normalize(
@@ -769,18 +791,21 @@ def cmd_normalize(
         # The declarations before NAME are checked for the signature only.
         decls, shown = decls[: at + 1], slice(at, None)
     report = C.check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
-    status = 0
-    for d, r in zip(decls[shown], report.results[shown]):
-        if r.ok:
-            _out(f"{r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}")
-            _out(f"{r.name} = {surface_nf(mt, r.body_nf, r.mode)}")
-        else:
-            print(f"{path}:{d.line}:{d.col}: error: {r.name}: {r.error}", file=sys.stderr)
-            status = 1
-    return status
+    return _emit(
+        path,
+        decls[shown],
+        report.results[shown],
+        lambda r: [
+            f"{r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}",
+            f"{r.name} = {surface_nf(mt, r.body_nf, r.mode)}",
+        ],
+    )
 
 
-def main(argv: "list[str] | None" = None) -> int:
+@cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built on first use and shared by every later
+    ``main`` call in the process (parsing leaves no state on it)."""
     ap = argparse.ArgumentParser(
         prog="mtt", description="Check and normalize .mtt files."
     )
@@ -800,7 +825,11 @@ def main(argv: "list[str] | None" = None) -> int:
             action="store_true",
             help="dump the elaborated core terms before checking",
         )
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    args = _arg_parser().parse_args(argv)
     if args.command == "check":
         status = cmd_check(args.file, args.mode_theory, args.print_core)
     else:

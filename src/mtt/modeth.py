@@ -289,8 +289,9 @@ def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
     A later layer whose input subword lies entirely at or left of an earlier
     layer's output subword is independent of it and bubbles past, with the
     whisker words adjusted.  The result is the unique left-handed
-    representative of the diagram's interchange class.  Complete for
-    presentations without scalar generators (both boundary words empty).
+    representative of the diagram's interchange class.  ``validate`` rejects
+    scalar generators (both boundary words empty): two of them at one offset
+    each read left of the other, and would swap forever.
     """
     out = list(atoms)
     changed = True
@@ -403,7 +404,8 @@ def cell_check(mt: "ModeTheory", cell: Cell2) -> bool:
 
 @dataclass(frozen=True)
 class FreeDecider:
-    """No relations: words literal, cells by interchange normal form."""
+    """No relations: words literal, cells by interchange normal form (so no
+    scalar cell generators; see ``left_normal``)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,6 +467,8 @@ def validate(mt: ModeTheory) -> ModeTheory:
             check_word(mt, tgt.word, tgt.mode_src)
             if (src.mode_src, src.mode_tgt) != (tgt.mode_src, tgt.mode_tgt):
                 raise ModeError(f"cell generator {c!r} is not between parallel modalities")
+            if not src.word and not tgt.word:  # see ``left_normal``
+                raise ModeError(f"cell generator {c!r} is a scalar: both its words are empty")
     for i, (lhs, rhs) in enumerate(getattr(mt.decider, "word_rules", ())):
         with _blame(("rule", i)):
             start = check_word_any(mt, lhs)

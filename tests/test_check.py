@@ -528,6 +528,13 @@ def test_check_program_inaccessible_variable_names_the_cell():
     assert "variable not accessible" in report.results[1].error
 
 
+def test_check_program_rejects_a_second_declaration_of_a_name():
+    decls = [("a", "m", S.Bool(), S.True_()), ("a", "m", S.Bool(), S.False_())]
+    first, second = check_program(T, decls).results
+    assert first.ok
+    assert not second.ok and second.error == "duplicate definition 'a'"
+
+
 def test_check_program_out_of_scope():
     report = check_program(T, [("oops", "m", S.Bool(), var(3))])
     assert not report.ok

@@ -1,10 +1,12 @@
 """Tests for the surface language: lexing, parsing, commands, round-trips."""
 
+import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -433,6 +435,17 @@ def test_checking_a_type_that_decodes_a_long_alias_chain(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("checked u : dec BoolC\n")
 
 
+def test_many_declarations_check_in_linear_time():
+    # Each declaration used to copy the whole signature: 8,000 aliases took
+    # about 1.8 s to check, against 0.16 s with one shared signature.
+    mt, decls = parse_file(aliases(8000, "true", "Bool"))
+    start = time.perf_counter()
+    report = check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
+    elapsed = time.perf_counter() - start
+    assert report.ok and len(report.signature) == 8000
+    assert elapsed < 1.0, f"8,000 aliases checked in {elapsed:.2f} s"
+
+
 def test_check_command_reads_back_no_bodies(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "chain3.mtt", chain(3))
     reads = counting(monkeypatch, C, "reify")
@@ -499,16 +512,19 @@ def test_closed_stdout_keeps_the_exit_status_and_diagnostics(tmp_path, bad, stat
     assert ("error: oops: pair literal" in err) == bool(bad)
 
 
-def run_mtt(tmp_path, text: str, cmd: str = "check") -> "subprocess.CompletedProcess[str]":
-    """``mtt CMD`` on ``text`` in a fresh interpreter, killed after 60 s."""
+def run_mtt(
+    tmp_path, text: str, cmd: str = "check", *args: str, timeout: float = 60
+) -> "subprocess.CompletedProcess[str]":
+    """``mtt CMD FILE ARGS`` on ``text`` in a fresh interpreter, killed
+    after ``timeout`` seconds."""
     path = write(tmp_path, "run.mtt", text)
     src = pathlib.Path(cli.__file__).resolve().parents[1]  # the mtt under test
     return subprocess.run(
-        [sys.executable, "-m", "mtt.cli", cmd, path],
+        [sys.executable, "-m", "mtt.cli", cmd, path, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -569,6 +585,55 @@ def test_deep_nesting_is_a_located_parse_error(tmp_path, body, ty):
     assert re.fullmatch(r".*run\.mtt:1:\d+: nested too deeply to parse\n", done.stderr)
 
 
+def test_scalar_cell_generator_is_rejected_at_its_keyword(tmp_path):
+    # Two layers of s each read left of the other, so the interchange normal
+    # form swapped them forever and ``mtt check`` never ended.
+    text = (
+        "theory { modes m; cell s : id(m) => id(m); decider free; }\n"
+        "def f @m : Pi (x : Bool) -> Bool := \\x -> x^(s.s)\n"
+    )
+    done = run_mtt(tmp_path, text, timeout=10)
+    assert done.returncode == 2
+    col = text.index("cell") + 1
+    assert done.stderr.endswith(
+        f"run.mtt:1:{col}: ill-formed mode theory: "
+        "cell generator 's' is a scalar: both its words are empty\n"
+    )
+    assert done.stdout == ""
+
+
+def church(n: int, carrier: str) -> str:
+    """Church numerals ``n0`` to ``n<n-1>`` over ``carrier``."""
+    ty = f"Pi (f : Pi (x : {carrier}) -> {carrier}) -> Pi (x : {carrier}) -> {carrier}"
+    lines = [f"def n0 @m : {ty} := \\f -> \\x -> x"]
+    lines += [f"def n{i} @m : {ty} := \\f -> \\x -> f (n{i - 1} f x)" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_evaluation_too_deep_for_the_stack_is_a_located_error(tmp_path):
+    # Evaluating n249 recurses about four frames per numeral: past the
+    # interpreter's limit, reading its body back ended in a traceback.
+    done = run_mtt(tmp_path, church(250, "Bool"), "normalize", "n249")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.endswith("run.mtt:250:1: error: n249: nested too deeply\n")
+    assert "Traceback" not in done.stderr
+
+
+def test_checking_too_deep_for_the_stack_is_a_located_error(tmp_path, capsys):
+    # The type of t evaluates n299 to decode it; the rest still check.
+    text = church(300, "Uni") + (
+        "def t @m : dec (n299 (\\c -> c) BoolC) := iso-inv true\n"
+        "def u @m : dec (n9 (\\c -> c) BoolC) := iso-inv true\n"
+    )
+    path = write(tmp_path, "deep.mtt", text)
+    assert main(["check", path]) == 2
+    cap = capsys.readouterr()
+    assert cap.err == f"{path}:301:1: error: t: nested too deeply\n"
+    assert cap.out.endswith("checked n299 : Pi (id(m) | x0 : Pi (id(m) | x0 : Uni) -> Uni)"
+                            " -> Pi (id(m) | x1 : Uni) -> Uni\nchecked u : dec BoolC\n")
+
+
 def test_nine_hundred_binders_check_and_normalize(tmp_path):
     body = "".join(f"\\x{i} -> " for i in range(900)) + "x0"
     ty = "".join(f"Pi (x{i} : Bool) -> " for i in range(900)) + "Bool"
@@ -604,6 +669,84 @@ def test_output_is_deterministic(tmp_path, capsys):
     main(["normalize", path])
     second = capsys.readouterr()
     assert first.out == second.out and first.out
+
+
+# ---------------------------------------------------------------------------
+# Many commands in one process: the argument parser is built once
+
+
+USAGE = json.loads((pathlib.Path(__file__).parent / "cli_usage.json").read_text())
+
+
+def run_main(argv: "list[str]", capsys) -> "tuple[int, str, str]":
+    """``main(argv)``'s exit status, stdout and stderr; a usage error or
+    ``--help`` exits through ``SystemExit``."""
+    try:
+        status = main(argv)
+    except SystemExit as e:
+        status = e.code
+    cap = capsys.readouterr()
+    return status, cap.out, cap.err
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != USAGE["python"],
+    reason=f"help text recorded with argparse of Python {USAGE['python']}",
+)
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys):
+    # Recorded when every call built its own parser; each case runs twice,
+    # so the second run uses a parser that has already parsed.
+    monkeypatch.setenv("COLUMNS", str(USAGE["columns"]))
+    for case in USAGE["cases"] * 2:
+        expect = (case["status"], case["stdout"], case["stderr"])
+        assert run_main(case["argv"], capsys) == expect, case["argv"]
+
+
+def test_earlier_commands_do_not_change_later_ones(tmp_path, capsys):
+    path = write(tmp_path, "good.mtt", GOOD)
+    alone = {cmd: run_main([cmd, path], capsys) for cmd in ("check", "normalize")}
+    assert alone["normalize"][1].count(" = ") == 2
+    for before in (
+        ["check", "--print-core", path],
+        ["normalize", path, "use"],
+        ["check", "--mode-theory", "pointed", path],
+        ["frob"],
+        ["check"],
+    ):
+        for cmd, expect in alone.items():
+            run_main(before, capsys)
+            assert run_main([cmd, path], capsys) == expect, (before, cmd)
+
+
+def test_one_process_builds_one_argument_parser(tmp_path):
+    path = write(tmp_path, "good.mtt", GOOD)
+    src = pathlib.Path(cli.__file__).resolve().parents[1]  # the mtt under test
+    script = (
+        "import argparse, contextlib, io, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(self)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from mtt.cli import main\n"
+        "print(len(built))\n"
+        "for argv in (['check', sys.argv[1]], ['normalize', sys.argv[1]], ['check', sys.argv[1]]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    print(len(built))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    # None at import; the top-level parser and its two sub-parsers on the
+    # first call; none after.
+    assert done.stdout.split() == ["0", "3", "3", "3"]
 
 
 # ---------------------------------------------------------------------------

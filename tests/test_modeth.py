@@ -11,6 +11,7 @@ from mtt.modeth import (
     ModeTheory,
     Modality,
     RewriteDecider,
+    TheoryItemError,
     adjoint,
     canon_word,
     cell_check,
@@ -297,6 +298,15 @@ def test_validate_rejects_bad_presentations():
                 FreeDecider(),
             )
         )
+
+
+def test_validate_rejects_a_scalar_cell_generator():
+    # Two layers of an endo-cell of id(m) each read left of the other, so
+    # left_normal used to swap them forever.
+    scalar = ModeTheory("sc", ("m",), {}, {"s": (id_mod("m"), id_mod("m"))}, FreeDecider())
+    with pytest.raises(TheoryItemError, match="'s' is a scalar") as e:
+        validate(scalar)
+    assert e.value.item == ("cell", "s")
 
 
 def _rewrite_theory(*rules):
