@@ -1,9 +1,9 @@
 """Bidirectional type checking with conversion by normalization.
 
-The checker carries a telescope (``syntax.Telescope``) together with its
-atom environment and the semantic types of its variables; the number of
-types is the telescope's depth, so the checker never recounts it.  A lock
-or extension whose modality lands in the wrong mode is a ``CheckError``.
+The context (``CheckCtx``) keeps what checking a variable needs: its type
+as a value, its annotation, the locks in front of it and its atom.  It keeps
+no syntax, so a binder extends it with the type value it already has.  A
+lock or extension whose modality lands in the wrong mode is a ``CheckError``.
 
 Inference and checking follow the usual bidirectional split: eliminations
 and annotated introductions infer, unannotated introductions (lambdas,
@@ -46,7 +46,7 @@ from .modeth import (
     is_id_cell,
 )
 from . import syntax as S
-from .syntax import Telescope, Term, tele_extend, tele_lock
+from .syntax import Telescope, Term
 from .normal import (
     Nf,
     NfTy,
@@ -100,71 +100,53 @@ class CheckError(Exception):
 
 @dataclass(frozen=True)
 class CheckCtx:
-    """A telescope paired with its atoms and semantic variable types.
-
-    ``types`` is parallel to the telescope's variable entries in telescope
-    order (first entry first), so its length is the telescope's depth;
-    ``env`` is always the atom environment of ``telescope``, extended
-    incrementally instead of rebuilt.  ``slots`` is parallel to ``types``:
-    each variable's position in the telescope's entries and the length of
-    ``locks`` when it was pushed.  ``locks`` is the word of every lock
-    pushed so far, newest first, so the locks after a variable compose to
-    a prefix of it.
-    """
+    """The ambient ``mode`` and, per variable by level (oldest first), its
+    atom in ``env``, its type value in ``types``, and in ``slots`` its
+    annotation and the length of ``locks`` when it was pushed.  ``locks``
+    is every lock pushed so far as one word, newest first, so the locks
+    after a variable compose to a prefix of it."""
 
     mt: ModeTheory
-    telescope: Telescope
+    mode: str
     env: Env
     types: tuple[TypeValue, ...] = ()
-    slots: tuple[tuple[int, int], ...] = ()
+    slots: tuple[tuple[Modality, int], ...] = ()
     locks: Word = ()
 
     @property
-    def mode(self) -> str:
-        return self.telescope.mode
-
-    @property
     def depth(self) -> int:
-        """Number of variable entries, without recounting the telescope."""
         return len(self.types)
 
-    def locate(self, k: int) -> "tuple[int, Modality]":
-        """Variable k's position in the telescope's entries and the composite
-        of the locks after it (``normal.locks_of``), read off by level."""
+    def locate(self, k: int) -> "tuple[Modality, Modality]":
+        """Variable k's annotation and the composite of the locks after it
+        (``normal.locks_of``), read off by level."""
         level = len(self.types) - 1 - k
         if not 0 <= level < len(self.types):
             raise CheckError(f"unbound variable index {k}")
-        pos, seen = self.slots[level]
-        crossed = self.locks[: len(self.locks) - seen]
-        return pos, Modality(self.telescope.mode, self.telescope.entries[pos].mod.mode_tgt, crossed)
+        ann, seen = self.slots[level]
+        return ann, Modality(self.mode, ann.mode_tgt, self.locks[: len(self.locks) - seen])
 
 
 def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
     if mode not in mt.modes:
         raise CheckError(f"unknown mode {mode!r} in mode theory {mt.name!r}")
-    return CheckCtx(mt, Telescope(mode, ()), Env((), sig))
+    return CheckCtx(mt, mode, Env((), sig))
 
 
 def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
-    try:
-        tele = tele_lock(ctx.telescope, mu)
-    except ModeError as e:
-        raise CheckError(str(e)) from None
-    return CheckCtx(ctx.mt, tele, ctx.env, ctx.types, ctx.slots, mu.word + ctx.locks)
+    """Push a lock.  mu : n -> m moves the ambient mode from m to n."""
+    if mu.mode_tgt != ctx.mode:
+        raise CheckError(f"lock {mu} targets {mu.mode_tgt}, telescope is at {ctx.mode}")
+    return CheckCtx(ctx.mt, mu.mode_src, ctx.env, ctx.types, ctx.slots, mu.word + ctx.locks)
 
 
-def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> CheckCtx:
-    """Extend with a variable entry; ``ty_term`` must be ``tyv``'s syntax,
-    well-scoped under the entry's lock (it is stored, never re-checked)."""
-    try:
-        tele = tele_extend(ctx.telescope, mu, ty_term)
-    except ModeError as e:
-        raise CheckError(str(e)) from None
-    atom = reflect(ctx.mt, tyv, NeAbs(ctx.depth, id_cell(mu)))
-    slot = (len(ctx.telescope.entries), len(ctx.locks))
-    return CheckCtx(
-        ctx.mt, tele, env_push(ctx.env, atom), ctx.types + (tyv,), ctx.slots + (slot,), ctx.locks
-    )
+def ctx_extend(ctx: CheckCtx, mu: Modality, tyv: TypeValue) -> CheckCtx:
+    """Push a variable annotated mu whose type ``tyv`` lives behind a mu-lock."""
+    if mu.mode_tgt != ctx.mode:
+        raise CheckError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {ctx.mode}")
+    env = env_push(ctx.env, reflect(ctx.mt, tyv, NeAbs(ctx.depth, id_cell(mu))))
+    slots = ctx.slots + ((mu, len(ctx.locks)),)
+    return CheckCtx(ctx.mt, ctx.mode, env, ctx.types + (tyv,), slots, ctx.locks)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +154,7 @@ def ctx_extend(ctx: CheckCtx, mu: Modality, ty_term: Term, tyv: TypeValue) -> Ch
 
 
 def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
-    pos, nu = ctx.locate(k)
-    ann = ctx.telescope.entries[pos].mod
+    ann, nu = ctx.locate(k)
     if not cell_check(ctx.mt, alpha):
         raise CheckError(f"ill-formed 2-cell {alpha} on variable {k}")
     if not (eq_mod(ctx.mt, alpha.src, ann) and eq_mod(ctx.mt, alpha.tgt, nu)):
@@ -186,10 +167,15 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
     if isinstance(alpha.expr, CellId) or is_id_cell(ctx.mt, alpha):
         return stored
     # Transport along the key: read back in the entry's prefix, rename
-    # along the key, and evaluate over the prefix's atoms.
-    prefix = Telescope(ann.mode_tgt, ctx.telescope.entries[:pos])
+    # along the key, and evaluate over the prefix's atoms.  At each prefix
+    # variable the key is whiskered by the locks between it and the entry.
+    n, lead = len(ctx.locks), len(nu.word)
+    crossed = tuple(
+        Modality(ann.mode_tgt, a.mode_tgt, ctx.locks[lead : n - seen])
+        for a, seen in reversed(ctx.slots[:level])
+    )
     nf = reify_ty(ctx.mt, level, ann.mode_src, stored)
-    moved = rename_nfty(ctx.mt, RenKey(alpha, prefix), nf, ann.mode_src)
+    moved = rename_nfty(ctx.mt, RenKey(alpha, crossed), nf, ann.mode_src)
     return eval_ty(ctx.mt, Env(ctx.env.vals[:level], ctx.env.sig), decode_nfty(moved))
 
 
@@ -240,10 +226,10 @@ def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
         case S.Pi(mod, dom, cod):
             _require_mode(ctx, mod, "function domain")
             domv = check_type(ctx_lock(ctx, mod), dom)
-            check_type(ctx_extend(ctx, mod, dom, domv), cod)
+            check_type(ctx_extend(ctx, mod, domv), cod)
         case S.Sig(fst, snd):
             fstv = check_type(ctx, fst)
-            check_type(ctx_extend(ctx, id_mod(ctx.mode), fst, fstv), snd)
+            check_type(ctx_extend(ctx, id_mod(ctx.mode), fstv), snd)
         case S.Mod(mod, inner):
             _require_mode(ctx, mod, "modal type")
             check_type(ctx_lock(ctx, mod), inner)
@@ -292,7 +278,7 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
             return TBool()
         case S.If(motive, tcase, fcase, scrut):
             check_tm(ctx, scrut, TBool())
-            check_type(ctx_extend(ctx, id_mod(ctx.mode), S.Bool(), TBool()), motive)
+            check_type(ctx_extend(ctx, id_mod(ctx.mode), TBool()), motive)
             mot = Closure(ctx.env, motive)
             check_tm(ctx, tcase, inst_ty(mt, mot, VTrue()))
             check_tm(ctx, fcase, inst_ty(mt, mot, VFalse()))
@@ -313,13 +299,9 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
                     f"modal scrutinee mismatch: expected a value of Mod {nu}, "
                     f"got {_show_ty(ctx_lock(ctx, mu), ts)}"
                 )
-            inner = ts.inner
-            inner_term = decode_nfty(reify_ty(mt, ctx.depth, nu.mode_src, inner))
-            check_type(
-                ctx_extend(ctx, mu, S.Mod(nu, inner_term), TMod(nu, inner)), motive
-            )
+            check_type(ctx_extend(ctx, mu, TMod(nu, ts.inner)), motive)
             mot = Closure(ctx.env, motive)
-            ext = ctx_extend(ctx, compose_mod(mu, nu), inner_term, inner)
+            ext = ctx_extend(ctx, compose_mod(mu, nu), ts.inner)
             check_tm(ext, branch, inst_ty(mt, mot, VMod(ModBoxed(ext.env.vals[-1]))))
             return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
         case S.DecIso(body):
@@ -335,16 +317,12 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
             _require_mode(ctx, mod, "function-code domain")
             check_tm(ctx_lock(ctx, mod), dom, TUni())
             dom_code = code_of(eval_tm(mt, ctx.env, dom))
-            check_tm(ctx_extend(ctx, mod, S.Dec(dom), TDec(dom_code)), cod, TUni())
+            check_tm(ctx_extend(ctx, mod, TDec(dom_code)), cod, TUni())
             return TUni()
         case S.SigCode(fst, snd):
             check_tm(ctx, fst, TUni())
             fst_code = code_of(eval_tm(mt, ctx.env, fst))
-            check_tm(
-                ctx_extend(ctx, id_mod(ctx.mode), S.Dec(fst), TDec(fst_code)),
-                snd,
-                TUni(),
-            )
+            check_tm(ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code)), snd, TUni())
             return TUni()
         case S.BoolCode():
             return TUni()
@@ -368,8 +346,7 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
     mt = ctx.mt
     match t, ty:
         case S.Lam(body), TPi(mod, dom, cod):
-            dom_term = decode_nfty(reify_ty(mt, ctx.depth, mod.mode_src, dom))
-            ext = ctx_extend(ctx, mod, dom_term, dom)
+            ext = ctx_extend(ctx, mod, dom)
             check_tm(ext, body, inst_ty(mt, cod, ext.env.vals[-1]))
         case S.Lam(_), _:
             raise CheckError(f"function literal at non-function type {_show_ty(ctx, ty)}")
@@ -467,7 +444,7 @@ def check_program(mt: ModeTheory, decls) -> Report:
                 raise CheckError(f"duplicate definition {name!r}")
             ctx = empty_ctx(mt, mode, sig)
             for part in (ty, body):
-                if not S.scope_check(ctx.telescope, part):
+                if not S.scope_check(Telescope(mode), part):
                     raise CheckError(f"declaration {name!r} has an out-of-scope variable")
             tyv = check_type(ctx, ty)
             check_tm(ctx, body, tyv)

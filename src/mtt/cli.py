@@ -693,10 +693,15 @@ def _load(path: str, override_name: "str | None"):
         )
         return None
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
             text = f.read()
     except OSError as e:
         print(f"{path}: {e.strerror or e}", file=sys.stderr)
+        return None
+    bad = re.search("[\udc80-\udcff]", text)  # a byte that did not decode
+    if bad:
+        before = text[: bad.start()].split("\n")
+        print(f"{path}:{len(before)}:{len(before[-1]) + 1}: not UTF-8 text", file=sys.stderr)
         return None
     override = SHIPPED[override_name]() if override_name else None
     try:

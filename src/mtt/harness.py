@@ -339,13 +339,11 @@ class _Gen:
             mod = self._modality(ctx.mode)
             dom = self.type_term(ctx_lock(ctx, mod), size // 2)
             domv = check_type(ctx_lock(ctx, mod), dom)
-            cod = self.type_term(ctx_extend(ctx, mod, dom, domv), size // 2)
+            cod = self.type_term(ctx_extend(ctx, mod, domv), size // 2)
             return S.Pi(mod, dom, cod)
         fst = self.type_term(ctx, size // 2)
         fstv = check_type(ctx, fst)
-        snd = self.type_term(
-            ctx_extend(ctx, id_mod(ctx.mode), fst, fstv), size // 2
-        )
+        snd = self.type_term(ctx_extend(ctx, id_mod(ctx.mode), fstv), size // 2)
         return S.Sig(fst, snd)
 
     def code(self, ctx: CheckCtx, size: int) -> Term:
@@ -362,11 +360,11 @@ class _Gen:
             mod = self._modality(ctx.mode)
             dom = self.code(ctx_lock(ctx, mod), size // 2)
             dom_code = code_of(eval_tm(self.mt, ctx.env, dom))
-            ctx2 = ctx_extend(ctx, mod, S.Dec(dom), TDec(dom_code))
+            ctx2 = ctx_extend(ctx, mod, TDec(dom_code))
             return S.PiCode(mod, dom, self.code(ctx2, size // 2))
         fst = self.code(ctx, size // 2)
         fst_code = code_of(eval_tm(self.mt, ctx.env, fst))
-        ctx2 = ctx_extend(ctx, id_mod(ctx.mode), S.Dec(fst), TDec(fst_code))
+        ctx2 = ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code))
         return S.SigCode(fst, self.code(ctx2, size // 2))
 
     # -- terms
@@ -390,8 +388,7 @@ class _Gen:
         mt = self.mt
         match ty:
             case TPi(mod, dom, cod):
-                dom_term = decode_nfty(reify_ty(mt, ctx.depth, mod.mode_src, dom))
-                ctx2 = ctx_extend(ctx, mod, dom_term, dom)
+                ctx2 = ctx_extend(ctx, mod, dom)
                 return S.Lam(self.term(ctx2, inst_ty(mt, cod, ctx2.env.vals[-1]), size - 1))
             case TSig(fst, snd):
                 a = self.term(ctx, fst, size // 2)
@@ -418,8 +415,7 @@ class _Gen:
         mt = self.mt
         out = []
         for k in range(len(ctx.types)):
-            pos, nu = ctx.locate(k)
-            ann = ctx.telescope.entries[pos].mod
+            ann, nu = ctx.locate(k)
             if eq_mod(mt, ann, nu):
                 out.append((k, id_cell(ann)))
             for name, (src, tgt) in mt.cell_gens.items():
@@ -500,11 +496,8 @@ class _Gen:
                     fc = self.term(ctx, ty, budget // 2)
                     head, head_ty = S.If(motive, tc, fc, head), ty
                 case TMod(nu, inner):
-                    d = ctx.depth
                     motive = self._weaken_ty(ctx, ty)
-                    inner_term = decode_nfty(reify_ty(mt, d, nu.mode_src, inner))
-                    comp = compose_mod(id_mod(ctx.mode), nu)
-                    ctx2 = ctx_extend(ctx, comp, inner_term, inner)
+                    ctx2 = ctx_extend(ctx, compose_mod(id_mod(ctx.mode), nu), inner)
                     branch = self.term(ctx2, ty, budget // 2)
                     head = S.LetMod(id_mod(ctx.mode), nu, motive, head, branch)
                     head_ty = ty
@@ -524,9 +517,7 @@ class _Gen:
         nu = self._modality(ctx.mode)
         scrut = S.MkBox(nu, self.term(ctx_lock(ctx, nu), TBool(), size // 3))
         motive = self._weaken_ty(ctx, ty)
-        inner_term = S.Bool()
-        comp = compose_mod(id_mod(ctx.mode), nu)
-        ctx2 = ctx_extend(ctx, comp, inner_term, TBool())
+        ctx2 = ctx_extend(ctx, compose_mod(id_mod(ctx.mode), nu), TBool())
         branch = self.term(ctx2, ty, size // 2)
         return S.LetMod(id_mod(ctx.mode), nu, motive, scrut, branch)
 
@@ -569,8 +560,7 @@ def gen_distinct_pair(
             case TBool():
                 return S.True_(), S.False_()
             case TPi(mod, dom, cod):
-                dom_term = decode_nfty(reify_ty(mt, ctx.depth, mod.mode_src, dom))
-                ctx2 = ctx_extend(ctx, mod, dom_term, dom)
+                ctx2 = ctx_extend(ctx, mod, dom)
                 a, b = go(ctx2, inst_ty(mt, cod, ctx2.env.vals[-1]))
                 return S.Lam(a), S.Lam(b)
             case TSig(fst, snd):
@@ -762,7 +752,7 @@ def ctx_for(mt: ModeTheory, rng: random.Random) -> CheckCtx:
     pick = _Gen(mt, rng, {})._modality
     for _ in range(rng.randrange(4)):
         mu = pick(ctx.mode)
-        ctx = ctx_lock(ctx, mu) if rng.random() < 0.5 else ctx_extend(ctx, mu, S.Bool(), TBool())
+        ctx = ctx_lock(ctx, mu) if rng.random() < 0.5 else ctx_extend(ctx, mu, TBool())
     return ctx
 
 
@@ -859,7 +849,7 @@ def ctx_of_telescope(mt: ModeTheory, tele: Telescope) -> CheckCtx:
         if isinstance(e, S.ELock):
             ctx = ctx_lock(ctx, e.mod)
         else:
-            ctx = ctx_extend(ctx, e.mod, e.ty, check_type(ctx_lock(ctx, e.mod), e.ty))
+            ctx = ctx_extend(ctx, e.mod, check_type(ctx_lock(ctx, e.mod), e.ty))
     return ctx
 
 

@@ -10,8 +10,8 @@ modalities and of 2-cells.  Three decider kinds exist:
 - ``RewriteDecider``: a confluent word rewrite system supplied by the
   presenter normalizes 1-cells; 2-cells compare as in the free case with
   whisker words normalized piecewise.  ``validate`` makes every rule shrink
-  its word in shortlex order, so rewriting terminates; confluence is the
-  presenter's promise and is not checked.
+  its word in shortlex order, so rewriting terminates, and every critical
+  pair of the rules joins, so it is confluent.
 - ``TableDecider``: for theories with finitely many cells.  Every whiskered
   generator layer is looked up in an explicit table and vertical composites
   are folded through a composition table.
@@ -410,8 +410,8 @@ class FreeDecider:
 
 @dataclass(frozen=True, eq=False)
 class RewriteDecider:
-    """Word rules (lhs -> rhs), each shrinking in shortlex order (checked by
-    ``validate``) and declared confluent (not checked)."""
+    """Word rules (lhs -> rhs), each shrinking in shortlex order and together
+    confluent; ``validate`` checks both, the latter on the critical pairs."""
 
     word_rules: tuple[tuple[Word, Word], ...]
 
@@ -469,7 +469,8 @@ def validate(mt: ModeTheory) -> ModeTheory:
                 raise ModeError(f"cell generator {c!r} is not between parallel modalities")
             if not src.word and not tgt.word:  # see ``left_normal``
                 raise ModeError(f"cell generator {c!r} is a scalar: both its words are empty")
-    for i, (lhs, rhs) in enumerate(getattr(mt.decider, "word_rules", ())):
+    rules = getattr(mt.decider, "word_rules", ())
+    for i, (lhs, rhs) in enumerate(rules):
         with _blame(("rule", i)):
             start = check_word_any(mt, lhs)
             end = check_word(mt, lhs, start)
@@ -484,7 +485,31 @@ def validate(mt: ModeTheory) -> ModeTheory:
                     "shorter, or as long and smaller in name order from the first-applied "
                     "generator on"
                 )
+    # Terminating rules are confluent iff each critical pair joins: where two
+    # left sides overlap, either rewrite reaches one normal form (Newman; Knuth-Bendix).
+    for j, (lj, rj) in enumerate(rules):
+        for li, ri in rules[: j + 1]:
+            for w, a, b in (*_critical_pairs(li, ri, lj, rj), *_critical_pairs(lj, rj, li, ri)):
+                a, b = canon_word(mt, a), canon_word(mt, b)
+                if a != b:
+                    start = check_word_any(mt, w)
+                    end = check_word(mt, w, start)
+                    w, a, b = (Modality(start, end, v) for v in (w, a, b))
+                    raise TheoryItemError(
+                        f"word rules are not confluent: {w} rewrites to the normal forms "
+                        f"{a} and {b}",
+                        ("rule", j),
+                    )
     return mt
+
+
+def _critical_pairs(l1: Word, r1: Word, l2: Word, r2: Word):
+    """Each word in which left side ``l2`` starts inside ``l1``, with the two
+    words that rewriting it by each rule gives."""
+    for k in range(len(l1)):
+        if l1[k : k + len(l2)] == l2[: len(l1) - k]:
+            w = l1[:k] + l2 + l1[k + len(l2) :]
+            yield w, r1 + w[len(l1) :], w[:k] + r2 + w[k + len(l2) :]
 
 
 def check_word_any(mt: ModeTheory, word: Word) -> str:

@@ -288,10 +288,10 @@ class RenLock(Renaming):
 @dataclass(frozen=True)
 class RenKey(Renaming):
     """A key: for cell : nu => mu, maps the mu-locked telescope to the
-    nu-locked one.  Carries the unlocked telescope for its lock composites."""
+    nu-locked one.  ``locks[k]`` is the unlocked one's ``locks_of`` at k."""
 
     cell: Cell2
-    tele: Telescope
+    locks: tuple[Modality, ...]
 
 
 @dataclass(frozen=True)
@@ -329,11 +329,10 @@ def _act_var(
         case RenComp(r1, r2):
             after = r2 if lock is None else RenLock(lock, r2)
             return rename_ne(mt, after, _act_var(mt, r1, k, cell, mode, lock), mode)
-        case RenKey(beta, tele):
+        case RenKey(beta, locks):
             if lock is not None:
                 beta = whisker_right(beta, lock)
-            lk = locks_of(tele, k)
-            return NeVar(k, vcomp(whisker_left(lk, beta), cell, mt))
+            return NeVar(k, vcomp(whisker_left(locks[k], beta), cell, mt))
         case RenExt(inner, payload, plocks):
             if k == 0:
                 return NeVar(payload.idx, vcomp(whisker_left(plocks, cell), payload.cell, mt))

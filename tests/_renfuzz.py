@@ -62,6 +62,12 @@ def rand_cell(rng: Random, i: int, j: int):
     return c
 
 
+def key_locks(tele: Telescope) -> tuple[Modality, ...]:
+    """The lock composites a key over ``tele`` carries: ``locks_of`` at
+    each variable, by index."""
+    return tuple(locks_of(tele, k) for k in range(depth(tele)))
+
+
 def _usable(tele: Telescope, extra: int) -> list[int]:
     out = []
     for k in range(depth(tele)):
@@ -127,7 +133,7 @@ def key_instance(rng: Random):
     j = rng.randint(i, i + 2)
     beta = rand_cell(rng, i, j)  # l^i => l^j : maps t.lock(l^j) -> t.lock(l^i)
     k, a = rand_var(rng, t, extra=i)
-    got = rename_ne(P, RenKey(beta, t), NeVar(k, a), "m")
+    got = rename_ne(P, RenKey(beta, key_locks(t)), NeVar(k, a), "m")
     want = NeVar(k, vcomp(whisker_left(locks_of(t, k), beta), a, P))
     assert isinstance(got, NeVar) and var_ok(t, j, got)
     return got, want
@@ -172,8 +178,8 @@ def comp_instance(rng: Random):
         i = rng.randint(0, 2)
         j = rng.randint(i, i + 2)
         h = rng.randint(j, j + 2)
-        r = RenKey(rand_cell(rng, i, j), t)
-        s = RenKey(rand_cell(rng, j, h), t)
+        r = RenKey(rand_cell(rng, i, j), key_locks(t))
+        s = RenKey(rand_cell(rng, j, h), key_locks(t))
         k, a = rand_var(rng, t, extra=i)
     x = NeVar(k, a)
     return (
@@ -193,8 +199,8 @@ def lock_funct_instance(rng: Random):
         i = rng.randint(0, 2)
         j = rng.randint(i, i + 2)
         h = rng.randint(j, j + 2)
-        r = RenKey(rand_cell(rng, i, j), t)
-        s = RenKey(rand_cell(rng, j, h), t)
+        r = RenKey(rand_cell(rng, i, j), key_locks(t))
+        s = RenKey(rand_cell(rng, j, h), key_locks(t))
         k, a = rand_var(rng, t, extra=i + len(kap.word))
     x = NeVar(k, a)
     return (
@@ -212,7 +218,7 @@ def lock_collapse_instance(rng: Random):
     else:
         i = rng.randint(0, 2)
         j = rng.randint(i, i + 2)
-        r = RenKey(rand_cell(rng, i, j), t)
+        r = RenKey(rand_cell(rng, i, j), key_locks(t))
         k, a = rand_var(rng, t, extra=i + e1 + e2)
     x = NeVar(k, a)
     return (
@@ -231,8 +237,8 @@ def key_vcomp_instance(rng: Random):
     k, a = rand_var(rng, t, extra=i)
     x = NeVar(k, a)
     return (
-        rename_ne(P, RenComp(RenKey(gamma, t), RenKey(beta, t)), x, "m"),
-        rename_ne(P, RenKey(vcomp(beta, gamma, P), t), x, "m"),
+        rename_ne(P, RenComp(RenKey(gamma, key_locks(t)), RenKey(beta, key_locks(t))), x, "m"),
+        rename_ne(P, RenKey(vcomp(beta, gamma, P), key_locks(t)), x, "m"),
     )
 
 
@@ -242,7 +248,7 @@ def key_id_instance(rng: Random):
     k, a = rand_var(rng, t, extra=j)
     x = NeVar(k, a)
     return (
-        rename_ne(P, RenKey(id_cell(lpow(j)), t), x, "m"),
+        rename_ne(P, RenKey(id_cell(lpow(j)), key_locks(t)), x, "m"),
         rename_ne(P, RenId(), x, "m"),
     )
 

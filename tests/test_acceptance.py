@@ -115,7 +115,7 @@ def _run_stability() -> dict:
             exhausted += 1
             continue
         check_tm(ctx, tm, tyv)
-        tele = ctx.telescope
+        tele = Telescope(ctx.mode)
         nf = normalize(mt, tele, ty, tm)
         again = normalize(mt, tele, ty, decode_nf(nf))
         assert eq_nf(mt, nf, again), f"round trip moved, seed {cfg.seed}"
@@ -182,7 +182,7 @@ def _run_pair_discrimination() -> dict:
         va = eval_tm(mti, ctx.env, a)
         vb = eval_tm(mti, ctx.env, b)
         assert not convert_tm(ctx, tyv, va, vb), f"seed {cfg.seed} converted"
-        tele = ctx.telescope
+        tele = Telescope(ctx.mode)
         nfty = normalize_ty(mti, tele, ty)
         outputs.append((mti, normalize(mti, tele, ty, a), nfty))
         outputs.append((mti, normalize(mti, tele, ty, b), nfty))
@@ -413,7 +413,7 @@ def test_criterion_6_function_type_injectivity(criterion):
             distinct += a != b
             assert eq_mod(mt, tva.mod, tvb.mod)
             assert convert_ty(ctx_lock(ctx, tva.mod), tva.dom, tvb.dom)
-            inner = ctx_extend(ctx, tva.mod, a.dom, tva.dom)
+            inner = ctx_extend(ctx, tva.mod, tva.dom)
             fresh = inner.env.vals[-1]
             assert convert_ty(
                 inner,
@@ -451,20 +451,20 @@ def test_criterion_7_universe_separation(criterion):
             checks += 2
 
         # an uncoerced use is rejected, the coerced one is accepted
-        dctx = ctx_extend(ctx, IDM, S.Dec(bc), check_type(ctx, S.Dec(bc)))
+        dctx = ctx_extend(ctx, IDM, check_type(ctx, S.Dec(bc)))
         v = S.Var(0, id_cell(IDM))
         with pytest.raises(CheckError):
             check_tm(dctx, v, TBool())
         check_tm(dctx, S.DecIso(v), TBool())
         checks += 2
 
-        bctx = ctx_extend(ctx, IDM, S.Bool(), TBool())
+        bctx = ctx_extend(ctx, IDM, TBool())
         check_tm(bctx, S.DecIsoInv(S.Var(0, id_cell(IDM))), check_type(bctx, S.Dec(bc)))
         checks += 1
 
         # transport through a function code, coercing at both ends
         fn_code_ty = S.Dec(S.PiCode(IDM, bc, bc))
-        fctx = ctx_extend(ctx, IDM, fn_code_ty, check_type(ctx, fn_code_ty))
+        fctx = ctx_extend(ctx, IDM, check_type(ctx, fn_code_ty))
         call = S.App(S.DecIso(S.Var(0, id_cell(IDM))), S.DecIsoInv(S.True_()))
         check_tm(fctx, call, check_type(fctx, S.Dec(bc)))
         checks += 1

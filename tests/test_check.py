@@ -5,11 +5,14 @@ cases pin both the rejection and the error wording that the surface
 diagnostics rely on.
 """
 
+import pathlib
 from random import Random
 
 import pytest
 
+from mtt import check
 from mtt import syntax as S
+from mtt.cli import parse_file
 from mtt.check import (
     CheckCtx,
     CheckError,
@@ -83,6 +86,8 @@ from mtt.normal import (
 )
 from mtt.syntax import Telescope
 
+import _renfuzz as RF
+
 T = trivial()
 W = walking()
 P = pointed()
@@ -102,12 +107,12 @@ def var(k, mod=IDM):
 
 
 def test_lookup_under_matching_lock():
-    ctx = ctx_lock(ctx_extend(empty_ctx(W, "m"), MU, S.Bool(), TBool()), MU)
+    ctx = ctx_lock(ctx_extend(empty_ctx(W, "m"), MU, TBool()), MU)
     assert lookup_var(ctx, 0, id_cell(MU)) == TBool()
 
 
 def test_lookup_without_cell_is_rejected():
-    ctx = ctx_extend(empty_ctx(W, "m"), MU, S.Bool(), TBool())
+    ctx = ctx_extend(empty_ctx(W, "m"), MU, TBool())
     with pytest.raises(CheckError, match="variable not accessible"):
         lookup_var(ctx, 0, id_cell(MU))
     try:
@@ -121,11 +126,11 @@ def test_lock_or_extension_at_the_wrong_mode_is_a_check_error():
     with pytest.raises(CheckError, match="targets m, telescope is at n"):
         ctx_lock(ctx, MU)
     with pytest.raises(CheckError, match="targets m, telescope is at n"):
-        ctx_extend(ctx, MU, S.Bool(), TBool())
+        ctx_extend(ctx, MU, TBool())
 
 
 def test_lookup_trivial_theory_always_accessible():
-    ctx = ctx_extend(empty_ctx(T, "m"), IDM, S.Bool(), TBool())
+    ctx = ctx_extend(empty_ctx(T, "m"), IDM, TBool())
     assert lookup_var(ctx, 0, id_cell(IDM)) == TBool()
 
 
@@ -138,9 +143,9 @@ def test_lookup_transports_type_along_key():
     # u : Uni, x : dec u, under a lock for l: accessing x with the point
     # key rewrites u's head cell in x's type from the identity to pt.
     ctx0 = empty_ctx(P, "m")
-    ctx1 = ctx_extend(ctx0, IDM, S.Uni(), check_type(ctx0, S.Uni()))
+    ctx1 = ctx_extend(ctx0, IDM, check_type(ctx0, S.Uni()))
     x_ty = check_type(ctx_lock(ctx1, IDM), S.Dec(var(0)))
-    ctx2 = ctx_extend(ctx1, IDM, S.Dec(var(0)), x_ty)
+    ctx2 = ctx_extend(ctx1, IDM, x_ty)
     ctx3 = ctx_lock(ctx2, L)
     moved = lookup_var(ctx3, 0, PT)
     got = reify_ty(P, ctx3.depth, ctx3.mode, moved)
@@ -151,7 +156,9 @@ def test_lookup_transports_type_along_key():
 # type back in the entry's prefix, renames it along the key alone and
 # evaluates it over the prefix's atoms.  The reference below does it the long
 # way: it renames along the key followed by the embedding that forgets the
-# telescope suffix, and evaluates over the whole environment.
+# telescope suffix, and evaluates over the whole environment.  Each random
+# context is built together with the telescope it presents, so the
+# references read annotations and locks by scanning that telescope.
 
 
 def _drop_tail(entries: tuple) -> Renaming:
@@ -164,14 +171,14 @@ def _drop_tail(entries: tuple) -> Renaming:
     return RenComp(inner, RenWeaken())
 
 
-def transport_past_the_suffix(ctx, k, alpha):
+def transport_past_the_suffix(ctx, tele, k, alpha):
     level = ctx.depth - 1 - k
-    entries = ctx.telescope.entries
+    entries = tele.entries
     pos = [i for i, e in enumerate(entries) if isinstance(e, S.EVar)][level]
     ann = entries[pos].mod
     nf = reify_ty(ctx.mt, level, ann.mode_src, ctx.types[level])
     prefix = Telescope(ann.mode_tgt, entries[:pos])
-    r = RenComp(RenKey(alpha, prefix), _drop_tail(entries[pos:]))
+    r = RenComp(RenKey(alpha, RF.key_locks(prefix)), _drop_tail(entries[pos:]))
     moved = rename_nfty(ctx.mt, r, nf, ann.mode_src)
     return eval_ty(ctx.mt, ctx.env, decode_nfty(moved))
 
@@ -219,56 +226,71 @@ def _keys(mt):
     return [c for c in layers + pairs if not is_id_cell(mt, c)]
 
 
-def _access(ctx, keys, k):
+def _empty(mt, mode):
+    return empty_ctx(mt, mode), Telescope(mode)
+
+
+def _lock(at, mu):
+    ctx, tele = at
+    return ctx_lock(ctx, mu), S.tele_lock(tele, mu)
+
+
+def _extend(at, mu, ty):
+    """Push a variable of type ``ty``, checked behind a mu-lock."""
+    ctx, tele = at
+    return ctx_extend(ctx, mu, check_type(ctx_lock(ctx, mu), ty)), S.tele_extend(tele, mu, ty)
+
+
+def _access(at, keys, k):
     """The keys that reach variable k from here: its identity cell, if the
     locks in front of it allow one, and every matching key."""
-    ann = tele_entry(ctx.telescope, k).mod
-    nu = locks_of(ctx.telescope, k)
+    ctx, tele = at
+    ann = tele_entry(tele, k).mod
+    nu = locks_of(tele, k)
     ident = [id_cell(ann)] if eq_mod(ctx.mt, ann, nu) else []
     return ident + [c for c in keys if eq_mod(ctx.mt, c.src, ann) and eq_mod(ctx.mt, c.tgt, nu)]
 
 
-def _dec_of_a_code(ctx, keys, rng):
+def _dec_of_a_code(at, keys, rng):
     """``dec x`` for a random accessible variable x : Uni, or None."""
+    ctx = at[0]
     options = [
         (k, cell)
         for k in range(ctx.depth)
         if isinstance(ctx.types[ctx.depth - 1 - k], TUni)
-        for cell in _access(ctx, keys, k)
+        for cell in _access(at, keys, k)
     ]
     if not options:
         return None
     return S.Dec(S.Var(*rng.choice(options)))
 
 
-def _random_entry(ctx, keys, rng):
+def _random_entry(here, keys, rng):
     """Extend by a lock, a Uni variable, or a variable whose type decodes
     accessible codes, bare or under a Pi, Sig or Mod."""
-    mu = rng.choice(_words(ctx.mt, ctx.mode, 2))
+    mode = here[0].mode
+    mu = rng.choice(_words(here[0].mt, mode, 2))
     roll = rng.random()
     if roll < 0.25:
-        return ctx_lock(ctx, mu)
+        return _lock(here, mu)
     if roll < 0.45:
-        return ctx_extend(ctx, mu, S.Uni(), TUni())
-    at = ctx_lock(ctx, mu)
-    nu = rng.choice(_words(ctx.mt, at.mode, 1))
+        return _extend(here, mu, S.Uni())
+    at = _lock(here, mu)
+    nu = rng.choice(_words(here[0].mt, at[0].mode, 1))
     shape = rng.choice(["bare", "pi", "sig", "mod"])
     if shape == "bare":
         ty = _dec_of_a_code(at, keys, rng)
     elif shape == "pi":
-        cod = _dec_of_a_code(ctx_extend(at, nu, S.Bool(), TBool()), keys, rng)
+        cod = _dec_of_a_code(_extend(at, nu, S.Bool()), keys, rng)
         ty = cod and S.Pi(nu, S.Bool(), cod)
     elif shape == "mod":
-        inner = _dec_of_a_code(ctx_lock(at, nu), keys, rng)
+        inner = _dec_of_a_code(_lock(at, nu), keys, rng)
         ty = inner and S.Mod(nu, inner)
     else:
         fst = _dec_of_a_code(at, keys, rng)
-        idm = id_mod(at.mode)
-        snd = fst and _dec_of_a_code(ctx_extend(at, idm, fst, check_type(at, fst)), keys, rng)
+        snd = fst and _dec_of_a_code(_extend(at, id_mod(at[0].mode), fst), keys, rng)
         ty = snd and S.Sig(fst, snd)
-    if ty is None:
-        return ctx_extend(ctx, mu, S.Uni(), TUni())
-    return ctx_extend(ctx, mu, ty, check_type(at, ty))
+    return _extend(here, mu, S.Uni() if ty is None else ty)
 
 
 @pytest.mark.parametrize(
@@ -280,15 +302,16 @@ def test_key_transport_matches_the_renaming_past_the_suffix(theory):
     rng = Random(f"transport-{mt.name}")
     lookups = changed = 0
     for _ in range(40):
-        ctx = empty_ctx(mt, rng.choice(sorted(mt.modes)))
+        here = _empty(mt, rng.choice(sorted(mt.modes)))
         for _ in range(7):
-            ctx = _random_entry(ctx, keys, rng)
+            here = _random_entry(here, keys, rng)
+            ctx, tele = here
             for k in range(ctx.depth):
-                for alpha in _access(ctx, keys, k):
+                for alpha in _access(here, keys, k):
                     if is_id_cell(mt, alpha):
                         continue
                     got = reify_ty(mt, ctx.depth, ctx.mode, lookup_var(ctx, k, alpha))
-                    ref = transport_past_the_suffix(ctx, k, alpha)
+                    ref = transport_past_the_suffix(ctx, tele, k, alpha)
                     assert eq_nfty(mt, got, reify_ty(mt, ctx.depth, ctx.mode, ref))
                     stored = ctx.types[ctx.depth - 1 - k]
                     lookups += 1
@@ -303,17 +326,32 @@ def test_context_locates_variables_as_the_telescope_scan_does(theory):
     rng = Random(f"locate-{mt.name}")
     seen = 0
     for _ in range(30):
-        ctx = empty_ctx(mt, rng.choice(sorted(mt.modes)))
+        here = _empty(mt, rng.choice(sorted(mt.modes)))
         for _ in range(8):
-            ctx = _random_entry(ctx, keys, rng)
+            here = _random_entry(here, keys, rng)
+            ctx, tele = here
+            assert ctx.mode == tele.mode
             for k in range(ctx.depth):
-                pos, nu = ctx.locate(k)
-                assert ctx.telescope.entries[pos] == tele_entry(ctx.telescope, k)
-                assert nu == locks_of(ctx.telescope, k)
+                ann, nu = ctx.locate(k)
+                assert ann == tele_entry(tele, k).mod
+                assert nu == locks_of(tele, k)
                 seen += len(nu.word) > 1
     assert seen > 20  # variables behind composite locks were met
     with pytest.raises(CheckError):
         ctx.locate(ctx.depth)
+
+
+def test_binders_extend_the_context_without_reading_types_back(monkeypatch):
+    # The context keeps types as values only, so a lambda extends it with its
+    # domain as it stands; only a keyed variable's transport decodes a type.
+    calls = []
+    decode = check.decode_nfty
+    monkeypatch.setattr(check, "decode_nfty", lambda t: calls.append(t) or decode(t))
+    path = pathlib.Path(__file__).parent / "corpus" / "trivial_functions.mtt"
+    mt, decls = parse_file(path.read_text(encoding="utf-8"))
+    report = check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
+    assert report.ok and len(report.results) == 5
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +367,8 @@ def test_check_lam_against_function_type():
 def test_infer_application_with_modal_argument():
     ctx0 = empty_ctx(W, "m")
     f_ty = check_type(ctx0, S.Pi(MU, S.Bool(), S.Bool()))
-    ctx = ctx_extend(ctx0, IDM, S.Pi(MU, S.Bool(), S.Bool()), f_ty)
-    ctx = ctx_extend(ctx, MU, S.Bool(), TBool())
+    ctx = ctx_extend(ctx0, IDM, f_ty)
+    ctx = ctx_extend(ctx, MU, TBool())
     got = infer(ctx, S.App(var(1), S.Var(0, id_cell(MU))))
     assert got == TBool()
 
@@ -385,7 +423,7 @@ def test_letmod_wrong_eliminated_modality():
 def test_dependent_if_motive_through_universe():
     # b : Bool |- if [u. Uni] b BoolC (SigC BoolC BoolC)  decodes to a type
     # that is Bool on true and Bool * Bool on false.
-    ctx = ctx_extend(empty_ctx(T, "m"), IDM, S.Bool(), TBool())
+    ctx = ctx_extend(empty_ctx(T, "m"), IDM, TBool())
     motive = S.Dec(S.If(S.Uni(), S.BoolCode(), S.SigCode(S.BoolCode(), S.BoolCode()), var(0)))
     tm = S.If(
         motive,
@@ -435,9 +473,9 @@ def test_convert_ty_separates_decoded_bool_from_bool():
 
 def test_deciso_on_neutral_code_is_rejected():
     ctx0 = empty_ctx(T, "m")
-    ctx = ctx_extend(ctx0, IDM, S.Uni(), TUni())
+    ctx = ctx_extend(ctx0, IDM, TUni())
     u_ty = check_type(ctx_lock(ctx, IDM), S.Dec(var(0)))
-    ctx = ctx_extend(ctx, IDM, S.Dec(var(0)), u_ty)
+    ctx = ctx_extend(ctx, IDM, u_ty)
     with pytest.raises(CheckError, match="neutral code"):
         infer(ctx, S.DecIso(var(0)))
 

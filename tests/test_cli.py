@@ -261,7 +261,10 @@ def test_definition_used_at_wrong_mode_is_rejected():
 
 def write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -513,7 +516,7 @@ def test_closed_stdout_keeps_the_exit_status_and_diagnostics(tmp_path, bad, stat
 
 
 def run_mtt(
-    tmp_path, text: str, cmd: str = "check", *args: str, timeout: float = 60
+    tmp_path, text: "str | bytes", cmd: str = "check", *args: str, timeout: float = 60
 ) -> "subprocess.CompletedProcess[str]":
     """``mtt CMD FILE ARGS`` on ``text`` in a fresh interpreter, killed
     after ``timeout`` seconds."""
@@ -528,6 +531,15 @@ def run_mtt(
     )
 
 
+def test_text_that_is_not_utf8_is_a_located_error(tmp_path):
+    # Line 3 (after a CRLF and a lone CR), after one two-byte character.
+    text = "def t @m : Bool := true\r\n-- caf\u00e9\r-- \u00e9".encode() + b"\xff\n"
+    done = run_mtt(tmp_path, text)
+    assert done.returncode == 2
+    assert done.stderr.endswith("run.mtt:3:5: not UTF-8 text\n"), done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 @pytest.mark.parametrize("rule", ["c ~> c.c", "c ~> c"], ids=["grows", "stays"])
 def test_rewrite_rule_that_does_not_shrink_is_rejected(tmp_path, rule):
     # Both rules used to loop in canon_word at the first modal declaration.
@@ -540,6 +552,24 @@ def test_rewrite_rule_that_does_not_shrink_is_rejected(tmp_path, rule):
     col = text.index("rule") + 1  # reported at the rule, not at the theory keyword
     assert f"run.mtt:1:{col}: ill-formed mode theory: word rule {rule} " in done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def test_rewrite_rules_that_are_not_confluent_are_rejected_at_the_later_rule(tmp_path, capsys):
+    # Both words equal w.y.x, but each rule reaches a different normal form
+    # from it, so the declaration used to fail to check (exit 1).
+    text = (
+        "theory { modes s; mod x : s -> s; mod y : s -> s; mod z : s -> s;\n"
+        "  mod w : s -> s; mod v : s -> s; rule y.x ~> z; rule w.y ~> v; decider rewrite; }\n"
+        "def k @s : Mod w.z Bool := box v.x true\n"
+    )
+    path = write(tmp_path, "nc.mtt", text)
+    assert main(["check", path]) == 2
+    col = text.split("\n")[1].index("rule w.y") + 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"{path}:2:{col}: ill-formed mode theory: word rules are not confluent: "
+        "w.y.x rewrites to the normal forms w.z and v.x\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -191,7 +191,7 @@ def _extend_uni_var(ctx):
     from mtt.check import ctx_extend
     from mtt.nbe import TUni
 
-    return ctx_extend(ctx, IDM, S.Uni(), TUni())
+    return ctx_extend(ctx, IDM, TUni())
 
 
 def test_distinct_pairs_are_rejected_by_conversion():

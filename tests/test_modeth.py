@@ -332,3 +332,35 @@ def test_validate_accepts_rules_that_shrink_in_shortlex_order():
     mt = validate(_rewrite_theory((("f", "f"), ("f",)), (("g", "f"), ("f", "g"))))
     assert canon_word(mt, ("g", "g", "f", "f")) == ("f", "g", "g")
     validate(adjoint())
+
+
+@pytest.mark.parametrize(
+    "rules, pair, blamed",
+    [
+        # y.x ~> z and w.y ~> v overlap in w.y.x
+        ([("xy", "z"), ("yw", "v")], "w.y.x rewrites to the normal forms w.z and v.x", 1),
+        # x.y.x ~> id overlaps itself in x.y.x.y.x
+        ([("xyx", "")], "x.y.x.y.x rewrites to the normal forms x.y and y.x", 0),
+        # y ~> id sits inside y.x ~> z
+        ([("z", ""), ("xy", "z"), ("y", "")], "y.x rewrites to the normal forms id_s and x", 2),
+    ],
+    ids=["overlap", "self-overlap", "inclusion"],
+)
+def test_validate_rejects_rules_that_are_not_confluent(rules, pair, blamed):
+    # Each overlap rewrites to two distinct normal forms, so conversion would
+    # reject modalities that the rules make equal.
+    gens = {g: ("s", "s") for g in "vwxyz"}
+    decider = RewriteDecider(tuple((tuple(lhs), tuple(rhs)) for lhs, rhs in rules))
+    with pytest.raises(TheoryItemError, match="word rules are not confluent") as e:
+        validate(ModeTheory("nc", ("s",), gens, {}, decider))
+    assert pair in str(e.value)
+    assert e.value.item == ("rule", blamed)
+
+
+def test_validate_accepts_rules_whose_critical_pairs_join():
+    # c.c ~> c overlaps itself in c.c.c, which rewrites to c either way; the
+    # adjoint rule r.l ~> id does not overlap itself.
+    idem = RewriteDecider(((("c", "c"), ("c",)),))
+    mt = validate(ModeTheory("idem", ("s",), {"c": ("s", "s")}, {}, idem))
+    assert canon_word(mt, ("c", "c", "c")) == ("c",)
+    validate(adjoint())

@@ -138,7 +138,7 @@ def test_lock_weaken_bumps_index():
 def test_key_action_composes_cell():
     # theta = (id | Bool); key by pt : id => l maps theta.lock(l) -> theta
     theta = tele_extend(Telescope("m"), IDM, S.Bool())
-    got = rename_ne(P, RenKey(PT, theta), NeVar(0, id_cell(IDM)), "m")
+    got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, id_cell(IDM)), "m")
     assert isinstance(got, NeVar) and got.idx == 0
     assert eq_cell(P, got.cell, PT)
 
@@ -146,7 +146,7 @@ def test_key_action_composes_cell():
 def test_key_action_whiskers_by_inner_locks():
     # theta = (id | Bool).lock(l): the key is whiskered by the existing lock
     theta = tele_lock(tele_extend(Telescope("m"), IDM, S.Bool()), L)
-    got = rename_ne(P, RenKey(PT, theta), NeVar(0, PT), "m")
+    got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, PT), "m")
     assert isinstance(got, NeVar)
     want = vcomp(whisker_left(L, PT), PT, P)
     assert eq_cell(P, got.cell, want)
@@ -184,7 +184,7 @@ def test_lock_functoriality_with_key_hand_computed():
     # Acting on x0 with cell pt in theta0.lock(id).lock(l): the key layer
     # lands inside the composite lock, the weaken bumps the index.
     theta0 = tele_extend(Telescope("m"), IDM, S.Bool())
-    r = RenKey(PT, theta0)
+    r = RenKey(PT, RF.key_locks(theta0))
     s = RenLock(L, RenWeaken())
     r1 = RenComp(RenLock(L, r), RenLock(L, s))
     x = NeVar(0, PT)
@@ -208,8 +208,8 @@ def test_nested_locks_fuse_outer_lock_last():
     ba = compose_mod(a, b)
     t = tele_extend(Telescope("m"), ba, S.Bool())
     x = NeVar(0, id_cell(ba))
-    nested = RenLock(b, RenLock(a, RenKey(pa, t)))
-    assert ren_respects_equations(mt, nested, RenLock(ba, RenKey(pa, t)), x, "m")
+    nested = RenLock(b, RenLock(a, RenKey(pa, RF.key_locks(t))))
+    assert ren_respects_equations(mt, nested, RenLock(ba, RenKey(pa, RF.key_locks(t))), x, "m")
     got = rename_ne(mt, nested, x, "m")
     assert eq_cell(mt, got.cell, vcomp(whisker_right(pa, ba), id_cell(ba), mt))
 
@@ -238,7 +238,7 @@ def test_lift_pushes_key_past_binder():
             )
         ),
     )
-    got = rename_nf(P, RenKey(PT, theta), u, "m")
+    got = rename_nf(P, RenKey(PT, RF.key_locks(theta)), u, "m")
     want = NfLam(
         L,
         NfInj(
@@ -283,7 +283,7 @@ def ren_respects_equations(mt, r1, r2, x, mode) -> bool:
 
 def test_ren_respects_equations_comp_unit():
     theta = tele_extend(Telescope("m"), IDM, S.Bool())
-    r = RenKey(PT, theta)
+    r = RenKey(PT, RF.key_locks(theta))
     x = NeVar(0, id_cell(IDM))
     assert ren_respects_equations(P, RenComp(RenId(), r), r, x, "m")
     assert ren_respects_equations(P, RenComp(r, RenId()), r, x, "m")
@@ -292,7 +292,7 @@ def test_ren_respects_equations_comp_unit():
 def test_key_of_identity_cell_acts_trivially():
     theta = tele_extend(Telescope("m"), IDM, S.Bool())
     x = NeVar(0, PT)
-    assert ren_respects_equations(P, RenKey(id_cell(L), theta), RenId(), x, "m")
+    assert ren_respects_equations(P, RenKey(id_cell(L), RF.key_locks(theta)), RenId(), x, "m")
 
 
 # --- decoding ---------------------------------------------------------------
