@@ -8,6 +8,7 @@ forms with 2-cell equality delegated to the mode theory.
 
 Modules:
 
+- ``record``  -- the immutable record classes the syntaxes are declared with.
 - ``modeth``  -- mode theories: modalities (1-cell words), 2-cells, deciders.
 - ``syntax``  -- core de Bruijn terms, contexts with locks, scope checking.
 - ``normal``  -- telescopes, the renaming calculus, normal/neutral forms.

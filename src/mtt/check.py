@@ -27,10 +27,10 @@ Diagnostics print types with ``normal.surface_nfty``, the printer of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
+from .record import field, record
 from .modeth import (
     Cell2,
     CellId,
@@ -98,7 +98,7 @@ class CheckError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CheckCtx:
     """The ambient ``mode`` and, per variable by level (oldest first), its
     atom in ``env``, its type value in ``types``, and in ``slots`` its
@@ -387,7 +387,7 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
 TOO_DEEP = "nested too deeply"
 
 
-@dataclass(frozen=True)
+@record
 class DeclResult:
     name: str
     mode: str
@@ -403,7 +403,7 @@ class DeclResult:
         return None if self.reify_body is None else self.reify_body()
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     results: tuple[DeclResult, ...]
     signature: Signature = field(repr=False)

@@ -30,10 +30,10 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import NamedTuple
 
+from .record import record
 from . import check as C
 from . import syntax as S
 from .modeth import (
@@ -129,7 +129,7 @@ def tokenize(text: str) -> list[Token]:
 # Parser
 
 
-@dataclass(frozen=True)
+@record
 class Decl:
     name: str
     mode: str
@@ -693,7 +693,8 @@ def _load(path: str, override_name: "str | None"):
         )
         return None
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        # utf-8-sig drops one leading byte-order mark, as some editors write
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
             text = f.read()
     except OSError as e:
         print(f"{path}: {e.strerror or e}", file=sys.stderr)

@@ -27,8 +27,8 @@ import argparse
 import enum
 import random
 import sys
-from dataclasses import dataclass
 
+from .record import record
 from . import syntax as S
 from .syntax import Term
 from .check import (
@@ -97,7 +97,7 @@ DEFAULT_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class GenConfig:
     """Reproducible generation parameters.
 

@@ -22,8 +22,9 @@ Everything here is immutable and pure.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from .record import record
 
 Word = tuple[str, ...]
 
@@ -45,7 +46,7 @@ class TheoryItemError(ModeError):
 # 1-cells
 
 
-@dataclass(frozen=True)
+@record
 class Modality:
     """A 1-cell: a word of generator names in application order.
 
@@ -133,29 +134,29 @@ def eq_mod(mt: "ModeTheory", a: Modality, b: Modality) -> bool:
 # carries the overall boundary and the canonicalizer recomputes the rest.
 
 
-@dataclass(frozen=True)
+@record
 class CellId:
     mod: Modality
 
 
-@dataclass(frozen=True)
+@record
 class CellGen:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class CellVComp:
     later: "CellExpr"
     earlier: "CellExpr"
 
 
-@dataclass(frozen=True)
+@record
 class CellWhiskL:
     mod: Modality
     cell: "CellExpr"
 
 
-@dataclass(frozen=True)
+@record
 class CellWhiskR:
     cell: "CellExpr"
     mod: Modality
@@ -164,7 +165,7 @@ class CellWhiskR:
 CellExpr = Union[CellId, CellGen, CellVComp, CellWhiskL, CellWhiskR]
 
 
-@dataclass(frozen=True)
+@record
 class Cell2:
     """A 2-cell between parallel modalities, as an unevaluated expression."""
 
@@ -239,7 +240,7 @@ def whisker_right(alpha: Cell2, nu: Modality) -> Cell2:
 # Canonical form of 2-cells: application-ordered single-generator layers
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     """One layer: a generator cell whiskered by an inner and an outer word.
 
@@ -402,13 +403,13 @@ def cell_check(mt: "ModeTheory", cell: Cell2) -> bool:
 # Deciders and the theory record
 
 
-@dataclass(frozen=True)
+@record
 class FreeDecider:
     """No relations: words literal, cells by interchange normal form (so no
     scalar cell generators; see ``left_normal``)."""
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RewriteDecider:
     """Word rules (lhs -> rhs), each shrinking in shortlex order and together
     confluent; ``validate`` checks both, the latter on the critical pairs."""
@@ -416,7 +417,7 @@ class RewriteDecider:
     word_rules: tuple[tuple[Word, Word], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TableDecider:
     """Finite enumeration: every layer and composite resolved by lookup.
 
@@ -434,7 +435,7 @@ class TableDecider:
 Decider = Union[FreeDecider, RewriteDecider, TableDecider]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ModeTheory:
     """An immutable presentation plus its equality decider."""
 

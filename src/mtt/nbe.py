@@ -30,9 +30,9 @@ payloads; reify wraps the boundary markers back on, so normal forms at
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from .record import field, record
 from .modeth import (
     Cell2,
     CellId,
@@ -149,7 +149,7 @@ class Body:
         return iter([sig[name].val for name in S.const_names(self._term)])
 
 
-@dataclass(frozen=True)
+@record
 class Definition:
     """A checked declaration: its mode, type value and body value, both
     closed (evaluated in the empty context).  The body is evaluated when
@@ -165,7 +165,7 @@ Signature = Mapping[str, Definition]
 NO_DEFS: Signature = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+@record
 class Env:
     """One value per variable entry, first entry first; locks contribute
     nothing, so a locked context shares its environment.  A prefix of
@@ -181,7 +181,7 @@ def env_push(env: Env, v: "Value | Thunk") -> Env:
     return Env(env.vals + (v,), env.sig)
 
 
-@dataclass(frozen=True)
+@record
 class Closure:
     """A term body binding one variable over a captured environment."""
 
@@ -189,7 +189,7 @@ class Closure:
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class DecClosure:
     """A type closure arising from unfolding a code: instantiating the code
     closure and re-wrapping the result under the decoding type former."""
@@ -197,7 +197,7 @@ class DecClosure:
     code_clo: Closure
 
 
-@dataclass(frozen=True)
+@record
 class NeAbs:
     """Level-indexed neutral: head variable plus eliminator frames."""
 
@@ -209,31 +209,31 @@ class NeAbs:
         return NeAbs(self.level, self.cell, self.frames + (frame,))
 
 
-@dataclass(frozen=True)
+@record
 class FrApp:
     mod: Modality
     arg: Value
     dom: TypeValue
 
 
-@dataclass(frozen=True)
+@record
 class FrProj1:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FrProj2:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FrIf:
     motive: Closure
     tcase: Value
     fcase: Value
 
 
-@dataclass(frozen=True)
+@record
 class FrLetMod:
     mu: Modality
     nu: Modality
@@ -242,64 +242,64 @@ class FrLetMod:
     inner: TypeValue
 
 
-@dataclass(frozen=True)
+@record
 class FrDecIso:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class VLam(Value):
     clo: Closure
 
 
-@dataclass(frozen=True)
+@record
 class VPair(Value):
     fst: Value
     snd: Value
 
 
-@dataclass(frozen=True)
+@record
 class VTrue(Value):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class VFalse(Value):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class VBoolNeutral(Value):
     ne: NeAbs
 
 
-@dataclass(frozen=True)
+@record
 class ModNeutral:
     ne: NeAbs
     inner: TypeValue  # the boxed content's type, needed to reify letmod frames
 
 
-@dataclass(frozen=True)
+@record
 class ModBoxed:
     val: Value
 
 
-@dataclass(frozen=True)
+@record
 class VMod(Value):
     payload: "ModNeutral | ModBoxed"
 
 
-@dataclass(frozen=True)
+@record
 class VCode(Value):
     code: CodeValue
 
 
-@dataclass(frozen=True)
+@record
 class VCodeNeutral(Value):
     ne: NeAbs
 
 
-@dataclass(frozen=True)
+@record
 class VNeutral(Value):
     """Neutral at a type with no eta law driving further expansion
     (functions before application, decoded neutral codes)."""
@@ -308,65 +308,65 @@ class VNeutral(Value):
     ne: NeAbs
 
 
-@dataclass(frozen=True)
+@record
 class TPi(TypeValue):
     mod: Modality
     dom: TypeValue
     cod: "Closure | DecClosure"
 
 
-@dataclass(frozen=True)
+@record
 class TSig(TypeValue):
     fst: TypeValue
     snd: "Closure | DecClosure"
 
 
-@dataclass(frozen=True)
+@record
 class TBool(TypeValue):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TUni(TypeValue):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TMod(TypeValue):
     mod: Modality
     inner: TypeValue
 
 
-@dataclass(frozen=True)
+@record
 class TDec(TypeValue):
     code: CodeValue
 
 
-@dataclass(frozen=True)
+@record
 class CPi(CodeValue):
     mod: Modality
     dom: CodeValue
     cod: Closure
 
 
-@dataclass(frozen=True)
+@record
 class CSig(CodeValue):
     fst: CodeValue
     snd: Closure
 
 
-@dataclass(frozen=True)
+@record
 class CBool(CodeValue):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CMod(CodeValue):
     mod: Modality
     code: CodeValue
 
 
-@dataclass(frozen=True)
+@record
 class CNeutral(CodeValue):
     ne: NeAbs
 

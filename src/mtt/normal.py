@@ -16,8 +16,8 @@ diagnostics both use them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from .record import record
 from .modeth import (
     Cell2,
     Modality,
@@ -102,64 +102,64 @@ class NfTy:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NfBool(NfTy):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NfUni(NfTy):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NfFn(NfTy):
     mod: Modality
     dom: NfTy  # in the mod-locked telescope
     cod: NfTy  # binds 1, annotated mod
 
 
-@dataclass(frozen=True)
+@record
 class NfProd(NfTy):
     fst: NfTy
     snd: NfTy  # binds 1, identity annotation
 
 
-@dataclass(frozen=True)
+@record
 class NfModify(NfTy):
     mod: Modality
     ty: NfTy  # in the mod-locked telescope
 
 
-@dataclass(frozen=True)
+@record
 class NfDec(NfTy):
     code: Nf  # a normal form at the universe
 
 
-@dataclass(frozen=True)
+@record
 class NeVar(Ne):
     idx: int
     cell: Cell2  # annotation of idx  =>  lock composite at the use site
 
 
-@dataclass(frozen=True)
+@record
 class NeApp(Ne):
     fn: Ne
     mod: Modality  # the function type's domain annotation
     arg: Nf  # lives in the mod-locked telescope
 
 
-@dataclass(frozen=True)
+@record
 class NeProj1(Ne):
     pair: Ne
 
 
-@dataclass(frozen=True)
+@record
 class NeProj2(Ne):
     pair: Ne
 
 
-@dataclass(frozen=True)
+@record
 class NeBoolRec(Ne):
     motive: NfTy  # binds 1 (identity-annotated Bool)
     scrut: Ne
@@ -167,7 +167,7 @@ class NeBoolRec(Ne):
     fcase: Nf
 
 
-@dataclass(frozen=True)
+@record
 class NeLetMod(Ne):
     mu: Modality
     nu: Modality
@@ -176,42 +176,42 @@ class NeLetMod(Ne):
     branch: Nf  # binds 1, annotated mu.nu
 
 
-@dataclass(frozen=True)
+@record
 class NeDecIso(Ne):
     """A stuck coercion out of Dec at a canonical code."""
 
     body: Ne
 
 
-@dataclass(frozen=True)
+@record
 class NfLam(Nf):
     mod: Modality  # binder annotation
     body: Nf
 
 
-@dataclass(frozen=True)
+@record
 class NfPair(Nf):
     fst: Nf
     snd: Nf
 
 
-@dataclass(frozen=True)
+@record
 class NfTrue(Nf):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NfFalse(Nf):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NfMkBox(Nf):
     mod: Modality
     body: Nf  # in the mod-locked telescope
 
 
-@dataclass(frozen=True)
+@record
 class NfInj(Nf):
     """A neutral included as a normal form.
 
@@ -222,31 +222,31 @@ class NfInj(Nf):
     ne: Ne
 
 
-@dataclass(frozen=True)
+@record
 class NfFnCode(Nf):
     mod: Modality
     dom: Nf  # code, in the mod-locked telescope
     cod: Nf  # code, binds 1 annotated mod at Dec(dom)
 
 
-@dataclass(frozen=True)
+@record
 class NfProdCode(Nf):
     fst: Nf
     snd: Nf  # binds 1, identity annotation
 
 
-@dataclass(frozen=True)
+@record
 class NfBoolCode(Nf):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class NfModifyCode(Nf):
     mod: Modality
     code: Nf  # in the mod-locked telescope
 
 
-@dataclass(frozen=True)
+@record
 class NfDecIsoStar(Nf):
     """A canonical form coerced back under Dec at a canonical code."""
 
@@ -261,17 +261,17 @@ class Renaming:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RenId(Renaming):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RenWeaken(Renaming):
     """Drops the top variable entry of the source."""
 
 
-@dataclass(frozen=True)
+@record
 class RenComp(Renaming):
     """``r`` acts first, then ``s`` (as telescope maps: r after s)."""
 
@@ -279,13 +279,13 @@ class RenComp(Renaming):
     s: Renaming
 
 
-@dataclass(frozen=True)
+@record
 class RenLock(Renaming):
     mod: Modality
     ren: Renaming
 
 
-@dataclass(frozen=True)
+@record
 class RenKey(Renaming):
     """A key: for cell : nu => mu, maps the mu-locked telescope to the
     nu-locked one.  ``locks[k]`` is the unlocked one's ``locks_of`` at k."""
@@ -294,7 +294,7 @@ class RenKey(Renaming):
     locks: tuple[Modality, ...]
 
 
-@dataclass(frozen=True)
+@record
 class RenExt(Renaming):
     """Extension by a variable neutral.  ``plocks`` is the lock composite
     over the payload variable in the (locked) source telescope."""

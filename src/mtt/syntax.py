@@ -12,9 +12,9 @@ the renamings and the normal forms of ``normal`` are all indexed by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from .record import record
 from .modeth import Cell2, Modality, ModeError
 
 
@@ -22,91 +22,91 @@ class Term:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Var(Term):
     idx: int
     cell: Cell2
 
 
-@dataclass(frozen=True)
+@record
 class Const(Term):
     """A reference to an earlier declaration of the signature, by name."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Pi(Term):
     mod: Modality
     dom: Term
     cod: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class Sig(Term):
     fst: Term
     snd: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class Bool(Term):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Uni(Term):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Mod(Term):
     mod: Modality
     ty: Term
 
 
-@dataclass(frozen=True)
+@record
 class Dec(Term):
     code: Term
 
 
-@dataclass(frozen=True)
+@record
 class Lam(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@record
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
+@record
 class Proj1(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@record
 class Proj2(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@record
 class True_(Term):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class False_(Term):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class If(Term):
     motive: Term  # binds 1 (a Bool variable, identity annotation)
     tcase: Term
@@ -114,13 +114,13 @@ class If(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
+@record
 class MkBox(Term):
     mod: Modality
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class LetMod(Term):
     """Modal eliminator.  mu frames the scrutinee, nu is the boxed modality;
     the motive binds one (mu | Mod nu A) variable and the branch one
@@ -133,38 +133,38 @@ class LetMod(Term):
     branch: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class PiCode(Term):
     mod: Modality
     dom: Term
     cod: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class SigCode(Term):
     fst: Term
     snd: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class BoolCode(Term):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ModCode(Term):
     mod: Modality
     code: Term
 
 
-@dataclass(frozen=True)
+@record
 class DecIso(Term):
     """Coerce from Dec of a canonical code to the connective it encodes."""
 
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class DecIsoInv(Term):
     """Coerce a value of the encoded connective back under Dec."""
 
@@ -182,12 +182,12 @@ TermT = Union[
 # Contexts (telescopes)
 
 
-@dataclass(frozen=True)
+@record
 class ELock:
     mod: Modality
 
 
-@dataclass(frozen=True)
+@record
 class EVar:
     mod: Modality
     ty: Term
@@ -196,7 +196,7 @@ class EVar:
 Entry = Union[ELock, EVar]
 
 
-@dataclass(frozen=True)
+@record
 class Telescope:
     """A context as a formal sequence of locks and annotated variables, not
     quotiented by the lock equations.  Entries oldest first; ``mode`` is the

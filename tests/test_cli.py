@@ -540,6 +540,20 @@ def test_text_that_is_not_utf8_is_a_located_error(tmp_path):
     assert "Traceback" not in done.stderr and done.stdout == ""
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # Editors that save UTF-8 "with signature" start the file with U+FEFF.
+    text = "def a @m : Bool := true\ndef b @m : Bool := a\n"
+    plain = run_mtt(tmp_path, text, "normalize")
+    marked = run_mtt(tmp_path, "\ufeff" + text, "normalize")
+    assert plain.returncode == marked.returncode == 0
+    assert marked.stdout == plain.stdout != "" and marked.stderr == ""
+    # One mark, at the start only: elsewhere it is still a located stray character.
+    for bad, col in [("\ufeff\ufeff" + text, 1), (text.replace("true", "\ufefftrue"), 20)]:
+        done = run_mtt(tmp_path, bad)
+        assert done.returncode == 2
+        assert done.stderr == f"{tmp_path / 'run.mtt'}:1:{col}: unexpected character '\\ufeff'\n"
+
+
 @pytest.mark.parametrize("rule", ["c ~> c.c", "c ~> c"], ids=["grows", "stays"])
 def test_rewrite_rule_that_does_not_shrink_is_rejected(tmp_path, rule):
     # Both rules used to loop in canon_word at the first modal declaration.
