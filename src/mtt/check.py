@@ -1,4 +1,4 @@
-"""Bidirectional type checking with conversion by normalization.
+"""Bidirectional type checking, with conversion decided on values.
 
 The context (``CheckCtx``) keeps what checking a variable needs: its type
 as a value, its annotation, the locks in front of it and its atom.  It keeps
@@ -7,9 +7,13 @@ lock or extension whose modality lands in the wrong mode is a ``CheckError``.
 
 Inference and checking follow the usual bidirectional split: eliminations
 and annotated introductions infer, unannotated introductions (lambdas,
-pairs, the inverse decoding coercion) only check.  Conversion reifies both
-sides to normal forms and compares them structurally, with all 2-cell
-equality questions delegated to the mode theory's decider.
+pairs, the inverse decoding coercion) only check.  Conversion is decided on
+values by ``conv.conv_ty``/``conv.conv``: type-directed, with eta for
+functions, pairs and boxes, every modality and 2-cell question delegated to
+the mode theory's decider, and no normal form built.  Two occurrences of
+one definition share one value and so compare without unfolding it.  Types
+are read back only to be printed: in diagnostics, and in a declaration's
+result when first asked for.
 
 Accessing a variable demands an explicit 2-cell from its annotation to the
 composite of the locks in front of it; no search is performed.  When that
@@ -53,11 +57,10 @@ from .normal import (
     NormalError,
     RenKey,
     decode_nfty,
-    eq_nf,
-    eq_nfty,
     rename_nfty,
     surface_nfty,
 )
+from .conv import conv, conv_ty
 from .nbe import (
     NO_DEFS,
     Body,
@@ -184,21 +187,11 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
 
 
 def convert_ty(ctx: CheckCtx, a: TypeValue, b: TypeValue) -> bool:
-    d = ctx.depth
-    return eq_nfty(
-        ctx.mt,
-        reify_ty(ctx.mt, d, ctx.mode, a),
-        reify_ty(ctx.mt, d, ctx.mode, b),
-    )
+    return conv_ty(ctx.mt, ctx.depth, ctx.mode, a, b)
 
 
 def convert_tm(ctx: CheckCtx, ty: TypeValue, v: Value, w: Value) -> bool:
-    d = ctx.depth
-    return eq_nf(
-        ctx.mt,
-        reify(ctx.mt, d, ctx.mode, ty, v),
-        reify(ctx.mt, d, ctx.mode, ty, w),
-    )
+    return conv(ctx.mt, ctx.depth, ctx.mode, ty, v, w)
 
 
 def _show_ty(ctx: CheckCtx, ty: TypeValue) -> str:
@@ -220,24 +213,29 @@ def _require_mode(ctx: CheckCtx, mod: Modality, role: str) -> None:
 
 
 def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
+    """Check that ``t`` is a type and return its value, built from the
+    values of its checked parts (``eval_ty`` would give the same)."""
     match t:
-        case S.Bool() | S.Uni():
-            pass
+        case S.Bool():
+            return TBool()
+        case S.Uni():
+            return TUni()
         case S.Pi(mod, dom, cod):
             _require_mode(ctx, mod, "function domain")
             domv = check_type(ctx_lock(ctx, mod), dom)
             check_type(ctx_extend(ctx, mod, domv), cod)
+            return TPi(mod, domv, Closure(ctx.env, cod))
         case S.Sig(fst, snd):
             fstv = check_type(ctx, fst)
             check_type(ctx_extend(ctx, id_mod(ctx.mode), fstv), snd)
+            return TSig(fstv, Closure(ctx.env, snd))
         case S.Mod(mod, inner):
             _require_mode(ctx, mod, "modal type")
-            check_type(ctx_lock(ctx, mod), inner)
+            return TMod(mod, check_type(ctx_lock(ctx, mod), inner))
         case S.Dec(code):
             check_tm(ctx, code, TUni())
-        case _:
-            raise CheckError(f"not a type: {S.show_term(t)}")
-    return eval_ty(ctx.mt, ctx.env, t)
+            return TDec(code_of(eval_tm(ctx.mt, ctx.env, code)))
+    raise CheckError(f"not a type: {S.show_term(t)}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +385,32 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
 TOO_DEEP = "nested too deeply"
 
 
+def internal_error(e: Exception) -> str:
+    """The diagnostic for an exception none of the kernel's error classes
+    covers: a fault of the kernel, not of the program it checks."""
+    return f"internal error: {type(e).__name__}: {e}"
+
+
 @record
 class DeclResult:
+    """One declaration's verdict.  ``fatal`` marks an error of the kernel
+    rather than of the program (the interpreter's stack ran out, or an
+    internal error).  The normal forms are read back on first use only."""
+
     name: str
     mode: str
     ok: bool
-    ty_nf: "NfTy | None" = None
+    reify_ty: "Callable[[], NfTy] | None" = field(default=None, repr=False, compare=False)
     error: "str | None" = None
-    too_deep: bool = False  # the error is the interpreter's recursion limit
+    fatal: bool = False
     reify_body: "Callable[[], Nf] | None" = field(default=None, repr=False, compare=False)
 
     @cached_property
+    def ty_nf(self) -> "NfTy | None":
+        return None if self.reify_ty is None else self.reify_ty()
+
+    @cached_property
     def body_nf(self) -> "Nf | None":
-        """The body's normal form, read back on first use only."""
         return None if self.reify_body is None else self.reify_body()
 
 
@@ -427,9 +438,11 @@ def check_program(mt: ModeTheory, decls) -> Report:
     only when something unfolds it.  A failing declaration does not stop the
     rest, but it stays out of the signature, so any later reference to it
     fails too.  Each result carries either normal forms or an error
-    message; the body's normal form is read back only when first asked for.
-    A declaration that exhausts the interpreter's stack fails with
-    ``too_deep`` set instead of ending the program.
+    message; the normal forms are read back only when first asked for, so
+    checking never reads a type back in full.  A declaration that exhausts
+    the interpreter's stack, or raises an exception that is none of the
+    kernel's error classes, fails with ``fatal`` set instead of ending the
+    program.
 
     The signature is one dict that every declaration's environment shares
     and that grows as declarations check: a declaration names only earlier
@@ -454,7 +467,7 @@ def check_program(mt: ModeTheory, decls) -> Report:
                     name,
                     mode,
                     True,
-                    reify_ty(mt, 0, mode, tyv),
+                    partial(reify_ty, mt, 0, mode, tyv),
                     reify_body=partial(_reify_body, mt, mode, tyv, val),
                 )
             )
@@ -462,5 +475,7 @@ def check_program(mt: ModeTheory, decls) -> Report:
         except (CheckError, NormalError, NbeError, ModeError) as e:
             results.append(DeclResult(name, mode, False, error=str(e)))
         except RecursionError:
-            results.append(DeclResult(name, mode, False, error=TOO_DEEP, too_deep=True))
+            results.append(DeclResult(name, mode, False, error=TOO_DEEP, fatal=True))
+        except Exception as e:
+            results.append(DeclResult(name, mode, False, error=internal_error(e), fatal=True))
     return Report(tuple(results), sig)

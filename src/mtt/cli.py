@@ -739,24 +739,27 @@ def _print_core(decls) -> None:
 
 def _emit(path: str, decls, results, render) -> int:
     """Print ``render(result)``'s lines for each declaration that checked and
-    a located diagnostic for each that did not.  Exit status 2 if some
-    declaration was nested too deeply for the interpreter's stack, while
-    checking it or reading back or printing its normal forms; else 1 if
-    some declaration failed; else 0."""
+    a located diagnostic for each that did not.  Exit status 2 if the
+    kernel failed on some declaration (it was nested too deeply for the
+    interpreter's stack, or raised an internal error) while checking it or
+    reading back or printing its normal forms; else 1 if some declaration
+    failed; else 0."""
     status = 0
     for d, r in zip(decls, results):
-        error, too_deep = r.error, r.too_deep
+        error, fatal = r.error, r.fatal
         if r.ok:
             try:
                 lines = render(r)
             except RecursionError:
-                error, too_deep = C.TOO_DEEP, True
+                error, fatal = C.TOO_DEEP, True
+            except Exception as e:
+                error, fatal = C.internal_error(e), True
             else:
                 for line in lines:
                     _out(line)
                 continue
         print(f"{path}:{d.line}:{d.col}: error: {r.name}: {error}", file=sys.stderr)
-        status = max(status, 2 if too_deep else 1)
+        status = max(status, 2 if fatal else 1)
     return status
 
 

@@ -1,0 +1,220 @@
+"""Conversion on values: the checker's definitional equality.
+
+``conv_ty``, ``conv``, ``conv_code`` and ``conv_ne`` decide what reading
+both sides back with ``nbe.reify_ty``/``reify``/``_reify_code``/``reify_ne``
+and comparing the normal forms with ``normal.eq_nfty``/``eq_nf`` would
+decide, but build no normal form and stop at the first difference.  Each
+case follows the read-back case of the same name: eta for functions, pairs
+and boxes, under a binder one fresh variable reflected at the left side's
+domain for both sides, ``Dec`` of a canonical code through its unfolding,
+neutrals by level, frame count, head cell and then frame by frame.  Every
+modality and 2-cell question goes to the mode theory's decider, and an
+ill-formed value raises the ``NbeError`` that read-back would raise.
+
+Identity first: each function answers at once when its two sides are one
+object, since reading back is deterministic and one object reads back to
+one normal form.  The memos of ``nbe.Body`` and ``nbe.Thunk`` make this
+catch shared definitions: every ``Const`` naming one declaration evaluates
+to the same body value, so a type built from definitions is compared with
+itself in constant time instead of being unfolded.
+
+Read-back and ``eq_nf`` stay as the reference the tests and
+``harness.check_conversion`` hold this to.  The module is apart from
+``nbe`` because ``mtt`` often starts without a bytecode cache: compiled as
+part of ``nbe``, as one larger module, this code raised the peak memory of
+a whole ``mtt`` run by about half a megabyte (Python 3.11).
+"""
+
+from __future__ import annotations
+
+from .modeth import ModeTheory, compose_mod, eq_cell, eq_mod, id_cell, id_mod
+from .nbe import (
+    CBool,
+    CMod,
+    CNeutral,
+    CPi,
+    CSig,
+    CodeValue,
+    FrApp,
+    FrDecIso,
+    FrIf,
+    FrLetMod,
+    FrProj1,
+    FrProj2,
+    ModBoxed,
+    ModNeutral,
+    NbeError,
+    NeAbs,
+    TBool,
+    TDec,
+    TMod,
+    TPi,
+    TSig,
+    TUni,
+    TypeValue,
+    VBoolNeutral,
+    VFalse,
+    VMod,
+    VNeutral,
+    VTrue,
+    Value,
+    code_of,
+    dec_unfold,
+    do_app,
+    do_proj,
+    inst_ty,
+    instantiate,
+    reflect,
+)
+
+
+def _expect(a: object, b: object, kinds: tuple, what: str) -> None:
+    """Raise the error reify raises on a value of none of ``kinds``."""
+    for x in (a, b):
+        if not isinstance(x, kinds):
+            raise NbeError(f"{what}: {type(x).__name__}")
+
+
+def conv(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value, w: Value) -> bool:
+    """Whether ``reify`` at T gives v and w equal normal forms."""
+    if v is w:
+        return True
+    match T:
+        case TPi(mod, dom, cod):
+            fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
+            return conv(
+                mt, d + 1, mode, inst_ty(mt, cod, fresh),
+                do_app(mt, v, fresh), do_app(mt, w, fresh),
+            )
+        case TSig(fst, snd):
+            a = do_proj(mt, 1, v)
+            return conv(mt, d, mode, fst, a, do_proj(mt, 1, w)) and conv(
+                mt, d, mode, inst_ty(mt, snd, a), do_proj(mt, 2, v), do_proj(mt, 2, w)
+            )
+        case TBool():
+            match v, w:
+                case (VTrue(), VTrue()) | (VFalse(), VFalse()):
+                    return True
+                case VBoolNeutral(n1), VBoolNeutral(n2):
+                    return conv_ne(mt, d, mode, n1, n2)
+            _expect(v, w, (VTrue, VFalse, VBoolNeutral), "not a boolean value")
+            return False
+        case TMod(mod, inner):
+            match v, w:
+                case VMod(ModBoxed(a)), VMod(ModBoxed(b)):
+                    return conv(mt, d, mod.mode_src, inner, a, b)
+                case VMod(ModNeutral(n1, _)), VMod(ModNeutral(n2, _)):
+                    return conv_ne(mt, d, mode, n1, n2)
+            _expect(v, w, (VMod,), "not a modal value")
+            return False
+        case TUni():
+            return conv_code(mt, d, mode, code_of(v), code_of(w))
+        case TDec(c):
+            if not isinstance(c, CNeutral):
+                return conv(mt, d, mode, dec_unfold(mt, c), v, w)
+            _expect(v, w, (VNeutral,), "canonical value at a neutral code")
+            return conv_ne(mt, d, mode, v.ne, w.ne)
+    raise NbeError(f"cannot reify at {type(T).__name__}")
+
+
+def conv_code(mt: ModeTheory, d: int, mode: str, c1: CodeValue, c2: CodeValue) -> bool:
+    """Whether two codes read back to equal normal forms at the universe."""
+    if c1 is c2:
+        return True
+    match c1, c2:
+        case CPi(m1, dom1, cod1), CPi(m2, dom2, cod2):
+            if not (eq_mod(mt, m1, m2) and conv_code(mt, d, m1.mode_src, dom1, dom2)):
+                return False
+            fresh = reflect(mt, TDec(dom1), NeAbs(d, id_cell(m1)))
+            return conv(
+                mt, d + 1, mode, TUni(),
+                instantiate(mt, cod1, fresh), instantiate(mt, cod2, fresh),
+            )
+        case CSig(fst1, snd1), CSig(fst2, snd2):
+            if not conv_code(mt, d, mode, fst1, fst2):
+                return False
+            fresh = reflect(mt, TDec(fst1), NeAbs(d, id_cell(id_mod(mode))))
+            return conv(
+                mt, d + 1, mode, TUni(),
+                instantiate(mt, snd1, fresh), instantiate(mt, snd2, fresh),
+            )
+        case CBool(), CBool():
+            return True
+        case CMod(m1, i1), CMod(m2, i2):
+            return eq_mod(mt, m1, m2) and conv_code(mt, d, m1.mode_src, i1, i2)
+        case CNeutral(n1), CNeutral(n2):
+            return conv_ne(mt, d, mode, n1, n2)
+    _expect(c1, c2, (CPi, CSig, CBool, CMod, CNeutral), "cannot reify code")
+    return False
+
+
+_FRAMES = (FrApp, FrProj1, FrProj2, FrIf, FrLetMod, FrDecIso)
+
+
+def conv_ne(mt: ModeTheory, d: int, mode: str, n1: NeAbs, n2: NeAbs) -> bool:
+    """Whether two neutrals read back to equal neutral forms: the same head
+    variable under equal cells, then equal frames one by one."""
+    for ne in (n1, n2):
+        if ne.level >= d:
+            raise NbeError(f"level {ne.level} escapes depth {d}")
+    if n1.level != n2.level or len(n1.frames) != len(n2.frames):
+        return False
+    if not eq_cell(mt, n1.cell, n2.cell):
+        return False
+    for f1, f2 in zip(n1.frames, n2.frames):
+        match f1, f2:
+            case FrApp(mod, a1, dom), FrApp(mod2, a2, _):
+                if not (eq_mod(mt, mod, mod2) and conv(mt, d, mod.mode_src, dom, a1, a2)):
+                    return False
+            case (FrProj1(), FrProj1()) | (FrProj2(), FrProj2()) | (FrDecIso(), FrDecIso()):
+                pass
+            case FrIf(mot1, t1, e1), FrIf(mot2, t2, e2):
+                fresh = reflect(mt, TBool(), NeAbs(d, id_cell(id_mod(mode))))
+                if not (
+                    conv_ty(mt, d + 1, mode, inst_ty(mt, mot1, fresh), inst_ty(mt, mot2, fresh))
+                    and conv(mt, d, mode, inst_ty(mt, mot1, VTrue()), t1, t2)
+                    and conv(mt, d, mode, inst_ty(mt, mot1, VFalse()), e1, e2)
+                ):
+                    return False
+            case FrLetMod(mu, nu, mot1, br1, inner), FrLetMod(mu2, nu2, mot2, br2, _):
+                if not (eq_mod(mt, mu, mu2) and eq_mod(mt, nu, nu2)):
+                    return False
+                box = reflect(mt, TMod(nu, inner), NeAbs(d, id_cell(mu)))
+                arg = reflect(mt, inner, NeAbs(d, id_cell(compose_mod(mu, nu))))
+                if not (
+                    conv_ty(mt, d + 1, mode, inst_ty(mt, mot1, box), inst_ty(mt, mot2, box))
+                    and conv(
+                        mt, d + 1, mode, inst_ty(mt, mot1, VMod(ModBoxed(arg))),
+                        instantiate(mt, br1, arg), instantiate(mt, br2, arg),
+                    )
+                ):
+                    return False
+            case _:
+                _expect(f1, f2, _FRAMES, "unknown frame")
+                return False
+    return True
+
+
+def conv_ty(mt: ModeTheory, d: int, mode: str, A: TypeValue, B: TypeValue) -> bool:
+    """Whether ``reify_ty`` gives A and B equal normal forms."""
+    if A is B:
+        return True
+    match A, B:
+        case (TBool(), TBool()) | (TUni(), TUni()):
+            return True
+        case TPi(m1, dom1, cod1), TPi(m2, dom2, cod2):
+            if not (eq_mod(mt, m1, m2) and conv_ty(mt, d, m1.mode_src, dom1, dom2)):
+                return False
+            fresh = reflect(mt, dom1, NeAbs(d, id_cell(m1)))
+            return conv_ty(mt, d + 1, mode, inst_ty(mt, cod1, fresh), inst_ty(mt, cod2, fresh))
+        case TSig(fst1, snd1), TSig(fst2, snd2):
+            if not conv_ty(mt, d, mode, fst1, fst2):
+                return False
+            fresh = reflect(mt, fst1, NeAbs(d, id_cell(id_mod(mode))))
+            return conv_ty(mt, d + 1, mode, inst_ty(mt, snd1, fresh), inst_ty(mt, snd2, fresh))
+        case TMod(m1, i1), TMod(m2, i2):
+            return eq_mod(mt, m1, m2) and conv_ty(mt, d, m1.mode_src, i1, i2)
+        case TDec(c1), TDec(c2):
+            return conv_code(mt, d, mode, c1, c2)
+    _expect(A, B, (TBool, TUni, TPi, TSig, TMod, TDec), "cannot reify type")
+    return False

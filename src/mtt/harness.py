@@ -16,7 +16,11 @@ Three instruments for exercising the kernel:
   computation or extensionality rule, together with the telescope and
   type at which conversion must accept them.
 
-Run ``python3 -m mtt.harness --trials N --seed S`` to fuzz all three
+``check_conversion`` holds the checker's conversion (``conv.conv``/
+``conv_ty``) to its reference, reading both sides back and comparing the
+normal forms, on generated pairs (``conversion_trial``) and on the table.
+
+Run ``python3 -m mtt.harness --trials N --seed S`` to fuzz all four
 invariants from the command line.  The same seed always reproduces the
 same sequence of cases.
 """
@@ -27,6 +31,7 @@ import argparse
 import enum
 import random
 import sys
+from collections import Counter
 
 from .record import record
 from . import syntax as S
@@ -53,12 +58,14 @@ from .modeth import (
     eq_mod,
     id_cell,
     id_mod,
+    is_id_cell,
     trivial,
     vcomp,
     walking,
     whisker_left,
     whisker_right,
 )
+from .conv import conv, conv_ty
 from .nbe import (
     CNeutral,
     TBool,
@@ -68,14 +75,17 @@ from .nbe import (
     TSig,
     TUni,
     TypeValue,
+    Value,
     code_of,
     dec_unfold,
     do_proj,
     eval_tm,
+    eval_ty,
     inst_ty,
+    reify,
     reify_ty,
 )
-from .normal import decode_nfty
+from .normal import Ne, NeVar, Nf, NfTy, decode_nfty, eq_nf, eq_nfty
 from .syntax import Telescope
 
 
@@ -812,10 +822,9 @@ def run_differential(trials: int, seed: int, fuel: int = 10_000, out=None) -> bo
 
 
 def run_pairs(out=None) -> bool:
-    """Conversion accepts every listed computation and eta rule."""
+    """Conversion accepts every listed computation and eta rule, and so does
+    comparing normal forms (``check_conversion``)."""
     out = sys.stdout if out is None else out
-    from .check import convert_tm
-
     mt = PAIRS_THEORY()
     for name in CONNECTIVES:
         lhs, rhs, tele, ty = beta_eta_pairs(name)
@@ -825,12 +834,145 @@ def run_pairs(out=None) -> bool:
         # which bidirectional syntax cannot type; conversion compares the
         # values, where the redex has already computed.
         check_tm(ctx, rhs, tyv)
-        if not convert_tm(
-            ctx, tyv, eval_tm(mt, ctx.env, lhs), eval_tm(mt, ctx.env, rhs)
-        ):
+        va, vb = eval_tm(mt, ctx.env, lhs), eval_tm(mt, ctx.env, rhs)
+        if not check_conversion(ctx, tyv, va, vb)[0]:
             print(f"pair not convertible: {name}", file=out)
             return False
     print(f"pairs: {len(CONNECTIVES)} rules convert", file=out)
+    return True
+
+
+def _keyed(mt: ModeTheory, x: object) -> bool:
+    """Whether a normal form holds a variable under a non-identity key."""
+    if isinstance(x, NeVar):
+        return not is_id_cell(mt, x.cell)
+    if isinstance(x, (Nf, Ne, NfTy)):
+        return any(_keyed(mt, getattr(x, f)) for f in type(x).__match_args__)
+    return False
+
+
+def near_miss(mt: ModeTheory, rng: random.Random, t: Term) -> "Term | None":
+    """``t`` with one boolean literal flipped or one modality replaced by
+    another of the same boundary, chosen at random; None when ``t`` has
+    neither.  The result need not check."""
+
+    def others(mod: Modality) -> list[Modality]:
+        gens = [Modality(src, tgt, (g,)) for g, (src, tgt) in mt.modality_gens.items()]
+        words = [id_mod(mod.mode_src)] + gens
+        words += [compose_mod(a, b) for a in gens for b in gens if a.mode_src == b.mode_tgt]
+        return [
+            m for m in words
+            if (m.mode_src, m.mode_tgt) == (mod.mode_src, mod.mode_tgt)
+            and not eq_mod(mt, m, mod)
+        ]
+
+    def edit(x, spot: list):
+        """Rebuild x with its spot[0]-th editable leaf (counting from 1)
+        changed; spot[0] goes down by one at every editable leaf."""
+        if isinstance(x, (S.True_, S.False_)):
+            spot[0] -= 1
+            return (S.False_() if isinstance(x, S.True_) else S.True_()) if spot[0] == 0 else x
+        if isinstance(x, Modality):
+            alts = others(x)
+            spot[0] -= bool(alts)
+            return rng.choice(alts) if alts and spot[0] == 0 else x
+        if not isinstance(x, S.Term):
+            return x
+        parts = [getattr(x, f) for f in type(x).__match_args__]
+        new = [edit(part, spot) for part in parts]
+        return type(x)(*new) if any(a is not b for a, b in zip(new, parts)) else x
+
+    leaves = [0]
+    edit(t, leaves)  # changes nothing: the count starts below the first leaf
+    return edit(t, [rng.randint(1, -leaves[0])]) if leaves[0] else None
+
+
+def check_conversion(
+    ctx: CheckCtx, ty: "TypeValue | None", a: "Value | TypeValue", b: "Value | TypeValue"
+) -> "tuple[bool, bool]":
+    """Decide whether a and b convert at ``ty`` (or, when ``ty`` is None,
+    whether the types a and b convert) both with ``conv.conv``/``conv_ty``
+    and by reading both back and comparing the normal forms.  Return the
+    verdict and whether a normal form holds a non-identity key; raise
+    ``HarnessError`` when the two deciders disagree."""
+    mt, d, mode = ctx.mt, ctx.depth, ctx.mode
+    if ty is None:
+        got = conv_ty(mt, d, mode, a, b)
+        nfs = reify_ty(mt, d, mode, a), reify_ty(mt, d, mode, b)
+        want = eq_nfty(mt, *nfs)
+    else:
+        got = conv(mt, d, mode, ty, a, b)
+        nfs = reify(mt, d, mode, ty, a), reify(mt, d, mode, ty, b)
+        want = eq_nf(mt, *nfs)
+    if got != want:
+        raise HarnessError(f"conversion says {got}, the normal forms say {want}")
+    return got, any(_keyed(mt, nf) for nf in nfs)
+
+
+def conversion_trial(mt: ModeTheory, cfg: GenConfig) -> Counter:
+    """Compare the two deciders on the problems one seed generates in a
+    random context: a type against a second evaluation of itself and
+    against another type, a term of that type and a boolean (where the
+    context's variables are used, keyed) likewise, each of these against a
+    ``near_miss`` of itself that still checks, and a ``gen_distinct_pair``,
+    which must be rejected.  Count the pairs, the rejected ones and the ones
+    whose normal forms hold a non-identity key."""
+    rng = random.Random(cfg.seed)
+    ctx = ctx_for(mt, rng)
+    tally: Counter = Counter()
+
+    def compare(ty, a, b) -> bool:
+        same, keyed = check_conversion(ctx, ty, a, b)
+        tally.update(pairs=1, rejected=not same, keyed=keyed)
+        return same
+
+    def checked_near_miss(t: Term, at: "TypeValue | None") -> "Term | None":
+        t2 = near_miss(mt, rng, t)
+        if t2 is None:
+            return None
+        try:
+            if at is None:
+                check_type(ctx, t2)
+            else:
+                check_tm(ctx, t2, at)
+        except (CheckError, ModeError):
+            return None
+        return t2
+
+    try:
+        ty = gen_type(cfg, ctx, rng)
+        tyv = check_type(ctx, ty)
+        compare(None, tyv, eval_ty(mt, ctx.env, ty))
+        compare(None, tyv, check_type(ctx, gen_type(cfg, ctx, rng)))
+        if (ty2 := checked_near_miss(ty, None)) is not None:
+            compare(None, tyv, eval_ty(mt, ctx.env, ty2))
+        for at in (TBool(), tyv):
+            t, u = (gen_typed_term(cfg, ctx, at, rng) for _ in range(2))
+            compare(at, eval_tm(mt, ctx.env, t), eval_tm(mt, ctx.env, t))
+            compare(at, eval_tm(mt, ctx.env, t), eval_tm(mt, ctx.env, u))
+            if (t2 := checked_near_miss(t, at)) is not None:
+                compare(at, eval_tm(mt, ctx.env, t), eval_tm(mt, ctx.env, t2))
+        a, b = gen_distinct_pair(cfg, ctx, tyv, rng)
+    except GenExhausted:
+        return tally
+    if compare(tyv, eval_tm(mt, ctx.env, a), eval_tm(mt, ctx.env, b)):
+        raise HarnessError(f"a distinct pair converts at seed {cfg.seed}")
+    return tally
+
+
+def run_conversion(trials: int, seed: int, out=None) -> bool:
+    """Conversion on values agrees with comparing normal forms."""
+    out = sys.stdout if out is None else out
+    tally: Counter = Counter()
+    names = sorted(THEORIES)
+    for i in range(trials):
+        cfg = GenConfig(seed=seed + i, theory=names[i % len(names)])
+        tally += conversion_trial(theory_of(cfg), cfg)
+    print(
+        f"conversion: {tally['pairs']} pairs agree with read-back, "
+        f"{tally['rejected']} rejected, {tally['keyed']} with non-identity keys",
+        file=out,
+    )
     return True
 
 
@@ -866,6 +1008,7 @@ def main(argv: "list[str] | None" = None) -> int:
         ok &= run_soundness(args.trials, args.seed)
         ok &= run_differential(args.trials, args.seed)
         ok &= run_pairs()
+        ok &= run_conversion(args.trials, args.seed)
     except (CheckError, HarnessError) as e:
         print(f"invariant violated: {e}", file=sys.stderr)
         return 1

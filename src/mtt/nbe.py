@@ -19,7 +19,9 @@ signature is a ``Body``.  A thunk is computed the first time a ``Var``
 reaches it, a body the first time a ``Const`` does; evaluation forces them
 only there, so none reaches a neutral frame, read-back or the key action,
 and an argument the codomain never mentions is never evaluated.  Their
-memos are the kernel's only mutable state.
+memos are the kernel's only mutable state.  Conversion (``mtt.conv``) relies
+on them: every ``Const`` naming one declaration evaluates to one shared
+value, and two values that are one object are equal without unfolding.
 
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
@@ -629,12 +631,7 @@ def reify(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value) -> Nf:
                     return NfInj(reify_ne(mt, d, mode, ne))
             raise NbeError(f"not a modal value: {type(v).__name__}")
         case TUni():
-            match v:
-                case VCode(c):
-                    return _reify_code(mt, d, mode, c)
-                case VCodeNeutral(ne):
-                    return NfInj(reify_ne(mt, d, mode, ne))
-            raise NbeError(f"not a universe value: {type(v).__name__}")
+            return _reify_code(mt, d, mode, code_of(v))
         case TDec(c):
             if isinstance(c, CNeutral):
                 match v:

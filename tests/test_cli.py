@@ -12,6 +12,7 @@ import pytest
 
 from mtt import check as C
 from mtt import cli
+from mtt import conv
 from mtt import nbe
 from mtt import syntax as S
 from mtt.check import check_program, check_tm, check_type, empty_ctx
@@ -676,6 +677,38 @@ def test_checking_too_deep_for_the_stack_is_a_located_error(tmp_path, capsys):
     assert cap.err == f"{path}:301:1: error: t: nested too deeply\n"
     assert cap.out.endswith("checked n299 : Pi (id(m) | x0 : Pi (id(m) | x0 : Uni) -> Uni)"
                             " -> Pi (id(m) | x1 : Uni) -> Uni\nchecked u : dec BoolC\n")
+
+
+def test_a_kernel_fault_is_a_located_internal_error(tmp_path, capsys, monkeypatch):
+    # A bug in the kernel must not end the run in a traceback: the faulty
+    # declaration fails with exit 2 and the others still check.
+    real = conv.conv_ty
+
+    def faulty(mt, d, mode, a, b):
+        if isinstance(a, nbe.TUni):
+            raise RuntimeError("boom")
+        return real(mt, d, mode, a, b)
+
+    for module in (conv, C):
+        monkeypatch.setattr(module, "conv_ty", faulty)
+    text = "def a @m : Bool := true\ndef c @m : Uni := BoolC\ndef b @m : Bool := a\n"
+    path = write(tmp_path, "fault.mtt", text)
+    assert main(["check", path]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "checked a : Bool\nchecked b : Bool\n"
+    assert cap.err == f"{path}:2:1: error: c: internal error: RuntimeError: boom\n"
+
+
+def test_a_fault_while_printing_is_a_located_internal_error(tmp_path, capsys, monkeypatch):
+    def faulty(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(C, "reify_ty", faulty)
+    path = write(tmp_path, "fault.mtt", "def a @m : Bool := true\n")
+    assert main(["normalize", path]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"{path}:1:1: error: a: internal error: KeyError: 'lost'\n"
 
 
 def test_nine_hundred_binders_check_and_normalize(tmp_path):

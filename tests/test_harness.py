@@ -279,3 +279,4 @@ def test_campaigns_pass(capsys):
     assert main(["--trials", "25", "--seed", "11"]) == 0
     out = capsys.readouterr().out
     assert "soundness:" in out and "differential:" in out and "pairs:" in out
+    assert "conversion:" in out

@@ -66,7 +66,7 @@ def test_keyword_construction_and_defaults():
     assert Modality(mode_tgt="m", word=("mu",), mode_src="n") == MU
     assert Modality("m", "m").word == () == Modality.word
     r = DeclResult("a", "m", True)
-    assert (r.ty_nf, r.error, r.too_deep, r.reify_body) == (None, None, False, None)
+    assert (r.ty_nf, r.error, r.fatal, r.reify_body) == (None, None, False, None)
     assert Probe(x=2).y == "y" and Probe(x=2).note is None
     with pytest.raises(TypeError):
         Probe()  # a field without a default is required
@@ -78,9 +78,9 @@ def test_fields_left_out_of_comparison_are_left_out_of_the_hash():
     assert Probe(1, note="a") == Probe(1, note="b")
     assert hash(Probe(1, note="a")) == hash(Probe(1, note=["unhashable"]))
     assert Probe(1) != Probe(1, "z")
-    body = DeclResult("a", "m", True, NfBool(), reify_body=NfTrue)
-    assert body == DeclResult("a", "m", True, NfBool())
-    assert hash(body) == hash(DeclResult("a", "m", True, NfBool()))
+    body = DeclResult("a", "m", True, NfBool, reify_body=NfTrue)
+    assert body == DeclResult("a", "m", True)
+    assert hash(body) == hash(DeclResult("a", "m", True))
     assert Env((VTrue(),), NO_DEFS) == Env((VTrue(),), {"k": None})
 
 
@@ -104,10 +104,12 @@ def test_cached_property_is_computed_once():
         calls.append(1)
         return NfTrue()
 
-    r = DeclResult("a", "m", True, NfBool(), reify_body=reify)
+    r = DeclResult("a", "m", True, NfBool, reify_body=reify)
     assert r.body_nf == NfTrue() and r.body_nf == NfTrue()
     assert calls == [1]
-    assert isinstance(DeclResult.__dict__["body_nf"], cached_property)
+    assert r.ty_nf is r.ty_nf == NfBool()
+    for name in ("ty_nf", "body_nf"):
+        assert isinstance(DeclResult.__dict__[name], cached_property)
 
 
 def test_records_declared_without_equality_compare_by_identity():
@@ -139,8 +141,8 @@ def test_repr_is_the_dataclass_text():
     )
     result = DeclResult("b", "m", False, error="oops", reify_body=NfTrue)
     assert repr(Report((result,), {})) == (
-        "Report(results=(DeclResult(name='b', mode='m', ok=False, ty_nf=None, "
-        "error='oops', too_deep=False),))"
+        "Report(results=(DeclResult(name='b', mode='m', ok=False, "
+        "error='oops', fatal=False),))"
     )
     assert repr(Env((VTrue(),), NO_DEFS)) == "Env(vals=(VTrue(),))"
     assert repr(id_mod("m")) == "Modality(mode_src='m', mode_tgt='m', word=())"
@@ -178,6 +180,6 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert done.returncode == 0, done.stderr
     loaded, heavy = done.stdout.splitlines()
-    kernel = ["check", "cli", "modeth", "nbe", "normal", "record", "syntax"]
+    kernel = ["check", "cli", "conv", "modeth", "nbe", "normal", "record", "syntax"]
     assert loaded == str(["mtt"] + [f"mtt.{m}" for m in kernel])
     assert heavy == "[]"
