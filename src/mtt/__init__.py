@@ -10,7 +10,7 @@ Modules:
 
 - ``record``  -- the immutable record classes the syntaxes are declared with.
 - ``modeth``  -- mode theories: modalities (1-cell words), 2-cells, deciders.
-- ``syntax``  -- core de Bruijn terms, contexts with locks, scope checking.
+- ``syntax``  -- core de Bruijn terms and contexts with locks.
 - ``normal``  -- telescopes, the renaming calculus, normal/neutral forms.
 - ``nbe``     -- the semantic domain and normalization by evaluation.
 - ``check``   -- the bidirectional checker and conversion.

@@ -50,7 +50,7 @@ from .modeth import (
     is_id_cell,
 )
 from . import syntax as S
-from .syntax import Telescope, Term
+from .syntax import Term
 from .normal import (
     Nf,
     NfTy,
@@ -456,9 +456,6 @@ def check_program(mt: ModeTheory, decls) -> Report:
             if name in sig:
                 raise CheckError(f"duplicate definition {name!r}")
             ctx = empty_ctx(mt, mode, sig)
-            for part in (ty, body):
-                if not S.scope_check(Telescope(mode), part):
-                    raise CheckError(f"declaration {name!r} has an out-of-scope variable")
             tyv = check_type(ctx, ty)
             check_tm(ctx, body, tyv)
             val = Body(mt, ctx.env, body)

@@ -14,6 +14,11 @@ explicit keys).
 The name of an earlier ``def`` becomes a ``Const`` reference: the kernel
 checks each declaration once and looks its type up at every use.
 
+Lexing is one ``findall`` per file, which yields the token texts; the
+parser reads those strings and raises each diagnostic at a token index.
+Where tokens start is found, once per file, only when a diagnostic or
+``Decl.line``/``col`` asks for a place.
+
 Identity modalities written bare (``id``) resolve at the lexically
 enclosing mode; ``id(m)`` names a mode explicitly.  Exit codes: 0 success,
 1 type error, 2 parse error or a declaration nested too deeply for the
@@ -30,10 +35,11 @@ import argparse
 import os
 import re
 import sys
-from functools import cache, partial
+from bisect import bisect
+from functools import cache
 from typing import NamedTuple
 
-from .record import record
+from .record import field, record
 from . import check as C
 from . import syntax as S
 from .modeth import (
@@ -63,11 +69,20 @@ from .syntax import Term
 
 
 class ParseError(Exception):
-    def __init__(self, msg: str, line: int, col: int):
+    """A syntax error at token ``at`` of ``tokens`` (a ``tokenize`` result).
+    Its ``line`` and ``col`` are worked out only when read."""
+
+    def __init__(self, msg: str, tokens: "Tokens", at: int):
         super().__init__(msg)
-        self.msg = msg
-        self.line = line
-        self.col = col
+        self.msg, self.tokens, self.at = msg, tokens, at
+
+    @property
+    def line(self) -> int:
+        return self.tokens.token(self.at).line
+
+    @property
+    def col(self) -> int:
+        return self.tokens.token(self.at).col
 
 
 SHIPPED = THEORIES  # the shipped mode theories, by name
@@ -84,45 +99,62 @@ class Token(NamedTuple):
     col: int
 
 
-# One match per token: the whitespace and comments before it (group 1), then
-# the token.  The skip must not backtrack: a token that fails to match after
-# a comment would otherwise shorten the comment and match inside it.  The
-# lookahead captures the longest skip and ``\1`` consumes exactly that, the
-# spelling of a possessive ``(?:...)*+`` that Python 3.10 accepts.
+# One match per token: the whitespace and comments before it, then the token,
+# ``.`` for any single character (an operator, or a stray one that
+# ``tokenize`` rejects), or the empty string at the end of the text.  After
+# the greedy skip some character or the end always matches, so the skip never
+# backtracks into a comment.
 _TOKEN_RE = re.compile(
-    r"""
-    (?=((?:\s+|--[^\n]*)*))\1
-    (?:
-      (?P<op>:=|->|=>|~>|[(){}\[\]|,;:.*\\^<>@=])
-    | (?P<num>[0-9]+)
-    | (?P<ident>iso-inv|[A-Za-z_][A-Za-z0-9_']*)
-    )?
-    """,
-    re.VERBOSE,
+    r"(?:\s+|--[^\n]*)*(:=|->|=>|~>|iso-inv|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|.|\Z)"
 )
+_NAME_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_ONE_CHAR = _NAME_START | frozenset("0123456789(){}[]|,;:.*\\^<>@=")
 
-# Token(...) without the Python frame of the generated ``Token.__new__``.
-_token = partial(tuple.__new__, Token)
+
+def _kind(tok: str) -> str:
+    if not tok:
+        return "eof"
+    return "ident" if tok[0] in _NAME_START else "num" if tok.isdigit() else "op"
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending in one ``eof`` token.
+class Tokens(list):
+    """The token texts of ``source``, ending in one ``""`` (eof)."""
 
-    No token or comment spans a newline, so each line is matched on its
-    own: one match per token, and one for the end of the line.
+    __slots__ = ("source", "_starts", "_newlines")
+
+    def __init__(self, texts: "list[str]", source: str):
+        super().__init__(texts)
+        self.source = source
+        self._starts: "list[int] | None" = None
+
+    def token(self, i: int) -> Token:
+        """Token ``i`` with its kind, line and column.  Lines end at ``\\n``
+        only; eof sits just past the last line.  Where tokens and lines
+        start is found once, by a second pass over the text, on first use."""
+        if self._starts is None:
+            self._starts = [m.start(1) for m in _TOKEN_RE.finditer(self.source)]
+            self._newlines = [m.start() for m in re.finditer("\n", self.source)]
+        start, text = self._starts[i], self[i]
+        line = bisect(self._newlines, start)  # the newlines before the token
+        bol = self._newlines[line - 1] + 1 if line else 0
+        return Token(_kind(text), text, line + 1, start - bol + 1)
+
+
+def tokenize(text: str) -> Tokens:
+    """The token texts of ``text`` from one ``findall``, ending in ``""``.
+
+    A stray character anywhere in the text is a ``ParseError`` at the first
+    one.  Positions are not computed here: ``Tokens.token`` finds them
+    when a diagnostic or ``Parser.peek`` asks.
     """
-    out: list[Token] = []
-    for line, chunk in enumerate(text.split("\n"), 1):
-        for m in _TOKEN_RE.finditer(chunk):
-            kind = m.lastgroup
-            start = m.end(1)
-            if kind is None:  # the end of the line, or no token starts here
-                if start < len(chunk):
-                    raise ParseError(f"unexpected character {chunk[start]!r}", line, start + 1)
-                break
-            out.append(_token((kind, chunk[start : m.end()], line, start + 1)))
-    out.append(Token("eof", "", line, len(chunk) + 1))
-    return out
+    toks = Tokens(_TOKEN_RE.findall(text), text)
+    if len(toks) > 1 and not toks[-2]:
+        del toks[-1]  # trailing space: eof matched after it and again at the end
+    stray = [t for t in set(toks) if len(t) == 1 and t not in _ONE_CHAR]
+    if stray:
+        at = min(map(toks.index, stray))
+        raise ParseError(f"unexpected character {toks[at]!r}", toks, at)
+    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -131,39 +163,23 @@ def tokenize(text: str) -> list[Token]:
 
 @record
 class Decl:
+    """A parsed declaration; ``line`` and ``col`` locate its ``def``
+    keyword, token ``at`` of ``tokens``, when read."""
+
     name: str
     mode: str
     ty: Term
     body: Term
-    line: int
-    col: int
+    at: int
+    tokens: Tokens = field(repr=False, compare=False)
+
+    line, col = ParseError.line, ParseError.col
 
 
-_TERM_KEYWORDS = {
-    "true",
-    "false",
-    "box",
-    "letbox",
-    "if",
-    "then",
-    "else",
-    "in",
-    "iso",
-    "iso-inv",
-    "PiC",
-    "SigC",
-    "BoolC",
-    "ModC",
-    "Pi",
-    "Sig",
-    "Bool",
-    "Uni",
-    "Mod",
-    "dec",
-    "def",
-    "theory",
-    "id",
-}
+_TERM_KEYWORDS = set(
+    "true false box letbox if then else in iso iso-inv PiC SigC BoolC ModC "
+    "Pi Sig Bool Uni Mod dec def theory id".split()
+)
 
 # The tokens each form of the grammar can start with.
 _TYPE_START = {"Pi", "Sig", "Bool", "Uni", "Mod", "dec", "("}
@@ -172,98 +188,95 @@ _ATOM_START = {"true", "false", "box", "iso", "iso-inv", "BoolC", "ModC", "("}
 
 
 class Parser:
-    def __init__(self, toks: list[Token], mt: ModeTheory):
-        self.toks = toks + toks[-1:]  # a second eof, so peek(1) needs no bounds check
+    """Recursive descent over the texts of a ``tokenize`` result.  A name is
+    a token whose first character is in ``_NAME_START``; a diagnostic is
+    raised at a token index and located only when read."""
+
+    def __init__(self, toks: Tokens, mt: "ModeTheory | None"):
+        self.tokens = toks
+        self.toks = toks + [""]  # a second eof, so toks[pos + 1] needs no bounds check
         self.pos = 0
         self.mt = mt
         self.defs: dict[str, Decl] = {}
 
-    # -- token plumbing; only eof has empty text, and ``pos`` never passes it
+    # -- token plumbing; only eof is empty, and ``pos`` never passes it
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
-
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+        """The located token ``ahead`` places on (eof past the end)."""
+        return self.tokens.token(min(self.pos + ahead, len(self.tokens) - 1))
 
     def at(self, text: str) -> bool:
-        return self.toks[self.pos].text == text
+        return self.toks[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.toks[self.pos].text == text:
+        if self.toks[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         t = self.toks[self.pos]
-        if t.text != text:
-            got = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(f"expected {text!r}, found {got!r}", t.line, t.col)
+        if t != text:
+            raise self.fail(f"expected {text!r}, found {t or 'end of input'!r}")
+        self.pos += 1
+
+    def expect_ident(self, what: str) -> str:
+        t = self.toks[self.pos]
+        if t[:1] not in _NAME_START:
+            raise self.fail(f"expected {what}, found {t or 'end of input'!r}")
         self.pos += 1
         return t
 
-    def expect_ident(self, what: str) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "ident":
-            got = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(f"expected {what}, found {got!r}", t.line, t.col)
-        self.pos += 1
-        return t
-
-    def fail(self, msg: str) -> "ParseError":
-        t = self.toks[self.pos]
-        return ParseError(msg, t.line, t.col)
+    def fail(self, msg: str, at: "int | None" = None) -> ParseError:
+        """A ``ParseError`` at token ``at``, by default the current one."""
+        return ParseError(msg, self.tokens, self.pos if at is None else at)
 
     # -- modalities
 
     def parse_mode(self) -> str:
-        t = self.expect_ident("a mode name")
-        if t.text not in self.mt.modes:
-            raise ParseError(f"unknown mode {t.text!r}", t.line, t.col)
-        return t.text
+        at = self.pos
+        name = self.expect_ident("a mode name")
+        if name not in self.mt.modes:
+            raise self.fail(f"unknown mode {name!r}", at)
+        return name
 
     def parse_modexpr(self, amb: "str | None") -> Modality:
         """A modality: ``id``, ``id(m)``, or generator names dotted in
         composition order (last applied leftmost)."""
-        t = self.peek()
-        if t.text == "id":
-            self.advance()
+        at = self.pos
+        if self.accept("id"):
             if self.accept("("):
                 mode = self.parse_mode()
                 self.expect(")")
                 return id_mod(mode)
             if amb is None:
-                raise ParseError("bare 'id' needs a mode here: write id(<mode>)", t.line, t.col)
+                raise self.fail("bare 'id' needs a mode here: write id(<mode>)", at)
             return id_mod(amb)
-        names = [self.expect_ident("a modality name").text]
-        while self.peek().text == "." and self.peek(1).kind == "ident" and self.peek(1).text in self.mt.modality_gens:
-            self.advance()
-            names.append(self.advance().text)
+        names = [self.expect_ident("a modality name")]
+        toks, gens = self.toks, self.mt.modality_gens
+        while toks[self.pos] == "." and toks[self.pos + 1] in gens:
+            names.append(toks[self.pos + 1])
+            self.pos += 2
         word = tuple(reversed(names))  # application order
         cur: "str | None" = None
         for g in word:
-            if g not in self.mt.modality_gens:
-                raise ParseError(f"unknown modality {g!r}", t.line, t.col)
-            src, tgt = self.mt.modality_gens[g]
+            if g not in gens:
+                raise self.fail(f"unknown modality {g!r}", at)
+            src, tgt = gens[g]
             if cur is not None and src != cur:
-                raise ParseError(
+                raise self.fail(
                     f"modality word does not compose: {g!r} starts at {src}, "
                     f"previous part ended at {cur}",
-                    t.line,
-                    t.col,
+                    at,
                 )
             if cur is None:
                 start = src
             cur = tgt
         return Modality(start, cur, word)
 
-    def _one_gen(self, name: str, tok: Token) -> Modality:
+    def _one_gen(self, name: str, at: int) -> Modality:
         if name not in self.mt.modality_gens:
-            raise ParseError(f"unknown modality {name!r}", tok.line, tok.col)
+            raise self.fail(f"unknown modality {name!r}", at)
         src, tgt = self.mt.modality_gens[name]
         return Modality(src, tgt, (name,))
 
@@ -272,14 +285,14 @@ class Parser:
     def parse_cell(self, ann: Modality) -> Cell2:
         """grammar: cell := part ('.' part)* ; part := NAME '<' part
         | unit ('>' NAME)* ; unit := '(' cell ')' | NAME | 'id'."""
-        t = self.peek()
+        at = self.pos
         expr = self._cell_expr()
         if isinstance(expr, str):  # the whole cell is the bare identity
             return id_cell(ann)
         try:
             src, tgt = cell_boundary(self.mt, expr)
         except ModeError as e:
-            raise ParseError(f"ill-formed 2-cell: {e}", t.line, t.col) from None
+            raise self.fail(f"ill-formed 2-cell: {e}", at) from None
         return Cell2(src, tgt, expr)
 
     def _cell_expr(self) -> "CellExpr | str":
@@ -297,37 +310,36 @@ class Parser:
         return out
 
     def _cell_part(self) -> "CellExpr | str":
-        t = self.peek()
-        if t.kind == "ident" and t.text != "id" and self.peek(1).text == "<":
-            self.advance()
-            self.advance()
+        at = self.pos
+        t = self.toks[at]
+        if t[:1] in _NAME_START and t != "id" and self.toks[at + 1] == "<":
+            self.pos += 2
             inner = self._cell_part()
             if isinstance(inner, str):
                 raise self.fail("bare 'id' cannot appear inside a composite cell")
-            return CellWhiskL(self._one_gen(t.text, t), inner)
+            return CellWhiskL(self._one_gen(t, at), inner)
         base = self._cell_unit()
         while self.at(">"):
             if isinstance(base, str):
                 raise self.fail("bare 'id' cannot appear inside a composite cell")
-            self.advance()
-            g = self.expect_ident("a modality name")
-            base = CellWhiskR(base, self._one_gen(g.text, g))
+            self.pos += 1
+            at = self.pos
+            base = CellWhiskR(base, self._one_gen(self.expect_ident("a modality name"), at))
         return base
 
     def _cell_unit(self) -> "CellExpr | str":
-        t = self.peek()
+        at = self.pos
         if self.accept("("):
             inner = self._cell_expr()
             self.expect(")")
             if isinstance(inner, str):
                 raise self.fail("bare 'id' cannot appear inside a composite cell")
             return inner
-        if t.text == "id":
-            self.advance()
+        if self.accept("id"):
             return "id"
-        name = self.expect_ident("a 2-cell name").text
+        name = self.expect_ident("a 2-cell name")
         if name not in self.mt.cell_gens:
-            raise ParseError(f"unknown 2-cell {name!r}", t.line, t.col)
+            raise self.fail(f"unknown 2-cell {name!r}", at)
         return CellGen(name)
 
     # -- binders
@@ -338,36 +350,35 @@ class Parser:
         continue it (``|``, ``.`` or ``(``); if it then fails to parse, or
         no ``|`` follows it, the binder is a plain one."""
         self.expect("(")
-        if self.peek(1).text in ("|", ".", "("):
+        if self.toks[self.pos + 1] in ("|", ".", "("):
             save = self.pos
             try:
                 mod = self.parse_modexpr(amb)
                 self.expect("|")
-                return mod, self.expect_ident("a variable name").text
+                return mod, self.expect_ident("a variable name")
             except ParseError:
                 self.pos = save
-        return id_mod(amb), self.expect_ident("a variable name").text
+        return id_mod(amb), self.expect_ident("a variable name")
 
-    def _guard_mode(self, mod: Modality, amb: str, tok: Token) -> None:
+    def _guard_mode(self, mod: Modality, amb: str, at: int) -> None:
         if mod.mode_tgt != amb:
-            raise ParseError(
+            raise self.fail(
                 f"modality {mod} lands in mode {mod.mode_tgt}, "
                 f"but the ambient mode is {amb}",
-                tok.line,
-                tok.col,
+                at,
             )
 
     # -- types and terms: each form is chosen by its first token's text
 
     def parse_type(self, amb: str, scope: list) -> Term:
-        t = self.peek()
-        head = t.text
+        at = self.pos
+        head = self.toks[at]
         if head not in _TYPE_START:
             raise self.fail(f"expected a type, found {head!r}")
-        self.advance()
+        self.pos += 1
         if head == "Pi":
             mod, name = self._binder(amb)
-            self._guard_mode(mod, amb, t)
+            self._guard_mode(mod, amb, at)
             self.expect(":")
             dom = self.parse_type(mod.mode_src, scope)
             self.expect(")")
@@ -378,7 +389,7 @@ class Parser:
             return S.Bool()
         if head == "Sig":
             self.expect("(")
-            name = self.expect_ident("a variable name").text
+            name = self.expect_ident("a variable name")
             self.expect(":")
             fst = self.parse_type(amb, scope)
             self.expect(")")
@@ -389,7 +400,7 @@ class Parser:
             return S.Uni()
         if head == "Mod":
             mod = self.parse_modexpr(amb)
-            self._guard_mode(mod, amb, t)
+            self._guard_mode(mod, amb, at)
             return S.Mod(mod, self.parse_type(mod.mode_src, scope))
         if head == "dec":
             return S.Dec(self.parse_atom(amb, scope))
@@ -398,41 +409,40 @@ class Parser:
         return inner
 
     def parse_term(self, amb: str, scope: list) -> Term:
-        t = self.peek()
-        head = t.text
+        at = self.pos
+        head = self.toks[at]
         if head not in _BINDER_TERMS:
             return self.parse_app(amb, scope)
-        self.advance()
+        self.pos += 1
         if head == "\\":
             if self.at("("):
                 mod, name = self._binder(amb)
-                self._guard_mode(mod, amb, t)
+                self._guard_mode(mod, amb, at)
                 self.expect(")")
             else:
                 mod = id_mod(amb)
-                name = self.expect_ident("a variable name").text
+                name = self.expect_ident("a variable name")
             self.expect("->")
             return S.Lam(self.parse_term(amb, scope + [(name, mod)]))
         if head == "letbox":
             self.expect("(")
             mu = self.parse_modexpr(amb)
-            self._guard_mode(mu, amb, t)
+            self._guard_mode(mu, amb, at)
             self.expect("|")
             nu = self.parse_modexpr(mu.mode_src)
             if nu.mode_tgt != mu.mode_src:
-                raise ParseError(
+                raise self.fail(
                     f"eliminated modality {nu} lands in mode {nu.mode_tgt}, "
                     f"but the lock opens mode {mu.mode_src}",
-                    t.line,
-                    t.col,
+                    at,
                 )
             self.expect(")")
             self.expect("[")
-            bname = self.expect_ident("a variable name").text
+            bname = self.expect_ident("a variable name")
             self.expect(".")
             motive = self.parse_type(amb, scope + [(bname, mu)])
             self.expect("]")
-            yname = self.expect_ident("a variable name").text
+            yname = self.expect_ident("a variable name")
             self.expect("=")
             scrut = self.parse_term(mu.mode_src, scope)
             self.expect("in")
@@ -440,7 +450,7 @@ class Parser:
             return S.LetMod(mu, nu, motive, scrut, branch)
         if head == "if":
             self.expect("[")
-            bname = self.expect_ident("a variable name").text
+            bname = self.expect_ident("a variable name")
             self.expect(".")
             motive = self.parse_type(amb, scope + [(bname, id_mod(amb))])
             self.expect("]")
@@ -452,7 +462,7 @@ class Parser:
             return S.If(motive, tcase, fcase, scrut)
         if head == "PiC":
             mod, name = self._binder(amb)
-            self._guard_mode(mod, amb, t)
+            self._guard_mode(mod, amb, at)
             self.expect(":")
             dom = self.parse_term(mod.mode_src, scope)
             self.expect(")")
@@ -460,7 +470,7 @@ class Parser:
             cod = self.parse_term(amb, scope + [(name, mod)])
             return S.PiCode(mod, dom, cod)
         self.expect("(")  # SigC
-        name = self.expect_ident("a variable name").text
+        name = self.expect_ident("a variable name")
         self.expect(":")
         fst = self.parse_term(amb, scope)
         self.expect(")")
@@ -469,7 +479,7 @@ class Parser:
         return S.SigCode(fst, snd)
 
     # parse_app and parse_atom run once per token of a term, so they index
-    # the padded token list by hand instead of calling peek and advance;
+    # the padded token list by hand instead of calling accept and advance;
     # they step ``pos`` only past a token they have seen is not eof.
 
     def parse_app(self, amb: str, scope: list) -> Term:
@@ -477,21 +487,21 @@ class Parser:
         toks = self.toks
         while True:
             t = toks[self.pos]
-            if t.text in _ATOM_START or (t.kind == "ident" and t.text not in _TERM_KEYWORDS):
+            if t in _ATOM_START or (t not in _TERM_KEYWORDS and t[:1] in _NAME_START):
                 out = S.App(out, self.parse_atom(amb, scope))
             else:
                 return out
 
     def parse_atom(self, amb: str, scope: list) -> Term:
         toks = self.toks
-        t = toks[self.pos]
-        head = t.text
+        at = self.pos
+        head = toks[at]
         out: Term
-        if t.kind == "ident" and head not in _TERM_KEYWORDS:
+        if head not in _ATOM_START:
+            if head in _TERM_KEYWORDS or head[:1] not in _NAME_START:
+                raise self.fail(f"expected a term, found {head!r}")
             self.pos += 1
-            out = self._name_ref(t, amb, scope)
-        elif head not in _ATOM_START:
-            raise self.fail(f"expected a term, found {head!r}")
+            out = self._name_ref(head, at, amb, scope)
         else:
             self.pos += 1
             if head == "(":
@@ -511,138 +521,126 @@ class Parser:
                 out = S.DecIsoInv(self.parse_atom(amb, scope))
             else:  # box or ModC
                 mod = self.parse_modexpr(amb)
-                self._guard_mode(mod, amb, t)
+                self._guard_mode(mod, amb, at)
                 inner = self.parse_atom(mod.mode_src, scope)
                 out = S.MkBox(mod, inner) if head == "box" else S.ModCode(mod, inner)
-        while toks[self.pos].text == "." and toks[self.pos + 1].kind == "num":
+        while toks[self.pos] == "." and toks[self.pos + 1].isdigit():
             proj = toks[self.pos + 1]
             self.pos += 2
-            if proj.text == "1":
+            if proj == "1":
                 out = S.Proj1(out)
-            elif proj.text == "2":
+            elif proj == "2":
                 out = S.Proj2(out)
             else:
-                raise ParseError(
-                    f"projections are .1 and .2, found .{proj.text}",
-                    proj.line,
-                    proj.col,
-                )
+                raise self.fail(f"projections are .1 and .2, found .{proj}", self.pos - 1)
         return out
 
-    def _name_ref(self, t: Token, amb: str, scope: list) -> Term:
-        for back, (name, ann) in enumerate(reversed(scope)):
-            if name == t.text:
+    def _name_ref(self, name: str, at: int, amb: str, scope: list) -> Term:
+        for back, (bound, ann) in enumerate(reversed(scope)):
+            if bound == name:
                 if self.accept("^"):
                     return S.Var(back, self.parse_cell(ann))
                 return S.Var(back, id_cell(ann))
-        if t.text in self.defs:
+        if name in self.defs:
             if self.at("^"):
-                raise ParseError(
-                    f"cannot key the definition {t.text!r}: keys apply to variables",
-                    t.line,
-                    t.col,
+                raise self.fail(
+                    f"cannot key the definition {name!r}: keys apply to variables", at
                 )
-            d = self.defs[t.text]
+            d = self.defs[name]
             if d.mode != amb:
-                raise ParseError(
-                    f"definition {t.text!r} lives at mode {d.mode}, "
-                    f"used at mode {amb}",
-                    t.line,
-                    t.col,
+                raise self.fail(
+                    f"definition {name!r} lives at mode {d.mode}, used at mode {amb}", at
                 )
-            return S.Const(t.text)
-        raise ParseError(f"unknown identifier {t.text!r}", t.line, t.col)
+            return S.Const(name)
+        raise self.fail(f"unknown identifier {name!r}", at)
 
     # -- theory block
 
     def parse_theory(self) -> ModeTheory:
-        t = self.expect("theory")
-        if self.peek().kind == "ident" and self.peek().text != "{":
-            name = self.advance()
-            if name.text not in SHIPPED:
-                raise ParseError(
-                    f"unknown mode theory {name.text!r} "
-                    f"(shipped: {', '.join(sorted(SHIPPED))})",
-                    name.line,
-                    name.col,
+        at = self.pos
+        self.expect("theory")
+        name = self.toks[self.pos]
+        if name[:1] in _NAME_START:
+            if name not in SHIPPED:
+                raise self.fail(
+                    f"unknown mode theory {name!r} "
+                    f"(shipped: {', '.join(sorted(SHIPPED))})"
                 )
-            return SHIPPED[name.text]()
+            self.pos += 1
+            return SHIPPED[name]()
         self.expect("{")
         modes: list[str] = []
         mods: dict[str, tuple[str, str]] = {}
         cells: dict[str, tuple[Modality, Modality]] = {}
         rules: list[tuple[tuple, tuple]] = []
         kind = "free"
-        items: dict[tuple, Token] = {}  # what ``validate`` may blame -> its keyword
+        items: dict[tuple, int] = {}  # what ``validate`` may blame -> its keyword
         while not self.accept("}"):
+            item_at = self.pos
             item = self.expect_ident("a theory item")
-            if item.text == "modes":
-                while self.peek().kind == "ident":
-                    modes.append(self.advance().text)
+            if item == "modes":
+                while self.toks[self.pos][:1] in _NAME_START:
+                    modes.append(self.toks[self.pos])
+                    self.pos += 1
                     self.accept(",")
                 self.expect(";")
-            elif item.text == "mod":
-                g = self.expect_ident("a modality name").text
+            elif item == "mod":
+                g = self.expect_ident("a modality name")
                 self.expect(":")
-                src = self.expect_ident("a mode name").text
+                src = self.expect_ident("a mode name")
                 self.expect("->")
-                tgt = self.expect_ident("a mode name").text
+                tgt = self.expect_ident("a mode name")
                 mods[g] = (src, tgt)
-                items["mod", g] = item
+                items["mod", g] = item_at
                 self.expect(";")
-            elif item.text == "cell":
+            elif item == "cell":
                 self.mt = ModeTheory("scratch", tuple(modes), mods, cells, FreeDecider())
-                g = self.expect_ident("a 2-cell name").text
+                g = self.expect_ident("a 2-cell name")
                 self.expect(":")
                 src = self.parse_modexpr(None)
                 self.expect("=>")
                 tgt = self.parse_modexpr(None)
                 cells[g] = (src, tgt)
-                items["cell", g] = item
+                items["cell", g] = item_at
                 self.expect(";")
-            elif item.text == "rule":
+            elif item == "rule":
                 self.mt = ModeTheory("scratch", tuple(modes), mods, cells, FreeDecider())
                 lhs = self.parse_modexpr(None)
                 self.expect("~>")
                 rhs = self.parse_modexpr(None)
-                items["rule", len(rules)] = item
+                items["rule", len(rules)] = item_at
                 rules.append((lhs.word, rhs.word))
                 self.expect(";")
-            elif item.text == "decider":
-                k = self.expect_ident("a decider kind (free or rewrite)")
-                if k.text not in ("free", "rewrite"):
-                    raise ParseError(
-                        f"unsupported decider {k.text!r} in a file "
+            elif item == "decider":
+                kind_at = self.pos
+                kind = self.expect_ident("a decider kind (free or rewrite)")
+                if kind not in ("free", "rewrite"):
+                    raise self.fail(
+                        f"unsupported decider {kind!r} in a file "
                         "(table deciders ship by name)",
-                        k.line,
-                        k.col,
+                        kind_at,
                     )
-                kind = k.text
                 self.expect(";")
             else:
-                raise ParseError(
-                    f"unknown theory item {item.text!r}", item.line, item.col
-                )
+                raise self.fail(f"unknown theory item {item!r}", item_at)
         decider = RewriteDecider(tuple(rules)) if kind == "rewrite" else FreeDecider()
         if kind == "free" and rules:
-            raise ParseError(
-                "word rules given but the decider is 'free'; say 'decider rewrite'",
-                t.line,
-                t.col,
+            raise self.fail(
+                "word rules given but the decider is 'free'; say 'decider rewrite'", at
             )
         try:
             return validate(ModeTheory("file", tuple(modes), mods, cells, decider))
         except TheoryItemError as e:
-            at = items[e.item]
-            raise ParseError(f"ill-formed mode theory: {e}", at.line, at.col) from None
+            raise self.fail(f"ill-formed mode theory: {e}", items[e.item]) from None
 
     # -- declarations
 
     def parse_decl(self) -> Decl:
-        t = self.expect("def")
+        at = self.pos
+        self.expect("def")
         name = self.expect_ident("a definition name")
-        if name.text in self.defs:
-            raise ParseError(f"duplicate definition {name.text!r}", name.line, name.col)
+        if name in self.defs:
+            raise self.fail(f"duplicate definition {name!r}", at + 1)
         self.expect("@")
         mode = self.parse_mode()
         self.expect(":")
@@ -650,8 +648,8 @@ class Parser:
         self.expect(":=")
         body = self.parse_term(mode, [])
         self.accept(";")
-        d = Decl(name.text, mode, ty, body, t.line, t.col)
-        self.defs[name.text] = d
+        d = Decl(name, mode, ty, body, at, self.tokens)
+        self.defs[name] = d
         return d
 
 
@@ -662,18 +660,12 @@ def parse_file(text: str, mt_override: "ModeTheory | None" = None):
     the interpreter's recursion limit allows is a ``ParseError`` at the
     token where the parser ran out of stack, not a crash.
     """
-    toks = tokenize(text)
-    bootstrap = mt_override if mt_override is not None else trivial()
-    p = Parser(toks, bootstrap)
-    if p.at("theory"):
-        file_mt = p.parse_theory()
-        if mt_override is None:
-            p.mt = file_mt
-        else:
-            p.mt = mt_override
+    p = Parser(tokenize(text), mt_override)  # a theory block reads no theory
+    file_mt = p.parse_theory() if p.at("theory") else None
+    p.mt = mt_override or file_mt or trivial()
     decls: list[Decl] = []
     try:
-        while p.peek().kind != "eof":
+        while p.toks[p.pos]:
             decls.append(p.parse_decl())
     except RecursionError:
         raise p.fail("nested too deeply to parse") from None
@@ -737,29 +729,35 @@ def _print_core(decls) -> None:
         _out(f"core {d.name} = {S.show_term(d.body)}")
 
 
-def _emit(path: str, decls, results, render) -> int:
-    """Print ``render(result)``'s lines for each declaration that checked and
-    a located diagnostic for each that did not.  Exit status 2 if the
-    kernel failed on some declaration (it was nested too deeply for the
-    interpreter's stack, or raised an internal error) while checking it or
-    reading back or printing its normal forms; else 1 if some declaration
-    failed; else 0."""
+def _emit(path: str, mt: ModeTheory, decls, render, shown: slice = slice(None)) -> int:
+    """Check ``decls``, then print ``render(result)``'s lines for each
+    ``shown`` declaration that checked and a located diagnostic for each
+    that did not.  Exit status 2 if the kernel failed on some declaration
+    (it was nested too deeply for the interpreter's stack, or raised an
+    internal error) while checking it or reading back or printing its
+    normal forms; else 1 if some declaration failed; else 0.  The signature
+    is emptied at the end: its bodies' environments point back at it, which
+    would leave all of it as cyclic garbage."""
+    report = C.check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
     status = 0
-    for d, r in zip(decls, results):
-        error, fatal = r.error, r.fatal
-        if r.ok:
-            try:
-                lines = render(r)
-            except RecursionError:
-                error, fatal = C.TOO_DEEP, True
-            except Exception as e:
-                error, fatal = C.internal_error(e), True
-            else:
-                for line in lines:
-                    _out(line)
-                continue
-        print(f"{path}:{d.line}:{d.col}: error: {r.name}: {error}", file=sys.stderr)
-        status = max(status, 2 if fatal else 1)
+    try:
+        for d, r in zip(decls[shown], report.results[shown]):
+            error, fatal = r.error, r.fatal
+            if r.ok:
+                try:
+                    lines = render(r)
+                except RecursionError:
+                    error, fatal = C.TOO_DEEP, True
+                except Exception as e:
+                    error, fatal = C.internal_error(e), True
+                else:
+                    for line in lines:
+                        _out(line)
+                    continue
+            print(f"{path}:{d.line}:{d.col}: error: {r.name}: {error}", file=sys.stderr)
+            status = max(status, 2 if fatal else 1)
+    finally:
+        report.signature.clear()
     return status
 
 
@@ -770,12 +768,8 @@ def cmd_check(path: str, override: "str | None" = None, print_core: bool = False
     mt, decls = loaded
     if print_core:
         _print_core(decls)
-    report = C.check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
     return _emit(
-        path,
-        decls,
-        report.results,
-        lambda r: [f"checked {r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}"],
+        path, mt, decls, lambda r: [f"checked {r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}"]
     )
 
 
@@ -799,15 +793,15 @@ def cmd_normalize(
             return 1
         # The declarations before NAME are checked for the signature only.
         decls, shown = decls[: at + 1], slice(at, None)
-    report = C.check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
     return _emit(
         path,
-        decls[shown],
-        report.results[shown],
+        mt,
+        decls,
         lambda r: [
             f"{r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}",
             f"{r.name} = {surface_nf(mt, r.body_nf, r.mode)}",
         ],
+        shown,
     )
 
 

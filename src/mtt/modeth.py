@@ -257,24 +257,24 @@ class Atom:
 
 def cell_atoms(mt: "ModeTheory", cell: Cell2) -> list[Atom]:
     """Flatten a 2-cell expression into layers, in application order."""
+    return _atoms(mt, cell.expr)
 
-    def go(e: CellExpr) -> list[Atom]:
-        match e:
-            case CellId(_):
-                return []
-            case CellGen(name):
-                if name not in mt.cell_gens:
-                    raise ModeError(f"unknown cell generator {name!r}")
-                return [Atom((), name, ())]
-            case CellVComp(later, earlier):
-                return go(earlier) + go(later)
-            case CellWhiskL(mod, inner):
-                return [Atom(a.pre, a.gen, a.post + mod.word) for a in go(inner)]
-            case CellWhiskR(inner, mod):
-                return [Atom(mod.word + a.pre, a.gen, a.post) for a in go(inner)]
-        raise AssertionError(e)
 
-    return go(cell.expr)
+def _atoms(mt: "ModeTheory", e: CellExpr) -> list[Atom]:
+    match e:
+        case CellId(_):
+            return []
+        case CellGen(name):
+            if name not in mt.cell_gens:
+                raise ModeError(f"unknown cell generator {name!r}")
+            return [Atom((), name, ())]
+        case CellVComp(later, earlier):
+            return _atoms(mt, earlier) + _atoms(mt, later)
+        case CellWhiskL(mod, inner):
+            return [Atom(a.pre, a.gen, a.post + mod.word) for a in _atoms(mt, inner)]
+        case CellWhiskR(inner, mod):
+            return [Atom(mod.word + a.pre, a.gen, a.post) for a in _atoms(mt, inner)]
+    raise AssertionError(e)
 
 
 def _gen_src_word(mt: "ModeTheory", name: str) -> Word:

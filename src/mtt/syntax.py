@@ -1,4 +1,4 @@
-"""Core abstract syntax: de Bruijn terms, telescopes, scope checking.
+"""Core abstract syntax: de Bruijn terms and telescopes.
 
 Terms are quotient-free trees.  Variables carry an explicit 2-cell (the key
 used to reach them through the locks in scope); binders are nameless and each
@@ -223,62 +223,6 @@ def tele_extend(tele: Telescope, mu: Modality, ty: Term) -> Telescope:
 def depth(tele: Telescope) -> int:
     """Number of variable entries."""
     return sum(1 for e in tele.entries if isinstance(e, EVar))
-
-
-# ---------------------------------------------------------------------------
-# Scope checking
-
-
-def scope_check(tele: Telescope, t: Term) -> bool:
-    """True iff every variable resolves to a variable entry.
-
-    Purely structural: types and 2-cell boundaries are the checker's job.
-    """
-    return _scope(depth(tele), t)
-
-
-def _scope(depth: int, t: Term) -> bool:
-    match t:
-        case Var(idx, _):
-            return 0 <= idx < depth
-        case Pi(_, dom, cod) | PiCode(_, dom, cod):
-            return _scope(depth, dom) and _scope(depth + 1, cod)
-        case Sig(fst, snd) | SigCode(fst, snd):
-            return _scope(depth, fst) and _scope(depth + 1, snd)
-        case Const() | Bool() | Uni() | True_() | False_() | BoolCode():
-            return True
-        case Mod(_, ty):
-            return _scope(depth, ty)
-        case ModCode(_, code):
-            return _scope(depth, code)
-        case Dec(code):
-            return _scope(depth, code)
-        case Lam(body):
-            return _scope(depth + 1, body)
-        case App(fn, arg):
-            return _scope(depth, fn) and _scope(depth, arg)
-        case Pair(fst, snd):
-            return _scope(depth, fst) and _scope(depth, snd)
-        case Proj1(p) | Proj2(p):
-            return _scope(depth, p)
-        case If(motive, tcase, fcase, scrut):
-            return (
-                _scope(depth + 1, motive)
-                and _scope(depth, tcase)
-                and _scope(depth, fcase)
-                and _scope(depth, scrut)
-            )
-        case MkBox(_, body):
-            return _scope(depth, body)
-        case LetMod(_, _, motive, scrut, branch):
-            return (
-                _scope(depth + 1, motive)
-                and _scope(depth, scrut)
-                and _scope(depth + 1, branch)
-            )
-        case DecIso(body) | DecIsoInv(body):
-            return _scope(depth, body)
-    raise AssertionError(f"not a term: {t!r}")
 
 
 def const_names(t: Term) -> "list[str]":

@@ -576,7 +576,35 @@ def test_check_program_rejects_a_second_declaration_of_a_name():
 def test_check_program_out_of_scope():
     report = check_program(T, [("oops", "m", S.Bool(), var(3))])
     assert not report.ok
-    assert "out-of-scope" in report.results[0].error
+    assert report.results[0].error == "unbound variable index 3"
+
+
+# One index past the scope right under each binder form (a pair binds
+# nothing, so index 0 is already past it): the checker's own lookup rejects
+# it, with no separate scope pass.
+PAST_THE_SCOPE = {
+    "lam": (T, S.Pi(IDM, S.Bool(), S.Bool()), S.Lam(var(1)), 1),
+    "pi-codomain": (T, S.Pi(IDM, S.Uni(), S.Dec(var(1))), S.Lam(var(0)), 1),
+    "sig-second": (T, S.Sig(S.Uni(), S.Dec(var(1))), S.Pair(S.BoolCode(), S.True_()), 1),
+    "if-motive": (T, S.Bool(), S.If(S.Dec(var(1)), S.True_(), S.True_(), S.True_()), 1),
+    "letbox-motive": (
+        T, S.Bool(), S.LetMod(IDM, IDM, S.Dec(var(1)), S.MkBox(IDM, S.True_()), S.True_()), 1
+    ),
+    "letbox-branch": (
+        T, S.Bool(), S.LetMod(IDM, IDM, S.Bool(), S.MkBox(IDM, S.True_()), var(1)), 1
+    ),
+    "pair": (T, S.Sig(S.Bool(), S.Bool()), S.Pair(S.True_(), var(0)), 0),
+    "pic-codomain": (T, S.Uni(), S.PiCode(IDM, S.BoolCode(), var(1)), 1),
+    "sigc-second": (T, S.Uni(), S.SigCode(S.BoolCode(), var(1)), 1),
+    "under-a-lock": (W, S.Pi(MU, S.Bool(), S.Mod(MU, S.Bool())), S.Lam(S.MkBox(MU, var(1, MU))), 1),
+}
+
+
+@pytest.mark.parametrize("form", PAST_THE_SCOPE)
+def test_check_program_rejects_an_index_past_the_scope(form):
+    mt, ty, body, k = PAST_THE_SCOPE[form]
+    (result,) = check_program(mt, [("oops", "m", ty, body)]).results
+    assert not result.ok and result.error == f"unbound variable index {k}"
 
 
 def test_checked_terms_normalize():

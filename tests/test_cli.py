@@ -1,5 +1,6 @@
 """Tests for the surface language: lexing, parsing, commands, round-trips."""
 
+import gc
 import json
 import os
 import pathlib
@@ -58,7 +59,7 @@ def parse_type(src: str, mt, mode: str = "m"):
 
 def test_tokenizer_tracks_lines_and_columns():
     toks = tokenize("def x\n  := true")
-    assert [(t.text, t.line, t.col) for t in toks[:4]] == [
+    assert [(t.text, t.line, t.col) for t in map(toks.token, range(4))] == [
         ("def", 1, 1),
         ("x", 1, 5),
         (":=", 2, 3),
@@ -67,19 +68,21 @@ def test_tokenizer_tracks_lines_and_columns():
 
 
 def test_tokenizer_keeps_iso_inv_as_one_token():
-    toks = tokenize("iso-inv iso")
-    assert [t.text for t in toks[:2]] == ["iso-inv", "iso"]
+    assert tokenize("iso-inv iso") == ["iso-inv", "iso", ""]
 
 
 def test_tokenizer_skips_comments():
-    toks = tokenize("true -- ignored -> := junk\nfalse")
-    assert [t.text for t in toks[:2]] == ["true", "false"]
+    assert tokenize("true -- ignored -> := junk\nfalse") == ["true", "false", ""]
 
 
 def test_tokenizer_rejects_stray_characters():
     with pytest.raises(ParseError) as e:
         tokenize("def $")
     assert e.value.col == 5
+    # the first stray character wins, even over a parse error before it
+    with pytest.raises(ParseError) as e:
+        parse_file("def 1 @m\n  := $ ~")
+    assert (e.value.msg, e.value.line, e.value.col) == ("unexpected character '$'", 2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +221,9 @@ def test_parse_file_theory_block_with_cell():
 
 def test_parse_file_override_wins_over_block():
     mt, _ = parse_file("theory walking\ndef t @m : Bool := true", cli.SHIPPED["trivial"]())
+    assert mt.name == "trivial"
+    block = "theory { modes m; mod c : m -> m; cell pt : id(m) => c; decider free; }\n"
+    mt, _ = parse_file(block + "def t @m : Bool := true", cli.SHIPPED["trivial"]())
     assert mt.name == "trivial"
 
 
@@ -915,3 +921,20 @@ def test_corpus_normal_forms_roundtrip(path):
         check_tm(ctx, reparsed, check_type(ctx, d.ty))
         nf2 = normalize(mt, Telescope(d.mode, ()), d.ty, reparsed, report.signature)
         assert eq_nf(mt, r.body_nf, nf2), d.name
+
+
+def test_a_corpus_pass_leaves_no_cyclic_garbage(capsys):
+    def one_pass():
+        for path in CORPUS:
+            for command in ("check", "normalize"):
+                assert main([command, str(path)]) == 0
+        capsys.readouterr()
+
+    one_pass()  # builds what the process keeps, such as the argument parser
+    gc.collect()
+    gc.disable()
+    try:
+        one_pass()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -25,6 +25,7 @@ from mtt.harness import (
     theory_of,
 )
 from mtt.conv import conv, conv_ty
+from mtt.normal import eq_nf
 from mtt.modeth import Modality, id_cell, id_mod
 from mtt.nbe import (
     Closure,
@@ -248,3 +249,43 @@ def test_near_miss_changes_exactly_one_leaf():
         S.Pair(S.True_(), S.MkBox(Modality("m", "m", ("l", "l")), S.False_())),
     }
     assert near_miss(mt, rng, S.Var(0, id_cell(ell))) is None
+
+
+def _neutrals_that_differ_in_one_place():
+    """Pairs of boolean neutrals on one variable x (level 0, in ``pointed``)
+    that differ only in an ``if`` motive, a ``letbox`` motive, or one of a
+    ``letbox``'s two modalities; generated well-typed pairs at one type
+    rarely differ only there."""
+    mt = theory("pointed")
+    m = id_mod("m")
+    l = Modality("m", "m", ("l",))
+    env = check.ctx_extend(empty_ctx(mt, "m"), m, nbe.TMod(l, TBool())).env
+
+    def neutral(frame):
+        return nbe.VBoolNeutral(NeAbs(0, id_cell(m)).push(frame))
+
+    def if_(motive):
+        return neutral(nbe.FrIf(Closure(env, motive), VTrue(), nbe.VFalse()))
+
+    def letbox(mu, nu, motive):
+        branch = Closure(env, S.True_())
+        return neutral(nbe.FrLetMod(mu, nu, Closure(env, motive), branch, TBool()))
+
+    dec_bool = S.Dec(S.BoolCode())
+    return mt, {
+        "if-motive": (if_(S.Bool()), if_(dec_bool)),
+        "letbox-motive": (letbox(m, l, S.Bool()), letbox(m, l, dec_bool)),
+        "letbox-lock": (letbox(m, l, S.Bool()), letbox(l, l, S.Bool())),
+        "letbox-eliminated": (letbox(m, l, S.Bool()), letbox(m, modeth.compose_mod(l, l), S.Bool())),
+    }
+
+
+@pytest.mark.parametrize("place", ["if-motive", "letbox-motive", "letbox-lock", "letbox-eliminated"])
+def test_neutrals_that_differ_only_in_a_motive_or_modality_are_rejected(place):
+    mt, pairs = _neutrals_that_differ_in_one_place()
+    v, w = pairs[place]
+    twin = _neutrals_that_differ_in_one_place()[1][place][0]  # equal to v, another object
+    for other, equal in ((twin, True), (w, False)):
+        assert conv(mt, 1, "m", TBool(), v, other) is equal
+        assert conv(mt, 1, "m", TBool(), other, v) is equal
+        assert eq_nf(mt, reify(mt, 1, "m", TBool(), v), reify(mt, 1, "m", TBool(), other)) is equal

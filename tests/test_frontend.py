@@ -1,8 +1,9 @@
 """The front end against recorded behaviour.
 
 ``frontend_fixture.json`` (see ``_frontend.py``) holds what parsing made of
-the corpus and of 20 seeded mutations of each file; ``tokenize`` is compared
-with the original tokenizer loop on random strings.
+the corpus and of 20 seeded mutations of each file; ``tokenize`` and the
+places ``Tokens.token`` gives are compared with the original tokenizer loop
+on random strings.
 """
 
 import json
@@ -11,7 +12,8 @@ from random import Random
 import pytest
 
 import _frontend as FE
-from mtt.cli import ParseError, tokenize
+from mtt.cli import ParseError, Parser, tokenize
+from mtt.modeth import pointed
 
 FIXTURE = json.loads(FE.FIXTURE.read_text(encoding="utf-8"))
 
@@ -38,9 +40,12 @@ PIECES = ["--", "\n", "-", "$", " ", "\t", "x", "a1'", "iso-inv", "iso", "-inv",
 
 def _outcome(text):
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        toks = tokenize(text)
     except ParseError as e:
         return (e.msg, e.line, e.col)
+    located = [toks.token(i) for i in range(len(toks))]
+    assert toks == [t.text for t in located]
+    return [(t.kind, t.text, t.line, t.col) for t in located]
 
 
 def test_tokenize_matches_the_reference_loop_on_random_strings():
@@ -51,3 +56,16 @@ def test_tokenize_matches_the_reference_loop_on_random_strings():
         if isinstance(ref, list):
             ref = [t[:4] for t in ref]
         assert _outcome(text) == ref, repr(text)
+
+
+def test_the_front_end_api_the_benchmark_uses():
+    """``bench/tracer.py`` counts ``len(tokenize(text)) - 1`` tokens, and
+    ``bench/`` parses 2-cells with ``Parser(tokenize(cell), mt).parse_cell``
+    and reads ``peek().kind``; the tier-1 suite is what guards them."""
+    for path in FE.CORPUS:
+        text = path.read_text(encoding="utf-8")
+        assert len(tokenize(text)) - 1 == len(FE.reference_tokenize(text)) - 1, path.name
+    for cell in ("pt", "(l<pt).(pt)", "(pt>l).(pt)", "(l<l<pt).(l<pt).(pt)"):
+        p = Parser(tokenize(cell), pointed())
+        p.parse_cell(None)
+        assert p.peek().kind == "eof" and p.peek(1).kind == "eof"

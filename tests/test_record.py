@@ -20,8 +20,8 @@ from mtt.syntax import Bool, False_, True_, Var
 MU = Modality("n", "m", ("mu",))
 
 # Every class of these modules is a record except these: exceptions, the
-# bases of the sum types, the lazy and mutable holders, the token tuple and
-# the oracle enumeration.
+# bases of the sum types, the lazy and mutable holders, the token list and
+# tuple, and the oracle enumeration.
 RECORD_MODULES = (syntax, modeth, nbe, normal, check, cli, harness)
 NOT_RECORDS = {
     "syntax": {"Term"},
@@ -29,7 +29,7 @@ NOT_RECORDS = {
     "nbe": {"NbeError", "Value", "TypeValue", "CodeValue", "Thunk", "Body"},
     "normal": {"NormalError", "Nf", "Ne", "NfTy", "Renaming"},
     "check": {"CheckError"},
-    "cli": {"ParseError", "Token", "Parser"},
+    "cli": {"ParseError", "Token", "Tokens", "Parser"},
     "harness": {"HarnessError", "GenExhausted", "Oracle", "_Gen"},
 }
 

@@ -1,56 +1,9 @@
-"""Scope checking and telescope operations."""
+"""Telescope operations."""
 
 import pytest
 
-from mtt.modeth import ModeError, gen_mod, id_cell, id_mod, walking
-from mtt.syntax import (
-    App,
-    Bool,
-    EVar,
-    If,
-    Lam,
-    LetMod,
-    MkBox,
-    Pi,
-    Telescope,
-    True_,
-    Var,
-    scope_check,
-    tele_extend,
-    tele_lock,
-)
-
-
-def test_scope_var_in_singleton_context():
-    ctx = tele_extend(Telescope("m"), id_mod("m"), Bool())
-    assert scope_check(ctx, Var(0, id_cell(id_mod("m"))))
-
-
-def test_scope_empty_context_rejects_var():
-    assert not scope_check(Telescope("m"), Var(0, id_cell(id_mod("m"))))
-
-
-def test_scope_locks_are_transparent():
-    mt = walking()
-    mu = gen_mod(mt, "mu")
-    ctx = tele_lock(tele_extend(Telescope("m"), mu, Bool()), mu)
-    assert scope_check(ctx, Var(0, id_cell(mu)))
-    assert not scope_check(ctx, Var(1, id_cell(mu)))
-
-
-def test_scope_binders():
-    ctx = Telescope("m")
-    i = id_mod("m")
-    assert scope_check(ctx, Lam(Var(0, id_cell(i))))
-    assert not scope_check(ctx, Lam(Var(1, id_cell(i))))
-    assert scope_check(ctx, Pi(i, Bool(), Var(0, id_cell(i))))
-    assert scope_check(
-        ctx, If(Bool(), True_(), True_(), App(Lam(Var(0, id_cell(i))), True_()))
-    )
-    assert scope_check(
-        ctx,
-        LetMod(i, i, Bool(), MkBox(i, True_()), Var(0, id_cell(i))),
-    )
+from mtt.modeth import ModeError, gen_mod, id_mod, walking
+from mtt.syntax import Bool, EVar, Telescope, tele_extend, tele_lock
 
 
 def test_ctx_lock_mode_discipline():
