@@ -579,10 +579,11 @@ def test_check_program_out_of_scope():
     assert report.results[0].error == "unbound variable index 3"
 
 
-# One index past the scope right under each binder form (a pair binds
-# nothing, so index 0 is already past it): the checker's own lookup rejects
-# it, with no separate scope pass.
+# One index past the scope in an empty scope and right under each binder
+# form (a pair binds nothing, so index 0 is already past it): the checker's
+# own lookup rejects it, with no separate scope pass.
 PAST_THE_SCOPE = {
+    "empty-scope": (T, S.Bool(), var(0), 0),
     "lam": (T, S.Pi(IDM, S.Bool(), S.Bool()), S.Lam(var(1)), 1),
     "pi-codomain": (T, S.Pi(IDM, S.Uni(), S.Dec(var(1))), S.Lam(var(0)), 1),
     "sig-second": (T, S.Sig(S.Uni(), S.Dec(var(1))), S.Pair(S.BoolCode(), S.True_()), 1),
