@@ -9,7 +9,8 @@ forms with 2-cell equality delegated to the mode theory.
 Modules:
 
 - ``record``  -- the immutable record classes the syntaxes are declared with.
-- ``modeth``  -- mode theories: modalities (1-cell words), 2-cells, deciders.
+- ``modeth``  -- mode theories: modalities (1-cell words), 2-cells, and
+  the word rules and cell table that decide their equality.
 - ``syntax``  -- core de Bruijn terms and contexts with locks.
 - ``normal``  -- telescopes, the renaming calculus, normal/neutral forms.
 - ``nbe``     -- the semantic domain and normalization by evaluation.

@@ -41,6 +41,7 @@ from .modeth import (
     ModeError,
     ModeTheory,
     Modality,
+    Undecided,
     Word,
     cell_check,
     compose_mod,
@@ -394,8 +395,9 @@ def internal_error(e: Exception) -> str:
 @record
 class DeclResult:
     """One declaration's verdict.  ``fatal`` marks an error of the kernel
-    rather than of the program (the interpreter's stack ran out, or an
-    internal error).  The normal forms are read back on first use only."""
+    rather than of the program (the interpreter's stack ran out, the mode
+    theory's decider refused a question, or an internal error).  The normal
+    forms are read back on first use only."""
 
     name: str
     mode: str
@@ -440,9 +442,9 @@ def check_program(mt: ModeTheory, decls) -> Report:
     fails too.  Each result carries either normal forms or an error
     message; the normal forms are read back only when first asked for, so
     checking never reads a type back in full.  A declaration that exhausts
-    the interpreter's stack, or raises an exception that is none of the
-    kernel's error classes, fails with ``fatal`` set instead of ending the
-    program.
+    the interpreter's stack, asks the decider a question it refuses, or
+    raises an exception that is none of the kernel's error classes, fails
+    with ``fatal`` set instead of ending the program.
 
     The signature is one dict that every declaration's environment shares
     and that grows as declarations check: a declaration names only earlier
@@ -469,6 +471,8 @@ def check_program(mt: ModeTheory, decls) -> Report:
                 )
             )
             sig[name] = Definition(mode, tyv, val)
+        except Undecided as e:
+            results.append(DeclResult(name, mode, False, error=str(e), fatal=True))
         except (CheckError, NormalError, NbeError, ModeError) as e:
             results.append(DeclResult(name, mode, False, error=str(e)))
         except RecursionError:

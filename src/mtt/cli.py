@@ -21,9 +21,10 @@ Where tokens start is found, once per file, only when a diagnostic or
 
 Identity modalities written bare (``id``) resolve at the lexically
 enclosing mode; ``id(m)`` names a mode explicitly.  Exit codes: 0 success,
-1 type error, 2 parse error or a declaration nested too deeply for the
-interpreter's stack.  Diagnostics go to stderr; all stdout output
-is a deterministic function of the input.  Normal forms print through
+1 type error, 2 parse error, a declaration nested too deeply for the
+interpreter's stack, or a 2-cell question the mode theory's decider
+refuses.  Diagnostics go to stderr; all stdout output is a deterministic
+function of the input.  Normal forms print through
 ``normal.surface_nf``/``surface_nfty``, whose output parses again; a
 closed stdout discards the rest of the output and changes neither the
 diagnostics nor the exit code.
@@ -53,8 +54,6 @@ from .modeth import (
     ModeError,
     ModeTheory,
     Modality,
-    RewriteDecider,
-    FreeDecider,
     TheoryItemError,
     cell_boundary,
     compose_mod,
@@ -594,7 +593,7 @@ class Parser:
                 items["mod", g] = item_at
                 self.expect(";")
             elif item == "cell":
-                self.mt = ModeTheory("scratch", tuple(modes), mods, cells, FreeDecider())
+                self.mt = ModeTheory("scratch", tuple(modes), mods, cells)
                 g = self.expect_ident("a 2-cell name")
                 self.expect(":")
                 src = self.parse_modexpr(None)
@@ -604,7 +603,7 @@ class Parser:
                 items["cell", g] = item_at
                 self.expect(";")
             elif item == "rule":
-                self.mt = ModeTheory("scratch", tuple(modes), mods, cells, FreeDecider())
+                self.mt = ModeTheory("scratch", tuple(modes), mods, cells)
                 lhs = self.parse_modexpr(None)
                 self.expect("~>")
                 rhs = self.parse_modexpr(None)
@@ -623,13 +622,12 @@ class Parser:
                 self.expect(";")
             else:
                 raise self.fail(f"unknown theory item {item!r}", item_at)
-        decider = RewriteDecider(tuple(rules)) if kind == "rewrite" else FreeDecider()
         if kind == "free" and rules:
             raise self.fail(
                 "word rules given but the decider is 'free'; say 'decider rewrite'", at
             )
         try:
-            return validate(ModeTheory("file", tuple(modes), mods, cells, decider))
+            return validate(ModeTheory("file", tuple(modes), mods, cells, tuple(rules)))
         except TheoryItemError as e:
             raise self.fail(f"ill-formed mode theory: {e}", items[e.item]) from None
 

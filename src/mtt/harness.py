@@ -97,29 +97,22 @@ class GenExhausted(HarnessError):
     """The generator found no term of the requested type within budget."""
 
 
-DEFAULT_WEIGHTS = (
-    ("bool", 4.0),
-    ("pi", 2.0),
-    ("sigma", 2.0),
-    ("mod", 2.0),
-    ("dec", 1.0),
-    ("uni", 0.5),
-)
+# How often invented types use each connective head.
+DEFAULT_WEIGHTS = {"bool": 4.0, "pi": 2.0, "sigma": 2.0, "mod": 2.0, "dec": 1.0, "uni": 0.5}
 
 
 @record
 class GenConfig:
     """Reproducible generation parameters.
 
-    ``weights`` biases which connective heads invented types use; the
-    production mix (variables versus introductions versus redexes) is
-    fixed.  Equal configurations generate equal sequences.
+    The production mix (variables versus introductions versus redexes) and
+    the connective weights are fixed.  Equal configurations generate equal
+    sequences.
     """
 
     seed: int = 0
     max_size: int = 12
     theory: str = "trivial"
-    weights: tuple[tuple[str, float], ...] = DEFAULT_WEIGHTS
 
 
 def theory_of(cfg: GenConfig) -> ModeTheory:
@@ -310,16 +303,12 @@ def oracle_eval_bool(t: Term, fuel: int):
 
 
 class _Gen:
-    def __init__(self, mt: ModeTheory, rng: random.Random, weights: dict):
+    def __init__(self, mt: ModeTheory, rng: random.Random):
         self.mt = mt
         self.rng = rng
-        self.w = weights
 
     def _weighted(self, names: list) -> str:
-        weights = [max(self.w.get(n, 1.0), 0.0) for n in names]
-        if not any(weights):
-            weights = [1.0] * len(names)
-        return self.rng.choices(names, weights)[0]
+        return self.rng.choices(names, [DEFAULT_WEIGHTS[n] for n in names])[0]
 
     def _modality(self, mode: str) -> Modality:
         gens = [
@@ -535,7 +524,7 @@ class _Gen:
 def gen_type(cfg: GenConfig, ctx: CheckCtx, rng: "random.Random | None" = None) -> Term:
     """A random well-formed type in ``ctx``, as a term."""
     rng = rng if rng is not None else random.Random(cfg.seed)
-    return _Gen(ctx.mt, rng, dict(cfg.weights)).type_term(ctx, cfg.max_size // 2)
+    return _Gen(ctx.mt, rng).type_term(ctx, cfg.max_size // 2)
 
 
 def gen_typed_term(
@@ -546,7 +535,7 @@ def gen_typed_term(
 ) -> Term:
     """A random term of type ``ty``, or ``GenExhausted``."""
     rng = rng if rng is not None else random.Random(cfg.seed)
-    return _Gen(ctx.mt, rng, dict(cfg.weights)).term(ctx, ty, cfg.max_size)
+    return _Gen(ctx.mt, rng).term(ctx, ty, cfg.max_size)
 
 
 def gen_distinct_pair(
@@ -562,7 +551,7 @@ def gen_distinct_pair(
     component is generated randomly.
     """
     rng = rng if rng is not None else random.Random(cfg.seed)
-    g = _Gen(ctx.mt, rng, dict(cfg.weights))
+    g = _Gen(ctx.mt, rng)
 
     def go(ctx: CheckCtx, ty: TypeValue) -> "tuple[Term, Term]":
         mt = ctx.mt
@@ -759,7 +748,7 @@ def ctx_for(mt: ModeTheory, rng: random.Random) -> CheckCtx:
     and boolean variables with random annotations, so that generated terms
     reach variables through whiskered and composite keys."""
     ctx = empty_ctx(mt, rng.choice(list(mt.modes)))
-    pick = _Gen(mt, rng, {})._modality
+    pick = _Gen(mt, rng)._modality
     for _ in range(rng.randrange(4)):
         mu = pick(ctx.mode)
         ctx = ctx_lock(ctx, mu) if rng.random() < 0.5 else ctx_extend(ctx, mu, TBool())

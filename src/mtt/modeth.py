@@ -2,19 +2,16 @@
 
 A mode theory has a finite set of modes (objects), named modality generators
 (1-cells between modes), named cell generators (2-cells between parallel
-modality words), and a *decider* — a total procedure for equality of
-modalities and of 2-cells.  Three decider kinds exist:
+modality words), and two facts that decide equality:
 
-- ``FreeDecider``: no relations.  Words compare literally; 2-cells compare by
-  the layered interchange normal form (see ``left_normal``).
-- ``RewriteDecider``: a confluent word rewrite system supplied by the
-  presenter normalizes 1-cells; 2-cells compare as in the free case with
-  whisker words normalized piecewise.  ``validate`` makes every rule shrink
-  its word in shortlex order, so rewriting terminates, and every critical
-  pair of the rules joins, so it is confluent.
-- ``TableDecider``: for theories with finitely many cells.  Every whiskered
-  generator layer is looked up in an explicit table and vertical composites
-  are folded through a composition table.
+- ``rules``: a word rewrite system on 1-cells, empty for a free theory.
+  ``validate`` makes every rule shrink its word in shortlex order, so
+  rewriting terminates, and every critical pair of the rules joins, so it is
+  confluent; words are equal iff their normal forms are.
+- ``table``: for theories with finitely many cells, a ``CellTable`` that
+  names every whiskered generator layer and folds vertical composites.
+  Without one, 2-cells compare by the layered interchange normal form (see
+  ``left_normal``), with whisker words rewritten only for the comparison.
 
 Everything here is immutable and pure.
 """
@@ -31,6 +28,11 @@ Word = tuple[str, ...]
 
 class ModeError(Exception):
     """Raised for mode mismatches and malformed presentations."""
+
+
+class Undecided(ModeError):
+    """The decider gave up on a question it cannot settle: a refusal, which
+    ``check_program`` reports as fatal, not a verdict of "unequal"."""
 
 
 class TheoryItemError(ModeError):
@@ -100,15 +102,14 @@ def check_word(mt: "ModeTheory", word: Word, start: str) -> str:
 
 
 def canon_word(mt: "ModeTheory", word: Word) -> Word:
-    """Rewrite a word to its normal form under the decider's word rules."""
-    rules = getattr(mt.decider, "word_rules", ())
-    if not rules:
+    """Rewrite a word to its normal form under the theory's word rules."""
+    if not mt.rules:
         return word
     w = list(word)
     changed = True
     while changed:
         changed = False
-        for lhs, rhs in rules:
+        for lhs, rhs in mt.rules:
             n = len(lhs)
             i = 0
             while i + n <= len(w):
@@ -205,14 +206,9 @@ def gen_cell(mt: "ModeTheory", name: str) -> Cell2:
     return Cell2(src, tgt, CellGen(name))
 
 
-def vcomp(later: Cell2, earlier: Cell2, mt: "ModeTheory | None" = None) -> Cell2:
+def vcomp(later: Cell2, earlier: Cell2, mt: "ModeTheory") -> Cell2:
     """Vertical composite: ``earlier`` first, then ``later``."""
-    ok = (
-        eq_mod(mt, earlier.tgt, later.src)
-        if mt is not None
-        else earlier.tgt == later.src
-    )
-    if not ok:
+    if not eq_mod(mt, earlier.tgt, later.src):
         raise ModeError(
             f"vertical composite boundary mismatch: {earlier.tgt} then {later.src}"
         )
@@ -290,12 +286,19 @@ def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
 
     A later layer whose input subword lies entirely at or left of an earlier
     layer's output subword is independent of it and bubbles past, with the
-    whisker words adjusted.  The result is the unique left-handed
-    representative of the diagram's interchange class.  ``validate`` rejects
-    scalar generators (both boundary words empty): two of them at one offset
-    each read left of the other, and would swap forever.
+    whisker words adjusted.  Offsets count letters of the literal words, so
+    two layers swap only where the earlier one's output word is the later
+    one's input word letter for letter.  The result is the unique left-handed
+    representative of the diagram's interchange class (Delpeuch & Vicary).
+
+    A part of the diagram that touches no boundary wire, such as a scalar
+    built from a unit and a counit, has no such representative: two of them
+    each read left of the other.  Every other cell tried needed at most
+    n(n-1)/2 swaps for n layers, as many as sorting them can take, so one
+    more is ``Undecided`` instead of a loop.
     """
     out = list(atoms)
+    budget = len(out) * (len(out) - 1) // 2
     changed = True
     while changed:
         changed = False
@@ -304,7 +307,13 @@ def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
             a_src, a_tgt = _gen_src_word(mt, a.gen), _gen_tgt_word(mt, a.gen)
             b_src = _gen_src_word(mt, b.gen)
             ao, bo = len(a.pre), len(b.pre)
-            if bo + len(b_src) <= ao:
+            if bo + len(b_src) <= ao and b.pre + b_src + b.post == a.pre + a_tgt + a.post:
+                if not budget:
+                    raise Undecided(
+                        f"2-cell equality undecided: {len(out)} layers found no interchange "
+                        "normal form, as when a part of a cell touches no boundary wire"
+                    )
+                budget -= 1
                 # b reads left of a's write: swap, b now acts on a's source
                 w0 = a.pre + a_src + a.post
                 b2 = Atom(b.pre, b.gen, w0[bo + len(b_src) :])
@@ -316,23 +325,21 @@ def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
 
 
 def _canon_atoms(mt: "ModeTheory", cell: Cell2) -> tuple[Atom, ...]:
-    atoms = cell_atoms(mt, cell)
-    if getattr(mt.decider, "word_rules", ()):
-        atoms = [
-            Atom(canon_word(mt, a.pre), a.gen, canon_word(mt, a.post)) for a in atoms
-        ]
-    return left_normal(mt, atoms)
+    """The interchange normal form, with whisker words then rewritten: cells
+    whiskered by equal words are equal."""
+    atoms = left_normal(mt, cell_atoms(mt, cell))
+    if not mt.rules:
+        return atoms
+    return tuple(Atom(canon_word(mt, a.pre), a.gen, canon_word(mt, a.post)) for a in atoms)
 
 
 def _table_value(mt: "ModeTheory", cell: Cell2) -> "str | None":
-    """Fold a cell's layers through a TableDecider; None means identity."""
-    dec = mt.decider
-    assert isinstance(dec, TableDecider)
+    """Fold a cell's layers through the theory's table; None means identity."""
     value: str | None = None
     for a in cell_atoms(mt, cell):
         key = (canon_word(mt, a.pre), a.gen, canon_word(mt, a.post))
         try:
-            name = dec.atom_map[key]
+            name = mt.table.atom_map[key]
         except KeyError:
             raise ModeError(f"cell table does not cover layer {key}") from None
         if name is None:
@@ -341,7 +348,7 @@ def _table_value(mt: "ModeTheory", cell: Cell2) -> "str | None":
             value = name
         else:
             try:
-                value = dec.vcomp_map[(name, value)]
+                value = mt.table.vcomp_map[(name, value)]
             except KeyError:
                 raise ModeError(
                     f"cell table does not cover composite {name} after {value}"
@@ -349,22 +356,22 @@ def _table_value(mt: "ModeTheory", cell: Cell2) -> "str | None":
     return value
 
 
+def _cell_key(mt: "ModeTheory", cell: Cell2):
+    """What names a cell's equality class: its value in the theory's table if
+    it has one, else its normal form.  The identity's key is None or ()."""
+    return _table_value(mt, cell) if mt.table is not None else _canon_atoms(mt, cell)
+
+
 def eq_cell(mt: "ModeTheory", a: Cell2, b: Cell2) -> bool:
     """Decide 2-cell equality modulo the 2-category laws and the presentation."""
     if not (eq_mod(mt, a.src, b.src) and eq_mod(mt, a.tgt, b.tgt)):
         return False
-    if isinstance(mt.decider, TableDecider):
-        return _table_value(mt, a) == _table_value(mt, b)
-    return _canon_atoms(mt, a) == _canon_atoms(mt, b)
+    return _cell_key(mt, a) == _cell_key(mt, b)
 
 
 def is_id_cell(mt: "ModeTheory", a: Cell2) -> bool:
     """True iff the cell equals the identity on its (necessarily equal) boundary."""
-    if not eq_mod(mt, a.src, a.tgt):
-        return False
-    if isinstance(mt.decider, TableDecider):
-        return _table_value(mt, a) is None
-    return _canon_atoms(mt, a) == ()
+    return eq_mod(mt, a.src, a.tgt) and not _cell_key(mt, a)
 
 
 def cell_boundary(mt: "ModeTheory", e: CellExpr) -> tuple[Modality, Modality]:
@@ -401,50 +408,33 @@ def cell_check(mt: "ModeTheory", cell: Cell2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Deciders and the theory record
-
-
-@record
-class FreeDecider:
-    """No relations: words literal, cells by interchange normal form (so no
-    scalar cell generators; see ``left_normal``)."""
+# The theory record
 
 
 @record(eq=False)
-class RewriteDecider:
-    """Word rules (lhs -> rhs), each shrinking in shortlex order and together
-    confluent; ``validate`` checks both, the latter on the critical pairs."""
-
-    word_rules: tuple[tuple[Word, Word], ...]
-
-
-@record(eq=False)
-class TableDecider:
-    """Finite enumeration: every layer and composite resolved by lookup.
+class CellTable:
+    """A finite enumeration of a theory's cells.
 
     ``atom_map`` sends (normalized pre, generator, normalized post) to a cell
     name, or None for layers that the presentation collapses to an identity.
     ``vcomp_map`` composes named cells (identities are handled as units).
     """
 
-    word_rules: tuple[tuple[Word, Word], ...]
-    cells: Mapping[str, tuple[Modality, Modality]]
     atom_map: Mapping[tuple[Word, str, Word], "str | None"]
     vcomp_map: Mapping[tuple[str, str], str]
 
 
-Decider = Union[FreeDecider, RewriteDecider, TableDecider]
-
-
 @record(eq=False)
 class ModeTheory:
-    """An immutable presentation plus its equality decider."""
+    """An immutable presentation, with the word rules (lhs, rhs) and the
+    optional cell table that decide its equalities; no rules is free."""
 
     name: str
     modes: tuple[str, ...]
     modality_gens: Mapping[str, tuple[str, str]]  # name -> (src mode, tgt mode)
     cell_gens: Mapping[str, tuple[Modality, Modality]]  # name -> (src, tgt)
-    decider: Decider
+    rules: tuple[tuple[Word, Word], ...] = ()
+    table: "CellTable | None" = None
 
 
 @contextmanager
@@ -471,8 +461,7 @@ def validate(mt: ModeTheory) -> ModeTheory:
                 raise ModeError(f"cell generator {c!r} is not between parallel modalities")
             if not src.word and not tgt.word:  # see ``left_normal``
                 raise ModeError(f"cell generator {c!r} is a scalar: both its words are empty")
-    rules = getattr(mt.decider, "word_rules", ())
-    for i, (lhs, rhs) in enumerate(rules):
+    for i, (lhs, rhs) in enumerate(mt.rules):
         with _blame(("rule", i)):
             start = check_word_any(mt, lhs)
             end = check_word(mt, lhs, start)
@@ -489,8 +478,8 @@ def validate(mt: ModeTheory) -> ModeTheory:
                 )
     # Terminating rules are confluent iff each critical pair joins: where two
     # left sides overlap, either rewrite reaches one normal form (Newman; Knuth-Bendix).
-    for j, (lj, rj) in enumerate(rules):
-        for li, ri in rules[: j + 1]:
+    for j, (lj, rj) in enumerate(mt.rules):
+        for li, ri in mt.rules[: j + 1]:
             for w, a, b in (*_critical_pairs(li, ri, lj, rj), *_critical_pairs(lj, rj, li, ri)):
                 a, b = canon_word(mt, a), canon_word(mt, b)
                 if a != b:
@@ -531,28 +520,18 @@ def _bad(word: Word) -> str:
 
 def trivial() -> ModeTheory:
     """One mode, no generators: every modality and cell is an identity."""
-    return validate(ModeTheory("trivial", ("m",), {}, {}, FreeDecider()))
+    return validate(ModeTheory("trivial", ("m",), {}, {}))
 
 
 def walking() -> ModeTheory:
     """Two modes and a single modality mu : n -> m with no cells."""
-    return validate(
-        ModeTheory("walking", ("n", "m"), {"mu": ("n", "m")}, {}, FreeDecider())
-    )
+    return validate(ModeTheory("walking", ("n", "m"), {"mu": ("n", "m")}, {}))
 
 
 def pointed() -> ModeTheory:
     """One mode, an endomodality l, and a point pt : id => l."""
     l = Modality("m", "m", ("l",))
-    return validate(
-        ModeTheory(
-            "pointed",
-            ("m",),
-            {"l": ("m", "m")},
-            {"pt": (id_mod("m"), l)},
-            FreeDecider(),
-        )
-    )
+    return validate(ModeTheory("pointed", ("m",), {"l": ("m", "m")}, {"pt": (id_mod("m"), l)}))
 
 
 def adjoint() -> ModeTheory:
@@ -575,7 +554,8 @@ def adjoint() -> ModeTheory:
             ("n", "m"),
             {"l": ("n", "m"), "r": ("m", "n")},
             {"eps": (lr, id_mod("m"))},
-            TableDecider(rules, {"eps": (lr, id_mod("m"))}, atom_map, {}),
+            rules,
+            CellTable(atom_map, {}),
         )
     )
 

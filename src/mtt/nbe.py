@@ -548,28 +548,27 @@ def key_val(mt: ModeTheory, cell: Cell2, v: Value) -> Value:
     """Compose a key onto a stored value's neutral head(s).
 
     Environment atoms are reflections with identity head cells, so the
-    composite is defined; on canonical values (possible only after a
-    substitution) the key acts trivially.
+    composite is defined; a head cell that does not end where the key starts
+    is a transport bug, an ``NbeError``.  On canonical values (possible only
+    after a substitution) the key acts trivially.
     """
 
-    def on_ne(ne: NeAbs) -> NeAbs | None:
-        if eq_mod(mt, ne.cell.tgt, cell.src):
-            return NeAbs(ne.level, vcomp(cell, ne.cell, mt), ne.frames)
-        return None
+    def on_ne(ne: NeAbs) -> NeAbs:
+        if not eq_mod(mt, ne.cell.tgt, cell.src):
+            raise NbeError(
+                f"key {cell} starts at {cell.src}, but the head cell ends at {ne.cell.tgt}"
+            )
+        return NeAbs(ne.level, vcomp(cell, ne.cell, mt), ne.frames)
 
     match v:
         case VBoolNeutral(ne):
-            k = on_ne(ne)
-            return VBoolNeutral(k) if k is not None else v
+            return VBoolNeutral(on_ne(ne))
         case VCodeNeutral(ne):
-            k = on_ne(ne)
-            return VCodeNeutral(k) if k is not None else v
+            return VCodeNeutral(on_ne(ne))
         case VNeutral(ty, ne):
-            k = on_ne(ne)
-            return VNeutral(ty, k) if k is not None else v
+            return VNeutral(ty, on_ne(ne))
         case VMod(ModNeutral(ne, inner)):
-            k = on_ne(ne)
-            return VMod(ModNeutral(k, inner)) if k is not None else v
+            return VMod(ModNeutral(on_ne(ne), inner))
         case VPair(a, b):
             return VPair(key_val(mt, cell, a), key_val(mt, cell, b))
         case _:

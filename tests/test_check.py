@@ -31,7 +31,6 @@ from mtt.modeth import (
     ModeError,
     ModeTheory,
     Modality,
-    RewriteDecider,
     adjoint,
     compose_mod,
     eq_mod,
@@ -191,7 +190,7 @@ def _rewrite_with_a_cell():
             ("s",),
             {"c": ("s", "s")},
             {"p": (id_mod("s"), c)},
-            RewriteDecider(((("c", "c"), ("c",)),)),
+            ((("c", "c"), ("c",)),),
         )
     )
 

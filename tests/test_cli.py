@@ -208,7 +208,7 @@ def test_parse_file_inline_theory_block():
     )
     assert mt.modes == ("s",)
     assert mt.modality_gens == {"c": ("s", "s")}
-    assert mt.decider.word_rules == ((("c", "c"), ("c",)),)
+    assert mt.rules == ((("c", "c"), ("c",)),)
 
 
 def test_parse_file_theory_block_with_cell():
@@ -651,6 +651,56 @@ def test_scalar_cell_generator_is_rejected_at_its_keyword(tmp_path):
         "cell generator 's' is a scalar: both its words are empty\n"
     )
     assert done.stdout == ""
+
+
+SWAPPED = (
+    "def swapped @m : Pi (x.x.y | v : Bool) -> Mod x.x.y (dec (if [_. Uni] "
+    "v^((x<(x<b)).(x<a).(x<(d>y)).(x<(d>y))) then BoolC else PiC (u : BoolC) -> BoolC)) "
+    ":= \\(x.x.y | v) -> box x.x.y (if [e. dec (if [_. Uni] e then BoolC else "
+    "PiC (u : BoolC) -> BoolC)] v^((x<(d>y)).(x<(x<b)).(x<a).(x<(d>y))) "
+    "then iso-inv true else iso-inv (\\u -> u))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "theory",
+    [
+        "mod z : m -> m; rule x.y ~> z; cell a : z => z; decider rewrite;",
+        "cell a : x.y => x.y; decider free;",
+    ],
+    ids=["rule", "free"],
+)
+def test_layers_that_share_a_wire_do_not_swap_across_a_word_rule(tmp_path, theory):
+    # d and a share the x wire, so the two keys differ in which layers come
+    # first.  With the rule, a's layer spells x.y as the one letter z where
+    # d's layers spell it with two, and the decider used to swap d past a by
+    # those offsets and accept the program (exit 0).
+    text = (
+        "theory { modes m; mod w : m -> m; mod x : m -> m; mod y : m -> m; "
+        f"cell b : y => y; cell c : w => w; cell d : x => x; {theory} }}\n" + SWAPPED
+    )
+    done = run_mtt(tmp_path, text, timeout=10)
+    assert done.returncode == 1
+    assert "run.mtt:2:1: error: swapped: type mismatch: " in done.stderr
+    assert done.stdout == ""
+
+
+def test_a_scalar_built_from_a_unit_and_a_counit_is_a_located_refusal(tmp_path):
+    # The closed bubbles e.u touch no boundary wire; the interchange normal
+    # form swapped the two of them forever and ``mtt check`` never ended.
+    text = (
+        "theory { modes m; mod c : m -> m; cell u : id(m) => c; cell e : c => id(m); "
+        "decider free; }\n"
+        "def one @m : Pi (x : Bool) -> Bool := \\x -> x^(e.u)\n"
+        "def two @m : Pi (x : Bool) -> Bool := \\x -> x^(e.u.e.u)\n"
+    )
+    done = run_mtt(tmp_path, text, timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == "checked one : Pi (id(m) | x0 : Bool) -> Bool\n"
+    assert done.stderr.endswith(
+        "run.mtt:3:1: error: two: 2-cell equality undecided: 4 layers found no "
+        "interchange normal form, as when a part of a cell touches no boundary wire\n"
+    )
 
 
 def church(n: int, carrier: str) -> str:

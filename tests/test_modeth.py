@@ -1,16 +1,17 @@
 """Mode theory tests: words, cells, deciders."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtt.cli import parse_file
 from mtt.modeth import (
     Atom,
     Cell2,
-    FreeDecider,
     ModeError,
     ModeTheory,
     Modality,
-    RewriteDecider,
     TheoryItemError,
     adjoint,
     canon_word,
@@ -36,14 +37,14 @@ from mtt.modeth import (
 def free_pq() -> ModeTheory:
     # a: p -> q, b: q -> r, no relations
     return validate(
-        ModeTheory("pq", ("p", "q", "r"), {"a": ("p", "q"), "b": ("q", "r")}, {}, FreeDecider())
+        ModeTheory("pq", ("p", "q", "r"), {"a": ("p", "q"), "b": ("q", "r")}, {})
     )
 
 
 def free_endo() -> ModeTheory:
     # two endo-generators on one mode
     return validate(
-        ModeTheory("endo", ("m",), {"a": ("m", "m"), "b": ("m", "m")}, {}, FreeDecider())
+        ModeTheory("endo", ("m",), {"a": ("m", "m"), "b": ("m", "m")}, {})
     )
 
 
@@ -214,6 +215,38 @@ def test_eq_cell_congruence_random(data):
     assert eq_cell(mt, *g)
 
 
+GROWING, _ = parse_file(
+    "theory { modes m; mod c : m -> m; mod k : m -> m; cell pt : id(m) => c;"
+    " cell mul : c.c => c; cell dup : c => c.c; cell to : c => k; cell from : k => c;"
+    " cell cross : k.c => c.k; decider free; }"
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_swap_cap_admits_every_cell_without_a_closed_part(seed):
+    # No generator of GROWING ends in the empty word, so every part of a cell
+    # reaches its output boundary and has an interchange normal form; some of
+    # these cells need exactly n(n-1)/2 swaps for n layers.
+    rng = random.Random(seed)
+    gens = sorted(GROWING.cell_gens.items())
+    for _ in range(500):
+        word = tuple(rng.choice("ck") for _ in range(rng.randint(0, 3)))
+        cell = id_cell(Modality("m", "m", word))
+        for _ in range(rng.randint(1, 8)):
+            sites = [
+                (i, g, tgt.word)
+                for i in range(len(word) + 1)
+                for g, (src, tgt) in gens
+                if word[i : i + len(src.word)] == src.word
+            ]
+            i, g, tgt = rng.choice(sites)
+            pre, post = word[:i], word[i + len(GROWING.cell_gens[g][0].word) :]
+            layer = whisker_right(gen_cell(GROWING, g), Modality("m", "m", pre))
+            cell = vcomp(whisker_left(Modality("m", "m", post), layer), cell, GROWING)
+            word = pre + tgt + post
+        assert eq_cell(GROWING, cell, cell)
+
+
 # ---------------------------------------------------------------------------
 # adjoint table vs brute force
 
@@ -276,7 +309,7 @@ def test_rewrite_decider_collapses_words():
             ("s",),
             {"f": ("s", "s"), "g": ("s", "s")},
             {},
-            RewriteDecider(((("f", "g"), ()),)),
+            ((("f", "g"), ()),),
         )
     )
     w = Modality("s", "s", ("f", "f", "g", "g"))
@@ -287,7 +320,7 @@ def test_rewrite_decider_collapses_words():
 
 def test_validate_rejects_bad_presentations():
     with pytest.raises(ModeError):
-        validate(ModeTheory("bad", ("m",), {"f": ("m", "x")}, {}, FreeDecider()))
+        validate(ModeTheory("bad", ("m",), {"f": ("m", "x")}, {}))
     with pytest.raises(ModeError):
         validate(
             ModeTheory(
@@ -295,7 +328,6 @@ def test_validate_rejects_bad_presentations():
                 ("m", "n"),
                 {"f": ("m", "n")},
                 {"c": (Modality("m", "n", ("f",)), id_mod("m"))},
-                FreeDecider(),
             )
         )
 
@@ -303,16 +335,14 @@ def test_validate_rejects_bad_presentations():
 def test_validate_rejects_a_scalar_cell_generator():
     # Two layers of an endo-cell of id(m) each read left of the other, so
     # left_normal used to swap them forever.
-    scalar = ModeTheory("sc", ("m",), {}, {"s": (id_mod("m"), id_mod("m"))}, FreeDecider())
+    scalar = ModeTheory("sc", ("m",), {}, {"s": (id_mod("m"), id_mod("m"))})
     with pytest.raises(TheoryItemError, match="'s' is a scalar") as e:
         validate(scalar)
     assert e.value.item == ("cell", "s")
 
 
 def _rewrite_theory(*rules):
-    return ModeTheory(
-        "rw", ("s",), {"f": ("s", "s"), "g": ("s", "s")}, {}, RewriteDecider(rules)
-    )
+    return ModeTheory("rw", ("s",), {"f": ("s", "s"), "g": ("s", "s")}, {}, rules)
 
 
 @pytest.mark.parametrize(
@@ -350,9 +380,9 @@ def test_validate_rejects_rules_that_are_not_confluent(rules, pair, blamed):
     # Each overlap rewrites to two distinct normal forms, so conversion would
     # reject modalities that the rules make equal.
     gens = {g: ("s", "s") for g in "vwxyz"}
-    decider = RewriteDecider(tuple((tuple(lhs), tuple(rhs)) for lhs, rhs in rules))
+    rules = tuple((tuple(lhs), tuple(rhs)) for lhs, rhs in rules)
     with pytest.raises(TheoryItemError, match="word rules are not confluent") as e:
-        validate(ModeTheory("nc", ("s",), gens, {}, decider))
+        validate(ModeTheory("nc", ("s",), gens, {}, rules))
     assert pair in str(e.value)
     assert e.value.item == ("rule", blamed)
 
@@ -360,7 +390,72 @@ def test_validate_rejects_rules_that_are_not_confluent(rules, pair, blamed):
 def test_validate_accepts_rules_whose_critical_pairs_join():
     # c.c ~> c overlaps itself in c.c.c, which rewrites to c either way; the
     # adjoint rule r.l ~> id does not overlap itself.
-    idem = RewriteDecider(((("c", "c"), ("c",)),))
-    mt = validate(ModeTheory("idem", ("s",), {"c": ("s", "s")}, {}, idem))
+    mt = validate(ModeTheory("idem", ("s",), {"c": ("s", "s")}, {}, ((("c", "c"), ("c",)),)))
     assert canon_word(mt, ("c", "c", "c")) == ("c",)
     validate(adjoint())
+
+
+# ---------------------------------------------------------------------------
+# naming-rule oracle: a rule x.y ~> z with z fresh presents the same
+# 2-category as the free theory with z written out as x.y
+
+_CELLS = "cell b : y => y; cell c : w => w; cell d : x => x;"
+NAMED, _ = parse_file(
+    "theory { modes m; mod w : m -> m; mod x : m -> m; mod y : m -> m; mod z : m -> m;"
+    f" rule x.y ~> z; cell a : z => z; {_CELLS} decider rewrite; }}"
+)
+EXPANDED, _ = parse_file(
+    "theory { modes m; mod w : m -> m; mod x : m -> m; mod y : m -> m;"
+    f" cell a : x.y => x.y; {_CELLS} decider free; }}"
+)
+XY, Z = EXPANDED.cell_gens["a"][0].word, NAMED.cell_gens["a"][0].word  # in application order
+
+
+def _contract(rng, word):
+    """``word`` with each x.y, at random, written as z."""
+    out, i = (), 0
+    while i < len(word):
+        if word[i : i + 2] == XY and rng.random() < 0.5:
+            out, i = out + Z, i + 2
+        else:
+            out, i = out + word[i : i + 1], i + 1
+    return out
+
+
+def _cell(mt, rng, word, sites):
+    """The composite of generator layers at ``sites`` (offset, name) of the
+    expanded ``word``, applied in order; in ``NAMED`` each whisker is written
+    with its own random choice of z for x.y."""
+    layers = []
+    for i, g in sites:
+        pre, post = word[:i], word[i + len(EXPANDED.cell_gens[g][0].word) :]
+        if mt is NAMED:
+            pre, post = _contract(rng, pre), _contract(rng, post)
+        inner = whisker_right(gen_cell(mt, g), Modality("m", "m", pre))
+        layers.append(whisker_left(Modality("m", "m", post), inner))
+    cell = layers[0]
+    for later in layers[1:]:
+        cell = vcomp(later, cell, mt)
+    return cell
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_naming_rule_accepts_no_pair_of_cells_its_expansion_rejects(seed):
+    # Pairs of 1-6 layers, the second a reordering of the first, so that
+    # interchange alone decides them.  The rule's decider may still reject
+    # pairs that the expansion accepts: it is sound, not complete.
+    rng = random.Random(seed)
+    for _ in range(1000):
+        word = sum((rng.choice([XY, XY, ("w",), ("x",), ("y",)]) for _ in range(rng.randint(1, 3))), ())
+        sites = [
+            (i, g)
+            for i in range(len(word))
+            for g, (src, _) in sorted(EXPANDED.cell_gens.items())
+            if word[i : i + len(src.word)] == src.word
+        ]
+        first = [rng.choice(sites) for _ in range(rng.randint(1, 6))]
+        second = rng.sample(first, len(first))
+        if eq_cell(NAMED, _cell(NAMED, rng, word, first), _cell(NAMED, rng, word, second)):
+            assert eq_cell(
+                EXPANDED, _cell(EXPANDED, rng, word, first), _cell(EXPANDED, rng, word, second)
+            ), (word, first, second)

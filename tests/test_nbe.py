@@ -410,3 +410,17 @@ def test_term_former_in_type_position_raises():
 def test_ill_typed_application_raises():
     with pytest.raises(NbeError):
         normalize(T, EMPTY_M, S.Bool(), S.App(S.True_(), S.False_()))
+
+
+def test_key_val_rejects_a_head_cell_that_ends_where_the_key_does_not_start():
+    # pt : id => l cannot follow a head cell that already ends at l.  Passing
+    # the value through unchanged would hide a transport bug behind a wrong
+    # value, so it is an error, on its own and inside a pair.
+    pt, ell = gen_cell(P, "pt"), gen_mod(P, "l")
+    stale = nbe.VBoolNeutral(nbe.NeAbs(0, id_cell(ell)))
+    for v in (stale, nbe.VPair(nbe.VTrue(), stale)):
+        with pytest.raises(NbeError, match="starts at id_m, but the head cell ends at l"):
+            nbe.key_val(P, pt, v)
+    keyed = nbe.key_val(P, pt, nbe.VBoolNeutral(nbe.NeAbs(0, id_cell(id_mod("m")))))
+    assert keyed.ne.cell.tgt == ell
+    assert nbe.key_val(P, pt, nbe.VTrue()) == nbe.VTrue()

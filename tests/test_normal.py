@@ -9,7 +9,6 @@ from mtt.modeth import (
     Modality,
     ModeError,
     ModeTheory,
-    FreeDecider,
     compose_mod,
     eq_cell,
     eq_mod,
@@ -64,7 +63,6 @@ def free_pq() -> ModeTheory:
         modes=frozenset({"p", "q", "r"}),
         modality_gens={"a": ("p", "q"), "b": ("q", "r")},
         cell_gens={},
-        decider=FreeDecider(),
     )
 
 
@@ -202,7 +200,6 @@ def test_nested_locks_fuse_outer_lock_last():
         ("m",),
         {"a": ("m", "m"), "b": ("m", "m")},
         {"pa": (IDM, Modality("m", "m", ("a",)))},
-        FreeDecider(),
     )
     a, b, pa = gen_mod(mt, "a"), gen_mod(mt, "b"), gen_cell(mt, "pa")
     ba = compose_mod(a, b)
