@@ -55,6 +55,7 @@ from .modeth import (
     ModeTheory,
     Modality,
     TheoryItemError,
+    Undecided,
     cell_boundary,
     compose_mod,
     id_cell,
@@ -731,11 +732,12 @@ def _emit(path: str, mt: ModeTheory, decls, render, shown: slice = slice(None)) 
     """Check ``decls``, then print ``render(result)``'s lines for each
     ``shown`` declaration that checked and a located diagnostic for each
     that did not.  Exit status 2 if the kernel failed on some declaration
-    (it was nested too deeply for the interpreter's stack, or raised an
-    internal error) while checking it or reading back or printing its
-    normal forms; else 1 if some declaration failed; else 0.  The signature
-    is emptied at the end: its bodies' environments point back at it, which
-    would leave all of it as cyclic garbage."""
+    (the mode theory's decider refused a 2-cell question, it was nested too
+    deeply for the interpreter's stack, or it raised an internal error)
+    while checking it or reading back or printing its normal forms; else 1
+    if some declaration failed; else 0.  The signature is emptied at the
+    end: its bodies' environments point back at it, which would leave all of
+    it as cyclic garbage."""
     report = C.check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
     status = 0
     try:
@@ -744,6 +746,8 @@ def _emit(path: str, mt: ModeTheory, decls, render, shown: slice = slice(None)) 
             if r.ok:
                 try:
                     lines = render(r)
+                except Undecided as e:
+                    error, fatal = str(e), True
                 except RecursionError:
                     error, fatal = C.TOO_DEEP, True
                 except Exception as e:

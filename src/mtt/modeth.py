@@ -289,18 +289,28 @@ def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
     whisker words adjusted.  Offsets count letters of the literal words, so
     two layers swap only where the earlier one's output word is the later
     one's input word letter for letter.  The result is the unique left-handed
-    representative of the diagram's interchange class (Delpeuch & Vicary).
+    representative of the diagram's interchange class (Delpeuch & Vicary)
+    for those literal words; under word rules, layers whose words match
+    only modulo the rules stay unswapped, so it is not unique modulo them.
 
     A part of the diagram that touches no boundary wire, such as a scalar
     built from a unit and a counit, has no such representative: two of them
-    each read left of the other.  Every other cell tried needed at most
-    n(n-1)/2 swaps for n layers, as many as sorting them can take, so one
-    more is ``Undecided`` instead of a loop.
+    each read left of the other and the passes cycle.  Each pass is a
+    function of the layers it starts from, and those range over a finite
+    set (the same generators, whiskered by words of bounded length), so a pass that starts from layers seen before is such a loop and is
+    ``Undecided``.
     """
     out = list(atoms)
-    budget = len(out) * (len(out) - 1) // 2
+    seen = set()
     changed = True
     while changed:
+        state = tuple(out)
+        if state in seen:
+            raise Undecided(
+                f"2-cell equality undecided: {len(out)} layers found no interchange "
+                "normal form, as when a part of a cell touches no boundary wire"
+            )
+        seen.add(state)
         changed = False
         for i in range(len(out) - 1):
             a, b = out[i], out[i + 1]  # a applied first
@@ -308,12 +318,6 @@ def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
             b_src = _gen_src_word(mt, b.gen)
             ao, bo = len(a.pre), len(b.pre)
             if bo + len(b_src) <= ao and b.pre + b_src + b.post == a.pre + a_tgt + a.post:
-                if not budget:
-                    raise Undecided(
-                        f"2-cell equality undecided: {len(out)} layers found no interchange "
-                        "normal form, as when a part of a cell touches no boundary wire"
-                    )
-                budget -= 1
                 # b reads left of a's write: swap, b now acts on a's source
                 w0 = a.pre + a_src + a.post
                 b2 = Atom(b.pre, b.gen, w0[bo + len(b_src) :])

@@ -24,6 +24,7 @@ from mtt.modeth import (
     CellWhiskL,
     CellWhiskR,
     Modality,
+    Undecided,
     compose_mod,
     id_cell,
     id_mod,
@@ -688,15 +689,21 @@ def test_layers_that_share_a_wire_do_not_swap_across_a_word_rule(tmp_path, theor
 def test_a_scalar_built_from_a_unit_and_a_counit_is_a_located_refusal(tmp_path):
     # The closed bubbles e.u touch no boundary wire; the interchange normal
     # form swapped the two of them forever and ``mtt check`` never ended.
+    # The layers of (c<e).(u>c) swap twice but reach a normal form.
     text = (
         "theory { modes m; mod c : m -> m; cell u : id(m) => c; cell e : c => id(m); "
         "decider free; }\n"
         "def one @m : Pi (x : Bool) -> Bool := \\x -> x^(e.u)\n"
         "def two @m : Pi (x : Bool) -> Bool := \\x -> x^(e.u.e.u)\n"
+        "def snake @m : Pi (c | x : Bool) -> Mod c Bool := "
+        "\\(c | x) -> box c (x^((c<e).(u>c)))\n"
     )
     done = run_mtt(tmp_path, text, timeout=10)
     assert done.returncode == 2
-    assert done.stdout == "checked one : Pi (id(m) | x0 : Bool) -> Bool\n"
+    assert done.stdout == (
+        "checked one : Pi (id(m) | x0 : Bool) -> Bool\n"
+        "checked snake : Pi (c | x0 : Bool) -> Mod c (Bool)\n"
+    )
     assert done.stderr.endswith(
         "run.mtt:3:1: error: two: 2-cell equality undecided: 4 layers found no "
         "interchange normal form, as when a part of a cell touches no boundary wire\n"
@@ -765,6 +772,18 @@ def test_a_fault_while_printing_is_a_located_internal_error(tmp_path, capsys, mo
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err == f"{path}:1:1: error: a: internal error: KeyError: 'lost'\n"
+
+
+def test_a_refusal_while_printing_is_a_located_refusal(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise Undecided("2-cell equality undecided: a test refusal")
+
+    monkeypatch.setattr(C, "reify_ty", refuse)
+    path = write(tmp_path, "refuse.mtt", "def a @m : Bool := true\n")
+    assert main(["normalize", path]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"{path}:1:1: error: a: 2-cell equality undecided: a test refusal\n"
 
 
 def test_nine_hundred_binders_check_and_normalize(tmp_path):
