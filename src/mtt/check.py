@@ -138,9 +138,12 @@ def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
 
 
 def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
-    """Push a lock.  mu : n -> m moves the ambient mode from m to n."""
+    """Push a lock.  mu : n -> m moves the ambient mode from m to n; an
+    identity lock leaves ``ctx`` as it is."""
     if mu.mode_tgt != ctx.mode:
         raise CheckError(f"lock {mu} targets {mu.mode_tgt}, telescope is at {ctx.mode}")
+    if not mu.word and mu.mode_src == ctx.mode:
+        return ctx
     return CheckCtx(ctx.mt, mu.mode_src, ctx.env, ctx.types, ctx.slots, mu.word + ctx.locks)
 
 
@@ -216,26 +219,28 @@ def _require_mode(ctx: CheckCtx, mod: Modality, role: str) -> None:
 def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
     """Check that ``t`` is a type and return its value, built from the
     values of its checked parts (``eval_ty`` would give the same)."""
-    match t:
-        case S.Bool():
-            return TBool()
-        case S.Uni():
-            return TUni()
-        case S.Pi(mod, dom, cod):
-            _require_mode(ctx, mod, "function domain")
-            domv = check_type(ctx_lock(ctx, mod), dom)
-            check_type(ctx_extend(ctx, mod, domv), cod)
-            return TPi(mod, domv, Closure(ctx.env, cod))
-        case S.Sig(fst, snd):
-            fstv = check_type(ctx, fst)
-            check_type(ctx_extend(ctx, id_mod(ctx.mode), fstv), snd)
-            return TSig(fstv, Closure(ctx.env, snd))
-        case S.Mod(mod, inner):
-            _require_mode(ctx, mod, "modal type")
-            return TMod(mod, check_type(ctx_lock(ctx, mod), inner))
-        case S.Dec(code):
-            check_tm(ctx, code, TUni())
-            return TDec(code_of(eval_tm(ctx.mt, ctx.env, code)))
+    c = t.__class__
+    if c is S.Pi:
+        mod = t.mod
+        _require_mode(ctx, mod, "function domain")
+        domv = check_type(ctx_lock(ctx, mod), t.dom)
+        check_type(ctx_extend(ctx, mod, domv), t.cod)
+        return TPi(mod, domv, Closure(ctx.env, t.cod))
+    if c is S.Bool:
+        return TBool()
+    if c is S.Sig:
+        fstv = check_type(ctx, t.fst)
+        check_type(ctx_extend(ctx, id_mod(ctx.mode), fstv), t.snd)
+        return TSig(fstv, Closure(ctx.env, t.snd))
+    if c is S.Mod:
+        mod = t.mod
+        _require_mode(ctx, mod, "modal type")
+        return TMod(mod, check_type(ctx_lock(ctx, mod), t.ty))
+    if c is S.Uni:
+        return TUni()
+    if c is S.Dec:
+        check_tm(ctx, t.code, TUni())
+        return TDec(code_of(eval_tm(ctx.mt, ctx.env, t.code)))
     raise CheckError(f"not a type: {S.show_term(t)}")
 
 
@@ -244,91 +249,101 @@ def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
 
 
 def infer(ctx: CheckCtx, t: Term) -> TypeValue:
+    c = t.__class__
+    if c is S.Var:
+        return lookup_var(ctx, t.idx, t.cell)
     mt = ctx.mt
+    if c is S.App:
+        tf = infer(ctx, t.fn)
+        if not isinstance(tf, TPi):
+            raise CheckError(f"application of a non-function: {_show_ty(ctx, tf)}")
+        arg = t.arg
+        check_tm(ctx_lock(ctx, tf.mod), arg, tf.dom)
+        return inst_ty(mt, tf.cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
+    if c is S.Const:
+        name = t.name
+        defn = ctx.env.sig.get(name)
+        if defn is None:
+            raise CheckError(f"definition {name!r} is undefined or failed to check")
+        if defn.mode != ctx.mode:
+            raise CheckError(
+                f"definition {name!r} lives at mode {defn.mode}, used at mode {ctx.mode}"
+            )
+        return defn.ty
+    if c is S.True_ or c is S.False_:
+        return TBool()
+    if c is S.Proj1:
+        tp = infer(ctx, t.pair)
+        if not isinstance(tp, TSig):
+            raise CheckError(f"projection from a non-pair: {_show_ty(ctx, tp)}")
+        return tp.fst
+    if c is S.Proj2:
+        p = t.pair
+        tp = infer(ctx, p)
+        if not isinstance(tp, TSig):
+            raise CheckError(f"projection from a non-pair: {_show_ty(ctx, tp)}")
+        return inst_ty(mt, tp.snd, do_proj(mt, 1, eval_tm(mt, ctx.env, p)))
+    if c is S.If:
+        scrut = t.scrut
+        check_tm(ctx, scrut, TBool())
+        check_type(ctx_extend(ctx, id_mod(ctx.mode), TBool()), t.motive)
+        mot = Closure(ctx.env, t.motive)
+        check_tm(ctx, t.tcase, inst_ty(mt, mot, VTrue()))
+        check_tm(ctx, t.fcase, inst_ty(mt, mot, VFalse()))
+        return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
+    if c is S.MkBox:
+        mod = t.mod
+        _require_mode(ctx, mod, "box")
+        return TMod(mod, infer(ctx_lock(ctx, mod), t.body))
+    if c is S.LetMod:
+        mu, nu, scrut = t.mu, t.nu, t.scrut
+        _require_mode(ctx, mu, "modal elimination")
+        if nu.mode_tgt != mu.mode_src:
+            raise CheckError(
+                f"mode mismatch: eliminated modality {nu} lands in mode "
+                f"{nu.mode_tgt}, but the lock opens mode {mu.mode_src}"
+            )
+        ts = infer(ctx_lock(ctx, mu), scrut)
+        if not isinstance(ts, TMod) or not eq_mod(mt, ts.mod, nu):
+            raise CheckError(
+                f"modal scrutinee mismatch: expected a value of Mod {nu}, "
+                f"got {_show_ty(ctx_lock(ctx, mu), ts)}"
+            )
+        check_type(ctx_extend(ctx, mu, TMod(nu, ts.inner)), t.motive)
+        mot = Closure(ctx.env, t.motive)
+        ext = ctx_extend(ctx, compose_mod(mu, nu), ts.inner)
+        check_tm(ext, t.branch, inst_ty(mt, mot, VMod(ModBoxed(ext.env.vals[-1]))))
+        return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
+    if c is S.DecIso:
+        tb = infer(ctx, t.body)
+        if not isinstance(tb, TDec):
+            raise CheckError(
+                f"decoding coercion applied at a non-decoded type: {_show_ty(ctx, tb)}"
+            )
+        if isinstance(tb.code, CNeutral):
+            raise CheckError("cannot unfold a neutral code")
+        return dec_unfold(mt, tb.code)
+    if c is S.PiCode:
+        mod, dom = t.mod, t.dom
+        _require_mode(ctx, mod, "function-code domain")
+        check_tm(ctx_lock(ctx, mod), dom, TUni())
+        dom_code = code_of(eval_tm(mt, ctx.env, dom))
+        check_tm(ctx_extend(ctx, mod, TDec(dom_code)), t.cod, TUni())
+        return TUni()
+    if c is S.SigCode:
+        fst = t.fst
+        check_tm(ctx, fst, TUni())
+        fst_code = code_of(eval_tm(mt, ctx.env, fst))
+        check_tm(ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code)), t.snd, TUni())
+        return TUni()
+    if c is S.BoolCode:
+        return TUni()
+    if c is S.ModCode:
+        mod = t.mod
+        _require_mode(ctx, mod, "modal code")
+        check_tm(ctx_lock(ctx, mod), t.code, TUni())
+        return TUni()
     match t:
-        case S.Var(k, cell):
-            return lookup_var(ctx, k, cell)
-        case S.Const(name):
-            defn = ctx.env.sig.get(name)
-            if defn is None:
-                raise CheckError(f"definition {name!r} is undefined or failed to check")
-            if defn.mode != ctx.mode:
-                raise CheckError(
-                    f"definition {name!r} lives at mode {defn.mode}, used at mode {ctx.mode}"
-                )
-            return defn.ty
-        case S.App(fn, arg):
-            tf = infer(ctx, fn)
-            if not isinstance(tf, TPi):
-                raise CheckError(f"application of a non-function: {_show_ty(ctx, tf)}")
-            check_tm(ctx_lock(ctx, tf.mod), arg, tf.dom)
-            return inst_ty(mt, tf.cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
-        case S.Proj1(p):
-            tp = infer(ctx, p)
-            if not isinstance(tp, TSig):
-                raise CheckError(f"projection from a non-pair: {_show_ty(ctx, tp)}")
-            return tp.fst
-        case S.Proj2(p):
-            tp = infer(ctx, p)
-            if not isinstance(tp, TSig):
-                raise CheckError(f"projection from a non-pair: {_show_ty(ctx, tp)}")
-            return inst_ty(mt, tp.snd, do_proj(mt, 1, eval_tm(mt, ctx.env, p)))
-        case S.True_() | S.False_():
-            return TBool()
-        case S.If(motive, tcase, fcase, scrut):
-            check_tm(ctx, scrut, TBool())
-            check_type(ctx_extend(ctx, id_mod(ctx.mode), TBool()), motive)
-            mot = Closure(ctx.env, motive)
-            check_tm(ctx, tcase, inst_ty(mt, mot, VTrue()))
-            check_tm(ctx, fcase, inst_ty(mt, mot, VFalse()))
-            return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
-        case S.MkBox(mod, body):
-            _require_mode(ctx, mod, "box")
-            return TMod(mod, infer(ctx_lock(ctx, mod), body))
-        case S.LetMod(mu, nu, motive, scrut, branch):
-            _require_mode(ctx, mu, "modal elimination")
-            if nu.mode_tgt != mu.mode_src:
-                raise CheckError(
-                    f"mode mismatch: eliminated modality {nu} lands in mode "
-                    f"{nu.mode_tgt}, but the lock opens mode {mu.mode_src}"
-                )
-            ts = infer(ctx_lock(ctx, mu), scrut)
-            if not isinstance(ts, TMod) or not eq_mod(mt, ts.mod, nu):
-                raise CheckError(
-                    f"modal scrutinee mismatch: expected a value of Mod {nu}, "
-                    f"got {_show_ty(ctx_lock(ctx, mu), ts)}"
-                )
-            check_type(ctx_extend(ctx, mu, TMod(nu, ts.inner)), motive)
-            mot = Closure(ctx.env, motive)
-            ext = ctx_extend(ctx, compose_mod(mu, nu), ts.inner)
-            check_tm(ext, branch, inst_ty(mt, mot, VMod(ModBoxed(ext.env.vals[-1]))))
-            return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
-        case S.DecIso(body):
-            tb = infer(ctx, body)
-            if not isinstance(tb, TDec):
-                raise CheckError(
-                    f"decoding coercion applied at a non-decoded type: {_show_ty(ctx, tb)}"
-                )
-            if isinstance(tb.code, CNeutral):
-                raise CheckError("cannot unfold a neutral code")
-            return dec_unfold(mt, tb.code)
-        case S.PiCode(mod, dom, cod):
-            _require_mode(ctx, mod, "function-code domain")
-            check_tm(ctx_lock(ctx, mod), dom, TUni())
-            dom_code = code_of(eval_tm(mt, ctx.env, dom))
-            check_tm(ctx_extend(ctx, mod, TDec(dom_code)), cod, TUni())
-            return TUni()
-        case S.SigCode(fst, snd):
-            check_tm(ctx, fst, TUni())
-            fst_code = code_of(eval_tm(mt, ctx.env, fst))
-            check_tm(ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code)), snd, TUni())
-            return TUni()
-        case S.BoolCode():
-            return TUni()
-        case S.ModCode(mod, code):
-            _require_mode(ctx, mod, "modal code")
-            check_tm(ctx_lock(ctx, mod), code, TUni())
-            return TUni()
         case S.Lam(_) | S.Pair(_, _) | S.DecIsoInv(_):
             raise CheckError(
                 f"cannot infer a type for {type(t).__name__}: "
@@ -342,41 +357,40 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
 
 
 def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
-    mt = ctx.mt
-    match t, ty:
-        case S.Lam(body), TPi(mod, dom, cod):
-            ext = ctx_extend(ctx, mod, dom)
-            check_tm(ext, body, inst_ty(mt, cod, ext.env.vals[-1]))
-        case S.Lam(_), _:
+    c = t.__class__
+    if c is S.Lam:
+        if ty.__class__ is not TPi:
             raise CheckError(f"function literal at non-function type {_show_ty(ctx, ty)}")
-        case S.Pair(a, b), TSig(fst, snd):
-            check_tm(ctx, a, fst)
-            check_tm(ctx, b, inst_ty(mt, snd, eval_tm(mt, ctx.env, a)))
-        case S.Pair(_, _), _:
+        ext = ctx_extend(ctx, ty.mod, ty.dom)
+        check_tm(ext, t.body, inst_ty(ctx.mt, ty.cod, ext.env.vals[-1]))
+    elif c is S.Pair:
+        if ty.__class__ is not TSig:
             raise CheckError(f"pair literal at non-pair type {_show_ty(ctx, ty)}")
-        case S.MkBox(mod, body), TMod(tmod, inner):
-            if not eq_mod(mt, mod, tmod):
-                raise CheckError(
-                    f"modality mismatch: box {mod} at modal type Mod {tmod}"
-                )
-            check_tm(ctx_lock(ctx, mod), body, inner)
-        case S.MkBox(_, _), _:
+        a = t.fst
+        check_tm(ctx, a, ty.fst)
+        check_tm(ctx, t.snd, inst_ty(ctx.mt, ty.snd, eval_tm(ctx.mt, ctx.env, a)))
+    elif c is S.MkBox:
+        if ty.__class__ is not TMod:
             raise CheckError(f"boxed term at non-modal type {_show_ty(ctx, ty)}")
-        case S.DecIsoInv(body), TDec(code):
-            if isinstance(code, CNeutral):
-                raise CheckError("cannot unfold a neutral code")
-            check_tm(ctx, body, dec_unfold(mt, code))
-        case S.DecIsoInv(_), _:
+        mod = t.mod
+        if not eq_mod(ctx.mt, mod, ty.mod):
+            raise CheckError(f"modality mismatch: box {mod} at modal type Mod {ty.mod}")
+        check_tm(ctx_lock(ctx, mod), t.body, ty.inner)
+    elif c is S.DecIsoInv:
+        if ty.__class__ is not TDec:
             raise CheckError(
                 f"inverse decoding coercion at a non-decoded type {_show_ty(ctx, ty)}"
             )
-        case _:
-            actual = infer(ctx, t)
-            if not convert_ty(ctx, actual, ty):
-                raise CheckError(
-                    f"type mismatch: expected {_show_ty(ctx, ty)}, "
-                    f"actual {_show_ty(ctx, actual)}"
-                )
+        if isinstance(ty.code, CNeutral):
+            raise CheckError("cannot unfold a neutral code")
+        check_tm(ctx, t.body, dec_unfold(ctx.mt, ty.code))
+    else:
+        actual = infer(ctx, t)
+        if not convert_ty(ctx, actual, ty):
+            raise CheckError(
+                f"type mismatch: expected {_show_ty(ctx, ty)}, "
+                f"actual {_show_ty(ctx, actual)}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -79,41 +79,44 @@ def conv(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value, w: Value) ->
     """Whether ``reify`` at T gives v and w equal normal forms."""
     if v is w:
         return True
-    match T:
-        case TPi(mod, dom, cod):
-            fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
-            return conv(
-                mt, d + 1, mode, inst_ty(mt, cod, fresh),
-                do_app(mt, v, fresh), do_app(mt, w, fresh),
-            )
-        case TSig(fst, snd):
-            a = do_proj(mt, 1, v)
-            return conv(mt, d, mode, fst, a, do_proj(mt, 1, w)) and conv(
-                mt, d, mode, inst_ty(mt, snd, a), do_proj(mt, 2, v), do_proj(mt, 2, w)
-            )
-        case TBool():
-            match v, w:
-                case (VTrue(), VTrue()) | (VFalse(), VFalse()):
-                    return True
-                case VBoolNeutral(n1), VBoolNeutral(n2):
-                    return conv_ne(mt, d, mode, n1, n2)
-            _expect(v, w, (VTrue, VFalse, VBoolNeutral), "not a boolean value")
-            return False
-        case TMod(mod, inner):
-            match v, w:
-                case VMod(ModBoxed(a)), VMod(ModBoxed(b)):
-                    return conv(mt, d, mod.mode_src, inner, a, b)
-                case VMod(ModNeutral(n1, _)), VMod(ModNeutral(n2, _)):
-                    return conv_ne(mt, d, mode, n1, n2)
-            _expect(v, w, (VMod,), "not a modal value")
-            return False
-        case TUni():
-            return conv_code(mt, d, mode, code_of(v), code_of(w))
-        case TDec(c):
-            if not isinstance(c, CNeutral):
-                return conv(mt, d, mode, dec_unfold(mt, c), v, w)
-            _expect(v, w, (VNeutral,), "canonical value at a neutral code")
+    c = T.__class__
+    if c is TBool:
+        cv, cw = v.__class__, w.__class__
+        if cv is cw and (cv is VTrue or cv is VFalse):
+            return True
+        if cv is VBoolNeutral and cw is VBoolNeutral:
             return conv_ne(mt, d, mode, v.ne, w.ne)
+        _expect(v, w, (VTrue, VFalse, VBoolNeutral), "not a boolean value")
+        return False
+    if c is TPi:
+        mod = T.mod
+        fresh = reflect(mt, T.dom, NeAbs(d, id_cell(mod)))
+        return conv(
+            mt, d + 1, mode, inst_ty(mt, T.cod, fresh),
+            do_app(mt, v, fresh), do_app(mt, w, fresh),
+        )
+    if c is TSig:
+        a = do_proj(mt, 1, v)
+        return conv(mt, d, mode, T.fst, a, do_proj(mt, 1, w)) and conv(
+            mt, d, mode, inst_ty(mt, T.snd, a), do_proj(mt, 2, v), do_proj(mt, 2, w)
+        )
+    if c is TMod:
+        if v.__class__ is VMod and w.__class__ is VMod:
+            p, q = v.payload, w.payload
+            if p.__class__ is ModBoxed and q.__class__ is ModBoxed:
+                return conv(mt, d, T.mod.mode_src, T.inner, p.val, q.val)
+            if p.__class__ is ModNeutral and q.__class__ is ModNeutral:
+                return conv_ne(mt, d, mode, p.ne, q.ne)
+        _expect(v, w, (VMod,), "not a modal value")
+        return False
+    if c is TUni:
+        return conv_code(mt, d, mode, code_of(v), code_of(w))
+    if c is TDec:
+        code = T.code
+        if not isinstance(code, CNeutral):
+            return conv(mt, d, mode, dec_unfold(mt, code), v, w)
+        _expect(v, w, (VNeutral,), "canonical value at a neutral code")
+        return conv_ne(mt, d, mode, v.ne, w.ne)
     raise NbeError(f"cannot reify at {type(T).__name__}")
 
 
@@ -199,22 +202,26 @@ def conv_ty(mt: ModeTheory, d: int, mode: str, A: TypeValue, B: TypeValue) -> bo
     """Whether ``reify_ty`` gives A and B equal normal forms."""
     if A is B:
         return True
-    match A, B:
-        case (TBool(), TBool()) | (TUni(), TUni()):
+    c = A.__class__
+    if c is B.__class__:
+        if c is TBool or c is TUni:
             return True
-        case TPi(m1, dom1, cod1), TPi(m2, dom2, cod2):
-            if not (eq_mod(mt, m1, m2) and conv_ty(mt, d, m1.mode_src, dom1, dom2)):
+        if c is TPi:
+            m1 = A.mod
+            if not (eq_mod(mt, m1, B.mod) and conv_ty(mt, d, m1.mode_src, A.dom, B.dom)):
                 return False
-            fresh = reflect(mt, dom1, NeAbs(d, id_cell(m1)))
-            return conv_ty(mt, d + 1, mode, inst_ty(mt, cod1, fresh), inst_ty(mt, cod2, fresh))
-        case TSig(fst1, snd1), TSig(fst2, snd2):
-            if not conv_ty(mt, d, mode, fst1, fst2):
+            fresh = reflect(mt, A.dom, NeAbs(d, id_cell(m1)))
+            return conv_ty(mt, d + 1, mode, inst_ty(mt, A.cod, fresh), inst_ty(mt, B.cod, fresh))
+        if c is TSig:
+            fst = A.fst
+            if not conv_ty(mt, d, mode, fst, B.fst):
                 return False
-            fresh = reflect(mt, fst1, NeAbs(d, id_cell(id_mod(mode))))
-            return conv_ty(mt, d + 1, mode, inst_ty(mt, snd1, fresh), inst_ty(mt, snd2, fresh))
-        case TMod(m1, i1), TMod(m2, i2):
-            return eq_mod(mt, m1, m2) and conv_ty(mt, d, m1.mode_src, i1, i2)
-        case TDec(c1), TDec(c2):
-            return conv_code(mt, d, mode, c1, c2)
+            fresh = reflect(mt, fst, NeAbs(d, id_cell(id_mod(mode))))
+            return conv_ty(mt, d + 1, mode, inst_ty(mt, A.snd, fresh), inst_ty(mt, B.snd, fresh))
+        if c is TMod:
+            m1 = A.mod
+            return eq_mod(mt, m1, B.mod) and conv_ty(mt, d, m1.mode_src, A.inner, B.inner)
+        if c is TDec:
+            return conv_code(mt, d, mode, A.code, B.code)
     _expect(A, B, (TBool, TUni, TPi, TSig, TMod, TDec), "cannot reify type")
     return False

@@ -393,77 +393,79 @@ def code_value(c: CodeValue) -> Value:
 
 
 def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
-    match t:
-        case S.Var(k, cell):
-            if k < 0 or k >= len(env.vals):
-                raise NbeError(f"variable {k} out of range")
-            v = env.vals[len(env.vals) - 1 - k]
-            if isinstance(v, Thunk):
-                v = v.force()
-            if isinstance(cell.expr, CellId) or is_id_cell(mt, cell):
-                return v
-            return key_val(mt, cell, v)
-        case S.Const(name):
-            defn = env.sig.get(name)
-            if defn is None:
-                raise NbeError(f"unknown definition {name!r}")
-            return defn.val.force()
-        case S.Lam(body):
-            return VLam(Closure(env, body))
-        case S.App(fn, arg):
-            return do_app(mt, eval_tm(mt, env, fn), eval_tm(mt, env, arg))
-        case S.Pair(a, b):
-            return VPair(eval_tm(mt, env, a), eval_tm(mt, env, b))
-        case S.Proj1(p):
-            return do_proj(mt, 1, eval_tm(mt, env, p))
-        case S.Proj2(p):
-            return do_proj(mt, 2, eval_tm(mt, env, p))
-        case S.True_():
-            return VTrue()
-        case S.False_():
-            return VFalse()
-        case S.If(motive, tcase, fcase, scrut):
-            return do_if(
-                mt,
-                Closure(env, motive),
-                eval_tm(mt, env, tcase),
-                eval_tm(mt, env, fcase),
-                eval_tm(mt, env, scrut),
-            )
-        case S.MkBox(_, body):
-            return VMod(ModBoxed(eval_tm(mt, env, body)))
-        case S.LetMod(mu, nu, motive, scrut, branch):
-            return do_letmod(
-                mt, mu, nu, Closure(env, motive),
-                eval_tm(mt, env, scrut), Closure(env, branch),
-            )
-        case S.PiCode(mod, dom, cod):
-            return VCode(CPi(mod, code_of(eval_tm(mt, env, dom)), Closure(env, cod)))
-        case S.SigCode(fst, snd):
-            return VCode(CSig(code_of(eval_tm(mt, env, fst)), Closure(env, snd)))
-        case S.BoolCode():
-            return VCode(CBool())
-        case S.ModCode(mod, code):
-            return VCode(CMod(mod, code_of(eval_tm(mt, env, code))))
-        case S.DecIso(body) | S.DecIsoInv(body):
-            return eval_tm(mt, env, body)
+    c = t.__class__
+    if c is S.Var:
+        k, vals = t.idx, env.vals
+        if k < 0 or k >= len(vals):
+            raise NbeError(f"variable {k} out of range")
+        v = vals[len(vals) - 1 - k]
+        if isinstance(v, Thunk):
+            v = v.force()
+        cell = t.cell
+        if isinstance(cell.expr, CellId) or is_id_cell(mt, cell):
+            return v
+        return key_val(mt, cell, v)
+    if c is S.App:
+        return do_app(mt, eval_tm(mt, env, t.fn), eval_tm(mt, env, t.arg))
+    if c is S.Const:
+        defn = env.sig.get(t.name)
+        if defn is None:
+            raise NbeError(f"unknown definition {t.name!r}")
+        return defn.val.force()
+    if c is S.Lam:
+        return VLam(Closure(env, t.body))
+    if c is S.True_:
+        return VTrue()
+    if c is S.False_:
+        return VFalse()
+    if c is S.Pair:
+        return VPair(eval_tm(mt, env, t.fst), eval_tm(mt, env, t.snd))
+    if c is S.Proj1:
+        return do_proj(mt, 1, eval_tm(mt, env, t.pair))
+    if c is S.Proj2:
+        return do_proj(mt, 2, eval_tm(mt, env, t.pair))
+    if c is S.If:
+        return do_if(
+            mt,
+            Closure(env, t.motive),
+            eval_tm(mt, env, t.tcase),
+            eval_tm(mt, env, t.fcase),
+            eval_tm(mt, env, t.scrut),
+        )
+    if c is S.MkBox:
+        return VMod(ModBoxed(eval_tm(mt, env, t.body)))
+    if c is S.LetMod:
+        return do_letmod(
+            mt, t.mu, t.nu, Closure(env, t.motive),
+            eval_tm(mt, env, t.scrut), Closure(env, t.branch),
+        )
+    if c is S.PiCode:
+        return VCode(CPi(t.mod, code_of(eval_tm(mt, env, t.dom)), Closure(env, t.cod)))
+    if c is S.SigCode:
+        return VCode(CSig(code_of(eval_tm(mt, env, t.fst)), Closure(env, t.snd)))
+    if c is S.BoolCode:
+        return VCode(CBool())
+    if c is S.ModCode:
+        return VCode(CMod(t.mod, code_of(eval_tm(mt, env, t.code))))
+    if c is S.DecIso or c is S.DecIsoInv:
+        return eval_tm(mt, env, t.body)
     raise NbeError(f"not a term former: {type(t).__name__}")
 
 
 def eval_ty(mt: ModeTheory, env: Env, t: Term) -> TypeValue:
-    match t:
-        case S.Pi(mod, dom, cod):
-            return TPi(mod, eval_ty(mt, env, dom), Closure(env, cod))
-        case S.Sig(fst, snd):
-            return TSig(eval_ty(mt, env, fst), Closure(env, snd))
-        case S.Bool():
-            return TBool()
-        case S.Uni():
-            return TUni()
-        case S.Mod(mod, inner):
-            return TMod(mod, eval_ty(mt, env, inner))
-        case S.Dec(code):
-            return TDec(code_of(eval_tm(mt, env, code)))
+    c = t.__class__
+    if c is S.Pi:
+        return TPi(t.mod, eval_ty(mt, env, t.dom), Closure(env, t.cod))
+    if c is S.Bool:
+        return TBool()
+    if c is S.Sig:
+        return TSig(eval_ty(mt, env, t.fst), Closure(env, t.snd))
+    if c is S.Mod:
+        return TMod(t.mod, eval_ty(mt, env, t.ty))
+    if c is S.Uni:
+        return TUni()
+    if c is S.Dec:
+        return TDec(code_of(eval_tm(mt, env, t.code)))
     raise NbeError(f"not a type former: {type(t).__name__}")
 
 
@@ -496,11 +498,13 @@ def dec_unfold(mt: ModeTheory, c: CodeValue) -> TypeValue:
 
 
 def do_app(mt: ModeTheory, f: Value, a: Value) -> Value:
-    match f:
-        case VLam(clo):
-            return instantiate(mt, clo, a)
-        case VNeutral(TPi(mod, dom, cod), ne):
-            return reflect(mt, inst_ty(mt, cod, a), ne.push(FrApp(mod, a, dom)))
+    c = f.__class__
+    if c is VLam:
+        return instantiate(mt, f.clo, a)
+    if c is VNeutral:
+        ty = f.ty
+        if ty.__class__ is TPi:
+            return reflect(mt, inst_ty(mt, ty.cod, a), f.ne.push(FrApp(ty.mod, a, ty.dom)))
     raise NbeError(f"application of a non-function: {type(f).__name__}")
 
 
@@ -580,64 +584,67 @@ def key_val(mt: ModeTheory, cell: Cell2, v: Value) -> Value:
 
 
 def reflect(mt: ModeTheory, T: TypeValue, ne: NeAbs) -> Value:
-    match T:
-        case TPi(_, _, _):
+    c = T.__class__
+    if c is TBool:
+        return VBoolNeutral(ne)
+    if c is TPi:
+        return VNeutral(T, ne)
+    if c is TSig:
+        a = reflect(mt, T.fst, ne.push(FrProj1()))
+        b = reflect(mt, inst_ty(mt, T.snd, a), ne.push(FrProj2()))
+        return VPair(a, b)
+    if c is TMod:
+        return VMod(ModNeutral(ne, T.inner))
+    if c is TUni:
+        return VCodeNeutral(ne)
+    if c is TDec:
+        if isinstance(T.code, CNeutral):
             return VNeutral(T, ne)
-        case TSig(fst, snd):
-            a = reflect(mt, fst, ne.push(FrProj1()))
-            b = reflect(mt, inst_ty(mt, snd, a), ne.push(FrProj2()))
-            return VPair(a, b)
-        case TBool():
-            return VBoolNeutral(ne)
-        case TMod(_, inner):
-            return VMod(ModNeutral(ne, inner))
-        case TUni():
-            return VCodeNeutral(ne)
-        case TDec(c):
-            if isinstance(c, CNeutral):
-                return VNeutral(T, ne)
-            return reflect(mt, dec_unfold(mt, c), ne.push(FrDecIso()))
+        return reflect(mt, dec_unfold(mt, T.code), ne.push(FrDecIso()))
     raise NbeError(f"cannot reflect at {type(T).__name__}")
 
 
 def reify(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value) -> Nf:
-    match T:
-        case TPi(mod, dom, cod):
-            fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
-            body = do_app(mt, v, fresh)
-            return NfLam(mod, reify(mt, d + 1, mode, inst_ty(mt, cod, fresh), body))
-        case TSig(fst, snd):
-            a = do_proj(mt, 1, v)
-            b = do_proj(mt, 2, v)
-            return NfPair(
-                reify(mt, d, mode, fst, a),
-                reify(mt, d, mode, inst_ty(mt, snd, a), b),
-            )
-        case TBool():
-            match v:
-                case VTrue():
-                    return NfTrue()
-                case VFalse():
-                    return NfFalse()
-                case VBoolNeutral(ne):
-                    return NfInj(reify_ne(mt, d, mode, ne))
-            raise NbeError(f"not a boolean value: {type(v).__name__}")
-        case TMod(mod, inner):
-            match v:
-                case VMod(ModBoxed(a)):
-                    return NfMkBox(mod, reify(mt, d, mod.mode_src, inner, a))
-                case VMod(ModNeutral(ne, _)):
-                    return NfInj(reify_ne(mt, d, mode, ne))
-            raise NbeError(f"not a modal value: {type(v).__name__}")
-        case TUni():
-            return _reify_code(mt, d, mode, code_of(v))
-        case TDec(c):
-            if isinstance(c, CNeutral):
-                match v:
-                    case VNeutral(_, ne):
-                        return NfInj(reify_ne(mt, d, mode, ne))
-                raise NbeError(f"canonical value at a neutral code: {type(v).__name__}")
-            return NfDecIsoStar(reify(mt, d, mode, dec_unfold(mt, c), v))
+    c = T.__class__
+    if c is TBool:
+        cv = v.__class__
+        if cv is VTrue:
+            return NfTrue()
+        if cv is VFalse:
+            return NfFalse()
+        if cv is VBoolNeutral:
+            return NfInj(reify_ne(mt, d, mode, v.ne))
+        raise NbeError(f"not a boolean value: {type(v).__name__}")
+    if c is TPi:
+        mod = T.mod
+        fresh = reflect(mt, T.dom, NeAbs(d, id_cell(mod)))
+        body = do_app(mt, v, fresh)
+        return NfLam(mod, reify(mt, d + 1, mode, inst_ty(mt, T.cod, fresh), body))
+    if c is TSig:
+        a = do_proj(mt, 1, v)
+        b = do_proj(mt, 2, v)
+        return NfPair(
+            reify(mt, d, mode, T.fst, a),
+            reify(mt, d, mode, inst_ty(mt, T.snd, a), b),
+        )
+    if c is TMod:
+        if v.__class__ is VMod:
+            p = v.payload
+            if p.__class__ is ModBoxed:
+                mod = T.mod
+                return NfMkBox(mod, reify(mt, d, mod.mode_src, T.inner, p.val))
+            if p.__class__ is ModNeutral:
+                return NfInj(reify_ne(mt, d, mode, p.ne))
+        raise NbeError(f"not a modal value: {type(v).__name__}")
+    if c is TUni:
+        return _reify_code(mt, d, mode, code_of(v))
+    if c is TDec:
+        code = T.code
+        if isinstance(code, CNeutral):
+            if v.__class__ is VNeutral:
+                return NfInj(reify_ne(mt, d, mode, v.ne))
+            raise NbeError(f"canonical value at a neutral code: {type(v).__name__}")
+        return NfDecIsoStar(reify(mt, d, mode, dec_unfold(mt, code), v))
     raise NbeError(f"cannot reify at {type(T).__name__}")
 
 
@@ -702,28 +709,31 @@ def reify_ne(mt: ModeTheory, d: int, mode: str, ne: NeAbs) -> Ne:
 
 
 def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
-    match T:
-        case TBool():
-            return NfBool()
-        case TUni():
-            return NfUni()
-        case TPi(mod, dom, cod):
-            fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
-            return NfFn(
-                mod,
-                reify_ty(mt, d, mod.mode_src, dom),
-                reify_ty(mt, d + 1, mode, inst_ty(mt, cod, fresh)),
-            )
-        case TSig(fst, snd):
-            fresh = reflect(mt, fst, NeAbs(d, id_cell(id_mod(mode))))
-            return NfProd(
-                reify_ty(mt, d, mode, fst),
-                reify_ty(mt, d + 1, mode, inst_ty(mt, snd, fresh)),
-            )
-        case TMod(mod, inner):
-            return NfModify(mod, reify_ty(mt, d, mod.mode_src, inner))
-        case TDec(c):
-            return NfDec(reify(mt, d, mode, TUni(), code_value(c)))
+    c = T.__class__
+    if c is TBool:
+        return NfBool()
+    if c is TPi:
+        mod, dom = T.mod, T.dom
+        fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
+        return NfFn(
+            mod,
+            reify_ty(mt, d, mod.mode_src, dom),
+            reify_ty(mt, d + 1, mode, inst_ty(mt, T.cod, fresh)),
+        )
+    if c is TSig:
+        fst = T.fst
+        fresh = reflect(mt, fst, NeAbs(d, id_cell(id_mod(mode))))
+        return NfProd(
+            reify_ty(mt, d, mode, fst),
+            reify_ty(mt, d + 1, mode, inst_ty(mt, T.snd, fresh)),
+        )
+    if c is TUni:
+        return NfUni()
+    if c is TMod:
+        mod = T.mod
+        return NfModify(mod, reify_ty(mt, d, mod.mode_src, T.inner))
+    if c is TDec:
+        return NfDec(reify(mt, d, mode, TUni(), code_value(T.code)))
     raise NbeError(f"cannot reify type {type(T).__name__}")
 
 
@@ -753,6 +763,8 @@ def normalize(
     )
 
 
-def normalize_ty(mt: ModeTheory, tele: Telescope, ty: Term) -> NfTy:
-    env = atoms_env(mt, tele)
+def normalize_ty(
+    mt: ModeTheory, tele: Telescope, ty: Term, sig: Signature = NO_DEFS
+) -> NfTy:
+    env = atoms_env(mt, tele, sig)
     return reify_ty(mt, tele_depth(tele), tele.mode, eval_ty(mt, env, ty))

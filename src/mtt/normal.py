@@ -601,34 +601,37 @@ def _wrap(s: str) -> str:
 
 
 def surface_nf(mt: ModeTheory, u: Nf, amb: str, depth: int = 0) -> str:
-    match u:
-        case NfTrue():
-            return "true"
-        case NfFalse():
-            return "false"
-        case NfLam(mod, body):
-            b = surface_nf(mt, body, amb, depth + 1)
-            return f"\\({_render_mod(mod)} | x{depth}) -> {b}"
-        case NfPair(a, b):
-            return f"({surface_nf(mt, a, amb, depth)}, {surface_nf(mt, b, amb, depth)})"
-        case NfMkBox(mod, body):
-            return f"box {_render_mod(mod)} {_wrap(surface_nf(mt, body, mod.mode_src, depth))}"
-        case NfInj(e):
-            return surface_ne(mt, e, amb, depth)
-        case NfFnCode(mod, dom, cod):
-            d = surface_nf(mt, dom, mod.mode_src, depth)
-            c = surface_nf(mt, cod, amb, depth + 1)
-            return f"PiC ({_render_mod(mod)} | x{depth} : {d}) -> {c}"
-        case NfProdCode(fst, snd):
-            f = surface_nf(mt, fst, amb, depth)
-            s = surface_nf(mt, snd, amb, depth + 1)
-            return f"SigC (x{depth} : {f}) * {s}"
-        case NfBoolCode():
-            return "BoolC"
-        case NfModifyCode(mod, code):
-            return f"ModC {_render_mod(mod)} {_wrap(surface_nf(mt, code, mod.mode_src, depth))}"
-        case NfDecIsoStar(body):
-            return f"iso-inv {_wrap(surface_nf(mt, body, amb, depth))}"
+    c = u.__class__
+    if c is NfTrue:
+        return "true"
+    if c is NfFalse:
+        return "false"
+    if c is NfLam:
+        b = surface_nf(mt, u.body, amb, depth + 1)
+        return f"\\({_render_mod(u.mod)} | x{depth}) -> {b}"
+    if c is NfInj:
+        return surface_ne(mt, u.ne, amb, depth)
+    if c is NfPair:
+        return f"({surface_nf(mt, u.fst, amb, depth)}, {surface_nf(mt, u.snd, amb, depth)})"
+    if c is NfMkBox:
+        mod = u.mod
+        return f"box {_render_mod(mod)} {_wrap(surface_nf(mt, u.body, mod.mode_src, depth))}"
+    if c is NfFnCode:
+        mod = u.mod
+        d = surface_nf(mt, u.dom, mod.mode_src, depth)
+        cod = surface_nf(mt, u.cod, amb, depth + 1)
+        return f"PiC ({_render_mod(mod)} | x{depth} : {d}) -> {cod}"
+    if c is NfProdCode:
+        f = surface_nf(mt, u.fst, amb, depth)
+        s = surface_nf(mt, u.snd, amb, depth + 1)
+        return f"SigC (x{depth} : {f}) * {s}"
+    if c is NfBoolCode:
+        return "BoolC"
+    if c is NfModifyCode:
+        mod = u.mod
+        return f"ModC {_render_mod(mod)} {_wrap(surface_nf(mt, u.code, mod.mode_src, depth))}"
+    if c is NfDecIsoStar:
+        return f"iso-inv {_wrap(surface_nf(mt, u.body, amb, depth))}"
     raise ValueError(f"cannot render {type(u).__name__}")
 
 
@@ -666,21 +669,23 @@ def surface_ne(mt: ModeTheory, e: Ne, amb: str, depth: int = 0) -> str:
 
 
 def surface_nfty(mt: ModeTheory, t: NfTy, amb: str, depth: int = 0) -> str:
-    match t:
-        case NfBool():
-            return "Bool"
-        case NfUni():
-            return "Uni"
-        case NfFn(mod, dom, cod):
-            d = surface_nfty(mt, dom, mod.mode_src, depth)
-            c = surface_nfty(mt, cod, amb, depth + 1)
-            return f"Pi ({_render_mod(mod)} | x{depth} : {d}) -> {c}"
-        case NfProd(fst, snd):
-            f = surface_nfty(mt, fst, amb, depth)
-            s = surface_nfty(mt, snd, amb, depth + 1)
-            return f"Sig (x{depth} : {f}) * {s}"
-        case NfModify(mod, inner):
-            return f"Mod {_render_mod(mod)} ({surface_nfty(mt, inner, mod.mode_src, depth)})"
-        case NfDec(code):
-            return f"dec {_wrap(surface_nf(mt, code, amb, depth))}"
+    c = t.__class__
+    if c is NfBool:
+        return "Bool"
+    if c is NfFn:
+        mod = t.mod
+        d = surface_nfty(mt, t.dom, mod.mode_src, depth)
+        cod = surface_nfty(mt, t.cod, amb, depth + 1)
+        return f"Pi ({_render_mod(mod)} | x{depth} : {d}) -> {cod}"
+    if c is NfUni:
+        return "Uni"
+    if c is NfProd:
+        f = surface_nfty(mt, t.fst, amb, depth)
+        s = surface_nfty(mt, t.snd, amb, depth + 1)
+        return f"Sig (x{depth} : {f}) * {s}"
+    if c is NfModify:
+        mod = t.mod
+        return f"Mod {_render_mod(mod)} ({surface_nfty(mt, t.ty, mod.mode_src, depth)})"
+    if c is NfDec:
+        return f"dec {_wrap(surface_nf(mt, t.code, amb, depth))}"
     raise ValueError(f"cannot render {type(t).__name__}")

@@ -10,6 +10,10 @@ class, a hash over the compared fields, ``__match_args__``, the same
 ``mtt`` command declares about a hundred of these classes before it does
 any work.
 
+No record class is subclassed (``tests/test_record.py`` holds this), so
+``x.__class__ is C`` answers as ``isinstance(x, C)`` does; the kernel's
+per-node functions dispatch on that test.
+
 Instances keep a ``__dict__`` (``functools.cached_property`` and ``vars``
 need one).  ``__init__`` sets each field with ``object.__setattr__``, which
 keeps the interpreter's fast attribute reads (writing ``self.__dict__``

@@ -234,7 +234,9 @@ def const_names(t: Term) -> "list[str]":
         if isinstance(u, Const):
             names[u.name] = None
         else:
-            todo.extend(c for c in vars(u).values() if isinstance(c, Term))
+            for c in vars(u).values():
+                if isinstance(c, Term):
+                    todo.append(c)
     return list(names)
 
 

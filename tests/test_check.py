@@ -47,16 +47,24 @@ from mtt.modeth import (
     whisker_left,
     whisker_right,
 )
+from mtt.conv import conv_ty
 from mtt.nbe import (
+    NO_DEFS,
     CBool,
+    Closure,
+    Env,
     NeAbs,
     TBool,
     TDec,
     TMod,
     TPi,
+    TSig,
     TUni,
+    TypeValue,
+    Value,
     eval_tm,
     eval_ty,
+    reflect,
     reify_ty,
 )
 from mtt.normal import (
@@ -70,6 +78,7 @@ from mtt.normal import (
     NfLam,
     NfProdCode,
     NfTrue,
+    NfTy,
     NfUni,
     RenComp,
     RenId,
@@ -617,3 +626,77 @@ def test_checked_terms_normalize():
     assert report.ok
     for r in report.results:
         assert r.body_nf is not None
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: each per-node function tests ``x.__class__ is C`` arm by arm,
+# so a form that reaches no arm of its own falls through to the generic
+# error at the end.  One well-formed sample of every former pins that each
+# reaches its own arm.
+
+TYPE_FORMERS = {S.Pi, S.Sig, S.Bool, S.Uni, S.Mod, S.Dec}
+CHECKED_ONLY = {S.Lam, S.Pair, S.DecIsoInv}
+
+
+def _term_samples() -> "tuple[CheckCtx, dict]":
+    """A context ``x : Bool`` over a signature of ``c``, ``f``, ``p`` and
+    ``d``, and one sample of every ``Term`` class that checks in it."""
+    b, c = S.Bool(), S.BoolCode()
+    sig = check_program(T, [
+        ("c", "m", b, S.True_()),
+        ("f", "m", S.Pi(IDM, b, b), S.Lam(var(0))),
+        ("p", "m", S.Sig(b, b), S.Pair(S.True_(), S.False_())),
+        ("d", "m", S.Dec(c), S.DecIsoInv(S.True_())),
+    ]).signature
+    box = S.MkBox(IDM, S.True_())
+    samples = [
+        var(0), S.Const("c"), S.Pi(IDM, b, b), S.Sig(b, b), b, S.Uni(), S.Mod(IDM, b),
+        S.Dec(c), S.Lam(var(0)), S.App(S.Const("f"), S.True_()),
+        S.Pair(S.True_(), S.False_()), S.Proj1(S.Const("p")), S.Proj2(S.Const("p")),
+        S.True_(), S.False_(), S.If(b, S.False_(), S.True_(), var(0)), box,
+        S.LetMod(IDM, IDM, b, box, var(0)), S.PiCode(IDM, c, c), S.SigCode(c, c), c,
+        S.ModCode(IDM, c), S.DecIso(S.Const("d")), S.DecIsoInv(S.True_()),
+    ]
+    ctx = ctx_extend(empty_ctx(T, "m", sig), IDM, TBool())
+    return ctx, {type(t): t for t in samples}
+
+
+@pytest.mark.parametrize("cls", S.Term.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_term_former_reaches_its_own_arm(cls):
+    ctx, samples = _term_samples()
+    assert samples.keys() == set(S.Term.__subclasses__())
+    t = samples[cls]
+    if cls in TYPE_FORMERS:
+        assert isinstance(check_type(ctx, t), TypeValue)
+        assert isinstance(eval_ty(T, ctx.env, t), TypeValue)
+        with pytest.raises(CheckError, match="^type formers are not terms"):
+            infer(ctx, t)
+        return
+    with pytest.raises(CheckError, match="^not a type: "):
+        check_type(ctx, t)
+    assert isinstance(eval_tm(T, ctx.env, t), Value)
+    if cls in CHECKED_ONLY:
+        with pytest.raises(CheckError, match=f"^cannot infer a type for {cls.__name__}: it must"):
+            infer(ctx, t)
+    else:
+        assert isinstance(infer(ctx, t), TypeValue)
+
+
+def _type_value_samples() -> dict:
+    env = Env((), NO_DEFS)
+    samples = [
+        TPi(IDM, TBool(), Closure(env, S.Bool())), TSig(TBool(), Closure(env, S.Bool())),
+        TBool(), TUni(), TMod(IDM, TBool()), TDec(CBool()),
+    ]
+    return {type(v): v for v in samples}
+
+
+@pytest.mark.parametrize("cls", TypeValue.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_type_value_reaches_its_own_arm(cls):
+    samples = _type_value_samples()
+    assert samples.keys() == set(TypeValue.__subclasses__())
+    a, b = samples[cls], _type_value_samples()[cls]  # equal, not one object
+    assert isinstance(reflect(T, a, NeAbs(0, id_cell(IDM))), Value)
+    assert isinstance(reify_ty(T, 0, "m", a), NfTy)
+    assert conv_ty(T, 0, "m", a, b)
+    assert not conv_ty(T, 0, "m", a, TUni() if cls is TBool else TBool())

@@ -9,6 +9,7 @@ canonical codes gain exactly one coercion marker).
 import pytest
 
 from mtt import nbe
+from mtt.check import check_program
 from mtt import normal as N
 from mtt import syntax as S
 from mtt.modeth import (
@@ -327,6 +328,14 @@ def test_normalize_ty_type_beta():
     ty = S.Dec(S.App(S.Lam(var(0)), S.BoolCode()))
     out = normalize_ty(T, EMPTY_M, ty)
     assert eq_nfty(T, out, NfDec(NfBoolCode()))
+
+
+def test_normalize_ty_unfolds_a_definition_of_the_signature():
+    sig = check_program(T, [("c", "m", S.Uni(), S.BoolCode())]).signature
+    ty = S.Dec(S.Const("c"))
+    assert normalize_ty(T, EMPTY_M, ty, sig) == NfDec(NfBoolCode())
+    with pytest.raises(NbeError, match="unknown definition 'c'"):
+        normalize_ty(T, EMPTY_M, ty)
 
 
 # ---------------------------------------------------------------------------

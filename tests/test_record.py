@@ -147,20 +147,37 @@ def test_repr_is_the_dataclass_text():
     assert repr(id_mod("m")) == "Modality(mode_src='m', mode_tgt='m', word=())"
 
 
-@pytest.mark.parametrize("module", RECORD_MODULES, ids=lambda m: m.__name__)
-def test_every_class_of_the_kernel_is_a_record(module):
-    short = module.__name__.rsplit(".", 1)[1]
+def _classes(module) -> "tuple[dict[str, type], set[str]]":
+    """The classes ``module`` declares, and the names of those that are
+    not records."""
     classes = {
         name: c
         for name, c in vars(module).items()
         if isinstance(c, type) and c.__module__ == module.__name__
     }
-    assert NOT_RECORDS[short] <= classes.keys()
+    return classes, NOT_RECORDS[module.__name__.rsplit(".", 1)[1]]
+
+
+@pytest.mark.parametrize("module", RECORD_MODULES, ids=lambda m: m.__name__)
+def test_every_class_of_the_kernel_is_a_record(module):
+    classes, not_records = _classes(module)
+    assert not_records <= classes.keys()
     for name, c in classes.items():
-        if name in NOT_RECORDS[short]:
+        if name in not_records:
             continue
         assert c.__match_args__ == tuple(c.__dict__.get("__annotations__", {})), name
         assert c.__setattr__ is Probe.__setattr__, f"{name} is not a record"
+
+
+def test_no_record_of_the_kernel_has_a_subclass():
+    """The kernel dispatches on ``x.__class__ is C``, which answers as
+    ``isinstance(x, C)`` does only while no record class is subclassed."""
+    records = []
+    for module in RECORD_MODULES:
+        classes, not_records = _classes(module)
+        records += [c for name, c in classes.items() if name not in not_records]
+    assert len(records) >= 100
+    assert [c.__qualname__ for c in records if c.__subclasses__()] == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
