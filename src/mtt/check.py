@@ -63,7 +63,9 @@ from .normal import (
 )
 from .conv import conv, conv_ty
 from .nbe import (
+    BOOL,
     NO_DEFS,
+    UNI,
     Body,
     CNeutral,
     Closure,
@@ -73,12 +75,10 @@ from .nbe import (
     NbeError,
     NeAbs,
     Signature,
-    TBool,
     TDec,
     TMod,
     TPi,
     TSig,
-    TUni,
     Thunk,
     TypeValue,
     VFalse,
@@ -88,7 +88,6 @@ from .nbe import (
     code_of,
     dec_unfold,
     do_proj,
-    env_push,
     eval_tm,
     eval_ty,
     inst_ty,
@@ -123,12 +122,16 @@ class CheckCtx:
 
     def locate(self, k: int) -> "tuple[Modality, Modality]":
         """Variable k's annotation and the composite of the locks after it
-        (``normal.locks_of``), read off by level."""
+        (``normal.locks_of``), read off by level: the shared identity when
+        no lock was pushed after it."""
         level = len(self.types) - 1 - k
         if not 0 <= level < len(self.types):
             raise CheckError(f"unbound variable index {k}")
         ann, seen = self.slots[level]
-        return ann, Modality(self.mode, ann.mode_tgt, self.locks[: len(self.locks) - seen])
+        locks, mode = self.locks, self.mode
+        if seen == len(locks) and ann.mode_tgt == mode:
+            return ann, id_mod(mode)
+        return ann, Modality(mode, ann.mode_tgt, locks[: len(locks) - seen])
 
 
 def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
@@ -151,9 +154,12 @@ def ctx_extend(ctx: CheckCtx, mu: Modality, tyv: TypeValue) -> CheckCtx:
     """Push a variable annotated mu whose type ``tyv`` lives behind a mu-lock."""
     if mu.mode_tgt != ctx.mode:
         raise CheckError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {ctx.mode}")
-    env = env_push(ctx.env, reflect(ctx.mt, tyv, NeAbs(ctx.depth, id_cell(mu))))
-    slots = ctx.slots + ((mu, len(ctx.locks)),)
-    return CheckCtx(ctx.mt, ctx.mode, env, ctx.types + (tyv,), slots, ctx.locks)
+    mt, env, types, locks = ctx.mt, ctx.env, ctx.types, ctx.locks
+    fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu)))
+    return CheckCtx(
+        mt, ctx.mode, Env(env.vals + (fresh,), env.sig), types + (tyv,),
+        ctx.slots + ((mu, len(locks)),), locks,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +233,7 @@ def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
         check_type(ctx_extend(ctx, mod, domv), t.cod)
         return TPi(mod, domv, Closure(ctx.env, t.cod))
     if c is S.Bool:
-        return TBool()
+        return BOOL
     if c is S.Sig:
         fstv = check_type(ctx, t.fst)
         check_type(ctx_extend(ctx, id_mod(ctx.mode), fstv), t.snd)
@@ -237,9 +243,9 @@ def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
         _require_mode(ctx, mod, "modal type")
         return TMod(mod, check_type(ctx_lock(ctx, mod), t.ty))
     if c is S.Uni:
-        return TUni()
+        return UNI
     if c is S.Dec:
-        check_tm(ctx, t.code, TUni())
+        check_tm(ctx, t.code, UNI)
         return TDec(code_of(eval_tm(ctx.mt, ctx.env, t.code)))
     raise CheckError(f"not a type: {S.show_term(t)}")
 
@@ -271,7 +277,7 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
             )
         return defn.ty
     if c is S.True_ or c is S.False_:
-        return TBool()
+        return BOOL
     if c is S.Proj1:
         tp = infer(ctx, t.pair)
         if not isinstance(tp, TSig):
@@ -285,8 +291,8 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
         return inst_ty(mt, tp.snd, do_proj(mt, 1, eval_tm(mt, ctx.env, p)))
     if c is S.If:
         scrut = t.scrut
-        check_tm(ctx, scrut, TBool())
-        check_type(ctx_extend(ctx, id_mod(ctx.mode), TBool()), t.motive)
+        check_tm(ctx, scrut, BOOL)
+        check_type(ctx_extend(ctx, id_mod(ctx.mode), BOOL), t.motive)
         mot = Closure(ctx.env, t.motive)
         check_tm(ctx, t.tcase, inst_ty(mt, mot, VTrue()))
         check_tm(ctx, t.fcase, inst_ty(mt, mot, VFalse()))
@@ -326,23 +332,23 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
     if c is S.PiCode:
         mod, dom = t.mod, t.dom
         _require_mode(ctx, mod, "function-code domain")
-        check_tm(ctx_lock(ctx, mod), dom, TUni())
+        check_tm(ctx_lock(ctx, mod), dom, UNI)
         dom_code = code_of(eval_tm(mt, ctx.env, dom))
-        check_tm(ctx_extend(ctx, mod, TDec(dom_code)), t.cod, TUni())
-        return TUni()
+        check_tm(ctx_extend(ctx, mod, TDec(dom_code)), t.cod, UNI)
+        return UNI
     if c is S.SigCode:
         fst = t.fst
-        check_tm(ctx, fst, TUni())
+        check_tm(ctx, fst, UNI)
         fst_code = code_of(eval_tm(mt, ctx.env, fst))
-        check_tm(ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code)), t.snd, TUni())
-        return TUni()
+        check_tm(ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code)), t.snd, UNI)
+        return UNI
     if c is S.BoolCode:
-        return TUni()
+        return UNI
     if c is S.ModCode:
         mod = t.mod
         _require_mode(ctx, mod, "modal code")
-        check_tm(ctx_lock(ctx, mod), t.code, TUni())
-        return TUni()
+        check_tm(ctx_lock(ctx, mod), t.code, UNI)
+        return UNI
     match t:
         case S.Lam(_) | S.Pair(_, _) | S.DecIsoInv(_):
             raise CheckError(

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from .modeth import ModeTheory, compose_mod, eq_cell, eq_mod, id_cell, id_mod
 from .nbe import (
+    BOOL,
+    UNI,
     CBool,
     CMod,
     CNeutral,
@@ -130,7 +132,7 @@ def conv_code(mt: ModeTheory, d: int, mode: str, c1: CodeValue, c2: CodeValue) -
                 return False
             fresh = reflect(mt, TDec(dom1), NeAbs(d, id_cell(m1)))
             return conv(
-                mt, d + 1, mode, TUni(),
+                mt, d + 1, mode, UNI,
                 instantiate(mt, cod1, fresh), instantiate(mt, cod2, fresh),
             )
         case CSig(fst1, snd1), CSig(fst2, snd2):
@@ -138,7 +140,7 @@ def conv_code(mt: ModeTheory, d: int, mode: str, c1: CodeValue, c2: CodeValue) -
                 return False
             fresh = reflect(mt, TDec(fst1), NeAbs(d, id_cell(id_mod(mode))))
             return conv(
-                mt, d + 1, mode, TUni(),
+                mt, d + 1, mode, UNI,
                 instantiate(mt, snd1, fresh), instantiate(mt, snd2, fresh),
             )
         case CBool(), CBool():
@@ -172,7 +174,7 @@ def conv_ne(mt: ModeTheory, d: int, mode: str, n1: NeAbs, n2: NeAbs) -> bool:
             case (FrProj1(), FrProj1()) | (FrProj2(), FrProj2()) | (FrDecIso(), FrDecIso()):
                 pass
             case FrIf(mot1, t1, e1), FrIf(mot2, t2, e2):
-                fresh = reflect(mt, TBool(), NeAbs(d, id_cell(id_mod(mode))))
+                fresh = reflect(mt, BOOL, NeAbs(d, id_cell(id_mod(mode))))
                 if not (
                     conv_ty(mt, d + 1, mode, inst_ty(mt, mot1, fresh), inst_ty(mt, mot2, fresh))
                     and conv(mt, d, mode, inst_ty(mt, mot1, VTrue()), t1, t2)

@@ -13,12 +13,20 @@ modality words), and two facts that decide equality:
   Without one, 2-cells compare by the layered interchange normal form (see
   ``left_normal``), with whisker words rewritten only for the comparison.
 
-Everything here is immutable and pure.
+Everything here is immutable and pure.  ``id_mod`` returns one
+``Modality`` per mode and ``id_cell`` one ``Cell2`` per modality, so the
+checker's usual question, whether an identity equals an identity, is
+asked about one object twice, and ``eq_mod`` answers it by identity before
+comparing words.  Sharing them is sound: they are built from strings
+alone, never change, and compare structurally, so a shared value equals
+any freshly built copy.  The two caches hold one entry per mode or
+modality that a process has asked about, whatever theory it came from.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cache
 from typing import Mapping, Union
 
 from .record import record
@@ -66,6 +74,7 @@ class Modality:
         return ".".join(reversed(self.word))
 
 
+@cache
 def id_mod(mode: str) -> Modality:
     return Modality(mode, mode, ())
 
@@ -124,6 +133,8 @@ def canon_word(mt: "ModeTheory", word: Word) -> Word:
 def eq_mod(mt: "ModeTheory", a: Modality, b: Modality) -> bool:
     """Decide equality of 1-cells.  Non-parallel inputs are unequal, not errors.
     Equal words have equal normal forms, so they skip the rewriting."""
+    if a is b:
+        return True
     if a.mode_src != b.mode_src or a.mode_tgt != b.mode_tgt:
         return False
     return a.word == b.word or canon_word(mt, a.word) == canon_word(mt, b.word)
@@ -194,6 +205,7 @@ def show_cell_expr(e: CellExpr) -> str:
     raise AssertionError(e)
 
 
+@cache
 def id_cell(mod: Modality) -> Cell2:
     return Cell2(mod, mod, CellId(mod))
 
@@ -379,10 +391,10 @@ def is_id_cell(mt: "ModeTheory", a: Cell2) -> bool:
 
 
 def cell_boundary(mt: "ModeTheory", e: CellExpr) -> tuple[Modality, Modality]:
-    """Recompute an expression's boundary (for validation in tests)."""
+    """Recompute an expression's boundary."""
+    if e.__class__ is CellId:
+        return e.mod, e.mod
     match e:
-        case CellId(mod):
-            return mod, mod
         case CellGen(name):
             if name not in mt.cell_gens:
                 raise ModeError(f"unknown cell generator {name!r}")

@@ -328,9 +328,16 @@ class TBool(TypeValue):
     pass
 
 
+# The one ``TBool``: a record without fields, so every copy would be equal.
+BOOL = TBool()
+
+
 @record
 class TUni(TypeValue):
     pass
+
+
+UNI = TUni()  # likewise the one ``TUni``
 
 
 @record
@@ -457,13 +464,13 @@ def eval_ty(mt: ModeTheory, env: Env, t: Term) -> TypeValue:
     if c is S.Pi:
         return TPi(t.mod, eval_ty(mt, env, t.dom), Closure(env, t.cod))
     if c is S.Bool:
-        return TBool()
+        return BOOL
     if c is S.Sig:
         return TSig(eval_ty(mt, env, t.fst), Closure(env, t.snd))
     if c is S.Mod:
         return TMod(t.mod, eval_ty(mt, env, t.ty))
     if c is S.Uni:
-        return TUni()
+        return UNI
     if c is S.Dec:
         return TDec(code_of(eval_tm(mt, env, t.code)))
     raise NbeError(f"not a type former: {type(t).__name__}")
@@ -487,7 +494,7 @@ def dec_unfold(mt: ModeTheory, c: CodeValue) -> TypeValue:
         case CSig(fst, snd):
             return TSig(TDec(fst), DecClosure(snd))
         case CBool():
-            return TBool()
+            return BOOL
         case CMod(mod, code):
             return TMod(mod, TDec(code))
     raise NbeError("cannot unfold a neutral code")
@@ -654,19 +661,19 @@ def _reify_code(mt: ModeTheory, d: int, mode: str, c: CodeValue) -> Nf:
             fresh = reflect(mt, TDec(dom), NeAbs(d, id_cell(mod)))
             return NfFnCode(
                 mod,
-                reify(mt, d, mod.mode_src, TUni(), code_value(dom)),
-                reify(mt, d + 1, mode, TUni(), instantiate(mt, cod, fresh)),
+                reify(mt, d, mod.mode_src, UNI, code_value(dom)),
+                reify(mt, d + 1, mode, UNI, instantiate(mt, cod, fresh)),
             )
         case CSig(fst, snd):
             fresh = reflect(mt, TDec(fst), NeAbs(d, id_cell(id_mod(mode))))
             return NfProdCode(
-                reify(mt, d, mode, TUni(), code_value(fst)),
-                reify(mt, d + 1, mode, TUni(), instantiate(mt, snd, fresh)),
+                reify(mt, d, mode, UNI, code_value(fst)),
+                reify(mt, d + 1, mode, UNI, instantiate(mt, snd, fresh)),
             )
         case CBool():
             return NfBoolCode()
         case CMod(mod, code):
-            return NfModifyCode(mod, reify(mt, d, mod.mode_src, TUni(), code_value(code)))
+            return NfModifyCode(mod, reify(mt, d, mod.mode_src, UNI, code_value(code)))
         case CNeutral(ne):
             return NfInj(reify_ne(mt, d, mode, ne))
     raise NbeError(f"cannot reify code {type(c).__name__}")
@@ -686,7 +693,7 @@ def reify_ne(mt: ModeTheory, d: int, mode: str, ne: NeAbs) -> Ne:
             case FrProj2():
                 out = NeProj2(out)
             case FrIf(motive, tcase, fcase):
-                fresh = reflect(mt, TBool(), NeAbs(d, id_cell(id_mod(mode))))
+                fresh = reflect(mt, BOOL, NeAbs(d, id_cell(id_mod(mode))))
                 tau = reify_ty(mt, d + 1, mode, inst_ty(mt, motive, fresh))
                 out = NeBoolRec(
                     tau,
@@ -733,7 +740,7 @@ def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
         mod = T.mod
         return NfModify(mod, reify_ty(mt, d, mod.mode_src, T.inner))
     if c is TDec:
-        return NfDec(reify(mt, d, mode, TUni(), code_value(T.code)))
+        return NfDec(reify(mt, d, mode, UNI, code_value(T.code)))
     raise NbeError(f"cannot reify type {type(T).__name__}")
 
 

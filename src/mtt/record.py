@@ -8,11 +8,19 @@ class, a hash over the compared fields, ``__match_args__``, the same
 ``repr`` text, and ``eq=False`` for identity semantics.  A class costs one
 ``exec`` of its generated methods, and ``inspect`` is never imported: every
 ``mtt`` command declares about a hundred of these classes before it does
-any work.
+any work.  Those methods are compiled under the file name ``<record C>``,
+so a profile shows each class's ``__init__`` on a row of its own.
 
 No record class is subclassed (``tests/test_record.py`` holds this), so
 ``x.__class__ is C`` answers as ``isinstance(x, C)`` does; the kernel's
 per-node functions dispatch on that test.
+
+Because instances never change, one instance may be shared wherever an
+equal one is needed: ``modeth.id_mod`` and ``modeth.id_cell`` return one
+object per argument, and ``nbe`` has one ``TBool`` and one ``TUni``.  Only
+records built from strings alone are shared that way; they compare
+structurally, so a shared one and a freshly built one are equal and
+interchangeable.
 
 Instances keep a ``__dict__`` (``functools.cached_property`` and ``vars``
 need one).  ``__init__`` sets each field with ``object.__setattr__``, which
@@ -72,7 +80,7 @@ def record(cls=None, /, *, eq: bool = True):
         src += ["def __eq__(self, other):", "    if other.__class__ is self.__class__:"]
         src += [f"        return {mine} == {theirs}", "    return NotImplemented"]
         src += ["def __hash__(self):", f"    return hash({mine})"]
-    exec("\n".join(src), ns)
+    exec(compile("\n".join(src), f"<record {cls.__qualname__}>", "exec"), ns)
     for method in ("__init__", "__repr__") + (("__eq__", "__hash__") if eq else ()):
         setattr(cls, method, ns[method])
     cls.__match_args__ = tuple(fields)

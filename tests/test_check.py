@@ -6,6 +6,7 @@ diagnostics rely on.
 """
 
 import pathlib
+from collections import Counter
 from random import Random
 
 import pytest
@@ -28,6 +29,8 @@ from mtt.check import (
     lookup_var,
 )
 from mtt.modeth import (
+    Cell2,
+    CellId,
     ModeError,
     ModeTheory,
     Modality,
@@ -145,6 +148,58 @@ def test_lookup_trivial_theory_always_accessible():
 def test_lookup_unbound_index():
     with pytest.raises(CheckError, match="unbound variable"):
         lookup_var(empty_ctx(T, "m"), 0, id_cell(IDM))
+
+
+def test_the_checks_of_a_variable_still_fire_on_identity_keys():
+    # Identity keys are shared, so checking a variable mostly compares one
+    # object with itself; what those checks rejected, they still reject.
+    ctx = ctx_extend(empty_ctx(W, "m"), IDM, TBool())
+    bad = Cell2(IDM, IDM, CellId(MU))  # says id_m => id_m, but is id_mu
+    with pytest.raises(CheckError, match="ill-formed 2-cell"):
+        lookup_var(ctx, 0, bad)
+    ty = S.Pi(IDM, S.Bool(), S.Bool())
+    (result,) = check_program(W, [("f", "m", ty, S.Lam(S.Var(0, bad)))]).results
+    assert result.error.startswith("ill-formed 2-cell id on variable 0")
+    with pytest.raises(CheckError, match="variable not accessible"):
+        lookup_var(ctx_lock(ctx, MU), 0, id_cell(IDM))
+    for k in (ctx.depth, -1):
+        with pytest.raises(CheckError, match=f"unbound variable index {k}"):
+            lookup_var(ctx, k, id_cell(IDM))
+
+
+def _projection_chain(width: int) -> str:
+    """Two ``width``-ary projections, the second applying the first twice,
+    and a use of the second: the shape of the benchmark's ``defs`` files."""
+    xs = [f"x{j}" for j in range(1, width + 1)]
+    ty = " -> ".join([f"Pi ({x} : Bool)" for x in xs] + ["Bool"])
+    lam = " ".join(f"\\{x} ->" for x in xs)
+    inner = f"(f1 {' '.join(reversed(xs))})"
+    return (
+        f"theory trivial\n"
+        f"def f1 @m : {ty} := {lam} {xs[-1]}\n"
+        f"def f2 @m : {ty} := {lam} f1 {inner} {' '.join(xs[1:])}\n"
+        f"def use @m : Bool := f2 {' '.join(['true'] * width)}\n"
+    )
+
+
+def test_identity_modalities_cells_and_bool_are_built_once(monkeypatch):
+    # Every binder and every variable asks for an identity modality, an
+    # identity 2-cell or the type Bool; these are shared, so checking a
+    # program builds no more of them when it has more binders or variables.
+    counts = Counter()
+    for cls in (Cell2, CellId, Modality, TBool):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    built = {}
+    for width in (2, 2, 32):  # the first run fills the shared values
+        counts.clear()
+        mt, decls = parse_file(_projection_chain(width))
+        assert check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls]).ok
+        built[width] = dict(counts)
+    assert built[32] == built[2]
 
 
 def test_lookup_transports_type_along_key():

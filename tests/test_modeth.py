@@ -9,6 +9,7 @@ from mtt.cli import parse_file
 from mtt.modeth import (
     Atom,
     Cell2,
+    CellId,
     ModeError,
     ModeTheory,
     Modality,
@@ -96,6 +97,20 @@ def test_adjoint_round_trip_rewrites_to_identity():
     # nested occurrence rewrites too: word [l, l, r, r] -> [l, r] -> []
     w = Modality("n", "n", ("l", "l", "r", "r"))
     assert eq_mod(mt, w, id_mod("n"))
+
+
+def test_identities_are_shared_and_equality_does_not_rely_on_it():
+    assert id_mod("m") is id_mod("m")
+    mu, mu2 = Modality("n", "m", ("mu",)), Modality("n", "m", ("mu",))
+    assert id_cell(mu) is id_cell(mu2) == Cell2(mu, mu, CellId(mu))
+    # eq_mod answers by identity first, but distinct equal words still
+    # compare equal, and so do words equal only modulo a rule.
+    mt = free_endo()
+    ab, ab2 = Modality("m", "m", ("a", "b")), Modality("m", "m", ("a", "b"))
+    assert ab is not ab2 and eq_mod(mt, ab, ab2)
+    fresh_id = Modality("n", "n")
+    assert fresh_id is not id_mod("n") and eq_mod(adjoint(), fresh_id, id_mod("n"))
+    assert eq_mod(adjoint(), Modality("n", "n", ("l", "r")), fresh_id)
 
 
 def test_canon_word_fixpoint():

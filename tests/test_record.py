@@ -147,6 +147,14 @@ def test_repr_is_the_dataclass_text():
     assert repr(id_mod("m")) == "Modality(mode_src='m', mode_tgt='m', word=())"
 
 
+def test_each_class_compiles_its_methods_under_its_own_name():
+    # A profile keeps one row per (file, line, function), so a class's
+    # generated ``__init__`` must not share the file name of every other's.
+    assert Env.__init__.__code__.co_filename == "<record Env>"
+    assert Var.__eq__.__code__.co_filename == "<record Var>"
+    assert Probe.__repr__.__code__.co_filename == "<record Probe>"
+
+
 def _classes(module) -> "tuple[dict[str, type], set[str]]":
     """The classes ``module`` declares, and the names of those that are
     not records."""
