@@ -13,7 +13,9 @@ functions, pairs and boxes, every modality and 2-cell question delegated to
 the mode theory's decider, and no normal form built.  Two occurrences of
 one definition share one value and so compare without unfolding it.  Types
 are read back only to be printed: in diagnostics, and in a declaration's
-result when first asked for.
+result when first asked for.  A ``Pi`` or ``Sig`` marked non-dependent
+keeps the value its codomain was checked to, so applying, projecting or
+pairing at it neither evaluates the argument nor instantiates anything.
 
 Accessing a variable demands an explicit 2-cell from its annotation to the
 composite of the locks in front of it; no search is performed.  When that
@@ -65,6 +67,7 @@ from .conv import conv, conv_ty
 from .nbe import (
     BOOL,
     NO_DEFS,
+    UNBOUND,
     UNI,
     Body,
     CNeutral,
@@ -150,12 +153,16 @@ def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
     return CheckCtx(ctx.mt, mu.mode_src, ctx.env, ctx.types, ctx.slots, mu.word + ctx.locks)
 
 
-def ctx_extend(ctx: CheckCtx, mu: Modality, tyv: TypeValue) -> CheckCtx:
-    """Push a variable annotated mu whose type ``tyv`` lives behind a mu-lock."""
+def ctx_extend(
+    ctx: CheckCtx, mu: Modality, tyv: TypeValue, dependent: bool = True
+) -> CheckCtx:
+    """Push a variable annotated mu whose type ``tyv`` lives behind a mu-lock.
+    When not ``dependent``, nothing checked in the extended context may
+    evaluate the variable: its atom is ``nbe.UNBOUND``, which raises."""
     if mu.mode_tgt != ctx.mode:
         raise CheckError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {ctx.mode}")
     mt, env, types, locks = ctx.mt, ctx.env, ctx.types, ctx.locks
-    fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu)))
+    fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu))) if dependent else UNBOUND
     return CheckCtx(
         mt, ctx.mode, Env(env.vals + (fresh,), env.sig), types + (tyv,),
         ctx.slots + ((mu, len(locks)),), locks,
@@ -224,20 +231,23 @@ def _require_mode(ctx: CheckCtx, mod: Modality, role: str) -> None:
 
 def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
     """Check that ``t`` is a type and return its value, built from the
-    values of its checked parts (``eval_ty`` would give the same)."""
+    values of its checked parts (``eval_ty`` would give the same): a
+    non-dependent codomain is checked under ``nbe.UNBOUND`` and its value
+    kept, any other becomes a ``Closure``."""
     c = t.__class__
     if c is S.Pi:
-        mod = t.mod
+        mod, dependent = t.mod, t.dependent
         _require_mode(ctx, mod, "function domain")
         domv = check_type(ctx_lock(ctx, mod), t.dom)
-        check_type(ctx_extend(ctx, mod, domv), t.cod)
-        return TPi(mod, domv, Closure(ctx.env, t.cod))
+        codv = check_type(ctx_extend(ctx, mod, domv, dependent), t.cod)
+        return TPi(mod, domv, Closure(ctx.env, t.cod) if dependent else codv)
     if c is S.Bool:
         return BOOL
     if c is S.Sig:
+        dependent = t.dependent
         fstv = check_type(ctx, t.fst)
-        check_type(ctx_extend(ctx, id_mod(ctx.mode), fstv), t.snd)
-        return TSig(fstv, Closure(ctx.env, t.snd))
+        sndv = check_type(ctx_extend(ctx, id_mod(ctx.mode), fstv, dependent), t.snd)
+        return TSig(fstv, Closure(ctx.env, t.snd) if dependent else sndv)
     if c is S.Mod:
         mod = t.mod
         _require_mode(ctx, mod, "modal type")
@@ -263,9 +273,11 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
         tf = infer(ctx, t.fn)
         if not isinstance(tf, TPi):
             raise CheckError(f"application of a non-function: {_show_ty(ctx, tf)}")
-        arg = t.arg
+        arg, cod = t.arg, tf.cod
         check_tm(ctx_lock(ctx, tf.mod), arg, tf.dom)
-        return inst_ty(mt, tf.cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
+        if isinstance(cod, TypeValue):
+            return cod
+        return inst_ty(mt, cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
     if c is S.Const:
         name = t.name
         defn = ctx.env.sig.get(name)
@@ -288,7 +300,10 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
         tp = infer(ctx, p)
         if not isinstance(tp, TSig):
             raise CheckError(f"projection from a non-pair: {_show_ty(ctx, tp)}")
-        return inst_ty(mt, tp.snd, do_proj(mt, 1, eval_tm(mt, ctx.env, p)))
+        snd = tp.snd
+        if isinstance(snd, TypeValue):
+            return snd
+        return inst_ty(mt, snd, do_proj(mt, 1, eval_tm(mt, ctx.env, p)))
     if c is S.If:
         scrut = t.scrut
         check_tm(ctx, scrut, BOOL)
@@ -372,9 +387,11 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
     elif c is S.Pair:
         if ty.__class__ is not TSig:
             raise CheckError(f"pair literal at non-pair type {_show_ty(ctx, ty)}")
-        a = t.fst
+        a, snd = t.fst, ty.snd
         check_tm(ctx, a, ty.fst)
-        check_tm(ctx, t.snd, inst_ty(ctx.mt, ty.snd, eval_tm(ctx.mt, ctx.env, a)))
+        if not isinstance(snd, TypeValue):
+            snd = inst_ty(ctx.mt, snd, eval_tm(ctx.mt, ctx.env, a))
+        check_tm(ctx, t.snd, snd)
     elif c is S.MkBox:
         if ty.__class__ is not TMod:
             raise CheckError(f"boxed term at non-modal type {_show_ty(ctx, ty)}")

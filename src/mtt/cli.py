@@ -198,6 +198,12 @@ class Parser:
         self.pos = 0
         self.mt = mt
         self.defs: dict[str, Decl] = {}
+        # The binders around the current token, by level (outermost 0): each
+        # one's annotation and whether a name has referred to it, and per
+        # name the levels that bind it, innermost last.
+        self.anns: list[Modality] = []
+        self.used: list[bool] = []
+        self.levels: dict[str, list[int]] = {}
 
     # -- token plumbing; only eof is empty, and ``pos`` never passes it
 
@@ -368,9 +374,24 @@ class Parser:
                 at,
             )
 
+    def _bind(self, name: str, mod: Modality) -> None:
+        anns, levels = self.anns, self.levels
+        if name in levels:
+            levels[name].append(len(anns))
+        else:
+            levels[name] = [len(anns)]
+        anns.append(mod)
+        self.used.append(False)
+
+    def _unbind(self, name: str) -> bool:
+        """Drop the innermost binder, ``name``; whether a name referred to it."""
+        self.levels[name].pop()
+        self.anns.pop()
+        return self.used.pop()
+
     # -- types and terms: each form is chosen by its first token's text
 
-    def parse_type(self, amb: str, scope: list) -> Term:
+    def parse_type(self, amb: str) -> Term:
         at = self.pos
         head = self.toks[at]
         if head not in _TYPE_START:
@@ -380,39 +401,41 @@ class Parser:
             mod, name = self._binder(amb)
             self._guard_mode(mod, amb, at)
             self.expect(":")
-            dom = self.parse_type(mod.mode_src, scope)
+            dom = self.parse_type(mod.mode_src)
             self.expect(")")
             self.expect("->")
-            cod = self.parse_type(amb, scope + [(name, mod)])
-            return S.Pi(mod, dom, cod)
+            self._bind(name, mod)
+            cod = self.parse_type(amb)
+            return S.Pi(mod, dom, cod, self._unbind(name))
         if head == "Bool":
             return S.Bool()
         if head == "Sig":
             self.expect("(")
             name = self.expect_ident("a variable name")
             self.expect(":")
-            fst = self.parse_type(amb, scope)
+            fst = self.parse_type(amb)
             self.expect(")")
             self.expect("*")
-            snd = self.parse_type(amb, scope + [(name, id_mod(amb))])
-            return S.Sig(fst, snd)
+            self._bind(name, id_mod(amb))
+            snd = self.parse_type(amb)
+            return S.Sig(fst, snd, self._unbind(name))
         if head == "Uni":
             return S.Uni()
         if head == "Mod":
             mod = self.parse_modexpr(amb)
             self._guard_mode(mod, amb, at)
-            return S.Mod(mod, self.parse_type(mod.mode_src, scope))
+            return S.Mod(mod, self.parse_type(mod.mode_src))
         if head == "dec":
-            return S.Dec(self.parse_atom(amb, scope))
-        inner = self.parse_type(amb, scope)  # after "("
+            return S.Dec(self.parse_atom(amb))
+        inner = self.parse_type(amb)  # after "("
         self.expect(")")
         return inner
 
-    def parse_term(self, amb: str, scope: list) -> Term:
+    def parse_term(self, amb: str) -> Term:
         at = self.pos
         head = self.toks[at]
         if head not in _BINDER_TERMS:
-            return self.parse_app(amb, scope)
+            return self.parse_app(amb)
         self.pos += 1
         if head == "\\":
             if self.at("("):
@@ -423,7 +446,10 @@ class Parser:
                 mod = id_mod(amb)
                 name = self.expect_ident("a variable name")
             self.expect("->")
-            return S.Lam(self.parse_term(amb, scope + [(name, mod)]))
+            self._bind(name, mod)
+            body = self.parse_term(amb)
+            self._unbind(name)
+            return S.Lam(body)
         if head == "letbox":
             self.expect("(")
             mu = self.parse_modexpr(amb)
@@ -440,59 +466,69 @@ class Parser:
             self.expect("[")
             bname = self.expect_ident("a variable name")
             self.expect(".")
-            motive = self.parse_type(amb, scope + [(bname, mu)])
+            self._bind(bname, mu)
+            motive = self.parse_type(amb)
+            self._unbind(bname)
             self.expect("]")
             yname = self.expect_ident("a variable name")
             self.expect("=")
-            scrut = self.parse_term(mu.mode_src, scope)
+            scrut = self.parse_term(mu.mode_src)
             self.expect("in")
-            branch = self.parse_term(amb, scope + [(yname, compose_mod(mu, nu))])
+            self._bind(yname, compose_mod(mu, nu))
+            branch = self.parse_term(amb)
+            self._unbind(yname)
             return S.LetMod(mu, nu, motive, scrut, branch)
         if head == "if":
             self.expect("[")
             bname = self.expect_ident("a variable name")
             self.expect(".")
-            motive = self.parse_type(amb, scope + [(bname, id_mod(amb))])
+            self._bind(bname, id_mod(amb))
+            motive = self.parse_type(amb)
+            self._unbind(bname)
             self.expect("]")
-            scrut = self.parse_term(amb, scope)
+            scrut = self.parse_term(amb)
             self.expect("then")
-            tcase = self.parse_term(amb, scope)
+            tcase = self.parse_term(amb)
             self.expect("else")
-            fcase = self.parse_term(amb, scope)
+            fcase = self.parse_term(amb)
             return S.If(motive, tcase, fcase, scrut)
         if head == "PiC":
             mod, name = self._binder(amb)
             self._guard_mode(mod, amb, at)
             self.expect(":")
-            dom = self.parse_term(mod.mode_src, scope)
+            dom = self.parse_term(mod.mode_src)
             self.expect(")")
             self.expect("->")
-            cod = self.parse_term(amb, scope + [(name, mod)])
+            self._bind(name, mod)
+            cod = self.parse_term(amb)
+            self._unbind(name)
             return S.PiCode(mod, dom, cod)
         self.expect("(")  # SigC
         name = self.expect_ident("a variable name")
         self.expect(":")
-        fst = self.parse_term(amb, scope)
+        fst = self.parse_term(amb)
         self.expect(")")
         self.expect("*")
-        snd = self.parse_term(amb, scope + [(name, id_mod(amb))])
+        self._bind(name, id_mod(amb))
+        snd = self.parse_term(amb)
+        self._unbind(name)
         return S.SigCode(fst, snd)
 
     # parse_app and parse_atom run once per token of a term, so they index
     # the padded token list by hand instead of calling accept and advance;
     # they step ``pos`` only past a token they have seen is not eof.
 
-    def parse_app(self, amb: str, scope: list) -> Term:
-        out = self.parse_atom(amb, scope)
+    def parse_app(self, amb: str) -> Term:
+        out = self.parse_atom(amb)
         toks = self.toks
         while True:
             t = toks[self.pos]
             if t in _ATOM_START or (t not in _TERM_KEYWORDS and t[:1] in _NAME_START):
-                out = S.App(out, self.parse_atom(amb, scope))
+                out = S.App(out, self.parse_atom(amb))
             else:
                 return out
 
-    def parse_atom(self, amb: str, scope: list) -> Term:
+    def parse_atom(self, amb: str) -> Term:
         toks = self.toks
         at = self.pos
         head = toks[at]
@@ -501,13 +537,13 @@ class Parser:
             if head in _TERM_KEYWORDS or head[:1] not in _NAME_START:
                 raise self.fail(f"expected a term, found {head!r}")
             self.pos += 1
-            out = self._name_ref(head, at, amb, scope)
+            out = self._name_ref(head, at, amb)
         else:
             self.pos += 1
             if head == "(":
-                out = self.parse_term(amb, scope)
+                out = self.parse_term(amb)
                 if self.accept(","):
-                    out = S.Pair(out, self.parse_term(amb, scope))
+                    out = S.Pair(out, self.parse_term(amb))
                 self.expect(")")
             elif head == "true":
                 out = S.True_()
@@ -516,13 +552,13 @@ class Parser:
             elif head == "BoolC":
                 out = S.BoolCode()
             elif head == "iso":
-                out = S.DecIso(self.parse_atom(amb, scope))
+                out = S.DecIso(self.parse_atom(amb))
             elif head == "iso-inv":
-                out = S.DecIsoInv(self.parse_atom(amb, scope))
+                out = S.DecIsoInv(self.parse_atom(amb))
             else:  # box or ModC
                 mod = self.parse_modexpr(amb)
                 self._guard_mode(mod, amb, at)
-                inner = self.parse_atom(mod.mode_src, scope)
+                inner = self.parse_atom(mod.mode_src)
                 out = S.MkBox(mod, inner) if head == "box" else S.ModCode(mod, inner)
         while toks[self.pos] == "." and toks[self.pos + 1].isdigit():
             proj = toks[self.pos + 1]
@@ -535,12 +571,16 @@ class Parser:
                 raise self.fail(f"projections are .1 and .2, found .{proj}", self.pos - 1)
         return out
 
-    def _name_ref(self, name: str, at: int, amb: str, scope: list) -> Term:
-        for back, (bound, ann) in enumerate(reversed(scope)):
-            if bound == name:
-                if self.accept("^"):
-                    return S.Var(back, self.parse_cell(ann))
-                return S.Var(back, id_cell(ann))
+    def _name_ref(self, name: str, at: int, amb: str) -> Term:
+        bound = self.levels.get(name)
+        if bound:
+            level = bound[-1]
+            self.used[level] = True
+            ann = self.anns[level]
+            back = len(self.anns) - 1 - level
+            if self.accept("^"):
+                return S.Var(back, self.parse_cell(ann))
+            return S.Var(back, id_cell(ann))
         if name in self.defs:
             if self.at("^"):
                 raise self.fail(
@@ -643,9 +683,9 @@ class Parser:
         self.expect("@")
         mode = self.parse_mode()
         self.expect(":")
-        ty = self.parse_type(mode, [])
+        ty = self.parse_type(mode)
         self.expect(":=")
-        body = self.parse_term(mode, [])
+        body = self.parse_term(mode)
         self.accept(";")
         d = Decl(name, mode, ty, body, at, self.tokens)
         self.defs[name] = d

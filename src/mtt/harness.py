@@ -6,7 +6,10 @@ Three instruments for exercising the kernel:
   the type's head and by which context variables are reachable through
   declared 2-cells.  Its output always passes the checker; when the target
   admits no term within the size budget it raises ``GenExhausted`` instead
-  of guessing.
+  of guessing.  A generated ``Pi`` or ``Sig`` is marked non-dependent when
+  its codomain does not mention its variable (``mentions``), while types
+  read back from values keep the default, so fuzzing reaches both of the
+  kernel's codomain paths.
 - ``oracle_eval_bool`` evaluates closed boolean terms (functions, pairs,
   boolean elimination; one mode, no codes) by leftmost-outermost
   rewriting with explicit term-level substitution.  It shares nothing
@@ -162,9 +165,9 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
         case S.DecIsoInv(b):
             return S.DecIsoInv(shift(b, by, cutoff))
         case S.Pi(mod, dom, cod):
-            return S.Pi(mod, shift(dom, by, cutoff), shift(cod, by, cutoff + 1))
+            return S.Pi(mod, shift(dom, by, cutoff), shift(cod, by, cutoff + 1), t.dependent)
         case S.Sig(fst, snd):
-            return S.Sig(shift(fst, by, cutoff), shift(snd, by, cutoff + 1))
+            return S.Sig(shift(fst, by, cutoff), shift(snd, by, cutoff + 1), t.dependent)
         case S.Mod(mod, inner):
             return S.Mod(mod, shift(inner, by, cutoff))
         case S.Dec(c):
@@ -177,6 +180,12 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
             return S.ModCode(mod, shift(c, by, cutoff))
         case _:
             return t  # constants: Bool, Uni, BoolCode, True_, False_
+
+
+def mentions(t: Term, k: int = 0) -> bool:
+    """Whether variable ``k`` occurs in ``t``: shifting from ``k`` and from
+    ``k + 1`` moves the same variables but that one."""
+    return shift(t, 1, k) != shift(t, 1, k + 1)
 
 
 def subst(t: Term, s: Term, k: int = 0) -> Term:
@@ -214,9 +223,9 @@ def subst(t: Term, s: Term, k: int = 0) -> Term:
                 mu, nu, subst(m, s, k + 1), subst(sc, s, k), subst(br, s, k + 1)
             )
         case S.Pi(mod, dom, cod):
-            return S.Pi(mod, subst(dom, s, k), subst(cod, s, k + 1))
+            return S.Pi(mod, subst(dom, s, k), subst(cod, s, k + 1), t.dependent)
         case S.Sig(fst, snd):
-            return S.Sig(subst(fst, s, k), subst(snd, s, k + 1))
+            return S.Sig(subst(fst, s, k), subst(snd, s, k + 1), t.dependent)
         case S.Mod(mod, inner):
             return S.Mod(mod, subst(inner, s, k))
         case S.Dec(c):
@@ -339,11 +348,11 @@ class _Gen:
             dom = self.type_term(ctx_lock(ctx, mod), size // 2)
             domv = check_type(ctx_lock(ctx, mod), dom)
             cod = self.type_term(ctx_extend(ctx, mod, domv), size // 2)
-            return S.Pi(mod, dom, cod)
+            return S.Pi(mod, dom, cod, mentions(cod))
         fst = self.type_term(ctx, size // 2)
         fstv = check_type(ctx, fst)
         snd = self.type_term(ctx_extend(ctx, id_mod(ctx.mode), fstv), size // 2)
-        return S.Sig(fst, snd)
+        return S.Sig(fst, snd, mentions(snd))
 
     def code(self, ctx: CheckCtx, size: int) -> Term:
         """A random universe element, mirroring the type grammar."""
@@ -593,8 +602,8 @@ def _simple_to_term(tau) -> Term:
     if tau == _BOOL:
         return S.Bool()
     if tau[0] == "fn":
-        return S.Pi(id_mod("m"), _simple_to_term(tau[1]), _simple_to_term(tau[2]))
-    return S.Sig(_simple_to_term(tau[1]), _simple_to_term(tau[2]))
+        return S.Pi(id_mod("m"), _simple_to_term(tau[1]), _simple_to_term(tau[2]), False)
+    return S.Sig(_simple_to_term(tau[1]), _simple_to_term(tau[2]), False)
 
 
 def gen_closed_bool(cfg: GenConfig, rng: "random.Random | None" = None) -> Term:

@@ -533,23 +533,31 @@ def _bad(word: Word) -> str:
 # ---------------------------------------------------------------------------
 # Shipped mode theories
 
+# Each factory builds and validates its theory once per process and then
+# returns that one object: a ``ModeTheory`` never changes and compares by
+# identity, so every caller may share it.
 
+
+@cache
 def trivial() -> ModeTheory:
     """One mode, no generators: every modality and cell is an identity."""
     return validate(ModeTheory("trivial", ("m",), {}, {}))
 
 
+@cache
 def walking() -> ModeTheory:
     """Two modes and a single modality mu : n -> m with no cells."""
     return validate(ModeTheory("walking", ("n", "m"), {"mu": ("n", "m")}, {}))
 
 
+@cache
 def pointed() -> ModeTheory:
     """One mode, an endomodality l, and a point pt : id => l."""
     l = Modality("m", "m", ("l",))
     return validate(ModeTheory("pointed", ("m",), {"l": ("m", "m")}, {"pt": (id_mod("m"), l)}))
 
 
+@cache
 def adjoint() -> ModeTheory:
     """A split coreflection: l : n -> m retracts along r with counit eps.
 

@@ -23,6 +23,14 @@ memos are the kernel's only mutable state.  Conversion (``mtt.conv``) relies
 on them: every ``Const`` naming one declaration evaluates to one shared
 value, and two values that are one object are equal without unfolding.
 
+A binder's body is a ``Closure``: its term and the environment it was
+reached in, evaluated again each time it is instantiated.  The codomain of
+a ``Pi`` or ``Sig`` that the syntax marks non-dependent is the exception:
+it means one type whatever the argument, so ``eval_ty`` evaluates it once
+and ``TPi.cod``/``TSig.snd`` hold that type value, which ``inst_ty``
+returns without evaluating anything.  Codes (``CPi``/``CSig``) and the
+motives of eliminators always keep closures.
+
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
 payloads; reify wraps the boundary markers back on, so normal forms at
@@ -312,15 +320,20 @@ class VNeutral(Value):
 
 @record
 class TPi(TypeValue):
+    """A function type; ``cod`` is a ``TypeValue`` when it does not depend
+    on the argument (see ``eval_ty``)."""
+
     mod: Modality
     dom: TypeValue
-    cod: "Closure | DecClosure"
+    cod: "Closure | DecClosure | TypeValue"
 
 
 @record
 class TSig(TypeValue):
+    """A pair type; ``snd`` as ``TPi.cod``."""
+
     fst: TypeValue
-    snd: "Closure | DecClosure"
+    snd: "Closure | DecClosure | TypeValue"
 
 
 @record
@@ -459,14 +472,32 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
     raise NbeError(f"not a term former: {type(t).__name__}")
 
 
+def _unbound() -> Value:
+    raise NbeError("a codomain marked non-dependent mentions its variable")
+
+
+# The variable of a non-dependent codomain: it raises if evaluation reaches
+# it, so a wrong ``dependent`` flag is an error, never a wrong type.
+UNBOUND = Thunk(_unbound)
+
+
 def eval_ty(mt: ModeTheory, env: Env, t: Term) -> TypeValue:
+    """The value of type ``t``.  The codomain of a ``Pi`` or ``Sig`` marked
+    non-dependent is evaluated here, once, under ``UNBOUND``; any other is
+    kept as a ``Closure`` and evaluated at each ``inst_ty``."""
     c = t.__class__
     if c is S.Pi:
-        return TPi(t.mod, eval_ty(mt, env, t.dom), Closure(env, t.cod))
+        dom = eval_ty(mt, env, t.dom)
+        if t.dependent:
+            return TPi(t.mod, dom, Closure(env, t.cod))
+        return TPi(t.mod, dom, eval_ty(mt, env_push(env, UNBOUND), t.cod))
     if c is S.Bool:
         return BOOL
     if c is S.Sig:
-        return TSig(eval_ty(mt, env, t.fst), Closure(env, t.snd))
+        fst = eval_ty(mt, env, t.fst)
+        if t.dependent:
+            return TSig(fst, Closure(env, t.snd))
+        return TSig(fst, eval_ty(mt, env_push(env, UNBOUND), t.snd))
     if c is S.Mod:
         return TMod(t.mod, eval_ty(mt, env, t.ty))
     if c is S.Uni:
@@ -480,10 +511,17 @@ def instantiate(mt: ModeTheory, clo: Closure, v: "Value | Thunk") -> Value:
     return eval_tm(mt, env_push(clo.env, v), clo.body)
 
 
-def inst_ty(mt: ModeTheory, clo: "Closure | DecClosure", v: "Value | Thunk") -> TypeValue:
-    if isinstance(clo, DecClosure):
+def inst_ty(
+    mt: ModeTheory, clo: "Closure | DecClosure | TypeValue", v: "Value | Thunk"
+) -> TypeValue:
+    """A codomain at ``v``: a closure is evaluated, a value is returned as
+    it is."""
+    c = clo.__class__
+    if c is Closure:
+        return eval_ty(mt, env_push(clo.env, v), clo.body)
+    if c is DecClosure:
         return TDec(code_of(instantiate(mt, clo.code_clo, v)))
-    return eval_ty(mt, env_push(clo.env, v), clo.body)
+    return clo
 
 
 def dec_unfold(mt: ModeTheory, c: CodeValue) -> TypeValue:

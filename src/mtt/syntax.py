@@ -3,7 +3,12 @@
 Terms are quotient-free trees.  Variables carry an explicit 2-cell (the key
 used to reach them through the locks in scope); binders are nameless and each
 introduces exactly one variable entry.  De Bruijn indices count variable
-entries only — locks are transparent to indexing.
+entries only — locks are transparent to indexing.  A ``Pi`` or ``Sig``
+also records whether its codomain mentions the variable it binds
+(``dependent``).  The flag is derived from the codomain, so it takes no
+part in equality or printing; its default, True, is right for every term,
+and the parser sets it to False where it can, so that evaluation keeps such
+a codomain as one value (``nbe.eval_ty``).
 
 Contexts are telescopes: unquotiented runs of locks and annotated variable
 entries.  ``Telescope`` is the one context record; the checker's contexts,
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .record import record
+from .record import field, record
 from .modeth import Cell2, Modality, ModeError
 
 
@@ -37,15 +42,22 @@ class Const(Term):
 
 @record
 class Pi(Term):
+    """``dependent`` is False only when ``cod`` does not mention its bound
+    variable; True claims nothing.  See ``nbe.eval_ty``."""
+
     mod: Modality
     dom: Term
     cod: Term  # binds 1
+    dependent: bool = field(default=True, repr=False, compare=False)
 
 
 @record
 class Sig(Term):
+    """``dependent`` as for ``Pi``, about ``snd``."""
+
     fst: Term
     snd: Term  # binds 1
+    dependent: bool = field(default=True, repr=False, compare=False)
 
 
 @record

@@ -42,14 +42,14 @@ L = Modality("m", "m", ("l",))
 
 def parse_term(src: str, mt, mode: str = "m"):
     p = cli.Parser(tokenize(src), mt)
-    t = p.parse_term(mode, [])
+    t = p.parse_term(mode)
     assert p.peek().kind == "eof"
     return t
 
 
 def parse_type(src: str, mt, mode: str = "m"):
     p = cli.Parser(tokenize(src), mt)
-    t = p.parse_type(mode, [])
+    t = p.parse_type(mode)
     assert p.peek().kind == "eof"
     return t
 
@@ -403,23 +403,43 @@ def test_definition_chain_checks_in_linear_inference_steps(tmp_path, monkeypatch
     assert capsys.readouterr().out == "use : Bool\nuse = true\n"
 
 
+def dependent_chain(n: int) -> str:
+    """``chain(n)`` at a type whose codomain mentions its variable, under a
+    lambda, so that evaluating the codomain does not force the argument."""
+    ty = "Pi (x : Bool) -> dec (k (\\y -> x))"
+    lines = [
+        "def k @m : Pi (g : Pi (y : Bool) -> Bool) -> Uni := \\g -> BoolC",
+        f"def f0 @m : {ty} := \\x -> iso-inv x",
+    ]
+    lines += [
+        f"def f{i} @m : {ty} := \\x -> f{i - 1} (iso (f{i - 1} x))" for i in range(1, n + 1)
+    ]
+    lines.append(f"def use @m : Bool := iso (f{n} true)")
+    return "\n".join(lines) + "\n"
+
+
 def test_definition_chain_checks_in_linear_evaluation_steps(tmp_path, monkeypatch, capsys):
     # Arguments substituted into a codomain, and declaration bodies, are
     # evaluated only when used: checking ``f<i-1> (f<i-1> x)`` once unfolded
     # the whole chain below it, so the calls of eval_tm and eval_ty doubled
-    # with each level.
+    # with each level.  A codomain that mentions its variable is evaluated
+    # at each use, a linear number of steps in all; one that does not is a
+    # value, so checking the plain chain evaluates as much at any length.
     evals = counting(monkeypatch, nbe, "eval_tm")
     monkeypatch.setattr(nbe, "eval_ty", wrapped_as(nbe.eval_ty, evals))
     for name in ("eval_tm", "eval_ty"):  # the checker's own bindings
         monkeypatch.setattr(C, name, getattr(nbe, name))
-    counts = []
-    for n in (8, 9, 10):
-        path = write(tmp_path, f"chain{n}.mtt", chain(n))
-        evals.clear()
-        assert main(["check", path]) == 0
-        counts.append(len(evals))
-    assert counts[1] - counts[0] == counts[2] - counts[1] > 0, counts
-    assert capsys.readouterr().out.endswith("checked use : Bool\n")
+    counts: dict = {}
+    for make in (dependent_chain, chain):
+        for n in (8, 9, 10):
+            path = write(tmp_path, f"{make.__name__}{n}.mtt", make(n))
+            evals.clear()
+            assert main(["check", path]) == 0
+            counts.setdefault(make, []).append(len(evals))
+        assert capsys.readouterr().out.endswith("checked use : Bool\n")
+    dep, plain = counts[dependent_chain], counts[chain]
+    assert dep[1] - dep[0] == dep[2] - dep[1] > 0, dep
+    assert plain[0] == plain[1] == plain[2], plain
 
 
 def aliases(n: int, first: str, ty: str) -> str:
@@ -455,6 +475,31 @@ def test_many_declarations_check_in_linear_time():
     elapsed = time.perf_counter() - start
     assert report.ok and len(report.signature) == 8000
     assert elapsed < 1.0, f"8,000 aliases checked in {elapsed:.2f} s"
+
+
+def binder_chain(n: int, outermost: bool) -> str:
+    """A type under n nested binders whose every domain names the outermost
+    binder, or else the one just outside it, four times."""
+    doms = [
+        f"Pi (x{i} : dec ({' '.join(['x0' if outermost else f'x{i - 1}'] * 4)})) -> "
+        for i in range(1, n)
+    ]
+    return "def t @m : Pi (x0 : Uni) -> " + "".join(doms) + "Bool := true\n"
+
+
+def test_naming_a_binder_costs_the_same_however_far_out_it_is():
+    # A name used to be resolved by scanning the binders in scope from the
+    # innermost out, so under 256 binders naming the outermost one took 256
+    # steps and made the parse 1.8 times as slow.  Both shapes nest equally
+    # deep, so the interpreter's depth-dependent call cost is the same.
+    texts = {k: binder_chain(256, k) for k in (True, False)}
+    best = dict.fromkeys(texts, float("inf"))
+    for _ in range(20):
+        for k, text in texts.items():
+            start = time.perf_counter()
+            parse_file(text)
+            best[k] = min(best[k], time.perf_counter() - start)
+    assert best[True] <= 1.15 * best[False], best
 
 
 def test_check_command_reads_back_no_bodies(tmp_path, monkeypatch, capsys):
@@ -951,7 +996,7 @@ def test_normal_forms_roundtrip_through_the_parser(theory, src):
     assert report.ok, report.results[0].error
     nf = report.results[0].body_nf
     rendered = surface_nf(mt, nf, d.mode)
-    reparsed = cli.Parser(tokenize(rendered), mt).parse_term(d.mode, [])
+    reparsed = cli.Parser(tokenize(rendered), mt).parse_term(d.mode)
     ctx = empty_ctx(mt, d.mode)
     check_tm(ctx, reparsed, check_type(ctx, d.ty))
     nf2 = normalize(mt, Telescope(d.mode, ()), d.ty, reparsed)
@@ -984,7 +1029,7 @@ def test_corpus_normal_forms_roundtrip(path):
     assert report.ok
     for d, r in zip(decls, report.results):
         rendered = surface_nf(mt, r.body_nf, d.mode)
-        reparsed = cli.Parser(tokenize(rendered), mt).parse_term(d.mode, [])
+        reparsed = cli.Parser(tokenize(rendered), mt).parse_term(d.mode)
         # declared types may name earlier definitions
         ctx = empty_ctx(mt, d.mode, report.signature)
         check_tm(ctx, reparsed, check_type(ctx, d.ty))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtt.cli import parse_file
 from mtt.modeth import (
+    THEORIES,
     Atom,
     Cell2,
     CellId,
@@ -525,3 +526,8 @@ def test_a_naming_rule_accepts_no_pair_of_cells_its_expansion_rejects(seed):
             assert eq_cell(
                 EXPANDED, _cell(EXPANDED, rng, word, first), _cell(EXPANDED, rng, word, second)
             ), (word, first, second)
+
+
+@pytest.mark.parametrize("name", sorted(THEORIES))
+def test_each_shipped_theory_is_built_once(name):
+    assert THEORIES[name]() is THEORIES[name]()
