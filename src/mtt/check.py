@@ -7,7 +7,14 @@ lock or extension whose modality lands in the wrong mode is a ``CheckError``.
 
 Inference and checking follow the usual bidirectional split: eliminations
 and annotated introductions infer, unannotated introductions (lambdas,
-pairs, the inverse decoding coercion) only check.  Conversion is decided on
+pairs, the inverse decoding coercion) only check.  A curried telescope is
+taken whole rather than one node at a time: ``infer`` walks an application
+spine down to its head, infers the head once and checks each argument, left
+to right, against the next ``Pi`` domain; ``check_tm`` opens a run of
+lambdas against a run of ``Pi`` types, reflecting each binder's variable at
+its level, and extends the context once for the whole run (``ctx_extend``
+with ``run``), so a k-binder run copies the context's tuples once, not k
+times.  Diagnostics are those of one node at a time.  Conversion is decided on
 values by ``conv.conv_ty``/``conv.conv``: type-directed, with eta for
 functions, pairs and boxes, every modality and 2-cell question delegated to
 the mode theory's decider, and no normal form built.  Two occurrences of
@@ -154,18 +161,35 @@ def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
 
 
 def ctx_extend(
-    ctx: CheckCtx, mu: Modality, tyv: TypeValue, dependent: bool = True
+    ctx: CheckCtx,
+    mu: "Modality | None" = None,
+    tyv: "TypeValue | None" = None,
+    dependent: bool = True,
+    run: "tuple[tuple[Modality, TypeValue, Value], ...]" = (),
 ) -> CheckCtx:
     """Push a variable annotated mu whose type ``tyv`` lives behind a mu-lock.
     When not ``dependent``, nothing checked in the extended context may
-    evaluate the variable: its atom is ``nbe.UNBOUND``, which raises."""
-    if mu.mode_tgt != ctx.mode:
-        raise CheckError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {ctx.mode}")
-    mt, env, types, locks = ctx.mt, ctx.env, ctx.types, ctx.locks
-    fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu))) if dependent else UNBOUND
+    evaluate the variable: its atom is ``nbe.UNBOUND``, which raises.
+
+    With ``run`` (and ``mu``/``tyv`` unused) it pushes instead a run of
+    variables, oldest first, each an (annotation, type value, atom) triple
+    whose atom the caller reflected at its level: one copy of the context's
+    tuples for the whole run, however long."""
+    mt, mode, env, types, locks = ctx.mt, ctx.mode, ctx.env, ctx.types, ctx.locks
+    mods, tys, atoms = zip(*run) if run else ((mu,), (tyv,), ())
+    for m in mods:
+        if m.mode_tgt != mode:
+            raise CheckError(f"annotation {m} targets {m.mode_tgt}, telescope is at {mode}")
+    if not run:
+        fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu))) if dependent else UNBOUND
+        return CheckCtx(
+            mt, mode, Env(env.vals + (fresh,), env.sig), types + tys,
+            ctx.slots + ((mu, len(locks)),), locks,
+        )
+    seen = len(locks)
     return CheckCtx(
-        mt, ctx.mode, Env(env.vals + (fresh,), env.sig), types + (tyv,),
-        ctx.slots + ((mu, len(locks)),), locks,
+        mt, mode, Env(env.vals + atoms, env.sig), types + tys,
+        ctx.slots + tuple([(m, seen) for m in mods]), locks,
     )
 
 
@@ -270,14 +294,21 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
         return lookup_var(ctx, t.idx, t.cell)
     mt = ctx.mt
     if c is S.App:
-        tf = infer(ctx, t.fn)
-        if not isinstance(tf, TPi):
-            raise CheckError(f"application of a non-function: {_show_ty(ctx, tf)}")
-        arg, cod = t.arg, tf.cod
-        check_tm(ctx_lock(ctx, tf.mod), arg, tf.dom)
-        if isinstance(cod, TypeValue):
-            return cod
-        return inst_ty(mt, cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
+        args = []
+        while c is S.App:
+            args.append(t.arg)
+            t = t.fn
+            c = t.__class__
+        tf = infer(ctx, t)
+        for arg in reversed(args):
+            if tf.__class__ is not TPi:
+                raise CheckError(f"application of a non-function: {_show_ty(ctx, tf)}")
+            cod = tf.cod
+            check_tm(ctx_lock(ctx, tf.mod), arg, tf.dom)
+            if not isinstance(cod, TypeValue):
+                cod = inst_ty(mt, cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
+            tf = cod
+        return tf
     if c is S.Const:
         name = t.name
         defn = ctx.env.sig.get(name)
@@ -380,10 +411,18 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
 def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
     c = t.__class__
     if c is S.Lam:
-        if ty.__class__ is not TPi:
-            raise CheckError(f"function literal at non-function type {_show_ty(ctx, ty)}")
-        ext = ctx_extend(ctx, ty.mod, ty.dom)
-        check_tm(ext, t.body, inst_ty(ctx.mt, ty.cod, ext.env.vals[-1]))
+        mt, depth, run = ctx.mt, ctx.depth, []
+        while c is S.Lam:
+            if ty.__class__ is not TPi:
+                shown = ctx_extend(ctx, run=tuple(run)) if run else ctx
+                raise CheckError(f"function literal at non-function type {_show_ty(shown, ty)}")
+            mod, dom = ty.mod, ty.dom
+            fresh = reflect(mt, dom, NeAbs(depth + len(run), id_cell(mod)))
+            run.append((mod, dom, fresh))
+            ty = inst_ty(mt, ty.cod, fresh)
+            t = t.body
+            c = t.__class__
+        check_tm(ctx_extend(ctx, run=tuple(run)), t, ty)
     elif c is S.Pair:
         if ty.__class__ is not TSig:
             raise CheckError(f"pair literal at non-pair type {_show_ty(ctx, ty)}")

@@ -31,6 +31,13 @@ and ``TPi.cod``/``TSig.snd`` hold that type value, which ``inst_ty``
 returns without evaluating anything.  Codes (``CPi``/``CSig``) and the
 motives of eliminators always keep closures.
 
+``eval_tm`` takes an application spine whole.  It evaluates the head once;
+when the head is a lambda whose body begins with further lambdas, it
+evaluates one argument per binder, left to right, and pushes them onto the
+closure's environment in one extension, building no ``VLam``, ``Closure``
+or ``Env`` in between.  A neutral head takes its arguments one ``do_app``
+at a time.
+
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
 payloads; reify wraps the boundary markers back on, so normal forms at
@@ -426,7 +433,23 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
             return v
         return key_val(mt, cell, v)
     if c is S.App:
-        return do_app(mt, eval_tm(mt, env, t.fn), eval_tm(mt, env, t.arg))
+        args = []
+        while c is S.App:
+            args.append(t.arg)
+            t = t.fn
+            c = t.__class__
+        f = eval_tm(mt, env, t)
+        while args:
+            if f.__class__ is VLam:
+                clo = f.clo
+                body, vals = clo.body, [eval_tm(mt, env, args.pop())]
+                while args and body.__class__ is S.Lam:
+                    body = body.body
+                    vals.append(eval_tm(mt, env, args.pop()))
+                f = eval_tm(mt, Env(clo.env.vals + tuple(vals), clo.env.sig), body)
+            else:
+                f = do_app(mt, f, eval_tm(mt, env, args.pop()))
+        return f
     if c is S.Const:
         defn = env.sig.get(t.name)
         if defn is None:
@@ -758,20 +781,15 @@ def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
     if c is TBool:
         return NfBool()
     if c is TPi:
-        mod, dom = T.mod, T.dom
-        fresh = reflect(mt, dom, NeAbs(d, id_cell(mod)))
-        return NfFn(
-            mod,
-            reify_ty(mt, d, mod.mode_src, dom),
-            reify_ty(mt, d + 1, mode, inst_ty(mt, T.cod, fresh)),
-        )
+        mod, dom, cod = T.mod, T.dom, T.cod
+        if not isinstance(cod, TypeValue):
+            cod = inst_ty(mt, cod, reflect(mt, dom, NeAbs(d, id_cell(mod))))
+        return NfFn(mod, reify_ty(mt, d, mod.mode_src, dom), reify_ty(mt, d + 1, mode, cod))
     if c is TSig:
-        fst = T.fst
-        fresh = reflect(mt, fst, NeAbs(d, id_cell(id_mod(mode))))
-        return NfProd(
-            reify_ty(mt, d, mode, fst),
-            reify_ty(mt, d + 1, mode, inst_ty(mt, T.snd, fresh)),
-        )
+        fst, snd = T.fst, T.snd
+        if not isinstance(snd, TypeValue):
+            snd = inst_ty(mt, snd, reflect(mt, fst, NeAbs(d, id_cell(id_mod(mode)))))
+        return NfProd(reify_ty(mt, d, mode, fst), reify_ty(mt, d + 1, mode, snd))
     if c is TUni:
         return NfUni()
     if c is TMod:

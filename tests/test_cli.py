@@ -764,26 +764,37 @@ def church(n: int, carrier: str) -> str:
 
 
 def test_evaluation_too_deep_for_the_stack_is_a_located_error(tmp_path):
-    # Evaluating n249 recurses about four frames per numeral: past the
+    # Evaluating n599 recurses a few frames per numeral: past the
     # interpreter's limit, reading its body back ended in a traceback.
-    done = run_mtt(tmp_path, church(250, "Bool"), "normalize", "n249")
+    done = run_mtt(tmp_path, church(600, "Bool"), "normalize", "n599")
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr.endswith("run.mtt:250:1: error: n249: nested too deeply\n")
+    assert done.stderr.endswith("run.mtt:600:1: error: n599: nested too deeply\n")
     assert "Traceback" not in done.stderr
 
 
+def test_an_application_spine_evaluates_in_one_frame_per_numeral(tmp_path):
+    # n_i applies n_{i-1} to two arguments, which enter its body in one
+    # environment extension; applied one at a time, n399 ran out of stack.
+    done = run_mtt(tmp_path, church(400, "Bool"), "normalize", "n399")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "n399 : Pi (id(m) | x0 : Pi (id(m) | x0 : Bool) -> Bool) -> Pi (id(m) | x1 : Bool) -> Bool\n"
+        "n399 = \\(id(m) | x0) -> \\(id(m) | x1) -> " + "(x0 " * 399 + "x1" + ")" * 399 + "\n"
+    )
+
+
 def test_checking_too_deep_for_the_stack_is_a_located_error(tmp_path, capsys):
-    # The type of t evaluates n299 to decode it; the rest still check.
-    text = church(300, "Uni") + (
-        "def t @m : dec (n299 (\\c -> c) BoolC) := iso-inv true\n"
+    # The type of t evaluates n599 to decode it; the rest still check.
+    text = church(600, "Uni") + (
+        "def t @m : dec (n599 (\\c -> c) BoolC) := iso-inv true\n"
         "def u @m : dec (n9 (\\c -> c) BoolC) := iso-inv true\n"
     )
     path = write(tmp_path, "deep.mtt", text)
     assert main(["check", path]) == 2
     cap = capsys.readouterr()
-    assert cap.err == f"{path}:301:1: error: t: nested too deeply\n"
-    assert cap.out.endswith("checked n299 : Pi (id(m) | x0 : Pi (id(m) | x0 : Uni) -> Uni)"
+    assert cap.err == f"{path}:601:1: error: t: nested too deeply\n"
+    assert cap.out.endswith("checked n599 : Pi (id(m) | x0 : Pi (id(m) | x0 : Uni) -> Uni)"
                             " -> Pi (id(m) | x1 : Uni) -> Uni\nchecked u : dec BoolC\n")
 
 
