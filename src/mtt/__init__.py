@@ -11,10 +11,11 @@ Modules:
 - ``record``  -- the immutable record classes the syntaxes are declared with.
 - ``modeth``  -- mode theories: modalities (1-cell words), 2-cells, and
   the word rules and cell table that decide their equality.
-- ``syntax``  -- core de Bruijn terms and contexts with locks.
-- ``normal``  -- telescopes, the renaming calculus, normal/neutral forms.
+- ``syntax``  -- core de Bruijn terms.
+- ``normal``  -- context readers, the renaming calculus, normal/neutral forms.
 - ``nbe``     -- the semantic domain and normalization by evaluation.
-- ``check``   -- the bidirectional checker and conversion.
+- ``check``   -- the one context record, the bidirectional checker and
+  conversion.
 - ``cli``     -- the ``.mtt`` surface language, parser, and commands.
 - ``harness`` -- term generation and the independent small-step oracle.
 """

@@ -1,9 +1,11 @@
 """Bidirectional type checking, with conversion decided on values.
 
-The context (``CheckCtx``) keeps what checking a variable needs: its type
-as a value, its annotation, the locks in front of it and its atom.  It keeps
-no syntax, so a binder extends it with the type value it already has.  A
-lock or extension whose modality lands in the wrong mode is a ``CheckError``.
+The context (``CheckCtx``), the kernel's one context record, keeps what
+checking a variable needs: its type as a value, its annotation, the locks
+in front of it and its atom; ``normal.depth``, ``tele_entry`` and
+``locks_of`` read it by level.  It keeps no syntax, so a binder extends it
+with the type value it already has.  A lock or extension whose modality
+lands in the wrong mode is a ``CheckError``.
 
 Inference and checking follow the usual bidirectional split: eliminations
 and annotated introductions infer, unannotated introductions (lambdas,
@@ -14,7 +16,8 @@ to right, against the next ``Pi`` domain; ``check_tm`` opens a run of
 lambdas against a run of ``Pi`` types, reflecting each binder's variable at
 its level, and extends the context once for the whole run (``ctx_extend``
 with ``run``), so a k-binder run copies the context's tuples once, not k
-times.  Diagnostics are those of one node at a time.  Conversion is decided on
+times.  A lambda whose binder was written with a modality must meet a
+``Pi`` with an equal one.  Diagnostics are those of one node at a time.  Conversion is decided on
 values by ``conv.conv_ty``/``conv.conv``: type-directed, with eta for
 functions, pairs and boxes, every modality and 2-cell question delegated to
 the mode theory's decider, and no normal form built.  Two occurrences of
@@ -67,8 +70,11 @@ from .normal import (
     NormalError,
     RenKey,
     decode_nfty,
+    depth,
+    locks_of,
     rename_nfty,
     surface_nfty,
+    tele_entry,
 )
 from .conv import conv, conv_ty
 from .nbe import (
@@ -117,7 +123,8 @@ class CheckCtx:
     atom in ``env``, its type value in ``types``, and in ``slots`` its
     annotation and the length of ``locks`` when it was pushed.  ``locks``
     is every lock pushed so far as one word, newest first, so the locks
-    after a variable compose to a prefix of it."""
+    after a variable compose to a prefix of it.  ``normal.depth``,
+    ``tele_entry`` and ``locks_of`` read it by level."""
 
     mt: ModeTheory
     mode: str
@@ -125,23 +132,6 @@ class CheckCtx:
     types: tuple[TypeValue, ...] = ()
     slots: tuple[tuple[Modality, int], ...] = ()
     locks: Word = ()
-
-    @property
-    def depth(self) -> int:
-        return len(self.types)
-
-    def locate(self, k: int) -> "tuple[Modality, Modality]":
-        """Variable k's annotation and the composite of the locks after it
-        (``normal.locks_of``), read off by level: the shared identity when
-        no lock was pushed after it."""
-        level = len(self.types) - 1 - k
-        if not 0 <= level < len(self.types):
-            raise CheckError(f"unbound variable index {k}")
-        ann, seen = self.slots[level]
-        locks, mode = self.locks, self.mode
-        if seen == len(locks) and ann.mode_tgt == mode:
-            return ann, id_mod(mode)
-        return ann, Modality(mode, ann.mode_tgt, locks[: len(locks) - seen])
 
 
 def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
@@ -198,7 +188,11 @@ def ctx_extend(
 
 
 def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
-    ann, nu = ctx.locate(k)
+    n = depth(ctx)
+    if not 0 <= k < n:
+        raise CheckError(f"unbound variable index {k}")
+    ann, stored = tele_entry(ctx, k)
+    nu = locks_of(ctx, k)
     if not cell_check(ctx.mt, alpha):
         raise CheckError(f"ill-formed 2-cell {alpha} on variable {k}")
     if not (eq_mod(ctx.mt, alpha.src, ann) and eq_mod(ctx.mt, alpha.tgt, nu)):
@@ -206,16 +200,15 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
             f"variable not accessible: no 2-cell {ann} => {nu} declared "
             f"(variable {k} carries {alpha.src} => {alpha.tgt})"
         )
-    level = ctx.depth - 1 - k  # also the depth of the entry's prefix
-    stored = ctx.types[level]
     if isinstance(alpha.expr, CellId) or is_id_cell(ctx.mt, alpha):
         return stored
     # Transport along the key: read back in the entry's prefix, rename
     # along the key, and evaluate over the prefix's atoms.  At each prefix
     # variable the key is whiskered by the locks between it and the entry.
-    n, lead = len(ctx.locks), len(nu.word)
+    level = n - 1 - k  # also the depth of the entry's prefix
+    locks, lead = ctx.locks, len(nu.word)
     crossed = tuple(
-        Modality(ann.mode_tgt, a.mode_tgt, ctx.locks[lead : n - seen])
+        Modality(ann.mode_tgt, a.mode_tgt, locks[lead : len(locks) - seen])
         for a, seen in reversed(ctx.slots[:level])
     )
     nf = reify_ty(ctx.mt, level, ann.mode_src, stored)
@@ -228,17 +221,17 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
 
 
 def convert_ty(ctx: CheckCtx, a: TypeValue, b: TypeValue) -> bool:
-    return conv_ty(ctx.mt, ctx.depth, ctx.mode, a, b)
+    return conv_ty(ctx.mt, depth(ctx), ctx.mode, a, b)
 
 
 def convert_tm(ctx: CheckCtx, ty: TypeValue, v: Value, w: Value) -> bool:
-    return conv(ctx.mt, ctx.depth, ctx.mode, ty, v, w)
+    return conv(ctx.mt, depth(ctx), ctx.mode, ty, v, w)
 
 
 def _show_ty(ctx: CheckCtx, ty: TypeValue) -> str:
     """``ty`` in the surface syntax of ``mtt normalize``, so it re-parses."""
-    nf = reify_ty(ctx.mt, ctx.depth, ctx.mode, ty)
-    return surface_nfty(ctx.mt, nf, ctx.mode, ctx.depth)
+    d = depth(ctx)
+    return surface_nfty(ctx.mt, reify_ty(ctx.mt, d, ctx.mode, ty), d)
 
 
 def _require_mode(ctx: CheckCtx, mod: Modality, role: str) -> None:
@@ -411,13 +404,18 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
 def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
     c = t.__class__
     if c is S.Lam:
-        mt, depth, run = ctx.mt, ctx.depth, []
+        mt, d, run = ctx.mt, depth(ctx), []
         while c is S.Lam:
             if ty.__class__ is not TPi:
                 shown = ctx_extend(ctx, run=tuple(run)) if run else ctx
                 raise CheckError(f"function literal at non-function type {_show_ty(shown, ty)}")
-            mod, dom = ty.mod, ty.dom
-            fresh = reflect(mt, dom, NeAbs(depth + len(run), id_cell(mod)))
+            mod, dom, written = ty.mod, ty.dom, t.mod
+            if written is not None and not eq_mod(mt, written, mod):
+                raise CheckError(
+                    f"modality mismatch: lambda binder annotated {written} "
+                    f"at a function type annotated {mod}"
+                )
+            fresh = reflect(mt, dom, NeAbs(d + len(run), id_cell(mod)))
             run.append((mod, dom, fresh))
             ty = inst_ty(mt, ty.cod, fresh)
             t = t.body

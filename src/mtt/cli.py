@@ -163,7 +163,7 @@ def tokenize(text: str) -> Tokens:
 
 @record
 class Decl:
-    """A parsed declaration; ``line`` and ``col`` locate its ``def``
+    """A parsed declaration; ``line`` and ``col`` place its ``def``
     keyword, token ``at`` of ``tokens``, when read."""
 
     name: str
@@ -442,14 +442,15 @@ class Parser:
                 mod, name = self._binder(amb)
                 self._guard_mode(mod, amb, at)
                 self.expect(")")
+                written = mod
             else:
-                mod = id_mod(amb)
+                mod, written = id_mod(amb), None
                 name = self.expect_ident("a variable name")
             self.expect("->")
             self._bind(name, mod)
             body = self.parse_term(amb)
             self._unbind(name)
-            return S.Lam(body)
+            return S.Lam(body, written)
         if head == "letbox":
             self.expect("(")
             mu = self.parse_modexpr(amb)
@@ -811,7 +812,7 @@ def cmd_check(path: str, override: "str | None" = None, print_core: bool = False
     if print_core:
         _print_core(decls)
     return _emit(
-        path, mt, decls, lambda r: [f"checked {r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}"]
+        path, mt, decls, lambda r: [f"checked {r.name} : {surface_nfty(mt, r.ty_nf)}"]
     )
 
 
@@ -840,8 +841,8 @@ def cmd_normalize(
         mt,
         decls,
         lambda r: [
-            f"{r.name} : {surface_nfty(mt, r.ty_nf, r.mode)}",
-            f"{r.name} = {surface_nf(mt, r.body_nf, r.mode)}",
+            f"{r.name} : {surface_nfty(mt, r.ty_nf)}",
+            f"{r.name} = {surface_nf(mt, r.body_nf)}",
         ],
         shown,
     )

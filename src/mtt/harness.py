@@ -16,8 +16,8 @@ Three instruments for exercising the kernel:
   with the evaluator used for normalization, so agreement between the two
   is evidence, not tautology.
 - ``beta_eta_pairs`` is a fixed table of convertible pairs, one for each
-  computation or extensionality rule, together with the telescope and
-  type at which conversion must accept them.
+  computation or extensionality rule, together with the context and type
+  at which conversion must accept them.
 
 ``check_conversion`` holds the checker's conversion (``conv.conv``/
 ``conv_ty``) to its reference, reading both sides back and comparing the
@@ -88,8 +88,18 @@ from .nbe import (
     reify,
     reify_ty,
 )
-from .normal import Ne, NeVar, Nf, NfTy, decode_nfty, eq_nf, eq_nfty
-from .syntax import Telescope
+from .normal import (
+    Ne,
+    NeVar,
+    Nf,
+    NfTy,
+    decode_nfty,
+    depth,
+    eq_nf,
+    eq_nfty,
+    locks_of,
+    tele_entry,
+)
 
 
 class HarnessError(Exception):
@@ -422,8 +432,8 @@ class _Gen:
         of the lock word, or the vertical composite of two such cells."""
         mt = self.mt
         out = []
-        for k in range(len(ctx.types)):
-            ann, nu = ctx.locate(k)
+        for k in range(depth(ctx)):
+            ann, nu = tele_entry(ctx, k)[0], locks_of(ctx, k)
             if eq_mod(mt, ann, nu):
                 out.append((k, id_cell(ann)))
             for name, (src, tgt) in mt.cell_gens.items():
@@ -465,7 +475,7 @@ class _Gen:
     def _weaken_ty(self, ctx: CheckCtx, ty: TypeValue) -> Term:
         """The type as a term, shifted to sit under one more binder."""
         return shift(
-            decode_nfty(reify_ty(self.mt, ctx.depth, ctx.mode, ty)), 1
+            decode_nfty(reify_ty(self.mt, depth(ctx), ctx.mode, ty)), 1
         )
 
     def _spine(self, ctx: CheckCtx, ty: TypeValue, size: int) -> Term:
@@ -684,31 +694,31 @@ _PAIRS = {
     "pi-beta": (
         S.App(S.Lam(_v(0)), _v(0)),
         _v(0),
-        Telescope("m", (S.EVar(_IDM, _B),)),
+        (_B,),
         _B,
     ),
     "pi-eta": (
         S.Lam(S.App(_v(1), _v(0))),
         _v(0),
-        Telescope("m", (S.EVar(_IDM, S.Pi(_IDM, _B, _B)),)),
+        (S.Pi(_IDM, _B, _B),),
         S.Pi(_IDM, _B, _B),
     ),
     "sigma-beta": (
         S.Proj1(S.Pair(_v(1), _v(0))),
         _v(1),
-        Telescope("m", (S.EVar(_IDM, _B), S.EVar(_IDM, _B))),
+        (_B, _B),
         _B,
     ),
     "sigma-eta": (
         S.Pair(S.Proj1(_v(0)), S.Proj2(_v(0))),
         _v(0),
-        Telescope("m", (S.EVar(_IDM, S.Sig(_B, _B)),)),
+        (S.Sig(_B, _B),),
         S.Sig(_B, _B),
     ),
     "bool-beta": (
         S.If(_B, S.True_(), S.False_(), S.True_()),
         S.True_(),
-        Telescope("m", ()),
+        (),
         _B,
     ),
     "modal-beta": (
@@ -720,29 +730,34 @@ _PAIRS = {
             S.MkBox(_MU, _v(0, _MU)),
         ),
         S.MkBox(_MU, S.True_()),
-        Telescope("m", ()),
+        (),
         S.Mod(_MU, _B),
     ),
     "deciso-beta": (
         S.DecIso(S.DecIsoInv(_v(0))),
         _v(0),
-        Telescope("m", (S.EVar(_IDM, _B),)),
+        (_B,),
         _B,
     ),
     "deciso-eta": (
         S.DecIsoInv(S.DecIso(_v(0))),
         _v(0),
-        Telescope("m", (S.EVar(_IDM, S.Dec(S.BoolCode())),)),
+        (S.Dec(S.BoolCode()),),
         S.Dec(S.BoolCode()),
     ),
 }
 
 
-def beta_eta_pairs(connective: str) -> "tuple[Term, Term, Telescope, Term]":
-    """(lhs, rhs, telescope, type) for one computation or eta rule."""
+def beta_eta_pairs(connective: str) -> "tuple[Term, Term, CheckCtx, Term]":
+    """(lhs, rhs, context, type) for one computation or eta rule; the
+    context binds the rule's variables, each at ``id(m)``."""
     if connective not in _PAIRS:
         raise HarnessError(f"unknown connective {connective!r}")
-    return _PAIRS[connective]
+    lhs, rhs, binders, ty = _PAIRS[connective]
+    ctx = empty_ctx(PAIRS_THEORY(), "m")
+    for b in binders:
+        ctx = ctx_extend(ctx, _IDM, check_type(ctx, b))
+    return lhs, rhs, ctx, ty
 
 
 CONNECTIVES = tuple(_PAIRS)
@@ -797,8 +812,7 @@ def run_differential(trials: int, seed: int, fuel: int = 10_000, out=None) -> bo
     from .normal import NfFalse, NfTrue
 
     agree = ran_out = 0
-    mt = trivial()
-    tele = Telescope("m", ())
+    ctx = empty_ctx(trivial(), "m")
     for i in range(trials):
         cfg = GenConfig(seed=seed + i)
         tm = gen_closed_bool(cfg)
@@ -806,7 +820,7 @@ def run_differential(trials: int, seed: int, fuel: int = 10_000, out=None) -> bo
         if verdict is Oracle.OUT_OF_FUEL:
             ran_out += 1
             continue
-        nf = normalize(mt, tele, S.Bool(), tm)
+        nf = normalize(ctx, S.Bool(), tm)
         expect = NfTrue() if verdict is Oracle.TRUE else NfFalse()
         if nf != expect:
             print(f"differential mismatch at seed {cfg.seed}", file=out)
@@ -823,10 +837,9 @@ def run_pairs(out=None) -> bool:
     """Conversion accepts every listed computation and eta rule, and so does
     comparing normal forms (``check_conversion``)."""
     out = sys.stdout if out is None else out
-    mt = PAIRS_THEORY()
     for name in CONNECTIVES:
-        lhs, rhs, tele, ty = beta_eta_pairs(name)
-        ctx = ctx_of_telescope(mt, tele)
+        lhs, rhs, ctx, ty = beta_eta_pairs(name)
+        mt = ctx.mt
         tyv = check_type(ctx, ty)
         # The left side may hold a redex with an unannotated introduction,
         # which bidirectional syntax cannot type; conversion compares the
@@ -893,7 +906,7 @@ def check_conversion(
     and by reading both back and comparing the normal forms.  Return the
     verdict and whether a normal form holds a non-identity key; raise
     ``HarnessError`` when the two deciders disagree."""
-    mt, d, mode = ctx.mt, ctx.depth, ctx.mode
+    mt, d, mode = ctx.mt, depth(ctx), ctx.mode
     if ty is None:
         got = conv_ty(mt, d, mode, a, b)
         nfs = reify_ty(mt, d, mode, a), reify_ty(mt, d, mode, b)
@@ -972,25 +985,6 @@ def run_conversion(trials: int, seed: int, out=None) -> bool:
         file=out,
     )
     return True
-
-
-def ctx_of_telescope(mt: ModeTheory, tele: Telescope) -> CheckCtx:
-    """A checking context for a telescope (entry types re-checked)."""
-    # A telescope records its final mode; the starting mode is the final
-    # one unless a lock intervenes, in which case it is the first lock's
-    # target.
-    start = tele.mode
-    for e in tele.entries:
-        if isinstance(e, S.ELock):
-            start = e.mod.mode_tgt
-            break
-    ctx = empty_ctx(mt, start)
-    for e in tele.entries:
-        if isinstance(e, S.ELock):
-            ctx = ctx_lock(ctx, e.mod)
-        else:
-            ctx = ctx_extend(ctx, e.mod, check_type(ctx_lock(ctx, e.mod), e.ty))
-    return ctx
 
 
 def main(argv: "list[str] | None" = None) -> int:

@@ -63,7 +63,7 @@ from .modeth import (
     vcomp,
 )
 from . import syntax as S
-from .syntax import Telescope, Term, depth as tele_depth
+from .syntax import Term
 from .normal import (
     Ne,
     NeApp,
@@ -92,6 +92,7 @@ from .normal import (
     NfTrue,
     NfTy,
     NfUni,
+    depth as tele_depth,
 )
 
 
@@ -184,10 +185,11 @@ NO_DEFS: Signature = MappingProxyType({})
 
 @record
 class Env:
-    """One value per variable entry, first entry first; locks contribute
-    nothing, so a locked context shares its environment.  A prefix of
-    ``vals`` is the environment of a prefix of the telescope: values carry
-    absolute levels, so dropping the entries after them renames nothing.
+    """One value per variable of a context (``check.CheckCtx.env``), oldest
+    first; locks contribute nothing, so a locked context shares its
+    environment.  A prefix of ``vals`` is the environment of a prefix of the
+    context: values carry absolute levels, so dropping the variables after
+    them renames nothing.
     ``sig`` holds the constants the terms evaluated here may refer to."""
 
     vals: "tuple[Value | Thunk, ...]"
@@ -804,30 +806,15 @@ def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
 # Entry points
 
 
-def atoms_env(mt: ModeTheory, tele: Telescope, sig: Signature = NO_DEFS) -> Env:
-    """The initial environment: each variable entry reflected at its own type
-    with an identity cell at its level."""
-    vals: list[Value] = []
-    level = 0
-    for e in tele.entries:
-        if isinstance(e, S.EVar):
-            tyv = eval_ty(mt, Env(tuple(vals), sig), e.ty)
-            vals.append(reflect(mt, tyv, NeAbs(level, id_cell(e.mod))))
-            level += 1
-    return Env(tuple(vals), sig)
+def normalize(ctx, ty: Term, tm: Term) -> Nf:
+    """``tm``'s normal form at type ``ty``, both over ``ctx`` (a
+    ``check.CheckCtx``, read by attribute): its mode theory, environment
+    of variables and signature, and mode."""
+    mt, env = ctx.mt, ctx.env
+    return reify(mt, tele_depth(ctx), ctx.mode, eval_ty(mt, env, ty), eval_tm(mt, env, tm))
 
 
-def normalize(
-    mt: ModeTheory, tele: Telescope, ty: Term, tm: Term, sig: Signature = NO_DEFS
-) -> Nf:
-    env = atoms_env(mt, tele, sig)
-    return reify(
-        mt, tele_depth(tele), tele.mode, eval_ty(mt, env, ty), eval_tm(mt, env, tm)
-    )
-
-
-def normalize_ty(
-    mt: ModeTheory, tele: Telescope, ty: Term, sig: Signature = NO_DEFS
-) -> NfTy:
-    env = atoms_env(mt, tele, sig)
-    return reify_ty(mt, tele_depth(tele), tele.mode, eval_ty(mt, env, ty))
+def normalize_ty(ctx, ty: Term) -> NfTy:
+    """The normal form of the type ``ty`` over ``ctx``."""
+    mt = ctx.mt
+    return reify_ty(mt, tele_depth(ctx), ctx.mode, eval_ty(mt, ctx.env, ty))

@@ -1,12 +1,14 @@
-"""Renamings, unquotiented normal/neutral forms, and their printer.
+"""Context readers, renamings, unquotiented normal/neutral forms, and their
+printer.
 
-Normal forms are indexed by *telescopes* (``syntax.Telescope``): formal
-sequences of locks and annotated variable entries that present a context
-without quotienting by the lock equations.  Renamings are the structural
-morphisms between telescopes (weakening, locks, keys, variable-for-variable
-extension); they act on neutrals and normals, and on variables the action
-composes 2-cells onto the head.  Renamings are kept as unevaluated trees:
-only their actions are ever compared, never the trees themselves.
+Normal forms live over contexts of locks and annotated variables, whose
+record is ``check.CheckCtx``; ``depth``, ``tele_entry`` and ``locks_of``
+read one by level, and the checker reaches its variables through them.
+Renamings are the structural morphisms between contexts (weakening, locks,
+keys, variable-for-variable extension); they act on neutrals and normals,
+and on variables the action composes 2-cells onto the head.  Renamings are
+kept as unevaluated trees: only their actions are ever compared, never the
+trees themselves.
 
 ``surface_nf``/``surface_ne``/``surface_nfty`` print normal forms in the
 surface syntax the parser reads; the CLI's output and the checker's
@@ -33,9 +35,7 @@ from .modeth import (
     whisker_right,
 )
 from . import syntax as S
-
-# ``depth`` is re-exported: ``bench/tracer.py`` times it as ``normal:depth``.
-from .syntax import ELock, EVar, Telescope, Term, depth  # noqa: F401
+from .syntax import Term
 
 
 class NormalError(Exception):
@@ -43,47 +43,42 @@ class NormalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Variables of a telescope
+# Reading a context by level
+#
+# A context is a ``check.CheckCtx``, read here by attribute: the ambient
+# ``mode``, per variable by level its type value in ``types`` and its
+# annotation and lock count in ``slots``, and ``locks``, every lock pushed
+# so far as one word, newest first.  ``k`` is a de Bruijn index.
 
 
-def _var_position(tele: Telescope, k: int) -> int:
-    """Position in ``entries`` of the variable with de Bruijn index k."""
-    seen = 0
-    for pos in range(len(tele.entries) - 1, -1, -1):
-        if isinstance(tele.entries[pos], EVar):
-            if seen == k:
-                return pos
-            seen += 1
-    raise NormalError(f"variable index {k} does not resolve in telescope of depth {seen}")
+def depth(ctx) -> int:
+    """Number of variables."""
+    return len(ctx.types)
 
 
-def tele_entry(tele: Telescope, k: int) -> EVar:
-    """Variable k's entry, found by scanning.  The checker reads it by level
-    (``check.CheckCtx.locate``); this is the reference the tests hold that
-    to, and ``bench/tracer.py`` times it as ``normal:tele_entry``."""
-    e = tele.entries[_var_position(tele, k)]
-    assert isinstance(e, EVar)
-    return e
+def _level(ctx, k: int) -> int:
+    n = len(ctx.types)
+    if not 0 <= k < n:
+        raise NormalError(f"variable index {k} does not resolve in a context of depth {n}")
+    return n - 1 - k
 
 
-def locks_of(tele: Telescope, k: int) -> Modality:
-    """Composite of the locks strictly between variable k and the end.
+def tele_entry(ctx, k: int) -> "tuple[Modality, object]":
+    """Variable k's annotation and stored type value."""
+    level = _level(ctx, k)
+    return ctx.slots[level][0], ctx.types[level]
 
-    The lock nearest the entry is the outer factor: crossing lock(mu) then
-    lock(nu) from the entry outward yields mu.nu, matching lock(mu.nu).
-    """
-    pos = _var_position(tele, k)
-    rest = tele.entries[pos + 1 :]
-    # ambient mode at the entry's insertion point
-    mode = tele.mode
-    for e in reversed(rest):
-        if isinstance(e, ELock):
-            mode = e.mod.mode_tgt
-    w = id_mod(mode)
-    for e in rest:
-        if isinstance(e, ELock):
-            w = compose_mod(w, e.mod)
-    return w
+
+def locks_of(ctx, k: int) -> Modality:
+    """Composite of the locks pushed after variable k: the shared identity
+    when there are none.  The lock nearest the entry is the outer factor:
+    crossing lock(mu) then lock(nu) from the entry outward yields mu.nu,
+    matching lock(mu.nu)."""
+    ann, seen = ctx.slots[_level(ctx, k)]
+    locks, mode = ctx.locks, ctx.mode
+    if seen == len(locks) and ann.mode_tgt == mode:
+        return id_mod(mode)
+    return Modality(mode, ann.mode_tgt, locks[: len(locks) - seen])
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,7 @@ class NfUni(NfTy):
 @record
 class NfFn(NfTy):
     mod: Modality
-    dom: NfTy  # in the mod-locked telescope
+    dom: NfTy  # in the mod-locked context
     cod: NfTy  # binds 1, annotated mod
 
 
@@ -128,7 +123,7 @@ class NfProd(NfTy):
 @record
 class NfModify(NfTy):
     mod: Modality
-    ty: NfTy  # in the mod-locked telescope
+    ty: NfTy  # in the mod-locked context
 
 
 @record
@@ -146,7 +141,7 @@ class NeVar(Ne):
 class NeApp(Ne):
     fn: Ne
     mod: Modality  # the function type's domain annotation
-    arg: Nf  # lives in the mod-locked telescope
+    arg: Nf  # lives in the mod-locked context
 
 
 @record
@@ -172,7 +167,7 @@ class NeLetMod(Ne):
     mu: Modality
     nu: Modality
     motive: NfTy  # binds 1, annotated mu
-    scrut: Ne  # in the mu-locked telescope
+    scrut: Ne  # in the mu-locked context
     branch: Nf  # binds 1, annotated mu.nu
 
 
@@ -208,7 +203,7 @@ class NfFalse(Nf):
 @record
 class NfMkBox(Nf):
     mod: Modality
-    body: Nf  # in the mod-locked telescope
+    body: Nf  # in the mod-locked context
 
 
 @record
@@ -225,7 +220,7 @@ class NfInj(Nf):
 @record
 class NfFnCode(Nf):
     mod: Modality
-    dom: Nf  # code, in the mod-locked telescope
+    dom: Nf  # code, in the mod-locked context
     cod: Nf  # code, binds 1 annotated mod at Dec(dom)
 
 
@@ -243,7 +238,7 @@ class NfBoolCode(Nf):
 @record
 class NfModifyCode(Nf):
     mod: Modality
-    code: Nf  # in the mod-locked telescope
+    code: Nf  # in the mod-locked context
 
 
 @record
@@ -273,7 +268,7 @@ class RenWeaken(Renaming):
 
 @record
 class RenComp(Renaming):
-    """``r`` acts first, then ``s`` (as telescope maps: r after s)."""
+    """``r`` acts first, then ``s`` (as context maps: r after s)."""
 
     r: Renaming
     s: Renaming
@@ -287,7 +282,7 @@ class RenLock(Renaming):
 
 @record
 class RenKey(Renaming):
-    """A key: for cell : nu => mu, maps the mu-locked telescope to the
+    """A key: for cell : nu => mu, maps the mu-locked context to the
     nu-locked one.  ``locks[k]`` is the unlocked one's ``locks_of`` at k."""
 
     cell: Cell2
@@ -297,7 +292,7 @@ class RenKey(Renaming):
 @record
 class RenExt(Renaming):
     """Extension by a variable neutral.  ``plocks`` is the lock composite
-    over the payload variable in the (locked) source telescope."""
+    over the payload variable in the (locked) source context."""
 
     ren: Renaming
     payload: NeVar
@@ -600,92 +595,87 @@ def _wrap(s: str) -> str:
     return f"({s})"
 
 
-def surface_nf(mt: ModeTheory, u: Nf, amb: str, depth: int = 0) -> str:
+def surface_nf(mt: ModeTheory, u: Nf, depth: int = 0) -> str:
     c = u.__class__
     if c is NfTrue:
         return "true"
     if c is NfFalse:
         return "false"
     if c is NfLam:
-        b = surface_nf(mt, u.body, amb, depth + 1)
+        b = surface_nf(mt, u.body, depth + 1)
         return f"\\({_render_mod(u.mod)} | x{depth}) -> {b}"
     if c is NfInj:
-        return surface_ne(mt, u.ne, amb, depth)
+        return surface_ne(mt, u.ne, depth)
     if c is NfPair:
-        return f"({surface_nf(mt, u.fst, amb, depth)}, {surface_nf(mt, u.snd, amb, depth)})"
+        return f"({surface_nf(mt, u.fst, depth)}, {surface_nf(mt, u.snd, depth)})"
     if c is NfMkBox:
-        mod = u.mod
-        return f"box {_render_mod(mod)} {_wrap(surface_nf(mt, u.body, mod.mode_src, depth))}"
+        return f"box {_render_mod(u.mod)} {_wrap(surface_nf(mt, u.body, depth))}"
     if c is NfFnCode:
-        mod = u.mod
-        d = surface_nf(mt, u.dom, mod.mode_src, depth)
-        cod = surface_nf(mt, u.cod, amb, depth + 1)
-        return f"PiC ({_render_mod(mod)} | x{depth} : {d}) -> {cod}"
+        d = surface_nf(mt, u.dom, depth)
+        cod = surface_nf(mt, u.cod, depth + 1)
+        return f"PiC ({_render_mod(u.mod)} | x{depth} : {d}) -> {cod}"
     if c is NfProdCode:
-        f = surface_nf(mt, u.fst, amb, depth)
-        s = surface_nf(mt, u.snd, amb, depth + 1)
+        f = surface_nf(mt, u.fst, depth)
+        s = surface_nf(mt, u.snd, depth + 1)
         return f"SigC (x{depth} : {f}) * {s}"
     if c is NfBoolCode:
         return "BoolC"
     if c is NfModifyCode:
-        mod = u.mod
-        return f"ModC {_render_mod(mod)} {_wrap(surface_nf(mt, u.code, mod.mode_src, depth))}"
+        return f"ModC {_render_mod(u.mod)} {_wrap(surface_nf(mt, u.code, depth))}"
     if c is NfDecIsoStar:
-        return f"iso-inv {_wrap(surface_nf(mt, u.body, amb, depth))}"
+        return f"iso-inv {_wrap(surface_nf(mt, u.body, depth))}"
     raise ValueError(f"cannot render {type(u).__name__}")
 
 
-def surface_ne(mt: ModeTheory, e: Ne, amb: str, depth: int = 0) -> str:
+def surface_ne(mt: ModeTheory, e: Ne, depth: int = 0) -> str:
     match e:
         case NeVar(idx, cell):
             name = f"x{depth - 1 - idx}"
             key = _render_cell(mt, cell)
             return name if key is None else f"{name}^{key}"
-        case NeApp(fn, mod, arg):
-            f = surface_ne(mt, fn, amb, depth)
-            a = surface_nf(mt, arg, mod.mode_src, depth)
+        case NeApp(fn, _, arg):
+            f = surface_ne(mt, fn, depth)
+            a = surface_nf(mt, arg, depth)
             return f"({f} {_wrap(a)})"
         case NeProj1(p):
-            return f"{_wrap(surface_ne(mt, p, amb, depth))}.1"
+            return f"{_wrap(surface_ne(mt, p, depth))}.1"
         case NeProj2(p):
-            return f"{_wrap(surface_ne(mt, p, amb, depth))}.2"
+            return f"{_wrap(surface_ne(mt, p, depth))}.2"
         case NeBoolRec(motive, scrut, tcase, fcase):
-            m = surface_nfty(mt, motive, amb, depth + 1)
-            s = surface_ne(mt, scrut, amb, depth)
-            t = surface_nf(mt, tcase, amb, depth)
-            f = surface_nf(mt, fcase, amb, depth)
+            m = surface_nfty(mt, motive, depth + 1)
+            s = surface_ne(mt, scrut, depth)
+            t = surface_nf(mt, tcase, depth)
+            f = surface_nf(mt, fcase, depth)
             return f"(if [x{depth}. {m}] {_wrap(s)} then {_wrap(t)} else {_wrap(f)})"
         case NeLetMod(mu, nu, motive, scrut, branch):
-            m = surface_nfty(mt, motive, amb, depth + 1)
-            s = surface_ne(mt, scrut, mu.mode_src, depth)
-            b = surface_nf(mt, branch, amb, depth + 1)
+            m = surface_nfty(mt, motive, depth + 1)
+            s = surface_ne(mt, scrut, depth)
+            b = surface_nf(mt, branch, depth + 1)
             return (
                 f"(letbox ({_render_mod(mu)} | {_render_mod(nu)}) "
                 f"[x{depth}. {m}] x{depth} = {_wrap(s)} in {b})"
             )
         case NeDecIso(body):
-            return f"iso {_wrap(surface_ne(mt, body, amb, depth))}"
+            return f"iso {_wrap(surface_ne(mt, body, depth))}"
     raise ValueError(f"cannot render {type(e).__name__}")
 
 
-def surface_nfty(mt: ModeTheory, t: NfTy, amb: str, depth: int = 0) -> str:
+def surface_nfty(mt: ModeTheory, t: NfTy, depth: int = 0) -> str:
     c = t.__class__
     if c is NfBool:
         return "Bool"
     if c is NfFn:
-        mod = t.mod
-        d = surface_nfty(mt, t.dom, mod.mode_src, depth)
-        cod = surface_nfty(mt, t.cod, amb, depth + 1)
-        return f"Pi ({_render_mod(mod)} | x{depth} : {d}) -> {cod}"
+        d = surface_nfty(mt, t.dom, depth)
+        cod = surface_nfty(mt, t.cod, depth + 1)
+        return f"Pi ({_render_mod(t.mod)} | x{depth} : {d}) -> {cod}"
     if c is NfUni:
         return "Uni"
     if c is NfProd:
-        f = surface_nfty(mt, t.fst, amb, depth)
-        s = surface_nfty(mt, t.snd, amb, depth + 1)
+        f = surface_nfty(mt, t.fst, depth)
+        s = surface_nfty(mt, t.snd, depth + 1)
         return f"Sig (x{depth} : {f}) * {s}"
     if c is NfModify:
-        mod = t.mod
-        return f"Mod {_render_mod(mod)} ({surface_nfty(mt, t.ty, mod.mode_src, depth)})"
+        return f"Mod {_render_mod(t.mod)} ({surface_nfty(mt, t.ty, depth)})"
     if c is NfDec:
-        return f"dec {_wrap(surface_nf(mt, t.code, amb, depth))}"
+        return f"dec {_wrap(surface_nf(mt, t.code, depth))}"
     raise ValueError(f"cannot render {type(t).__name__}")

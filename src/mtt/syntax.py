@@ -1,4 +1,4 @@
-"""Core abstract syntax: de Bruijn terms and telescopes.
+"""Core abstract syntax: de Bruijn terms.
 
 Terms are quotient-free trees.  Variables carry an explicit 2-cell (the key
 used to reach them through the locks in scope); binders are nameless and each
@@ -8,11 +8,13 @@ also records whether its codomain mentions the variable it binds
 (``dependent``).  The flag is derived from the codomain, so it takes no
 part in equality or printing; its default, True, is right for every term,
 and the parser sets it to False where it can, so that evaluation keeps such
-a codomain as one value (``nbe.eval_ty``).
+a codomain as one value (``nbe.eval_ty``).  A ``Lam`` keeps the modality
+its binder was written with, or None for a bare ``\\x``, for the checker to
+compare with its function type's; like ``dependent`` it takes no part in
+equality or printing.
 
-Contexts are telescopes: unquotiented runs of locks and annotated variable
-entries.  ``Telescope`` is the one context record; the checker's contexts,
-the renamings and the normal forms of ``normal`` are all indexed by it.
+Terms live over contexts of locks and annotated variables; the one record
+of such a context is ``check.CheckCtx``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Union
 
 from .record import field, record
-from .modeth import Cell2, Modality, ModeError
+from .modeth import Cell2, Modality
 
 
 class Term:
@@ -84,6 +86,7 @@ class Dec(Term):
 @record
 class Lam(Term):
     body: Term  # binds 1
+    mod: "Modality | None" = field(default=None, repr=False, compare=False)
 
 
 @record
@@ -188,53 +191,6 @@ TermT = Union[
     True_, False_, If, MkBox, LetMod, PiCode, SigCode, BoolCode, ModCode,
     DecIso, DecIsoInv,
 ]
-
-
-# ---------------------------------------------------------------------------
-# Contexts (telescopes)
-
-
-@record
-class ELock:
-    mod: Modality
-
-
-@record
-class EVar:
-    mod: Modality
-    ty: Term
-
-
-Entry = Union[ELock, EVar]
-
-
-@record
-class Telescope:
-    """A context as a formal sequence of locks and annotated variables, not
-    quotiented by the lock equations.  Entries oldest first; ``mode`` is the
-    ambient mode at the end."""
-
-    mode: str
-    entries: tuple[Entry, ...] = ()
-
-
-def tele_lock(tele: Telescope, mu: Modality) -> Telescope:
-    """Push a lock.  mu : n -> m moves the ambient mode from m to n."""
-    if mu.mode_tgt != tele.mode:
-        raise ModeError(f"lock {mu} targets {mu.mode_tgt}, telescope is at {tele.mode}")
-    return Telescope(mu.mode_src, tele.entries + (ELock(mu),))
-
-
-def tele_extend(tele: Telescope, mu: Modality, ty: Term) -> Telescope:
-    """Push a variable annotated mu; its type lives behind an extra mu-lock."""
-    if mu.mode_tgt != tele.mode:
-        raise ModeError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {tele.mode}")
-    return Telescope(tele.mode, tele.entries + (EVar(mu, ty),))
-
-
-def depth(tele: Telescope) -> int:
-    """Number of variable entries."""
-    return sum(1 for e in tele.entries if isinstance(e, EVar))
 
 
 def const_names(t: Term) -> "list[str]":

@@ -5,13 +5,17 @@ cell ``pt : id => l``): parallel 1-cells ``l^i => l^j`` carry several distinct
 2-cells once i >= 1, so whisker order is observable and the equations have
 real content.  Each ``*_instance`` function draws one instance and returns a
 pair of neutrals that the equation asserts equal (compared with ``eq_ne``).
+
+Instances live over contexts presented as tuples of entries, oldest first:
+``("lock", mu)`` or ``("var", annotation)``.  Scanning such a tuple
+(``scan_ann``, ``scan_locks``) is the reference that the checker's by-level
+readers, ``normal.tele_entry`` and ``normal.locks_of``, are held to.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from mtt import syntax as S
 from mtt.modeth import (
     Modality,
     cell_check,
@@ -33,11 +37,8 @@ from mtt.normal import (
     RenKey,
     RenLock,
     RenWeaken,
-    locks_of,
     rename_ne,
-    tele_entry,
 )
-from mtt.syntax import Telescope, depth
 
 P = pointed()
 PT = gen_cell(P, "pt")
@@ -62,46 +63,83 @@ def rand_cell(rng: Random, i: int, j: int):
     return c
 
 
-def key_locks(tele: Telescope) -> tuple[Modality, ...]:
-    """The lock composites a key over ``tele`` carries: ``locks_of`` at
+# --- the scanning reference --------------------------------------------------
+
+
+def scan_depth(entries: tuple) -> int:
+    return sum(1 for kind, _ in entries if kind == "var")
+
+
+def _position(entries: tuple, k: int) -> int:
+    """Position in ``entries`` of the variable with de Bruijn index k."""
+    seen = 0
+    for pos in range(len(entries) - 1, -1, -1):
+        if entries[pos][0] == "var":
+            if seen == k:
+                return pos
+            seen += 1
+    raise IndexError(f"variable index {k} does not resolve in a context of depth {seen}")
+
+
+def scan_ann(entries: tuple, k: int) -> Modality:
+    """Variable k's annotation."""
+    return entries[_position(entries, k)][1]
+
+
+def scan_locks(entries: tuple, k: int) -> Modality:
+    """Composite of the locks after variable k.  The lock nearest the entry
+    is the outer factor: crossing lock(mu) then lock(nu) from the entry
+    outward yields mu.nu, matching lock(mu.nu)."""
+    pos = _position(entries, k)
+    w = id_mod(entries[pos][1].mode_tgt)  # the ambient mode where it was pushed
+    for kind, mu in entries[pos + 1 :]:
+        if kind == "lock":
+            w = compose_mod(w, mu)
+    return w
+
+
+def key_locks(entries: tuple) -> tuple[Modality, ...]:
+    """The lock composites a key over ``entries`` carries: ``scan_locks`` at
     each variable, by index."""
-    return tuple(locks_of(tele, k) for k in range(depth(tele)))
+    return tuple(scan_locks(entries, k) for k in range(scan_depth(entries)))
 
 
-def _usable(tele: Telescope, extra: int) -> list[int]:
+# --- random instances ---------------------------------------------------------
+
+
+def _usable(tele: tuple, extra: int) -> list[int]:
     out = []
-    for k in range(depth(tele)):
-        if len(tele_entry(tele, k).mod.word) <= len(locks_of(tele, k).word) + extra:
+    for k in range(scan_depth(tele)):
+        if len(scan_ann(tele, k).word) <= len(scan_locks(tele, k).word) + extra:
             out.append(k)
     return out
 
 
-def rand_tele(rng: Random) -> Telescope:
+def rand_tele(rng: Random) -> tuple:
     while True:
         entries = []
         for _ in range(rng.randint(1, 6)):
             if rng.random() < 0.4:
-                entries.append(S.ELock(lpow(rng.randint(1, 2))))
+                entries.append(("lock", lpow(rng.randint(1, 2))))
             else:
-                ann = lpow(1) if rng.random() < 0.3 else lpow(0)
-                entries.append(S.EVar(ann, S.Bool()))
-        t = Telescope("m", tuple(entries))
+                entries.append(("var", lpow(1) if rng.random() < 0.3 else lpow(0)))
+        t = tuple(entries)
         if _usable(t, 0):
             return t
 
 
-def rand_var(rng: Random, tele: Telescope, extra: int = 0) -> tuple[int, object]:
+def rand_var(rng: Random, tele: tuple, extra: int = 0) -> tuple[int, object]:
     """A variable of tele with `extra` more trailing lock generators."""
     ks = _usable(tele, extra)
     k = rng.choice(ks)
-    i = len(tele_entry(tele, k).mod.word)
-    return k, rand_cell(rng, i, len(locks_of(tele, k).word) + extra)
+    i = len(scan_ann(tele, k).word)
+    return k, rand_cell(rng, i, len(scan_locks(tele, k).word) + extra)
 
 
-def var_ok(tele: Telescope, extra: int, x: NeVar) -> bool:
+def var_ok(tele: tuple, extra: int, x: NeVar) -> bool:
     """Soundness: x's cell runs annotation => lock composite (plus `extra`)."""
-    ann = tele_entry(tele, x.idx).mod
-    lk = compose_mod(locks_of(tele, x.idx), lpow(extra))
+    ann = scan_ann(tele, x.idx)
+    lk = compose_mod(scan_locks(tele, x.idx), lpow(extra))
     return (
         cell_check(P, x.cell)
         and eq_mod(P, x.cell.src, ann)
@@ -134,7 +172,7 @@ def key_instance(rng: Random):
     beta = rand_cell(rng, i, j)  # l^i => l^j : maps t.lock(l^j) -> t.lock(l^i)
     k, a = rand_var(rng, t, extra=i)
     got = rename_ne(P, RenKey(beta, key_locks(t)), NeVar(k, a), "m")
-    want = NeVar(k, vcomp(whisker_left(locks_of(t, k), beta), a, P))
+    want = NeVar(k, vcomp(whisker_left(scan_locks(t, k), beta), a, P))
     assert isinstance(got, NeVar) and var_ok(t, j, got)
     return got, want
 
@@ -143,7 +181,7 @@ def ext_zero_instance(rng: Random):
     s_t = rand_tele(rng)
     p = rng.randint(0, 2)  # binder annotation l^p
     j, beta = rand_var(rng, s_t, extra=p)  # payload valid in s_t.lock(l^p)
-    plocks = locks_of(s_t, j)
+    plocks = scan_locks(s_t, j)
     c = rng.randint(p, p + 2)
     alpha = rand_cell(rng, p, c)
     r = RenExt(RenId(), NeVar(j, beta), plocks)

@@ -27,12 +27,10 @@ from mtt.check import (
 from mtt.cli import main as cli_main
 from mtt.harness import (
     CONNECTIVES,
-    PAIRS_THEORY,
     GenConfig,
     GenExhausted,
     Oracle,
     beta_eta_pairs,
-    ctx_of_telescope,
     gen_closed_bool,
     gen_distinct_pair,
     gen_type,
@@ -71,7 +69,6 @@ from mtt.normal import (
     eq_nf,
     eq_ne,
 )
-from mtt.syntax import Telescope
 
 IDM = id_mod("m")
 CORPUS = sorted(Path(__file__).parent.glob("corpus/*.mtt"))
@@ -115,11 +112,10 @@ def _run_stability() -> dict:
             exhausted += 1
             continue
         check_tm(ctx, tm, tyv)
-        tele = Telescope(ctx.mode)
-        nf = normalize(mt, tele, ty, tm)
-        again = normalize(mt, tele, ty, decode_nf(nf))
+        nf = normalize(ctx, ty, tm)
+        again = normalize(ctx, ty, decode_nf(nf))
         assert eq_nf(mt, nf, again), f"round trip moved, seed {cfg.seed}"
-        outputs.append((mt, nf, normalize_ty(mt, tele, ty)))
+        outputs.append((mt, nf, normalize_ty(ctx, ty)))
         produced += 1
     elapsed = time.perf_counter() - start
     return {
@@ -148,18 +144,17 @@ def test_criterion_1_round_trip_stability(criterion):
 
 def _run_pair_discrimination() -> dict:
     outputs = []
-    mt = PAIRS_THEORY()
     for name in CONNECTIVES:
-        lhs, rhs, tele, ty = beta_eta_pairs(name)
-        ctx = ctx_of_telescope(mt, tele)
+        lhs, rhs, ctx, ty = beta_eta_pairs(name)
+        mt = ctx.mt
         tyv = check_type(ctx, ty)
         check_tm(ctx, rhs, tyv)
         va = eval_tm(mt, ctx.env, lhs)
         vb = eval_tm(mt, ctx.env, rhs)
         assert convert_tm(ctx, tyv, va, vb), f"rule {name} not convertible"
-        nfty = normalize_ty(mt, tele, ty)
-        outputs.append((mt, normalize(mt, tele, ty, lhs), nfty))
-        outputs.append((mt, normalize(mt, tele, ty, rhs), nfty))
+        nfty = normalize_ty(ctx, ty)
+        outputs.append((mt, normalize(ctx, ty, lhs), nfty))
+        outputs.append((mt, normalize(ctx, ty, rhs), nfty))
 
     names = sorted(THEORIES)
     rejected = 0
@@ -182,10 +177,9 @@ def _run_pair_discrimination() -> dict:
         va = eval_tm(mti, ctx.env, a)
         vb = eval_tm(mti, ctx.env, b)
         assert not convert_tm(ctx, tyv, va, vb), f"seed {cfg.seed} converted"
-        tele = Telescope(ctx.mode)
-        nfty = normalize_ty(mti, tele, ty)
-        outputs.append((mti, normalize(mti, tele, ty, a), nfty))
-        outputs.append((mti, normalize(mti, tele, ty, b), nfty))
+        nfty = normalize_ty(ctx, ty)
+        outputs.append((mti, normalize(ctx, ty, a), nfty))
+        outputs.append((mti, normalize(ctx, ty, b), nfty))
         rejected += 1
     return {"rules": len(CONNECTIVES), "rejected": rejected, "outputs": outputs}
 
@@ -203,7 +197,7 @@ def test_criterion_2_conversion_discriminates(criterion):
 
 def _run_differential() -> dict:
     mt = trivial()
-    tele = Telescope("m", ())
+    ctx = empty_ctx(mt, "m")
     outputs = []
     agreed = ran_out = 0
     for i in range(2000):
@@ -213,7 +207,7 @@ def _run_differential() -> dict:
         if verdict is Oracle.OUT_OF_FUEL:
             ran_out += 1
             continue
-        nf = normalize(mt, tele, S.Bool(), tm)
+        nf = normalize(ctx, S.Bool(), tm)
         want = NfTrue() if verdict is Oracle.TRUE else NfFalse()
         assert nf == want, f"oracle disagreement at seed {cfg.seed}"
         outputs.append((mt, nf, NfBool()))

@@ -90,12 +90,13 @@ from mtt.normal import (
     RenWeaken,
     Renaming,
     decode_nfty,
+    NormalError,
+    depth,
     eq_nfty,
     locks_of,
     rename_nfty,
     tele_entry,
 )
-from mtt.syntax import Telescope
 
 import _renfuzz as RF
 
@@ -162,7 +163,7 @@ def test_the_checks_of_a_variable_still_fire_on_identity_keys():
     assert result.error.startswith("ill-formed 2-cell id on variable 0")
     with pytest.raises(CheckError, match="variable not accessible"):
         lookup_var(ctx_lock(ctx, MU), 0, id_cell(IDM))
-    for k in (ctx.depth, -1):
+    for k in (depth(ctx), -1):
         with pytest.raises(CheckError, match=f"unbound variable index {k}"):
             lookup_var(ctx, k, id_cell(IDM))
 
@@ -211,7 +212,7 @@ def test_lookup_transports_type_along_key():
     ctx2 = ctx_extend(ctx1, IDM, x_ty)
     ctx3 = ctx_lock(ctx2, L)
     moved = lookup_var(ctx3, 0, PT)
-    got = reify_ty(P, ctx3.depth, ctx3.mode, moved)
+    got = reify_ty(P, depth(ctx3), ctx3.mode, moved)
     assert eq_nfty(P, got, NfDec(NfInj(NeVar(1, PT))))
 
 
@@ -219,29 +220,27 @@ def test_lookup_transports_type_along_key():
 # type back in the entry's prefix, renames it along the key alone and
 # evaluates it over the prefix's atoms.  The reference below does it the long
 # way: it renames along the key followed by the embedding that forgets the
-# telescope suffix, and evaluates over the whole environment.  Each random
-# context is built together with the telescope it presents, so the
-# references read annotations and locks by scanning that telescope.
+# context's suffix, and evaluates over the whole environment.  Each random
+# context is built together with the tuple of entries it presents
+# (``_renfuzz``), so the references read annotations and locks by scanning
+# that tuple.
 
 
 def _drop_tail(entries: tuple) -> Renaming:
-    """The renaming that forgets a telescope suffix, fusing its locks."""
+    """The renaming that forgets a suffix of entries, fusing its locks."""
     if not entries:
         return RenId()
     inner = _drop_tail(entries[:-1])
-    if isinstance(entries[-1], S.ELock):
-        return RenLock(entries[-1].mod, inner)
-    return RenComp(inner, RenWeaken())
+    kind, mu = entries[-1]
+    return RenLock(mu, inner) if kind == "lock" else RenComp(inner, RenWeaken())
 
 
-def transport_past_the_suffix(ctx, tele, k, alpha):
-    level = ctx.depth - 1 - k
-    entries = tele.entries
-    pos = [i for i, e in enumerate(entries) if isinstance(e, S.EVar)][level]
-    ann = entries[pos].mod
+def transport_past_the_suffix(ctx, entries, k, alpha):
+    level = depth(ctx) - 1 - k
+    pos = [i for i, (kind, _) in enumerate(entries) if kind == "var"][level]
+    ann = entries[pos][1]
     nf = reify_ty(ctx.mt, level, ann.mode_src, ctx.types[level])
-    prefix = Telescope(ann.mode_tgt, entries[:pos])
-    r = RenComp(RenKey(alpha, RF.key_locks(prefix)), _drop_tail(entries[pos:]))
+    r = RenComp(RenKey(alpha, RF.key_locks(entries[:pos])), _drop_tail(entries[pos:]))
     moved = rename_nfty(ctx.mt, r, nf, ann.mode_src)
     return eval_ty(ctx.mt, ctx.env, decode_nfty(moved))
 
@@ -290,26 +289,26 @@ def _keys(mt):
 
 
 def _empty(mt, mode):
-    return empty_ctx(mt, mode), Telescope(mode)
+    return empty_ctx(mt, mode), ()
 
 
 def _lock(at, mu):
-    ctx, tele = at
-    return ctx_lock(ctx, mu), S.tele_lock(tele, mu)
+    ctx, entries = at
+    return ctx_lock(ctx, mu), entries + (("lock", mu),)
 
 
 def _extend(at, mu, ty):
     """Push a variable of type ``ty``, checked behind a mu-lock."""
-    ctx, tele = at
-    return ctx_extend(ctx, mu, check_type(ctx_lock(ctx, mu), ty)), S.tele_extend(tele, mu, ty)
+    ctx, entries = at
+    return ctx_extend(ctx, mu, check_type(ctx_lock(ctx, mu), ty)), entries + (("var", mu),)
 
 
 def _access(at, keys, k):
     """The keys that reach variable k from here: its identity cell, if the
     locks in front of it allow one, and every matching key."""
-    ctx, tele = at
-    ann = tele_entry(tele, k).mod
-    nu = locks_of(tele, k)
+    ctx, entries = at
+    ann = RF.scan_ann(entries, k)
+    nu = RF.scan_locks(entries, k)
     ident = [id_cell(ann)] if eq_mod(ctx.mt, ann, nu) else []
     return ident + [c for c in keys if eq_mod(ctx.mt, c.src, ann) and eq_mod(ctx.mt, c.tgt, nu)]
 
@@ -319,8 +318,8 @@ def _dec_of_a_code(at, keys, rng):
     ctx = at[0]
     options = [
         (k, cell)
-        for k in range(ctx.depth)
-        if isinstance(ctx.types[ctx.depth - 1 - k], TUni)
+        for k in range(depth(ctx))
+        if isinstance(tele_entry(ctx, k)[1], TUni)
         for cell in _access(at, keys, k)
     ]
     if not options:
@@ -368,17 +367,18 @@ def test_key_transport_matches_the_renaming_past_the_suffix(theory):
         here = _empty(mt, rng.choice(sorted(mt.modes)))
         for _ in range(7):
             here = _random_entry(here, keys, rng)
-            ctx, tele = here
-            for k in range(ctx.depth):
+            ctx, entries = here
+            d = depth(ctx)
+            for k in range(d):
                 for alpha in _access(here, keys, k):
                     if is_id_cell(mt, alpha):
                         continue
-                    got = reify_ty(mt, ctx.depth, ctx.mode, lookup_var(ctx, k, alpha))
-                    ref = transport_past_the_suffix(ctx, tele, k, alpha)
-                    assert eq_nfty(mt, got, reify_ty(mt, ctx.depth, ctx.mode, ref))
-                    stored = ctx.types[ctx.depth - 1 - k]
+                    got = reify_ty(mt, d, ctx.mode, lookup_var(ctx, k, alpha))
+                    ref = transport_past_the_suffix(ctx, entries, k, alpha)
+                    assert eq_nfty(mt, got, reify_ty(mt, d, ctx.mode, ref))
+                    stored = tele_entry(ctx, k)[1]
                     lookups += 1
-                    changed += not eq_nfty(mt, got, reify_ty(mt, ctx.depth, ctx.mode, stored))
+                    changed += not eq_nfty(mt, got, reify_ty(mt, d, ctx.mode, stored))
     assert lookups >= 80 and changed >= 20
 
 
@@ -389,19 +389,25 @@ def test_context_locates_variables_as_the_telescope_scan_does(theory):
     rng = Random(f"locate-{mt.name}")
     seen = 0
     for _ in range(30):
-        here = _empty(mt, rng.choice(sorted(mt.modes)))
+        start = rng.choice(sorted(mt.modes))
+        here = _empty(mt, start)
         for _ in range(8):
             here = _random_entry(here, keys, rng)
-            ctx, tele = here
-            assert ctx.mode == tele.mode
-            for k in range(ctx.depth):
-                ann, nu = ctx.locate(k)
-                assert ann == tele_entry(tele, k).mod
-                assert nu == locks_of(tele, k)
+            ctx, entries = here
+            locks = [mu for kind, mu in entries if kind == "lock"]
+            assert ctx.mode == (locks[-1].mode_src if locks else start)
+            assert depth(ctx) == RF.scan_depth(entries)
+            for k in range(depth(ctx)):
+                ann, nu = tele_entry(ctx, k)[0], locks_of(ctx, k)
+                assert ann == RF.scan_ann(entries, k)
+                assert nu == RF.scan_locks(entries, k)
                 seen += len(nu.word) > 1
     assert seen > 20  # variables behind composite locks were met
-    with pytest.raises(CheckError):
-        ctx.locate(ctx.depth)
+    for k in (depth(ctx), -1):
+        with pytest.raises(NormalError):
+            tele_entry(ctx, k)
+        with pytest.raises(NormalError):
+            locks_of(ctx, k)
 
 
 def test_binders_extend_the_context_without_reading_types_back(monkeypatch):
@@ -425,6 +431,27 @@ def test_check_lam_against_function_type():
     ctx = empty_ctx(T, "m")
     ty = check_type(ctx, S.Pi(IDM, S.Bool(), S.Bool()))
     check_tm(ctx, S.Lam(var(0)), ty)
+
+
+def test_lam_binder_annotations_are_checked_along_a_run():
+    # A written annotation takes no part in equality or printing; the checker
+    # compares it with the modality of the Pi it meets, up to the theory's
+    # equations, and a bare binder (None) is not compared.
+    body = S.True_()
+    assert S.Lam(body, L) == S.Lam(body) and repr(S.Lam(body, L)) == repr(S.Lam(body))
+    ctx = empty_ctx(P, "m")
+    ty = check_type(ctx, S.Pi(L, S.Bool(), S.Pi(IDM, S.Bool(), S.Bool())))
+    check_tm(ctx, S.Lam(S.Lam(body, IDM), L), ty)
+    check_tm(ctx, S.Lam(S.Lam(body)), ty)
+    with pytest.raises(CheckError) as e:
+        check_tm(ctx, S.Lam(S.Lam(body, L), L), ty)
+    assert str(e.value) == (
+        "modality mismatch: lambda binder annotated l at a function type annotated id_m"
+    )
+    mt = _rewrite_with_a_cell()  # c.c rewrites to c
+    c = Modality("s", "s", ("c",))
+    ctx = empty_ctx(mt, "s")
+    check_tm(ctx, S.Lam(body, compose_mod(c, c)), check_type(ctx, S.Pi(c, S.Bool(), S.Bool())))
 
 
 def test_infer_application_with_modal_argument():
@@ -505,7 +532,7 @@ def test_dependent_if_motive_through_universe():
             )
         )
     )
-    assert eq_nfty(T, reify_ty(T, ctx.depth, "m", got), want)
+    assert eq_nfty(T, reify_ty(T, depth(ctx), "m", got), want)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from mtt.harness import GenConfig, GenExhausted, gen_type, gen_typed_term, theor
 from mtt.modeth import THEORIES, id_cell, id_mod, trivial
 from mtt.nbe import NbeError, normalize, normalize_ty
 from mtt.normal import surface_nf, surface_nfty
-from mtt.syntax import Telescope
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.mtt"))
 
@@ -113,10 +112,10 @@ def test_the_harness_and_the_parser_agree_with_the_oracle_on_generated_programs(
             # True claims nothing: types read back by the generators keep it.
             assert t.dependent or not mentioned(t), S.show_term(t)
             flags.add(t.dependent)
-        tele = Telescope("m")
-        texts = [(Parser.parse_type, surface_nfty(mt, normalize_ty(mt, tele, ty), "m"))]
+        ctx = empty_ctx(mt, "m")
+        texts = [(Parser.parse_type, surface_nfty(mt, normalize_ty(ctx, ty)))]
         if tm is not None:
-            texts.append((Parser.parse_term, surface_nf(mt, normalize(mt, tele, ty, tm), "m")))
+            texts.append((Parser.parse_term, surface_nf(mt, normalize(ctx, ty, tm))))
         for parse, text in texts:
             p = Parser(tokenize(text), mt)
             for t in binders(parse(p, "m")):
@@ -137,9 +136,9 @@ def test_value_codomains_read_back_as_closures_do(path):
     mt, decls = parse_file(path.read_text(encoding="utf-8"))
     sig = check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls]).signature
     for d in decls:
-        tele = Telescope(d.mode)
-        want = normalize_ty(mt, tele, _all_dependent(d.ty), sig)
-        assert normalize_ty(mt, tele, d.ty, sig) == want, d.name
+        ctx = empty_ctx(mt, d.mode, sig)
+        want = normalize_ty(ctx, _all_dependent(d.ty))
+        assert normalize_ty(ctx, d.ty) == want, d.name
 
 
 def test_eval_keeps_a_non_dependent_codomain_as_a_value():
@@ -166,9 +165,9 @@ WRONG = {
 def test_a_wrong_non_dependent_flag_raises(ty):
     mt = trivial()
     with pytest.raises(NbeError, match="non-dependent"):
-        normalize_ty(mt, Telescope("m"), ty)
+        normalize_ty(empty_ctx(mt, "m"), ty)
     with pytest.raises(NbeError, match="non-dependent"):
         tyv = check_type(empty_ctx(mt, "m"), ty)
         nbe.reify_ty(mt, 0, "m", tyv)
     right = _all_dependent(ty)
-    normalize_ty(mt, Telescope("m"), right)
+    normalize_ty(empty_ctx(mt, "m"), right)

@@ -1,7 +1,7 @@
 """Normalization-by-evaluation tests.
 
 Every expected normal form below was derived by hand: evaluate the term in
-the atom environment, then read the eta-long reification off the typing
+the context's environment, then read the eta-long reification off the typing
 discipline (functions expand to lambdas, pairs to projections, decoded
 canonical codes gain exactly one coercion marker).
 """
@@ -9,10 +9,11 @@ canonical codes gain exactly one coercion marker).
 import pytest
 
 from mtt import nbe
-from mtt.check import check_program
+from mtt.check import check_program, check_type, ctx_extend, ctx_lock, empty_ctx
 from mtt import normal as N
 from mtt import syntax as S
 from mtt.modeth import (
+    Modality,
     compose_mod,
     gen_cell,
     gen_mod,
@@ -54,7 +55,6 @@ from mtt.normal import (
     eq_nf,
     eq_nfty,
 )
-from mtt.syntax import Telescope
 
 T = trivial()
 W = walking()
@@ -65,15 +65,27 @@ MU = gen_mod(W, "mu")
 L = gen_mod(P, "l")
 PT = gen_cell(P, "pt")
 
-EMPTY_M = Telescope("m", ())
-
 
 def var(k, mod=IDM):
     return S.Var(k, id_cell(mod))
 
 
 def entry(ty, mod=IDM):
-    return S.EVar(mod, ty)
+    return mod, ty
+
+
+def ctx_of(mt, *entries):
+    """A context at mode m.  Each entry, oldest first, is a lock (a
+    modality) or a variable (an ``entry``, its type checked behind a lock
+    for its annotation)."""
+    ctx = empty_ctx(mt, "m")
+    for e in entries:
+        if isinstance(e, Modality):
+            ctx = ctx_lock(ctx, e)
+        else:
+            mod, ty = e
+            ctx = ctx_extend(ctx, mod, check_type(ctx_lock(ctx, mod), ty))
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -81,33 +93,33 @@ def entry(ty, mod=IDM):
 
 
 def test_beta_redex_computes():
-    out = normalize(T, EMPTY_M, S.Bool(), S.App(S.Lam(var(0)), S.True_()))
+    out = normalize(empty_ctx(T, "m"), S.Bool(), S.App(S.Lam(var(0)), S.True_()))
     assert out == NfTrue()
 
 
 def test_beta_under_binder():
     tm = S.Lam(S.App(S.Lam(var(0)), var(0)))
-    out = normalize(T, EMPTY_M, S.Pi(IDM, S.Bool(), S.Bool()), tm)
+    out = normalize(empty_ctx(T, "m"), S.Pi(IDM, S.Bool(), S.Bool()), tm)
     assert eq_nf(T, out, NfLam(IDM, NfInj(NeVar(0, id_cell(IDM)))))
 
 
 def test_pair_projections_compute():
     pair = S.Pair(S.True_(), S.False_())
-    assert normalize(T, EMPTY_M, S.Bool(), S.Proj1(pair)) == NfTrue()
-    assert normalize(T, EMPTY_M, S.Bool(), S.Proj2(pair)) == NfFalse()
+    assert normalize(empty_ctx(T, "m"), S.Bool(), S.Proj1(pair)) == NfTrue()
+    assert normalize(empty_ctx(T, "m"), S.Bool(), S.Proj2(pair)) == NfFalse()
 
 
 def test_boolrec_computes_on_both_constants():
     def rec(s):
         return S.If(S.Bool(), S.True_(), S.False_(), s)
 
-    assert normalize(T, EMPTY_M, S.Bool(), rec(S.True_())) == NfTrue()
-    assert normalize(T, EMPTY_M, S.Bool(), rec(S.False_())) == NfFalse()
+    assert normalize(empty_ctx(T, "m"), S.Bool(), rec(S.True_())) == NfTrue()
+    assert normalize(empty_ctx(T, "m"), S.Bool(), rec(S.False_())) == NfFalse()
 
 
 def test_letmod_computes_on_boxed_value():
     tm = S.LetMod(IDM, MU, S.Bool(), S.MkBox(MU, S.True_()), S.Var(0, id_cell(MU)))
-    assert normalize(W, EMPTY_M, S.Bool(), tm) == NfTrue()
+    assert normalize(empty_ctx(W, "m"), S.Bool(), tm) == NfTrue()
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +129,9 @@ def test_letmod_computes_on_boxed_value():
 def test_eta_expands_function_variable():
     # x : Uni, f : (id | Pi (id | dec x) -> dec x) |- f  normalizes to
     # \y. f y with the decoded-code boundary preserved on both sides.
-    tele = Telescope(
-        "m",
-        (
-            entry(S.Uni()),
-            entry(S.Pi(IDM, S.Dec(var(0)), S.Dec(var(1)))),
-        ),
-    )
+    ctx = ctx_of(T, entry(S.Uni()), entry(S.Pi(IDM, S.Dec(var(0)), S.Dec(var(1)))))
     ty = S.Pi(IDM, S.Dec(var(1)), S.Dec(var(2)))
-    out = normalize(T, tele, ty, var(0))
+    out = normalize(ctx, ty, var(0))
     want = NfLam(
         IDM,
         NfInj(NeApp(NeVar(1, id_cell(IDM)), IDM, NfInj(NeVar(0, id_cell(IDM))))),
@@ -134,8 +140,8 @@ def test_eta_expands_function_variable():
 
 
 def test_eta_expands_pair_variable():
-    tele = Telescope("m", (entry(S.Sig(S.Bool(), S.Bool())),))
-    out = normalize(T, tele, S.Sig(S.Bool(), S.Bool()), var(0))
+    ctx = ctx_of(T, entry(S.Sig(S.Bool(), S.Bool())))
+    out = normalize(ctx, S.Sig(S.Bool(), S.Bool()), var(0))
     want = NfPair(
         NfInj(NeProj1(NeVar(0, id_cell(IDM)))),
         NfInj(NeProj2(NeVar(0, id_cell(IDM)))),
@@ -144,15 +150,15 @@ def test_eta_expands_pair_variable():
 
 
 def test_projection_spine_on_atom():
-    tele = Telescope("m", (entry(S.Sig(S.Bool(), S.Bool())),))
-    out = normalize(T, tele, S.Bool(), S.Proj1(var(0)))
+    ctx = ctx_of(T, entry(S.Sig(S.Bool(), S.Bool())))
+    out = normalize(ctx, S.Bool(), S.Proj1(var(0)))
     assert eq_nf(T, out, NfInj(NeProj1(NeVar(0, id_cell(IDM)))))
 
 
 def test_boolrec_neutral_spine():
-    tele = Telescope("m", (entry(S.Bool()),))
+    ctx = ctx_of(T, entry(S.Bool()))
     tm = S.If(S.Bool(), S.True_(), S.False_(), var(0))
-    out = normalize(T, tele, S.Bool(), tm)
+    out = normalize(ctx, S.Bool(), tm)
     want = NfInj(NeBoolRec(NfBool(), NeVar(0, id_cell(IDM)), NfTrue(), NfFalse()))
     assert eq_nf(T, out, want)
 
@@ -162,14 +168,14 @@ def test_boolrec_neutral_spine():
 
 
 def test_box_of_constant():
-    out = normalize(W, EMPTY_M, S.Mod(MU, S.Bool()), S.MkBox(MU, S.True_()))
+    out = normalize(empty_ctx(W, "m"), S.Mod(MU, S.Bool()), S.MkBox(MU, S.True_()))
     assert eq_nf(W, out, NfMkBox(MU, NfTrue()))
 
 
 def test_letmod_neutral_spine():
-    tele = Telescope("m", (entry(S.Mod(MU, S.Bool())),))
+    ctx = ctx_of(W, entry(S.Mod(MU, S.Bool())))
     tm = S.LetMod(IDM, MU, S.Bool(), var(0), S.True_())
-    out = normalize(W, tele, S.Bool(), tm)
+    out = normalize(ctx, S.Bool(), tm)
     want = NfInj(NeLetMod(IDM, MU, NfBool(), NeVar(0, id_cell(IDM)), NfTrue()))
     assert eq_nf(W, out, want)
 
@@ -177,7 +183,7 @@ def test_letmod_neutral_spine():
 def test_letmod_box_roundtrip_stays_neutral():
     # letbox y = x in box y  does not compute on an atom scrutinee; the
     # branch still reifies eta-long with the composite-annotated variable.
-    tele = Telescope("m", (entry(S.Mod(MU, S.Bool())),))
+    ctx = ctx_of(W, entry(S.Mod(MU, S.Bool())))
     tm = S.LetMod(
         IDM,
         MU,
@@ -185,7 +191,7 @@ def test_letmod_box_roundtrip_stays_neutral():
         var(0),
         S.MkBox(MU, S.Var(0, id_cell(MU))),
     )
-    out = normalize(W, tele, S.Mod(MU, S.Bool()), tm)
+    out = normalize(ctx, S.Mod(MU, S.Bool()), tm)
     want = NfInj(
         NeLetMod(
             IDM,
@@ -199,12 +205,9 @@ def test_letmod_box_roundtrip_stays_neutral():
 
 
 def test_application_under_lock_annotates_argument():
-    tele = Telescope(
-        "m",
-        (entry(S.Pi(MU, S.Bool(), S.Bool())), entry(S.Bool(), MU)),
-    )
+    ctx = ctx_of(W, entry(S.Pi(MU, S.Bool(), S.Bool())), entry(S.Bool(), MU))
     tm = S.App(var(1), S.Var(0, id_cell(MU)))
-    out = normalize(W, tele, S.Bool(), tm)
+    out = normalize(ctx, S.Bool(), tm)
     want = NfInj(
         NeApp(NeVar(1, id_cell(IDM)), MU, NfInj(NeVar(0, id_cell(MU))))
     )
@@ -216,19 +219,19 @@ def test_application_under_lock_annotates_argument():
 
 
 def test_key_composes_onto_atom_head():
-    tele = Telescope("m", (entry(S.Bool()), S.ELock(L)))
-    out = normalize(P, tele, S.Bool(), S.Var(0, PT))
+    ctx = ctx_of(P, entry(S.Bool()), L)
+    out = normalize(ctx, S.Bool(), S.Var(0, PT))
     assert eq_nf(P, out, NfInj(NeVar(0, PT)))
 
 
 def test_distinct_keys_normalize_apart():
     # Annotation l under two locks: the two whiskered points l => l.l are
     # distinct cells, and normalization must keep them apart.
-    tele = Telescope("m", (entry(S.Bool(), L), S.ELock(L), S.ELock(L)))
+    ctx = ctx_of(P, entry(S.Bool(), L), L, L)
     left = whisker_left(L, PT)
     right = whisker_right(PT, L)
-    out_l = normalize(P, tele, S.Bool(), S.Var(0, left))
-    out_r = normalize(P, tele, S.Bool(), S.Var(0, right))
+    out_l = normalize(ctx, S.Bool(), S.Var(0, left))
+    out_r = normalize(ctx, S.Bool(), S.Var(0, right))
     assert eq_nf(P, out_l, NfInj(NeVar(0, left)))
     assert eq_nf(P, out_r, NfInj(NeVar(0, right)))
     assert not eq_nf(P, out_l, out_r)
@@ -236,11 +239,11 @@ def test_distinct_keys_normalize_apart():
 
 def test_interchange_identifies_composite_keys():
     # Composing with the point below makes the two whiskerings agree.
-    tele = Telescope("m", (entry(S.Bool()), S.ELock(L), S.ELock(L)))
+    ctx = ctx_of(P, entry(S.Bool()), L, L)
     k_left = vcomp(whisker_left(L, PT), PT, P)
     k_right = vcomp(whisker_right(PT, L), PT, P)
-    out_l = normalize(P, tele, S.Bool(), S.Var(0, k_left))
-    out_r = normalize(P, tele, S.Bool(), S.Var(0, k_right))
+    out_l = normalize(ctx, S.Bool(), S.Var(0, k_left))
+    out_r = normalize(ctx, S.Bool(), S.Var(0, k_right))
     assert eq_nf(P, out_l, out_r)
 
 
@@ -249,52 +252,52 @@ def test_interchange_identifies_composite_keys():
 
 
 def test_function_code_normalizes():
-    out = normalize(T, EMPTY_M, S.Uni(), S.PiCode(IDM, S.BoolCode(), S.BoolCode()))
+    out = normalize(empty_ctx(T, "m"), S.Uni(), S.PiCode(IDM, S.BoolCode(), S.BoolCode()))
     assert eq_nf(T, out, NfFnCode(IDM, NfBoolCode(), NfBoolCode()))
 
 
 def test_pair_code_normalizes():
-    out = normalize(T, EMPTY_M, S.Uni(), S.SigCode(S.BoolCode(), S.BoolCode()))
+    out = normalize(empty_ctx(T, "m"), S.Uni(), S.SigCode(S.BoolCode(), S.BoolCode()))
     assert eq_nf(T, out, NfProdCode(NfBoolCode(), NfBoolCode()))
 
 
 def test_modal_code_normalizes():
-    out = normalize(W, EMPTY_M, S.Uni(), S.ModCode(MU, S.BoolCode()))
+    out = normalize(empty_ctx(W, "m"), S.Uni(), S.ModCode(MU, S.BoolCode()))
     assert eq_nf(W, out, NfModifyCode(MU, NfBoolCode()))
 
 
 def test_code_beta_reduces_before_reify():
     # (\x. x) applied to the Bool code, normalized at Uni.
     tm = S.App(S.Lam(var(0)), S.BoolCode())
-    out = normalize(T, EMPTY_M, S.Uni(), tm)
+    out = normalize(empty_ctx(T, "m"), S.Uni(), tm)
     assert eq_nf(T, out, NfBoolCode())
 
 
 def test_dec_iso_inv_of_true():
-    out = normalize(T, EMPTY_M, S.Dec(S.BoolCode()), S.DecIsoInv(S.True_()))
+    out = normalize(empty_ctx(T, "m"), S.Dec(S.BoolCode()), S.DecIsoInv(S.True_()))
     assert eq_nf(T, out, NfDecIsoStar(NfTrue()))
 
 
 def test_dec_iso_spine_on_atom():
-    tele = Telescope("m", (entry(S.Dec(S.BoolCode())),))
-    out = normalize(T, tele, S.Bool(), S.DecIso(var(0)))
+    ctx = ctx_of(T, entry(S.Dec(S.BoolCode())))
+    out = normalize(ctx, S.Bool(), S.DecIso(var(0)))
     assert eq_nf(T, out, NfInj(NeDecIso(NeVar(0, id_cell(IDM)))))
 
 
 def test_dec_iso_roundtrip_is_invisible():
     # iso-inv (iso x) and x normalize identically at the decoded type.
-    tele = Telescope("m", (entry(S.Dec(S.BoolCode())),))
+    ctx = ctx_of(T, entry(S.Dec(S.BoolCode())))
     ty = S.Dec(S.BoolCode())
-    round_trip = normalize(T, tele, ty, S.DecIsoInv(S.DecIso(var(0))))
-    bare = normalize(T, tele, ty, var(0))
+    round_trip = normalize(ctx, ty, S.DecIsoInv(S.DecIso(var(0))))
+    bare = normalize(ctx, ty, var(0))
     assert eq_nf(T, round_trip, bare)
     want = NfDecIsoStar(NfInj(NeDecIso(NeVar(0, id_cell(IDM)))))
     assert eq_nf(T, round_trip, want)
 
 
 def test_neutral_code_blocks_unfolding():
-    tele = Telescope("m", (entry(S.Uni()), entry(S.Dec(var(0)))))
-    out = normalize(T, tele, S.Dec(var(1)), var(0))
+    ctx = ctx_of(T, entry(S.Uni()), entry(S.Dec(var(0))))
+    out = normalize(ctx, S.Dec(var(1)), var(0))
     assert eq_nf(T, out, NfInj(NeVar(0, id_cell(IDM))))
 
 
@@ -304,38 +307,38 @@ def test_neutral_code_blocks_unfolding():
 
 def test_normalize_ty_dependent_function():
     ty = S.Pi(IDM, S.Uni(), S.Dec(var(0)))
-    out = normalize_ty(T, EMPTY_M, ty)
+    out = normalize_ty(empty_ctx(T, "m"), ty)
     assert eq_nfty(T, out, NfFn(IDM, NfUni(), NfDec(NfInj(NeVar(0, id_cell(IDM))))))
 
 
 def test_normalize_ty_product():
-    out = normalize_ty(T, EMPTY_M, S.Sig(S.Bool(), S.Bool()))
+    out = normalize_ty(empty_ctx(T, "m"), S.Sig(S.Bool(), S.Bool()))
     assert eq_nfty(T, out, NfProd(NfBool(), NfBool()))
 
 
 def test_normalize_ty_modal():
-    out = normalize_ty(W, EMPTY_M, S.Mod(MU, S.Bool()))
+    out = normalize_ty(empty_ctx(W, "m"), S.Mod(MU, S.Bool()))
     assert eq_nfty(W, out, NfModify(MU, NfBool()))
 
 
 def test_normalize_ty_decoded_code():
     ty = S.Dec(S.PiCode(IDM, S.BoolCode(), S.BoolCode()))
-    out = normalize_ty(T, EMPTY_M, ty)
+    out = normalize_ty(empty_ctx(T, "m"), ty)
     assert eq_nfty(T, out, NfDec(NfFnCode(IDM, NfBoolCode(), NfBoolCode())))
 
 
 def test_normalize_ty_type_beta():
     ty = S.Dec(S.App(S.Lam(var(0)), S.BoolCode()))
-    out = normalize_ty(T, EMPTY_M, ty)
+    out = normalize_ty(empty_ctx(T, "m"), ty)
     assert eq_nfty(T, out, NfDec(NfBoolCode()))
 
 
 def test_normalize_ty_unfolds_a_definition_of_the_signature():
     sig = check_program(T, [("c", "m", S.Uni(), S.BoolCode())]).signature
     ty = S.Dec(S.Const("c"))
-    assert normalize_ty(T, EMPTY_M, ty, sig) == NfDec(NfBoolCode())
+    assert normalize_ty(empty_ctx(T, "m", sig), ty) == NfDec(NfBoolCode())
     with pytest.raises(NbeError, match="unknown definition 'c'"):
-        normalize_ty(T, EMPTY_M, ty)
+        normalize_ty(empty_ctx(T, "m"), ty)
 
 
 # ---------------------------------------------------------------------------
@@ -344,45 +347,33 @@ def test_normalize_ty_unfolds_a_definition_of_the_signature():
 
 IDEMPOTENCE_CASES = [
     (
-        T,
-        Telescope(
-            "m",
-            (
-                entry(S.Uni()),
-                entry(S.Pi(IDM, S.Dec(var(0)), S.Dec(var(1)))),
-            ),
-        ),
+        ctx_of(T, entry(S.Uni()), entry(S.Pi(IDM, S.Dec(var(0)), S.Dec(var(1))))),
         S.Pi(IDM, S.Dec(var(1)), S.Dec(var(2))),
         var(0),
     ),
     (
-        T,
-        Telescope("m", (entry(S.Sig(S.Bool(), S.Bool())),)),
+        ctx_of(T, entry(S.Sig(S.Bool(), S.Bool()))),
         S.Sig(S.Bool(), S.Bool()),
         var(0),
     ),
     (
-        W,
-        Telescope("m", (entry(S.Mod(MU, S.Bool())),)),
+        ctx_of(W, entry(S.Mod(MU, S.Bool()))),
         S.Mod(MU, S.Bool()),
         S.LetMod(IDM, MU, S.Mod(MU, S.Bool()), var(0), S.MkBox(MU, S.Var(0, id_cell(MU)))),
     ),
-    (T, EMPTY_M, S.Dec(S.BoolCode()), S.DecIsoInv(S.True_())),
+    (empty_ctx(T, "m"), S.Dec(S.BoolCode()), S.DecIsoInv(S.True_())),
     (
-        T,
-        Telescope("m", (entry(S.Dec(S.BoolCode())),)),
+        ctx_of(T, entry(S.Dec(S.BoolCode()))),
         S.Bool(),
         S.DecIso(var(0)),
     ),
     (
-        W,
-        Telescope("m", (entry(S.Pi(MU, S.Bool(), S.Bool())), entry(S.Bool(), MU))),
+        ctx_of(W, entry(S.Pi(MU, S.Bool(), S.Bool())), entry(S.Bool(), MU)),
         S.Bool(),
         S.App(var(1), S.Var(0, id_cell(MU))),
     ),
     (
-        P,
-        Telescope("m", (entry(S.Bool()), S.ELock(L))),
+        ctx_of(P, entry(S.Bool()), L),
         S.Bool(),
         S.Var(0, PT),
     ),
@@ -391,10 +382,10 @@ IDEMPOTENCE_CASES = [
 
 @pytest.mark.parametrize("case", range(len(IDEMPOTENCE_CASES)))
 def test_normalize_is_stable_under_decode(case):
-    mt, tele, ty, tm = IDEMPOTENCE_CASES[case]
-    first = normalize(mt, tele, ty, tm)
-    again = normalize(mt, tele, ty, N.decode_nf(first))
-    assert eq_nf(mt, first, again)
+    ctx, ty, tm = IDEMPOTENCE_CASES[case]
+    first = normalize(ctx, ty, tm)
+    again = normalize(ctx, ty, N.decode_nf(first))
+    assert eq_nf(ctx.mt, first, again)
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +394,22 @@ def test_normalize_is_stable_under_decode(case):
 
 def test_out_of_scope_variable_raises():
     with pytest.raises(NbeError):
-        normalize(T, EMPTY_M, S.Bool(), var(0))
+        normalize(empty_ctx(T, "m"), S.Bool(), var(0))
 
 
 def test_type_former_in_term_position_raises():
     with pytest.raises(NbeError):
-        normalize(T, EMPTY_M, S.Bool(), S.Bool())
+        normalize(empty_ctx(T, "m"), S.Bool(), S.Bool())
 
 
 def test_term_former_in_type_position_raises():
     with pytest.raises(NbeError):
-        normalize_ty(T, EMPTY_M, S.True_())
+        normalize_ty(empty_ctx(T, "m"), S.True_())
 
 
 def test_ill_typed_application_raises():
     with pytest.raises(NbeError):
-        normalize(T, EMPTY_M, S.Bool(), S.App(S.True_(), S.False_()))
+        normalize(empty_ctx(T, "m"), S.Bool(), S.App(S.True_(), S.False_()))
 
 
 def test_key_val_rejects_a_head_cell_that_ends_where_the_key_does_not_start():

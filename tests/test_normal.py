@@ -1,13 +1,13 @@
-"""Telescopes, renaming actions, decoding, and normal-form equality."""
+"""Context readers, renaming actions, decoding, and normal-form equality."""
 
 from random import Random
 
 import pytest
 
 from mtt import syntax as S
+from mtt.check import CheckError, ctx_extend, ctx_lock, empty_ctx
 from mtt.modeth import (
     Modality,
-    ModeError,
     ModeTheory,
     compose_mod,
     eq_cell,
@@ -47,12 +47,14 @@ from mtt.normal import (
     eq_ne,
     eq_nf,
     eq_nfty,
+    depth,
     lift,
     locks_of,
     rename_ne,
     rename_nf,
+    tele_entry,
 )
-from mtt.syntax import Telescope, depth, tele_extend, tele_lock
+from mtt.nbe import BOOL
 
 import _renfuzz as RF
 
@@ -78,44 +80,39 @@ IDM = id_mod("m")
 
 def test_locks_of_singleton_is_identity():
     mu = gen_mod(W, "mu")
-    t = tele_extend(Telescope("m"), mu, S.Bool())
-    assert eq_mod(W, locks_of(t, 0), id_mod("m"))
+    t = ctx_extend(empty_ctx(W, "m"), mu, BOOL)
+    assert locks_of(t, 0) is id_mod("m")
 
 
 def test_locks_of_single_lock():
     mu = gen_mod(W, "mu")
-    t = tele_lock(tele_extend(Telescope("m"), mu, S.Bool()), mu)
+    t = ctx_lock(ctx_extend(empty_ctx(W, "m"), mu, BOOL), mu)
     assert eq_mod(W, locks_of(t, 0), mu)
 
 
 def test_locks_of_two_locks_fold():
     mt = free_pq()
     a, b = gen_mod(mt, "a"), gen_mod(mt, "b")
-    t = tele_extend(Telescope("r"), id_mod("r"), S.Bool())
-    t = tele_lock(tele_lock(t, b), a)
+    t = ctx_extend(empty_ctx(mt, "r"), id_mod("r"), BOOL)
+    t = ctx_lock(ctx_lock(t, b), a)
     lk = locks_of(t, 0)
     # first lock b is the outer factor, so the word reads a-then-b
     assert lk == Modality("p", "r", ("a", "b"))
 
 
 def test_locks_of_skips_inner_vars_locks():
-    t = Telescope(
-        "m",
-        (
-            S.EVar(IDM, S.Bool()),
-            S.ELock(L),
-            S.EVar(IDM, S.Bool()),
-            S.ELock(L),
-        ),
-    )
+    t = ctx_lock(ctx_extend(ctx_lock(ctx_extend(empty_ctx(P, "m"), IDM, BOOL), L), IDM, BOOL), L)
     assert eq_mod(P, locks_of(t, 0), L)
     assert eq_mod(P, locks_of(t, 1), compose_mod(L, L))
 
 
 def test_locks_of_bad_index():
-    t = tele_extend(Telescope("m"), IDM, S.Bool())
-    with pytest.raises(NormalError):
-        locks_of(t, 1)
+    t = ctx_extend(empty_ctx(P, "m"), IDM, BOOL)
+    for k in (1, -1):
+        with pytest.raises(NormalError, match=f"variable index {k} does not resolve"):
+            locks_of(t, k)
+        with pytest.raises(NormalError, match=f"variable index {k} does not resolve"):
+            tele_entry(t, k)
 
 
 # --- variable actions -------------------------------------------------------
@@ -135,7 +132,7 @@ def test_lock_weaken_bumps_index():
 
 def test_key_action_composes_cell():
     # theta = (id | Bool); key by pt : id => l maps theta.lock(l) -> theta
-    theta = tele_extend(Telescope("m"), IDM, S.Bool())
+    theta = (("var", IDM),)
     got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, id_cell(IDM)), "m")
     assert isinstance(got, NeVar) and got.idx == 0
     assert eq_cell(P, got.cell, PT)
@@ -143,7 +140,7 @@ def test_key_action_composes_cell():
 
 def test_key_action_whiskers_by_inner_locks():
     # theta = (id | Bool).lock(l): the key is whiskered by the existing lock
-    theta = tele_lock(tele_extend(Telescope("m"), IDM, S.Bool()), L)
+    theta = (("var", IDM), ("lock", L))
     got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, PT), "m")
     assert isinstance(got, NeVar)
     want = vcomp(whisker_left(L, PT), PT, P)
@@ -153,18 +150,9 @@ def test_key_action_whiskers_by_inner_locks():
 
 
 def test_ext_substitutes_payload_at_zero():
-    # source telescope has locks l over the payload variable 3
-    src = Telescope(
-        "m",
-        (
-            S.EVar(IDM, S.Bool()),
-            S.EVar(IDM, S.Bool()),
-            S.EVar(IDM, S.Bool()),
-            S.EVar(IDM, S.Bool()),
-            S.ELock(L),
-        ),
-    )
-    plocks = locks_of(src, 3)
+    # the source context has a lock l over the payload variable 3
+    src = (("var", IDM),) * 4 + (("lock", L),)
+    plocks = RF.scan_locks(src, 3)
     r = RenExt(RenId(), NeVar(3, PT), plocks)
     got = rename_ne(P, r, NeVar(0, id_cell(IDM)), "m")
     assert isinstance(got, NeVar) and got.idx == 3
@@ -181,7 +169,7 @@ def test_lock_functoriality_with_key_hand_computed():
     # theta0 = (id | Bool); r = key(pt), s = lock_l(weaken); lock both by l.
     # Acting on x0 with cell pt in theta0.lock(id).lock(l): the key layer
     # lands inside the composite lock, the weaken bumps the index.
-    theta0 = tele_extend(Telescope("m"), IDM, S.Bool())
+    theta0 = (("var", IDM),)
     r = RenKey(PT, RF.key_locks(theta0))
     s = RenLock(L, RenWeaken())
     r1 = RenComp(RenLock(L, r), RenLock(L, s))
@@ -203,7 +191,7 @@ def test_nested_locks_fuse_outer_lock_last():
     )
     a, b, pa = gen_mod(mt, "a"), gen_mod(mt, "b"), gen_cell(mt, "pa")
     ba = compose_mod(a, b)
-    t = tele_extend(Telescope("m"), ba, S.Bool())
+    t = (("var", ba),)
     x = NeVar(0, id_cell(ba))
     nested = RenLock(b, RenLock(a, RenKey(pa, RF.key_locks(t))))
     assert ren_respects_equations(mt, nested, RenLock(ba, RenKey(pa, RF.key_locks(t))), x, "m")
@@ -224,7 +212,7 @@ def test_lift_pushes_key_past_binder():
     # u lives over (id | Pi).lock(id); the key by pt retargets it to lock(l).
     # The free variable appears once outside the argument lock (cell becomes
     # pt) and once under it (cell becomes pt whiskered by the lock, then pt).
-    theta = tele_extend(Telescope("m"), IDM, S.Bool())
+    theta = (("var", IDM),)
     u = NfLam(
         L,
         NfInj(
@@ -279,7 +267,7 @@ def ren_respects_equations(mt, r1, r2, x, mode) -> bool:
 
 
 def test_ren_respects_equations_comp_unit():
-    theta = tele_extend(Telescope("m"), IDM, S.Bool())
+    theta = (("var", IDM),)
     r = RenKey(PT, RF.key_locks(theta))
     x = NeVar(0, id_cell(IDM))
     assert ren_respects_equations(P, RenComp(RenId(), r), r, x, "m")
@@ -287,7 +275,7 @@ def test_ren_respects_equations_comp_unit():
 
 
 def test_key_of_identity_cell_acts_trivially():
-    theta = tele_extend(Telescope("m"), IDM, S.Bool())
+    theta = (("var", IDM),)
     x = NeVar(0, PT)
     assert ren_respects_equations(P, RenKey(id_cell(L), RF.key_locks(theta)), RenId(), x, "m")
 
@@ -359,14 +347,15 @@ def test_eq_nfty_compares_cells_inside():
     assert not eq_nfty(P, a, NfFn(IDM, NfBool(), NfBool()))
 
 
-# --- telescopes -------------------------------------------------------------
+# --- contexts ---------------------------------------------------------------
 
 
 def test_telescope_depth_and_modes():
-    t = Telescope("m")
-    t = tele_extend(t, IDM, S.Bool())
-    t = tele_lock(t, L)
-    t = tele_extend(t, L, S.Bool())
+    t = empty_ctx(P, "m")
+    t = ctx_extend(t, IDM, BOOL)
+    t = ctx_lock(t, L)
+    t = ctx_extend(t, L, BOOL)
     assert depth(t) == 2
-    with pytest.raises(ModeError):
-        tele_lock(t, id_mod("n"))  # its target mode is not the ambient mode
+    assert tele_entry(t, 0) == (L, BOOL) and tele_entry(t, 1) == (IDM, BOOL)
+    with pytest.raises(CheckError):
+        ctx_lock(t, id_mod("n"))  # its target mode is not the ambient mode
