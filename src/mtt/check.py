@@ -83,11 +83,9 @@ from .nbe import (
     UNBOUND,
     UNI,
     Body,
-    CNeutral,
     Closure,
     Definition,
     Env,
-    ModBoxed,
     NbeError,
     NeAbs,
     Signature,
@@ -97,11 +95,11 @@ from .nbe import (
     TSig,
     Thunk,
     TypeValue,
+    VBox,
     VFalse,
-    VMod,
+    VNeutral,
     VTrue,
     Value,
-    code_of,
     dec_unfold,
     do_proj,
     eval_tm,
@@ -273,7 +271,7 @@ def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
         return UNI
     if c is S.Dec:
         check_tm(ctx, t.code, UNI)
-        return TDec(code_of(eval_tm(ctx.mt, ctx.env, t.code)))
+        return TDec(eval_tm(ctx.mt, ctx.env, t.code))
     raise CheckError(f"not a type: {S.show_term(t)}")
 
 
@@ -357,7 +355,7 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
         check_type(ctx_extend(ctx, mu, TMod(nu, ts.inner)), t.motive)
         mot = Closure(ctx.env, t.motive)
         ext = ctx_extend(ctx, compose_mod(mu, nu), ts.inner)
-        check_tm(ext, t.branch, inst_ty(mt, mot, VMod(ModBoxed(ext.env.vals[-1]))))
+        check_tm(ext, t.branch, inst_ty(mt, mot, VBox(ext.env.vals[-1])))
         return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
     if c is S.DecIso:
         tb = infer(ctx, t.body)
@@ -365,21 +363,19 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
             raise CheckError(
                 f"decoding coercion applied at a non-decoded type: {_show_ty(ctx, tb)}"
             )
-        if isinstance(tb.code, CNeutral):
+        if tb.code.__class__ is VNeutral:
             raise CheckError("cannot unfold a neutral code")
         return dec_unfold(mt, tb.code)
     if c is S.PiCode:
         mod, dom = t.mod, t.dom
         _require_mode(ctx, mod, "function-code domain")
         check_tm(ctx_lock(ctx, mod), dom, UNI)
-        dom_code = code_of(eval_tm(mt, ctx.env, dom))
-        check_tm(ctx_extend(ctx, mod, TDec(dom_code)), t.cod, UNI)
+        check_tm(ctx_extend(ctx, mod, TDec(eval_tm(mt, ctx.env, dom))), t.cod, UNI)
         return UNI
     if c is S.SigCode:
         fst = t.fst
         check_tm(ctx, fst, UNI)
-        fst_code = code_of(eval_tm(mt, ctx.env, fst))
-        check_tm(ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code)), t.snd, UNI)
+        check_tm(ctx_extend(ctx, id_mod(ctx.mode), TDec(eval_tm(mt, ctx.env, fst))), t.snd, UNI)
         return UNI
     if c is S.BoolCode:
         return UNI
@@ -441,7 +437,7 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
             raise CheckError(
                 f"inverse decoding coercion at a non-decoded type {_show_ty(ctx, ty)}"
             )
-        if isinstance(ty.code, CNeutral):
+        if ty.code.__class__ is VNeutral:
             raise CheckError("cannot unfold a neutral code")
         check_tm(ctx, t.body, dec_unfold(ctx.mt, ty.code))
     else:

@@ -621,12 +621,15 @@ class Parser:
             item = self.expect_ident("a theory item")
             if item == "modes":
                 while self.toks[self.pos][:1] in _NAME_START:
-                    modes.append(self.toks[self.pos])
+                    mode = self.toks[self.pos]
+                    if mode in modes:
+                        raise self.fail(f"duplicate mode {mode!r}")
+                    modes.append(mode)
                     self.pos += 1
                     self.accept(",")
                 self.expect(";")
             elif item == "mod":
-                g = self.expect_ident("a modality name")
+                g = self._generator_name("modality", mods)
                 self.expect(":")
                 src = self.expect_ident("a mode name")
                 self.expect("->")
@@ -636,7 +639,7 @@ class Parser:
                 self.expect(";")
             elif item == "cell":
                 self.mt = ModeTheory("scratch", tuple(modes), mods, cells)
-                g = self.expect_ident("a 2-cell name")
+                g = self._generator_name("2-cell", cells)
                 self.expect(":")
                 src = self.parse_modexpr(None)
                 self.expect("=>")
@@ -672,6 +675,17 @@ class Parser:
             return validate(ModeTheory("file", tuple(modes), mods, cells, tuple(rules)))
         except TheoryItemError as e:
             raise self.fail(f"ill-formed mode theory: {e}", items[e.item]) from None
+
+    def _generator_name(self, what: str, declared: dict) -> str:
+        """The name a ``mod`` or ``cell`` item declares: neither one declared
+        before nor ``id``, which always reads as an identity."""
+        at = self.pos
+        name = self.expect_ident(f"a {what} name")
+        if name == "id":
+            raise self.fail(f"'id' is the identity and cannot name a {what}", at)
+        if name in declared:
+            raise self.fail(f"duplicate {what} {name!r}", at)
+        return name
 
     # -- declarations
 

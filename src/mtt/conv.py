@@ -1,13 +1,14 @@
 """Conversion on values: the checker's definitional equality.
 
-``conv_ty``, ``conv``, ``conv_code`` and ``conv_ne`` decide what reading
-both sides back with ``nbe.reify_ty``/``reify``/``_reify_code``/``reify_ne``
-and comparing the normal forms with ``normal.eq_nfty``/``eq_nf`` would
-decide, but build no normal form and stop at the first difference.  Each
-case follows the read-back case of the same name: eta for functions, pairs
-and boxes, under a binder one fresh variable reflected at the left side's
-domain for both sides, ``Dec`` of a canonical code through its unfolding,
-neutrals by level, frame count, head cell and then frame by frame.  Every
+``conv_ty``, ``conv`` and ``conv_ne`` decide what reading both sides back
+with ``nbe.reify_ty``/``reify``/``reify_ne`` and comparing the normal forms
+with ``normal.eq_nfty``/``eq_nf`` would decide, but build no normal form and
+stop at the first difference.  Each case follows the read-back case of the
+same name: eta for functions, pairs and boxes, codes former by former at
+the universe, under a binder one fresh variable reflected at the left
+side's domain for both sides, ``Dec`` of a canonical code through its
+unfolding, and at every other type the one ``VNeutral`` arm: neutrals by
+level, frame count, head cell and then frame by frame.  Every
 modality and 2-cell question goes to the mode theory's decider, and an
 ill-formed value raises the ``NbeError`` that read-back would raise.
 
@@ -33,18 +34,14 @@ from .nbe import (
     UNI,
     CBool,
     CMod,
-    CNeutral,
     CPi,
     CSig,
-    CodeValue,
     FrApp,
     FrDecIso,
     FrIf,
     FrLetMod,
     FrProj1,
     FrProj2,
-    ModBoxed,
-    ModNeutral,
     NbeError,
     NeAbs,
     TBool,
@@ -54,13 +51,11 @@ from .nbe import (
     TSig,
     TUni,
     TypeValue,
-    VBoolNeutral,
+    VBox,
     VFalse,
-    VMod,
     VNeutral,
     VTrue,
     Value,
-    code_of,
     dec_unfold,
     do_app,
     do_proj,
@@ -81,75 +76,64 @@ def conv(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value, w: Value) ->
     """Whether ``reify`` at T gives v and w equal normal forms."""
     if v is w:
         return True
-    c = T.__class__
+    c, cv, cw = T.__class__, v.__class__, w.__class__
     if c is TBool:
-        cv, cw = v.__class__, w.__class__
         if cv is cw and (cv is VTrue or cv is VFalse):
             return True
-        if cv is VBoolNeutral and cw is VBoolNeutral:
-            return conv_ne(mt, d, mode, v.ne, w.ne)
-        _expect(v, w, (VTrue, VFalse, VBoolNeutral), "not a boolean value")
-        return False
-    if c is TPi:
+        kinds, what = (VTrue, VFalse, VNeutral), "not a boolean value"
+    elif c is TPi:
         mod = T.mod
         fresh = reflect(mt, T.dom, NeAbs(d, id_cell(mod)))
         return conv(
             mt, d + 1, mode, inst_ty(mt, T.cod, fresh),
             do_app(mt, v, fresh), do_app(mt, w, fresh),
         )
-    if c is TSig:
+    elif c is TSig:
         a = do_proj(mt, 1, v)
         return conv(mt, d, mode, T.fst, a, do_proj(mt, 1, w)) and conv(
             mt, d, mode, inst_ty(mt, T.snd, a), do_proj(mt, 2, v), do_proj(mt, 2, w)
         )
-    if c is TMod:
-        if v.__class__ is VMod and w.__class__ is VMod:
-            p, q = v.payload, w.payload
-            if p.__class__ is ModBoxed and q.__class__ is ModBoxed:
-                return conv(mt, d, T.mod.mode_src, T.inner, p.val, q.val)
-            if p.__class__ is ModNeutral and q.__class__ is ModNeutral:
-                return conv_ne(mt, d, mode, p.ne, q.ne)
-        _expect(v, w, (VMod,), "not a modal value")
-        return False
-    if c is TUni:
-        return conv_code(mt, d, mode, code_of(v), code_of(w))
-    if c is TDec:
+    elif c is TMod:
+        if cv is VBox and cw is VBox:
+            return conv(mt, d, T.mod.mode_src, T.inner, v.val, w.val)
+        kinds, what = (VBox, VNeutral), "not a modal value"
+    elif c is TUni:
+        if cv is cw and cv is not VNeutral:
+            if cv is CPi:
+                m1, dom = v.mod, v.dom
+                if not (eq_mod(mt, m1, w.mod) and conv(mt, d, m1.mode_src, UNI, dom, w.dom)):
+                    return False
+                fresh = reflect(mt, TDec(dom), NeAbs(d, id_cell(m1)))
+                return conv(
+                    mt, d + 1, mode, UNI,
+                    instantiate(mt, v.cod, fresh), instantiate(mt, w.cod, fresh),
+                )
+            if cv is CSig:
+                fst = v.fst
+                if not conv(mt, d, mode, UNI, fst, w.fst):
+                    return False
+                fresh = reflect(mt, TDec(fst), NeAbs(d, id_cell(id_mod(mode))))
+                return conv(
+                    mt, d + 1, mode, UNI,
+                    instantiate(mt, v.snd, fresh), instantiate(mt, w.snd, fresh),
+                )
+            if cv is CBool:
+                return True
+            if cv is CMod:
+                m1 = v.mod
+                return eq_mod(mt, m1, w.mod) and conv(mt, d, m1.mode_src, UNI, v.code, w.code)
+        kinds, what = (CPi, CSig, CBool, CMod, VNeutral), "not a universe element"
+    elif c is TDec:
         code = T.code
-        if not isinstance(code, CNeutral):
+        if code.__class__ is not VNeutral:
             return conv(mt, d, mode, dec_unfold(mt, code), v, w)
-        _expect(v, w, (VNeutral,), "canonical value at a neutral code")
+        kinds, what = (VNeutral,), "canonical value at a neutral code"
+    else:
+        raise NbeError(f"cannot reify at {c.__name__}")
+    # The types left are those ``reflect`` does not expand: one arm for neutrals.
+    if cv is VNeutral and cw is VNeutral:
         return conv_ne(mt, d, mode, v.ne, w.ne)
-    raise NbeError(f"cannot reify at {type(T).__name__}")
-
-
-def conv_code(mt: ModeTheory, d: int, mode: str, c1: CodeValue, c2: CodeValue) -> bool:
-    """Whether two codes read back to equal normal forms at the universe."""
-    if c1 is c2:
-        return True
-    match c1, c2:
-        case CPi(m1, dom1, cod1), CPi(m2, dom2, cod2):
-            if not (eq_mod(mt, m1, m2) and conv_code(mt, d, m1.mode_src, dom1, dom2)):
-                return False
-            fresh = reflect(mt, TDec(dom1), NeAbs(d, id_cell(m1)))
-            return conv(
-                mt, d + 1, mode, UNI,
-                instantiate(mt, cod1, fresh), instantiate(mt, cod2, fresh),
-            )
-        case CSig(fst1, snd1), CSig(fst2, snd2):
-            if not conv_code(mt, d, mode, fst1, fst2):
-                return False
-            fresh = reflect(mt, TDec(fst1), NeAbs(d, id_cell(id_mod(mode))))
-            return conv(
-                mt, d + 1, mode, UNI,
-                instantiate(mt, snd1, fresh), instantiate(mt, snd2, fresh),
-            )
-        case CBool(), CBool():
-            return True
-        case CMod(m1, i1), CMod(m2, i2):
-            return eq_mod(mt, m1, m2) and conv_code(mt, d, m1.mode_src, i1, i2)
-        case CNeutral(n1), CNeutral(n2):
-            return conv_ne(mt, d, mode, n1, n2)
-    _expect(c1, c2, (CPi, CSig, CBool, CMod, CNeutral), "cannot reify code")
+    _expect(v, w, kinds, what)
     return False
 
 
@@ -189,7 +173,7 @@ def conv_ne(mt: ModeTheory, d: int, mode: str, n1: NeAbs, n2: NeAbs) -> bool:
                 if not (
                     conv_ty(mt, d + 1, mode, inst_ty(mt, mot1, box), inst_ty(mt, mot2, box))
                     and conv(
-                        mt, d + 1, mode, inst_ty(mt, mot1, VMod(ModBoxed(arg))),
+                        mt, d + 1, mode, inst_ty(mt, mot1, VBox(arg)),
                         instantiate(mt, br1, arg), instantiate(mt, br2, arg),
                     )
                 ):
@@ -224,6 +208,6 @@ def conv_ty(mt: ModeTheory, d: int, mode: str, A: TypeValue, B: TypeValue) -> bo
             m1 = A.mod
             return eq_mod(mt, m1, B.mod) and conv_ty(mt, d, m1.mode_src, A.inner, B.inner)
         if c is TDec:
-            return conv_code(mt, d, mode, A.code, B.code)
+            return conv(mt, d, mode, UNI, A.code, B.code)
     _expect(A, B, (TBool, TUni, TPi, TSig, TMod, TDec), "cannot reify type")
     return False

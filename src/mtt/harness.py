@@ -70,7 +70,6 @@ from .modeth import (
 )
 from .conv import conv, conv_ty
 from .nbe import (
-    CNeutral,
     TBool,
     TDec,
     TMod,
@@ -78,8 +77,8 @@ from .nbe import (
     TSig,
     TUni,
     TypeValue,
+    VNeutral,
     Value,
-    code_of,
     dec_unfold,
     do_proj,
     eval_tm,
@@ -377,12 +376,10 @@ class _Gen:
         if head == "pi":
             mod = self._modality(ctx.mode)
             dom = self.code(ctx_lock(ctx, mod), size // 2)
-            dom_code = code_of(eval_tm(self.mt, ctx.env, dom))
-            ctx2 = ctx_extend(ctx, mod, TDec(dom_code))
+            ctx2 = ctx_extend(ctx, mod, TDec(eval_tm(self.mt, ctx.env, dom)))
             return S.PiCode(mod, dom, self.code(ctx2, size // 2))
         fst = self.code(ctx, size // 2)
-        fst_code = code_of(eval_tm(self.mt, ctx.env, fst))
-        ctx2 = ctx_extend(ctx, id_mod(ctx.mode), TDec(fst_code))
+        ctx2 = ctx_extend(ctx, id_mod(ctx.mode), TDec(eval_tm(self.mt, ctx.env, fst)))
         return S.SigCode(fst, self.code(ctx2, size // 2))
 
     # -- terms
@@ -419,7 +416,7 @@ class _Gen:
                     mod, self.term(ctx_lock(ctx, mod), inner, size - 1)
                 )
             case TDec(code):
-                if isinstance(code, CNeutral):
+                if isinstance(code, VNeutral):
                     raise GenExhausted("opaque code")
                 return S.DecIsoInv(self.term(ctx, dec_unfold(mt, code), size - 1))
             case TUni():
@@ -505,7 +502,7 @@ class _Gen:
                         first = do_proj(mt, 1, eval_tm(mt, ctx.env, head))
                         head_ty, head = inst_ty(mt, snd, first), S.Proj2(head)
                 case TDec(code):
-                    if isinstance(code, CNeutral):
+                    if isinstance(code, VNeutral):
                         raise GenExhausted("opaque code in spine")
                     head_ty, head = dec_unfold(mt, code), S.DecIso(head)
                 case TBool():
@@ -590,7 +587,7 @@ def gen_distinct_pair(
                 a, b = go(ctx_lock(ctx, mod), inner)
                 return S.MkBox(mod, a), S.MkBox(mod, b)
             case TDec(code):
-                if isinstance(code, CNeutral):
+                if isinstance(code, VNeutral):
                     raise GenExhausted("opaque code")
                 a, b = go(ctx, dec_unfold(ctx.mt, code))
                 return S.DecIsoInv(a), S.DecIsoInv(b)

@@ -7,6 +7,16 @@ cell composition; levels convert to de Bruijn indices only at reify time
 (index = depth - 1 - level).  Fresh variables come from the depth parameter —
 the kernel holds no counter.
 
+The domain mirrors the normal forms: one value class per canonical form
+(``VLam``, ``VPair``, ``VTrue``/``VFalse``, ``VBox``, and the codes
+``CPi``/``CSig``/``CBool``/``CMod``, which are the universe's elements),
+and one ``VNeutral(ty, ne)`` for a neutral at every type ``reflect`` does
+not expand: ``Bool``, ``Pi`` (read-back eta-expands it), ``Mod``, ``Uni``
+and ``Dec`` of a neutral code.  ``reflect`` expands a neutral at ``Sig``
+into a pair and at ``Dec`` of a canonical code through the decoding
+coercion.  So ``reify`` and ``conv`` take neutrals in one arm, read back as
+the one ``NfInj``, and the key action touches only ``VNeutral`` heads.
+
 Earlier declarations are constants of a signature that every environment
 carries.  A constant evaluates to its stored body value, computed on first
 use and then kept; that value is closed, so it is valid at every depth and
@@ -109,10 +119,6 @@ class Value:
 
 
 class TypeValue:
-    pass
-
-
-class CodeValue:
     pass
 
 
@@ -288,40 +294,15 @@ class VFalse(Value):
 
 
 @record
-class VBoolNeutral(Value):
-    ne: NeAbs
-
-
-@record
-class ModNeutral:
-    ne: NeAbs
-    inner: TypeValue  # the boxed content's type, needed to reify letmod frames
-
-
-@record
-class ModBoxed:
+class VBox(Value):
     val: Value
 
 
 @record
-class VMod(Value):
-    payload: "ModNeutral | ModBoxed"
-
-
-@record
-class VCode(Value):
-    code: CodeValue
-
-
-@record
-class VCodeNeutral(Value):
-    ne: NeAbs
-
-
-@record
 class VNeutral(Value):
-    """Neutral at a type with no eta law driving further expansion
-    (functions before application, decoded neutral codes)."""
+    """A neutral at its type, one that ``reflect`` does not expand: ``Bool``,
+    ``Pi``, ``Mod``, ``Uni`` or ``Dec`` of a neutral code.  ``do_app`` and
+    ``do_letmod`` read the domain and the boxed type from ``ty``."""
 
     ty: TypeValue
     ne: NeAbs
@@ -370,51 +351,34 @@ class TMod(TypeValue):
 
 @record
 class TDec(TypeValue):
-    code: CodeValue
+    code: Value  # a code, or a ``VNeutral`` at the universe
+
+
+# The codes, the universe's canonical elements.
 
 
 @record
-class CPi(CodeValue):
+class CPi(Value):
     mod: Modality
-    dom: CodeValue
+    dom: Value
     cod: Closure
 
 
 @record
-class CSig(CodeValue):
-    fst: CodeValue
+class CSig(Value):
+    fst: Value
     snd: Closure
 
 
 @record
-class CBool(CodeValue):
+class CBool(Value):
     pass
 
 
 @record
-class CMod(CodeValue):
+class CMod(Value):
     mod: Modality
-    code: CodeValue
-
-
-@record
-class CNeutral(CodeValue):
-    ne: NeAbs
-
-
-def code_of(v: Value) -> CodeValue:
-    match v:
-        case VCode(c):
-            return c
-        case VCodeNeutral(e):
-            return CNeutral(e)
-    raise NbeError(f"not a universe element: {type(v).__name__}")
-
-
-def code_value(c: CodeValue) -> Value:
-    if isinstance(c, CNeutral):
-        return VCodeNeutral(c.ne)
-    return VCode(c)
+    code: Value
 
 
 # ---------------------------------------------------------------------------
@@ -478,20 +442,20 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
             eval_tm(mt, env, t.scrut),
         )
     if c is S.MkBox:
-        return VMod(ModBoxed(eval_tm(mt, env, t.body)))
+        return VBox(eval_tm(mt, env, t.body))
     if c is S.LetMod:
         return do_letmod(
             mt, t.mu, t.nu, Closure(env, t.motive),
             eval_tm(mt, env, t.scrut), Closure(env, t.branch),
         )
     if c is S.PiCode:
-        return VCode(CPi(t.mod, code_of(eval_tm(mt, env, t.dom)), Closure(env, t.cod)))
+        return CPi(t.mod, eval_tm(mt, env, t.dom), Closure(env, t.cod))
     if c is S.SigCode:
-        return VCode(CSig(code_of(eval_tm(mt, env, t.fst)), Closure(env, t.snd)))
+        return CSig(eval_tm(mt, env, t.fst), Closure(env, t.snd))
     if c is S.BoolCode:
-        return VCode(CBool())
+        return CBool()
     if c is S.ModCode:
-        return VCode(CMod(t.mod, code_of(eval_tm(mt, env, t.code))))
+        return CMod(t.mod, eval_tm(mt, env, t.code))
     if c is S.DecIso or c is S.DecIsoInv:
         return eval_tm(mt, env, t.body)
     raise NbeError(f"not a term former: {type(t).__name__}")
@@ -528,7 +492,7 @@ def eval_ty(mt: ModeTheory, env: Env, t: Term) -> TypeValue:
     if c is S.Uni:
         return UNI
     if c is S.Dec:
-        return TDec(code_of(eval_tm(mt, env, t.code)))
+        return TDec(eval_tm(mt, env, t.code))
     raise NbeError(f"not a type former: {type(t).__name__}")
 
 
@@ -545,11 +509,11 @@ def inst_ty(
     if c is Closure:
         return eval_ty(mt, env_push(clo.env, v), clo.body)
     if c is DecClosure:
-        return TDec(code_of(instantiate(mt, clo.code_clo, v)))
+        return TDec(instantiate(mt, clo.code_clo, v))
     return clo
 
 
-def dec_unfold(mt: ModeTheory, c: CodeValue) -> TypeValue:
+def dec_unfold(mt: ModeTheory, c: Value) -> TypeValue:
     """The connective a canonical code decodes to, one layer deep."""
     match c:
         case CPi(mod, dom, cod):
@@ -560,7 +524,9 @@ def dec_unfold(mt: ModeTheory, c: CodeValue) -> TypeValue:
             return BOOL
         case CMod(mod, code):
             return TMod(mod, TDec(code))
-    raise NbeError("cannot unfold a neutral code")
+        case VNeutral():
+            raise NbeError("cannot unfold a neutral code")
+    raise NbeError(f"not a universe element: {type(c).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +552,15 @@ def do_proj(mt: ModeTheory, which: int, p: Value) -> Value:
 
 
 def do_if(mt: ModeTheory, motive: Closure, tcase: Value, fcase: Value, scrut: Value) -> Value:
-    match scrut:
-        case VTrue():
-            return tcase
-        case VFalse():
-            return fcase
-        case VBoolNeutral(ne):
-            return reflect(
-                mt, inst_ty(mt, motive, scrut), ne.push(FrIf(motive, tcase, fcase))
-            )
+    c = scrut.__class__
+    if c is VTrue:
+        return tcase
+    if c is VFalse:
+        return fcase
+    if c is VNeutral and scrut.ty.__class__ is TBool:
+        return reflect(
+            mt, inst_ty(mt, motive, scrut), scrut.ne.push(FrIf(motive, tcase, fcase))
+        )
     raise NbeError(f"boolean elimination of {type(scrut).__name__}")
 
 
@@ -606,14 +572,16 @@ def do_letmod(
     scrut: Value,
     branch: Closure,
 ) -> Value:
-    match scrut:
-        case VMod(ModBoxed(a)):
-            return instantiate(mt, branch, a)
-        case VMod(ModNeutral(ne, inner)):
+    c = scrut.__class__
+    if c is VBox:
+        return instantiate(mt, branch, scrut.val)
+    if c is VNeutral:
+        ty = scrut.ty
+        if ty.__class__ is TMod:
             return reflect(
                 mt,
                 inst_ty(mt, motive, scrut),
-                ne.push(FrLetMod(mu, nu, motive, branch, inner)),
+                scrut.ne.push(FrLetMod(mu, nu, motive, branch, ty.inner)),
             )
     raise NbeError(f"modal elimination of {type(scrut).__name__}")
 
@@ -626,27 +594,17 @@ def key_val(mt: ModeTheory, cell: Cell2, v: Value) -> Value:
     is a transport bug, an ``NbeError``.  On canonical values (possible only
     after a substitution) the key acts trivially.
     """
-
-    def on_ne(ne: NeAbs) -> NeAbs:
+    c = v.__class__
+    if c is VNeutral:
+        ne = v.ne
         if not eq_mod(mt, ne.cell.tgt, cell.src):
             raise NbeError(
                 f"key {cell} starts at {cell.src}, but the head cell ends at {ne.cell.tgt}"
             )
-        return NeAbs(ne.level, vcomp(cell, ne.cell, mt), ne.frames)
-
-    match v:
-        case VBoolNeutral(ne):
-            return VBoolNeutral(on_ne(ne))
-        case VCodeNeutral(ne):
-            return VCodeNeutral(on_ne(ne))
-        case VNeutral(ty, ne):
-            return VNeutral(ty, on_ne(ne))
-        case VMod(ModNeutral(ne, inner)):
-            return VMod(ModNeutral(on_ne(ne), inner))
-        case VPair(a, b):
-            return VPair(key_val(mt, cell, a), key_val(mt, cell, b))
-        case _:
-            return v
+        return VNeutral(v.ty, NeAbs(ne.level, vcomp(cell, ne.cell, mt), ne.frames))
+    if c is VPair:
+        return VPair(key_val(mt, cell, v.fst), key_val(mt, cell, v.snd))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -655,91 +613,77 @@ def key_val(mt: ModeTheory, cell: Cell2, v: Value) -> Value:
 
 def reflect(mt: ModeTheory, T: TypeValue, ne: NeAbs) -> Value:
     c = T.__class__
-    if c is TBool:
-        return VBoolNeutral(ne)
-    if c is TPi:
-        return VNeutral(T, ne)
     if c is TSig:
         a = reflect(mt, T.fst, ne.push(FrProj1()))
         b = reflect(mt, inst_ty(mt, T.snd, a), ne.push(FrProj2()))
         return VPair(a, b)
-    if c is TMod:
-        return VMod(ModNeutral(ne, T.inner))
-    if c is TUni:
-        return VCodeNeutral(ne)
-    if c is TDec:
-        if isinstance(T.code, CNeutral):
-            return VNeutral(T, ne)
+    if c is TDec and T.code.__class__ is not VNeutral:
         return reflect(mt, dec_unfold(mt, T.code), ne.push(FrDecIso()))
+    if isinstance(T, TypeValue):
+        return VNeutral(T, ne)
     raise NbeError(f"cannot reflect at {type(T).__name__}")
 
 
 def reify(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value) -> Nf:
-    c = T.__class__
+    c, cv = T.__class__, v.__class__
     if c is TBool:
-        cv = v.__class__
         if cv is VTrue:
             return NfTrue()
         if cv is VFalse:
             return NfFalse()
-        if cv is VBoolNeutral:
-            return NfInj(reify_ne(mt, d, mode, v.ne))
-        raise NbeError(f"not a boolean value: {type(v).__name__}")
-    if c is TPi:
+        if cv is not VNeutral:
+            raise NbeError(f"not a boolean value: {cv.__name__}")
+    elif c is TPi:
         mod = T.mod
         fresh = reflect(mt, T.dom, NeAbs(d, id_cell(mod)))
         body = do_app(mt, v, fresh)
         return NfLam(mod, reify(mt, d + 1, mode, inst_ty(mt, T.cod, fresh), body))
-    if c is TSig:
+    elif c is TSig:
         a = do_proj(mt, 1, v)
         b = do_proj(mt, 2, v)
         return NfPair(
             reify(mt, d, mode, T.fst, a),
             reify(mt, d, mode, inst_ty(mt, T.snd, a), b),
         )
-    if c is TMod:
-        if v.__class__ is VMod:
-            p = v.payload
-            if p.__class__ is ModBoxed:
-                mod = T.mod
-                return NfMkBox(mod, reify(mt, d, mod.mode_src, T.inner, p.val))
-            if p.__class__ is ModNeutral:
-                return NfInj(reify_ne(mt, d, mode, p.ne))
-        raise NbeError(f"not a modal value: {type(v).__name__}")
-    if c is TUni:
-        return _reify_code(mt, d, mode, code_of(v))
-    if c is TDec:
-        code = T.code
-        if isinstance(code, CNeutral):
-            if v.__class__ is VNeutral:
-                return NfInj(reify_ne(mt, d, mode, v.ne))
-            raise NbeError(f"canonical value at a neutral code: {type(v).__name__}")
-        return NfDecIsoStar(reify(mt, d, mode, dec_unfold(mt, code), v))
-    raise NbeError(f"cannot reify at {type(T).__name__}")
-
-
-def _reify_code(mt: ModeTheory, d: int, mode: str, c: CodeValue) -> Nf:
-    match c:
-        case CPi(mod, dom, cod):
+    elif c is TMod:
+        if cv is VBox:
+            mod = T.mod
+            return NfMkBox(mod, reify(mt, d, mod.mode_src, T.inner, v.val))
+        if cv is not VNeutral:
+            raise NbeError(f"not a modal value: {cv.__name__}")
+    elif c is TUni:
+        if cv is CPi:
+            mod, dom = v.mod, v.dom
             fresh = reflect(mt, TDec(dom), NeAbs(d, id_cell(mod)))
             return NfFnCode(
                 mod,
-                reify(mt, d, mod.mode_src, UNI, code_value(dom)),
-                reify(mt, d + 1, mode, UNI, instantiate(mt, cod, fresh)),
+                reify(mt, d, mod.mode_src, UNI, dom),
+                reify(mt, d + 1, mode, UNI, instantiate(mt, v.cod, fresh)),
             )
-        case CSig(fst, snd):
+        if cv is CSig:
+            fst = v.fst
             fresh = reflect(mt, TDec(fst), NeAbs(d, id_cell(id_mod(mode))))
             return NfProdCode(
-                reify(mt, d, mode, UNI, code_value(fst)),
-                reify(mt, d + 1, mode, UNI, instantiate(mt, snd, fresh)),
+                reify(mt, d, mode, UNI, fst),
+                reify(mt, d + 1, mode, UNI, instantiate(mt, v.snd, fresh)),
             )
-        case CBool():
+        if cv is CBool:
             return NfBoolCode()
-        case CMod(mod, code):
-            return NfModifyCode(mod, reify(mt, d, mod.mode_src, UNI, code_value(code)))
-        case CNeutral(ne):
-            return NfInj(reify_ne(mt, d, mode, ne))
-    raise NbeError(f"cannot reify code {type(c).__name__}")
+        if cv is CMod:
+            mod = v.mod
+            return NfModifyCode(mod, reify(mt, d, mod.mode_src, UNI, v.code))
+        if cv is not VNeutral:
+            raise NbeError(f"not a universe element: {cv.__name__}")
+    elif c is TDec:
+        code = T.code
+        if code.__class__ is not VNeutral:
+            return NfDecIsoStar(reify(mt, d, mode, dec_unfold(mt, code), v))
+        if cv is not VNeutral:
+            raise NbeError(f"canonical value at a neutral code: {cv.__name__}")
+    else:
+        raise NbeError(f"cannot reify at {c.__name__}")
+    # The types left are those ``reflect`` does not expand: one arm for neutrals.
+    return NfInj(reify_ne(mt, d, mode, v.ne))
 
 
 def reify_ne(mt: ModeTheory, d: int, mode: str, ne: NeAbs) -> Ne:
@@ -768,7 +712,7 @@ def reify_ne(mt: ModeTheory, d: int, mode: str, ne: NeAbs) -> Ne:
                 box_fresh = reflect(mt, TMod(nu, inner), NeAbs(d, id_cell(mu)))
                 tau = reify_ty(mt, d + 1, mode, inst_ty(mt, motive, box_fresh))
                 arg_fresh = reflect(mt, inner, NeAbs(d, id_cell(compose_mod(mu, nu))))
-                branch_ty = inst_ty(mt, motive, VMod(ModBoxed(arg_fresh)))
+                branch_ty = inst_ty(mt, motive, VBox(arg_fresh))
                 u = reify(mt, d + 1, mode, branch_ty, instantiate(mt, branch, arg_fresh))
                 out = NeLetMod(mu, nu, tau, out, u)
             case FrDecIso():
@@ -798,7 +742,7 @@ def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
         mod = T.mod
         return NfModify(mod, reify_ty(mt, d, mod.mode_src, T.inner))
     if c is TDec:
-        return NfDec(reify(mt, d, mode, UNI, code_value(T.code)))
+        return NfDec(reify(mt, d, mode, UNI, T.code))
     raise NbeError(f"cannot reify type {type(T).__name__}")
 
 

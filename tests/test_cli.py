@@ -658,7 +658,7 @@ def test_rewrite_rules_that_are_not_confluent_are_rejected_at_the_later_rule(tmp
     "item, message",
     [
         ("rule c ~> c.c;", "word rule c ~> c.c does not shrink the word"),
-        ("mod d : s -> t;", "modality generator 'd' uses unknown mode(s) s, t"),
+        ("mod e : s -> t;", "modality generator 'e' uses unknown mode(s) s, t"),
         ("cell p : c => d;", "cell generator 'p' is not between parallel modalities"),
     ],
     ids=["rule", "mod", "cell"],
@@ -712,6 +712,37 @@ def test_scalar_cell_generator_is_rejected_at_its_keyword(tmp_path):
         "cell generator 's' is a scalar: both its words are empty\n"
     )
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "items, blamed, message",
+    [
+        ("modes m n; mod l : m -> n; mod l : n -> m;", "l : n", "duplicate modality 'l'"),
+        (
+            "modes m; mod c : m -> m; cell p : id(m) => c; cell p : c => id(m);",
+            "p : c",
+            "duplicate 2-cell 'p'",
+        ),
+        ("modes m n m;", "m;", "duplicate mode 'm'"),
+        ("modes m; modes m;", "m; }", "duplicate mode 'm'"),
+        ("modes m; mod id : m -> m;", "id :", "'id' is the identity and cannot name a modality"),
+        (
+            "modes m; mod c : m -> m; cell id : c => id(m);",
+            "id : c",
+            "'id' is the identity and cannot name a 2-cell",
+        ),
+    ],
+    ids=["mod", "cell", "mode", "modes-twice", "mod-id", "cell-id"],
+)
+def test_theory_names_are_declared_once_and_never_id(tmp_path, items, blamed, message):
+    # A second declaration used to replace the first silently, and a
+    # generator named ``id`` was accepted though ``id`` always parses as an
+    # identity.
+    text = f"theory {{ {items} }}\ndef t @m : Bool := true\n"
+    done = run_mtt(tmp_path, text)
+    assert done.returncode == 2 and done.stdout == ""
+    col = text.rindex(blamed) + 1
+    assert done.stderr == f"{tmp_path / 'run.mtt'}:1:{col}: {message}\n"
 
 
 SWAPPED = (

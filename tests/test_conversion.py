@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from mtt import check, cli, conv as C, harness, modeth, nbe
+from mtt import check, cli, harness, modeth, nbe
 from mtt import syntax as S
 from mtt.check import check_program, check_type, empty_ctx
 from mtt.harness import (
@@ -97,7 +97,7 @@ def test_a_disagreement_is_reported(monkeypatch):
         (TBool(), lambda: VLam(Closure(nbe.Env((), nbe.NO_DEFS), S.True_()))),
         (TUni(), VTrue),
         (nbe.TMod(id_mod("m"), TBool()), VTrue),
-        (nbe.TDec(nbe.CNeutral(NeAbs(0, id_cell(id_mod("m"))))), VTrue),
+        (nbe.TDec(nbe.VNeutral(nbe.UNI, NeAbs(0, id_cell(id_mod("m"))))), VTrue),
     ],
     ids=["bool", "universe", "modal", "neutral-code"],
 )
@@ -112,9 +112,9 @@ def test_ill_formed_values_raise_as_reify_does(ty, ill):
 
 def test_escaping_level_raises_as_reify_does():
     mt = modeth.trivial()
-    ne = nbe.VBoolNeutral(NeAbs(3, id_cell(id_mod("m"))))
+    ne = nbe.VNeutral(nbe.BOOL, NeAbs(3, id_cell(id_mod("m"))))
     with pytest.raises(NbeError, match="escapes depth"):
-        conv(mt, 2, "m", TBool(), ne, nbe.VBoolNeutral(NeAbs(3, id_cell(id_mod("m")))))
+        conv(mt, 2, "m", TBool(), ne, nbe.VNeutral(nbe.BOOL, NeAbs(3, id_cell(id_mod("m")))))
 
 
 def test_one_object_converts_with_itself_without_being_looked_at():
@@ -122,7 +122,7 @@ def test_one_object_converts_with_itself_without_being_looked_at():
     opaque = object()
     assert conv_ty(mt, 0, "m", opaque, opaque)
     assert conv(mt, 0, "m", TBool(), opaque, opaque)
-    assert C.conv_code(mt, 0, "m", opaque, opaque)
+    assert conv(mt, 0, "m", TUni(), opaque, opaque)
     with pytest.raises(NbeError):
         conv_ty(mt, 0, "m", opaque, TBool())
 
@@ -262,7 +262,7 @@ def _neutrals_that_differ_in_one_place():
     env = check.ctx_extend(empty_ctx(mt, "m"), m, nbe.TMod(l, TBool())).env
 
     def neutral(frame):
-        return nbe.VBoolNeutral(NeAbs(0, id_cell(m)).push(frame))
+        return nbe.VNeutral(nbe.BOOL, NeAbs(0, id_cell(m)).push(frame))
 
     def if_(motive):
         return neutral(nbe.FrIf(Closure(env, motive), VTrue(), nbe.VFalse()))

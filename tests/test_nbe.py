@@ -9,6 +9,7 @@ canonical codes gain exactly one coercion marker).
 import pytest
 
 from mtt import nbe
+from mtt.conv import conv
 from mtt.check import check_program, check_type, ctx_extend, ctx_lock, empty_ctx
 from mtt import normal as N
 from mtt import syntax as S
@@ -417,10 +418,54 @@ def test_key_val_rejects_a_head_cell_that_ends_where_the_key_does_not_start():
     # the value through unchanged would hide a transport bug behind a wrong
     # value, so it is an error, on its own and inside a pair.
     pt, ell = gen_cell(P, "pt"), gen_mod(P, "l")
-    stale = nbe.VBoolNeutral(nbe.NeAbs(0, id_cell(ell)))
+    stale = nbe.VNeutral(nbe.BOOL, nbe.NeAbs(0, id_cell(ell)))
     for v in (stale, nbe.VPair(nbe.VTrue(), stale)):
         with pytest.raises(NbeError, match="starts at id_m, but the head cell ends at l"):
             nbe.key_val(P, pt, v)
-    keyed = nbe.key_val(P, pt, nbe.VBoolNeutral(nbe.NeAbs(0, id_cell(id_mod("m")))))
+    keyed = nbe.key_val(P, pt, nbe.VNeutral(nbe.BOOL, nbe.NeAbs(0, id_cell(id_mod("m")))))
     assert keyed.ne.cell.tgt == ell
     assert nbe.key_val(P, pt, nbe.VTrue()) == nbe.VTrue()
+
+
+# A neutral code at level 0, and the types with no eta law at depth 2.
+_CODE = nbe.VNeutral(nbe.UNI, nbe.NeAbs(0, id_cell(IDM)))
+NO_ETA = {
+    "Bool": nbe.BOOL,
+    "Pi": nbe.TPi(IDM, nbe.BOOL, nbe.BOOL),
+    "Mod": nbe.TMod(L, nbe.BOOL),
+    "Uni": nbe.UNI,
+    "Dec": nbe.TDec(_CODE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_ETA))
+def test_a_neutral_without_eta_is_one_vneutral_that_keeps_its_type(name):
+    # The one neutral value mirrors the one ``NfInj``: reflect gives it at
+    # each of these types, the key action keeps the type, and read-back
+    # injects it (under a lambda at a function type).
+    ty = NO_ETA[name]
+    v = nbe.reflect(P, ty, nbe.NeAbs(1, id_cell(IDM)))
+    assert v.__class__ is nbe.VNeutral and v.ty is ty
+    keyed = nbe.key_val(P, PT, v)
+    assert keyed.__class__ is nbe.VNeutral and keyed.ty is ty
+    cell = keyed.ne.cell
+    assert cell.tgt == L and keyed.ne.frames == ()
+    want = NfInj(NeVar(0, cell))
+    if name == "Pi":
+        arg = NfInj(NeVar(0, id_cell(IDM)))
+        want = NfLam(IDM, NfInj(NeApp(NeVar(1, cell), IDM, arg)))
+    assert nbe.reify(P, 2, "m", ty, keyed) == want
+    assert conv(P, 2, "m", ty, keyed, nbe.key_val(P, PT, v))
+
+
+def test_reflect_expands_the_types_with_eta():
+    ne = nbe.NeAbs(0, id_cell(IDM))
+    pair = nbe.reflect(P, nbe.TSig(nbe.BOOL, nbe.UNI), ne)
+    assert pair == nbe.VPair(
+        nbe.VNeutral(nbe.BOOL, ne.push(nbe.FrProj1())),
+        nbe.VNeutral(nbe.UNI, ne.push(nbe.FrProj2())),
+    )
+    # Dec of a canonical code unfolds to the connective, with one coercion.
+    assert nbe.reflect(P, nbe.TDec(nbe.CBool()), ne) == nbe.VNeutral(
+        nbe.BOOL, ne.push(nbe.FrDecIso())
+    )
