@@ -16,16 +16,18 @@ to right, against the next ``Pi`` domain; ``check_tm`` opens a run of
 lambdas against a run of ``Pi`` types, reflecting each binder's variable at
 its level, and extends the context once for the whole run (``ctx_extend``
 with ``run``), so a k-binder run copies the context's tuples once, not k
-times.  A lambda whose binder was written with a modality must meet a
-``Pi`` with an equal one.  Diagnostics are those of one node at a time.  Conversion is decided on
-values by ``conv.conv_ty``/``conv.conv``: type-directed, with eta for
-functions, pairs and boxes, every modality and 2-cell question delegated to
-the mode theory's decider, and no normal form built.  Two occurrences of
-one definition share one value and so compare without unfolding it.  Types
-are read back only to be printed: in diagnostics, and in a declaration's
-result when first asked for.  A ``Pi`` or ``Sig`` marked non-dependent
-keeps the value its codomain was checked to, so applying, projecting or
-pairing at it neither evaluates the argument nor instantiates anything.
+times.  A lambda must meet a ``Pi`` whose modality equals its binder's, the
+identity for a bare ``\\x``; only a lambda built through the API without
+one meets any ``Pi``.  Diagnostics are those of one node at a time.
+Conversion is decided on values by ``conv.conv_ty``/``conv.conv``:
+type-directed, with eta for functions, pairs and boxes, every modality and
+2-cell question delegated to the mode theory's decider, and no normal form
+built.  Two occurrences of one definition share one value and so compare
+without unfolding it.  Types are read back only to be printed: in
+diagnostics, and in a declaration's result when first asked for.  A ``Pi``
+or ``Sig`` marked non-dependent keeps the value its codomain was checked
+to, so applying, projecting or pairing at it neither evaluates the argument
+nor instantiates anything.
 
 Accessing a variable demands an explicit 2-cell from its annotation to the
 composite of the locks in front of it; no search is performed.  When that

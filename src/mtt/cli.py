@@ -351,19 +351,19 @@ class Parser:
     # -- binders
 
     def _binder(self, amb: str) -> "tuple[Modality, str]":
-        """``( mod | x`` or ``( x``, from the opening paren inclusive.  A
-        modality is tried only when the token after the first one can
-        continue it (``|``, ``.`` or ``(``); if it then fails to parse, or
-        no ``|`` follows it, the binder is a plain one."""
+        """``( mod | x`` or ``( x``, from the opening paren inclusive.  Only
+        a modality can continue with ``|``, ``.`` or ``(`` after its first
+        token, so the binder is a modal one exactly when one of those
+        follows; a ``.NAME`` left after the modality names an unknown
+        generator."""
         self.expect("(")
-        if self.toks[self.pos + 1] in ("|", ".", "("):
-            save = self.pos
-            try:
-                mod = self.parse_modexpr(amb)
-                self.expect("|")
-                return mod, self.expect_ident("a variable name")
-            except ParseError:
-                self.pos = save
+        toks = self.toks
+        if toks[self.pos + 1] in ("|", ".", "("):
+            mod = self.parse_modexpr(amb)
+            if toks[self.pos] == "." and toks[self.pos + 1][:1] in _NAME_START:
+                raise self.fail(f"unknown modality {toks[self.pos + 1]!r}", self.pos + 1)
+            self.expect("|")
+            return mod, self.expect_ident("a variable name")
         return id_mod(amb), self.expect_ident("a variable name")
 
     def _guard_mode(self, mod: Modality, amb: str, at: int) -> None:
@@ -442,15 +442,13 @@ class Parser:
                 mod, name = self._binder(amb)
                 self._guard_mode(mod, amb, at)
                 self.expect(")")
-                written = mod
             else:
-                mod, written = id_mod(amb), None
-                name = self.expect_ident("a variable name")
+                mod, name = id_mod(amb), self.expect_ident("a variable name")
             self.expect("->")
             self._bind(name, mod)
             body = self.parse_term(amb)
             self._unbind(name)
-            return S.Lam(body, written)
+            return S.Lam(body, mod)
         if head == "letbox":
             self.expect("(")
             mu = self.parse_modexpr(amb)

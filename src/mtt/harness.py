@@ -139,56 +139,9 @@ def theory_of(cfg: GenConfig) -> ModeTheory:
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every variable index at or above ``cutoff``."""
-    match t:
-        case S.Var(k, cell):
-            return S.Var(k + by, cell) if k >= cutoff else t
-        case S.Lam(b):
-            return S.Lam(shift(b, by, cutoff + 1))
-        case S.App(f, a):
-            return S.App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case S.Pair(a, b):
-            return S.Pair(shift(a, by, cutoff), shift(b, by, cutoff))
-        case S.Proj1(p):
-            return S.Proj1(shift(p, by, cutoff))
-        case S.Proj2(p):
-            return S.Proj2(shift(p, by, cutoff))
-        case S.If(m, tc, fc, sc):
-            return S.If(
-                shift(m, by, cutoff + 1),
-                shift(tc, by, cutoff),
-                shift(fc, by, cutoff),
-                shift(sc, by, cutoff),
-            )
-        case S.MkBox(mod, b):
-            return S.MkBox(mod, shift(b, by, cutoff))
-        case S.LetMod(mu, nu, m, sc, br):
-            return S.LetMod(
-                mu,
-                nu,
-                shift(m, by, cutoff + 1),
-                shift(sc, by, cutoff),
-                shift(br, by, cutoff + 1),
-            )
-        case S.DecIso(b):
-            return S.DecIso(shift(b, by, cutoff))
-        case S.DecIsoInv(b):
-            return S.DecIsoInv(shift(b, by, cutoff))
-        case S.Pi(mod, dom, cod):
-            return S.Pi(mod, shift(dom, by, cutoff), shift(cod, by, cutoff + 1), t.dependent)
-        case S.Sig(fst, snd):
-            return S.Sig(shift(fst, by, cutoff), shift(snd, by, cutoff + 1), t.dependent)
-        case S.Mod(mod, inner):
-            return S.Mod(mod, shift(inner, by, cutoff))
-        case S.Dec(c):
-            return S.Dec(shift(c, by, cutoff))
-        case S.PiCode(mod, dom, cod):
-            return S.PiCode(mod, shift(dom, by, cutoff), shift(cod, by, cutoff + 1))
-        case S.SigCode(fst, snd):
-            return S.SigCode(shift(fst, by, cutoff), shift(snd, by, cutoff + 1))
-        case S.ModCode(mod, c):
-            return S.ModCode(mod, shift(c, by, cutoff))
-        case _:
-            return t  # constants: Bool, Uni, BoolCode, True_, False_
+    return S.map_vars(
+        t, lambda v, n: S.Var(v.idx + by, v.cell) if v.idx >= cutoff + n else v
+    )
 
 
 def mentions(t: Term, k: int = 0) -> bool:
@@ -203,44 +156,13 @@ def subst(t: Term, s: Term, k: int = 0) -> Term:
     Keys on the replaced variable are dropped: the oracle fragment lives
     in the one-mode theory, where every 2-cell is an identity.
     """
-    match t:
-        case S.Var(j, _):
-            if j == k:
-                return shift(s, k)
-            return S.Var(j - 1, t.cell) if j > k else t
-        case S.Lam(b):
-            return S.Lam(subst(b, s, k + 1))
-        case S.App(f, a):
-            return S.App(subst(f, s, k), subst(a, s, k))
-        case S.Pair(a, b):
-            return S.Pair(subst(a, s, k), subst(b, s, k))
-        case S.Proj1(p):
-            return S.Proj1(subst(p, s, k))
-        case S.Proj2(p):
-            return S.Proj2(subst(p, s, k))
-        case S.If(m, tc, fc, sc):
-            return S.If(
-                subst(m, s, k + 1),
-                subst(tc, s, k),
-                subst(fc, s, k),
-                subst(sc, s, k),
-            )
-        case S.MkBox(mod, b):
-            return S.MkBox(mod, subst(b, s, k))
-        case S.LetMod(mu, nu, m, sc, br):
-            return S.LetMod(
-                mu, nu, subst(m, s, k + 1), subst(sc, s, k), subst(br, s, k + 1)
-            )
-        case S.Pi(mod, dom, cod):
-            return S.Pi(mod, subst(dom, s, k), subst(cod, s, k + 1), t.dependent)
-        case S.Sig(fst, snd):
-            return S.Sig(subst(fst, s, k), subst(snd, s, k + 1), t.dependent)
-        case S.Mod(mod, inner):
-            return S.Mod(mod, subst(inner, s, k))
-        case S.Dec(c):
-            return S.Dec(subst(c, s, k))
-        case _:
-            return t
+
+    def at(v: S.Var, n: int) -> Term:
+        if v.idx == k + n:
+            return shift(s, k + n)
+        return S.Var(v.idx - 1, v.cell) if v.idx > k + n else v
+
+    return S.map_vars(t, at)
 
 
 # ---------------------------------------------------------------------------

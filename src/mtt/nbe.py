@@ -215,14 +215,6 @@ class Closure:
 
 
 @record
-class DecClosure:
-    """A type closure arising from unfolding a code: instantiating the code
-    closure and re-wrapping the result under the decoding type former."""
-
-    code_clo: Closure
-
-
-@record
 class NeAbs:
     """Level-indexed neutral: head variable plus eliminator frames."""
 
@@ -315,7 +307,7 @@ class TPi(TypeValue):
 
     mod: Modality
     dom: TypeValue
-    cod: "Closure | DecClosure | TypeValue"
+    cod: "Closure | TypeValue"
 
 
 @record
@@ -323,7 +315,7 @@ class TSig(TypeValue):
     """A pair type; ``snd`` as ``TPi.cod``."""
 
     fst: TypeValue
-    snd: "Closure | DecClosure | TypeValue"
+    snd: "Closure | TypeValue"
 
 
 @record
@@ -501,25 +493,23 @@ def instantiate(mt: ModeTheory, clo: Closure, v: "Value | Thunk") -> Value:
 
 
 def inst_ty(
-    mt: ModeTheory, clo: "Closure | DecClosure | TypeValue", v: "Value | Thunk"
+    mt: ModeTheory, clo: "Closure | TypeValue", v: "Value | Thunk"
 ) -> TypeValue:
     """A codomain at ``v``: a closure is evaluated, a value is returned as
     it is."""
-    c = clo.__class__
-    if c is Closure:
+    if clo.__class__ is Closure:
         return eval_ty(mt, env_push(clo.env, v), clo.body)
-    if c is DecClosure:
-        return TDec(instantiate(mt, clo.code_clo, v))
     return clo
 
 
 def dec_unfold(mt: ModeTheory, c: Value) -> TypeValue:
-    """The connective a canonical code decodes to, one layer deep."""
+    """The connective a canonical code decodes to, one layer deep; a code
+    closure becomes a type closure under ``dec``."""
     match c:
         case CPi(mod, dom, cod):
-            return TPi(mod, TDec(dom), DecClosure(cod))
+            return TPi(mod, TDec(dom), Closure(cod.env, S.Dec(cod.body)))
         case CSig(fst, snd):
-            return TSig(TDec(fst), DecClosure(snd))
+            return TSig(TDec(fst), Closure(snd.env, S.Dec(snd.body)))
         case CBool():
             return BOOL
         case CMod(mod, code):

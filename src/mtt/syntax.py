@@ -9,9 +9,14 @@ also records whether its codomain mentions the variable it binds
 part in equality or printing; its default, True, is right for every term,
 and the parser sets it to False where it can, so that evaluation keeps such
 a codomain as one value (``nbe.eval_ty``).  A ``Lam`` keeps the modality
-its binder was written with, or None for a bare ``\\x``, for the checker to
-compare with its function type's; like ``dependent`` it takes no part in
-equality or printing.
+its binder was written with, for the checker to compare with its function
+type's; the parser writes the identity for a bare ``\\x``, and only a
+lambda built through the API has None, which meets any ``Pi``.  Like
+``dependent`` it takes no part in equality or printing.
+
+``BINDS`` names the fields of each former that bind a variable, and
+``map_vars`` is the one traversal that acts on the variables of a term
+under them, rebuilding every other field as it stands.
 
 Terms live over contexts of locks and annotated variables; the one record
 of such a context is ``check.CheckCtx``.
@@ -19,7 +24,7 @@ of such a context is ``check.CheckCtx``.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable
 
 from .record import field, record
 from .modeth import Cell2, Modality
@@ -186,11 +191,35 @@ class DecIsoInv(Term):
     body: Term
 
 
-TermT = Union[
-    Var, Const, Pi, Sig, Bool, Uni, Mod, Dec, Lam, App, Pair, Proj1, Proj2,
-    True_, False_, If, MkBox, LetMod, PiCode, SigCode, BoolCode, ModCode,
-    DecIso, DecIsoInv,
-]
+# The fields of each term former that bind one variable: the ``# binds 1``
+# comments above, as data.  No other field binds.
+BINDS: "dict[type, tuple[str, ...]]" = {
+    Pi: ("cod",),
+    Sig: ("snd",),
+    Lam: ("body",),
+    If: ("motive",),
+    LetMod: ("motive", "branch"),
+    PiCode: ("cod",),
+    SigCode: ("snd",),
+}
+
+
+def map_vars(t: Term, at: "Callable[[Var, int], Term]", under: int = 0) -> Term:
+    """``t`` with each variable ``v`` replaced by ``at(v, n)``, where ``n``
+    is ``under`` plus the number of binders between ``t`` and ``v``.  Every
+    other field, ``dependent`` and ``Lam.mod`` among them, is kept as it
+    stands."""
+    c = t.__class__
+    if c is Var:
+        return at(t, under)
+    binds = BINDS.get(c, ())
+    args = []
+    for f in c.__match_args__:
+        v = getattr(t, f)
+        if isinstance(v, Term):
+            v = map_vars(v, at, under + (f in binds))
+        args.append(v)
+    return c(*args)
 
 
 def const_names(t: Term) -> "list[str]":

@@ -811,6 +811,12 @@ LAMBDA_ANNOTATIONS = {
     "parenthesised-binder-at-l": (
         "def h @m : Pi (l | x : Bool) -> Bool := \\(x) -> true", "h", "id_m", "l"
     ),
+    "bare-binder-at-l": (
+        "def f @m : Pi (l | x : Bool) -> Bool := \\x -> true", "f", "id_m", "l"
+    ),
+    "bare-binder-boxed-at-l": (
+        "def g @m : Pi (l | x : Bool) -> Mod l Bool := \\x -> box l x", "g", "id_m", "l"
+    ),
 }
 
 
@@ -821,8 +827,10 @@ def test_a_lambda_annotated_unlike_its_function_type_is_a_located_error(
     tmp_path, decl, name, written, declared
 ):
     # The parser read a binder's modality only to resolve names, and the
-    # checker extended the context with the function type's, so both
-    # programs used to check (exit 0).
+    # checker extended the context with the function type's, so the
+    # annotated programs used to check (exit 0).  A bare binder was left
+    # unannotated and met any function type: ``f`` checked, and ``g`` was
+    # blamed on its variable's key.
     done = run_mtt(tmp_path, f"theory pointed\n{decl}\n")
     assert done.returncode == 1
     assert done.stderr == (
@@ -830,6 +838,17 @@ def test_a_lambda_annotated_unlike_its_function_type_is_a_located_error(
         f"annotated {written} at a function type annotated {declared}\n"
     )
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "pi,col", [("Pi (q | x : Bool)", 16), ("Pi (l.q | x : Bool)", 18)], ids=["word", "dotted"]
+)
+def test_a_binder_modality_that_does_not_parse_is_blamed_at_the_modality(tmp_path, pi, col):
+    # The binder used to be reparsed as a plain one, so the error named the
+    # token after the modality: expected ':', found '|' (or '.').
+    done = run_mtt(tmp_path, f"theory pointed\ndef f @m : {pi} -> Bool := \\x -> true\n")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"{tmp_path / 'run.mtt'}:2:{col}: unknown modality 'q'\n"
 
 
 def church(n: int, carrier: str) -> str:
@@ -1089,6 +1108,33 @@ def test_normal_forms_roundtrip_through_the_parser(theory, src):
     check_tm(ctx, reparsed, check_type(ctx, d.ty))
     nf2 = normalize(ctx, d.ty, reparsed)
     assert eq_nf(mt, nf, nf2)
+
+
+KEYED_BETA = (
+    "theory pointed\n"
+    "def k @m : Pi (x : Pi (y : Bool) -> Bool) -> Mod l Bool := \\x -> box l ((x^pt) true)\n"
+    "def h @m : Pi (b : Bool) -> Mod l Bool := \\b -> k (\\y -> b)\n"
+    "def direct @m : Pi (b : Bool) -> Mod l Bool := \\b -> box l (b^pt)\n"
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(C.CheckError, AssertionError),
+    reason="nbe.key_val leaves a canonical value unchanged, though a value "
+    "substituted by beta can hold free variables the key must reach",
+)
+def test_a_key_reaches_the_variables_of_a_substituted_value():
+    # h's normal form is \(id(m) | x0) -> box l x0: the key pt on x is lost
+    # when x is the lambda \y -> b, so the printed form does not check.
+    mt, decls = parse_file(KEYED_BETA)
+    report = check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
+    assert report.ok
+    h, direct = report.results[1], report.results[2]
+    reparsed = cli.Parser(tokenize(surface_nf(mt, h.body_nf)), mt).parse_term("m")
+    ctx = empty_ctx(mt, "m", report.signature)
+    check_tm(ctx, reparsed, check_type(ctx, decls[1].ty))
+    assert eq_nf(mt, h.body_nf, direct.body_nf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for term generation, the rewriting oracle, and convertible pairs."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from mtt.harness import (
     gen_type,
     gen_typed_term,
     main,
+    mentions,
     oracle_eval_bool,
     oracle_step,
     run_differential,
@@ -30,11 +32,14 @@ from mtt.harness import (
     subst,
     theory_of,
 )
-from mtt.modeth import CellGen, id_cell, id_mod, is_id_cell, trivial
+from mtt.cli import parse_file
+from mtt.modeth import CellGen, Modality, id_cell, id_mod, is_id_cell, trivial
 from mtt.nbe import TBool, eval_tm, normalize
 from mtt.normal import NfFalse, NfTrue
+from test_codomains import BINDERS, CORPUS, free_in
 
 IDM = id_mod("m")
+L = Modality("m", "m", ("l",))
 
 
 def var(k: int) -> S.Var:
@@ -72,6 +77,70 @@ def test_subst_shifts_the_payload_under_binders():
     # (\. \. 1) false --> \. false ; the payload's own variables shift
     body = S.Lam(var(1))
     assert subst(body, var(3)) == S.Lam(var(4))
+
+
+# A value for each field of a term former that holds no term.
+NOT_TERMS = {"Modality": L, "Cell2": id_cell(IDM), "int": 0, "str": "c", "bool": False}
+FORMERS = sorted(S.Term.__subclasses__(), key=lambda c: c.__name__)
+
+
+def in_every_field(cls, term):
+    """A ``cls`` with ``term(1)`` in each term field that binds a variable
+    (by the independent table ``test_codomains.BINDERS``), ``term(0)`` in
+    each other term field, and ``NOT_TERMS`` in the rest."""
+    args = {}
+    for f, ann in cls.__annotations__.items():
+        ann = ann.strip("'\"").split(" | ")[0]
+        args[f] = term(int(f in BINDERS.get(cls, ()))) if ann == "Term" else NOT_TERMS[ann]
+    return cls(**args)
+
+
+@pytest.mark.parametrize("cls", FORMERS, ids=lambda c: c.__name__)
+def test_shift_and_subst_act_under_every_former(cls):
+    # Under b binders, variable 0 is bound when b = 1, variable b is the
+    # replaced one and variable b + 1 the one that moves down.
+    t = in_every_field(cls, lambda b: S.App(S.App(var(0), var(b)), var(b + 1)))
+    if cls is S.Var:
+        assert shift(t, 2) == var(2) and subst(t, var(5)) == var(5)
+        return
+    assert shift(t, 2) == in_every_field(
+        cls, lambda b: S.App(S.App(var(0 if b else 2), var(b + 2)), var(b + 3))
+    )
+    assert subst(t, var(5)) == in_every_field(
+        cls, lambda b: S.App(S.App(var(0 if b else 5), var(b + 5)), var(b))
+    )
+
+
+def test_shift_and_subst_keep_the_fields_they_do_not_walk():
+    lam = S.Lam(var(1), L)
+    assert shift(lam, 1).mod is L and subst(lam, S.True_()).mod is L
+    for ty in (
+        S.Pi(L, S.Bool(), S.Bool(), dependent=False),
+        S.Sig(S.Bool(), S.Bool(), dependent=False),
+    ):
+        assert shift(ty, 1).dependent is False
+        assert subst(ty, S.True_()).dependent is False
+
+
+def subterms(t: S.Term):
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        todo.extend(v for v in vars(u).values() if isinstance(v, S.Term))
+
+
+def test_mentions_agrees_with_the_free_variable_oracle_on_the_corpus():
+    seen = Counter()
+    for path in CORPUS:
+        _, decls = parse_file(path.read_text(encoding="utf-8"))
+        for d in decls:
+            for u in (*subterms(d.ty), *subterms(d.body)):
+                for k in range(3):
+                    got = mentions(u, k)
+                    assert got == free_in(u, k), (path.name, d.name, S.show_term(u), k)
+                    seen[got] += 1
+    assert seen[True] > 100 and seen[False] > 100
 
 
 # ---------------------------------------------------------------------------
