@@ -30,14 +30,18 @@ to, so applying, projecting or pairing at it neither evaluates the argument
 nor instantiates anything.
 
 Accessing a variable demands an explicit 2-cell from its annotation to the
-composite of the locks in front of it; no search is performed.  When that
-cell is not an identity, the variable's stored type is transported along
-it: read back in the entry's own prefix, renamed along the key alone, and
-evaluated over the prefix's atoms.  Nothing has to move it past the
-entries after the variable, because values carry absolute levels, so a
-type valid in a prefix is valid at the use site as it stands.  (A key
-acting on type values directly would have to reach inside their closures,
-whiskered by the locks crossed there, which evaluation does not track.)
+composite of the locks in front of it; no search is performed.  The parser
+built the cell's layers and checked their boundaries; ``lookup_var`` checks
+again that the cell's stored boundary is the one its layers give, one word
+comparison per layer, because a cell built by hand can misstate it.  When
+the cell is not an identity (a cell with no layers is one), the variable's
+stored type is transported along it: read back in the entry's own prefix,
+renamed along the key alone, and evaluated over the prefix's atoms.
+Nothing has to move it past the entries after the variable, because values
+carry absolute levels, so a type valid in a prefix is valid at the use
+site as it stands.  (A key acting on type values directly would have to
+reach inside their closures, whiskered by the locks crossed there, which
+evaluation does not track.)
 
 Diagnostics print types with ``normal.surface_nfty``, the printer of
 ``mtt normalize``, so a type quoted in an error message parses again.
@@ -51,7 +55,6 @@ from typing import Callable
 from .record import field, record
 from .modeth import (
     Cell2,
-    CellId,
     ModeError,
     ModeTheory,
     Modality,
@@ -124,11 +127,14 @@ class CheckCtx:
     annotation and the length of ``locks`` when it was pushed.  ``locks``
     is every lock pushed so far as one word, newest first, so the locks
     after a variable compose to a prefix of it.  ``normal.depth``,
-    ``tele_entry`` and ``locks_of`` read it by level."""
+    ``tele_entry`` and ``locks_of`` read it by level.  ``named`` gathers
+    the definitions that ``infer`` meets by ``Const``; every context grown
+    from one ``empty_ctx`` shares it."""
 
     mt: ModeTheory
     mode: str
     env: Env
+    named: "dict[str, Definition]"
     types: tuple[TypeValue, ...] = ()
     slots: tuple[tuple[Modality, int], ...] = ()
     locks: Word = ()
@@ -137,7 +143,7 @@ class CheckCtx:
 def empty_ctx(mt: ModeTheory, mode: str, sig: Signature = NO_DEFS) -> CheckCtx:
     if mode not in mt.modes:
         raise CheckError(f"unknown mode {mode!r} in mode theory {mt.name!r}")
-    return CheckCtx(mt, mode, Env((), sig))
+    return CheckCtx(mt, mode, Env((), sig), {})
 
 
 def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
@@ -147,7 +153,9 @@ def ctx_lock(ctx: CheckCtx, mu: Modality) -> CheckCtx:
         raise CheckError(f"lock {mu} targets {mu.mode_tgt}, telescope is at {ctx.mode}")
     if not mu.word and mu.mode_src == ctx.mode:
         return ctx
-    return CheckCtx(ctx.mt, mu.mode_src, ctx.env, ctx.types, ctx.slots, mu.word + ctx.locks)
+    return CheckCtx(
+        ctx.mt, mu.mode_src, ctx.env, ctx.named, ctx.types, ctx.slots, mu.word + ctx.locks
+    )
 
 
 def ctx_extend(
@@ -173,12 +181,12 @@ def ctx_extend(
     if not run:
         fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu))) if dependent else UNBOUND
         return CheckCtx(
-            mt, mode, Env(env.vals + (fresh,), env.sig), types + tys,
+            mt, mode, Env(env.vals + (fresh,), env.sig), ctx.named, types + tys,
             ctx.slots + ((mu, len(locks)),), locks,
         )
     seen = len(locks)
     return CheckCtx(
-        mt, mode, Env(env.vals + atoms, env.sig), types + tys,
+        mt, mode, Env(env.vals + atoms, env.sig), ctx.named, types + tys,
         ctx.slots + tuple([(m, seen) for m in mods]), locks,
     )
 
@@ -200,7 +208,7 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
             f"variable not accessible: no 2-cell {ann} => {nu} declared "
             f"(variable {k} carries {alpha.src} => {alpha.tgt})"
         )
-    if isinstance(alpha.expr, CellId) or is_id_cell(ctx.mt, alpha):
+    if not alpha.layers or is_id_cell(ctx.mt, alpha):
         return stored
     # Transport along the key: read back in the entry's prefix, rename
     # along the key, and evaluate over the prefix's atoms.  At each prefix
@@ -311,6 +319,7 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
             raise CheckError(
                 f"definition {name!r} lives at mode {defn.mode}, used at mode {ctx.mode}"
             )
+        ctx.named[name] = defn
         return defn.ty
     if c is S.True_ or c is S.False_:
         return BOOL
@@ -529,10 +538,10 @@ def check_program(mt: ModeTheory, decls) -> Report:
         try:
             if name in sig:
                 raise CheckError(f"duplicate definition {name!r}")
+            tyv = check_type(empty_ctx(mt, mode, sig), ty)
             ctx = empty_ctx(mt, mode, sig)
-            tyv = check_type(ctx, ty)
             check_tm(ctx, body, tyv)
-            val = Body(mt, ctx.env, body)
+            val = Body(mt, ctx.env, body, [d.val for d in ctx.named.values()])
             results.append(
                 DeclResult(
                     name,

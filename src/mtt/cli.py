@@ -36,8 +36,8 @@ import argparse
 import os
 import re
 import sys
-from bisect import bisect
 from functools import cache
+from itertools import islice
 from typing import NamedTuple
 
 from .record import field, record
@@ -46,22 +46,20 @@ from . import syntax as S
 from .modeth import (
     THEORIES,
     Cell2,
-    CellExpr,
-    CellGen,
-    CellVComp,
-    CellWhiskL,
-    CellWhiskR,
     ModeError,
     ModeTheory,
     Modality,
     TheoryItemError,
     Undecided,
-    cell_boundary,
     compose_mod,
+    gen_cell,
     id_cell,
     id_mod,
     trivial,
     validate,
+    vcomp,
+    whisker_left,
+    whisker_right,
 )
 # All three are bound here: ``bench/tracer.py`` times them as ``cli:surface_*``.
 from .normal import surface_ne, surface_nf, surface_nfty  # noqa: F401
@@ -120,24 +118,25 @@ def _kind(tok: str) -> str:
 class Tokens(list):
     """The token texts of ``source``, ending in one ``""`` (eof)."""
 
-    __slots__ = ("source", "_starts", "_newlines")
+    __slots__ = ("source", "_starts", "_scan")
 
     def __init__(self, texts: "list[str]", source: str):
         super().__init__(texts)
         self.source = source
-        self._starts: "list[int] | None" = None
+        self._starts: "list[int]" = []
+        self._scan = _TOKEN_RE.finditer(source)  # lazy: matches nothing yet
 
     def token(self, i: int) -> Token:
         """Token ``i`` with its kind, line and column.  Lines end at ``\\n``
-        only; eof sits just past the last line.  Where tokens and lines
-        start is found once, by a second pass over the text, on first use."""
-        if self._starts is None:
-            self._starts = [m.start(1) for m in _TOKEN_RE.finditer(self.source)]
-            self._newlines = [m.start() for m in re.finditer("\n", self.source)]
-        start, text = self._starts[i], self[i]
-        line = bisect(self._newlines, start)  # the newlines before the token
-        bol = self._newlines[line - 1] + 1 if line else 0
-        return Token(_kind(text), text, line + 1, start - bol + 1)
+        only; eof sits just past the last line.  Where tokens start is found
+        by a second pass over the text, which goes only as far as token
+        ``i`` and resumes there when a later token is asked for."""
+        starts = self._starts
+        if i >= len(starts):
+            starts += [m.start(1) for m in islice(self._scan, i + 1 - len(starts))]
+        start, text, src = starts[i], self[i], self.source
+        bol = src.rfind("\n", 0, start) + 1
+        return Token(_kind(text), text, src.count("\n", 0, bol) + 1, start - bol + 1)
 
 
 def tokenize(text: str) -> Tokens:
@@ -248,7 +247,9 @@ class Parser:
 
     def parse_modexpr(self, amb: "str | None") -> Modality:
         """A modality: ``id``, ``id(m)``, or generator names dotted in
-        composition order (last applied leftmost)."""
+        composition order (last applied leftmost).  Nothing else can follow
+        a generator word with ``.NAME``, so that ``NAME`` is an unknown
+        generator."""
         at = self.pos
         if self.accept("id"):
             if self.accept("("):
@@ -278,6 +279,9 @@ class Parser:
             if cur is None:
                 start = src
             cur = tgt
+        if toks[self.pos] == "." and toks[self.pos + 1][:1] in _NAME_START:
+            # only a generator could continue the word here
+            raise self.fail(f"unknown modality {toks[self.pos + 1]!r}", self.pos + 1)
         return Modality(start, cur, word)
 
     def _one_gen(self, name: str, at: int) -> Modality:
@@ -290,63 +294,60 @@ class Parser:
 
     def parse_cell(self, ann: Modality) -> Cell2:
         """grammar: cell := part ('.' part)* ; part := NAME '<' part
-        | unit ('>' NAME)* ; unit := '(' cell ')' | NAME | 'id'."""
+        | unit ('>' NAME)* ; unit := '(' cell ')' | NAME | 'id'.  The cell
+        is built through ``modeth``'s constructors, which check its
+        boundaries as they go."""
         at = self.pos
-        expr = self._cell_expr()
-        if isinstance(expr, str):  # the whole cell is the bare identity
-            return id_cell(ann)
         try:
-            src, tgt = cell_boundary(self.mt, expr)
+            cell = self._cell_expr()
         except ModeError as e:
             raise self.fail(f"ill-formed 2-cell: {e}", at) from None
-        return Cell2(src, tgt, expr)
+        return id_cell(ann) if cell is None else cell
 
-    def _cell_expr(self) -> "CellExpr | str":
-        first = self._cell_part()
-        if isinstance(first, str):
-            if self.at("."):
-                raise self.fail("bare 'id' cannot appear inside a composite cell")
-            return first
-        out = first
+    # The helpers return None for the bare identity, which only a whole
+    # cell may be.
+
+    def _no_id(self, cell: "Cell2 | None") -> Cell2:
+        if cell is None:
+            raise self.fail("bare 'id' cannot appear inside a composite cell")
+        return cell
+
+    def _cell_expr(self) -> "Cell2 | None":
+        out = self._cell_part()
+        if out is None and not self.at("."):
+            return None
+        out = self._no_id(out)
         while self.accept("."):
-            nxt = self._cell_part()
-            if isinstance(nxt, str):
-                raise self.fail("bare 'id' cannot appear inside a composite cell")
-            out = CellVComp(out, nxt)  # left side applied later
+            out = vcomp(out, self._no_id(self._cell_part()), self.mt)  # left side applied later
         return out
 
-    def _cell_part(self) -> "CellExpr | str":
+    def _cell_part(self) -> "Cell2 | None":
         at = self.pos
         t = self.toks[at]
         if t[:1] in _NAME_START and t != "id" and self.toks[at + 1] == "<":
             self.pos += 2
-            inner = self._cell_part()
-            if isinstance(inner, str):
-                raise self.fail("bare 'id' cannot appear inside a composite cell")
-            return CellWhiskL(self._one_gen(t, at), inner)
+            inner = self._no_id(self._cell_part())
+            return whisker_left(self._one_gen(t, at), inner)
         base = self._cell_unit()
         while self.at(">"):
-            if isinstance(base, str):
-                raise self.fail("bare 'id' cannot appear inside a composite cell")
+            base = self._no_id(base)
             self.pos += 1
             at = self.pos
-            base = CellWhiskR(base, self._one_gen(self.expect_ident("a modality name"), at))
+            base = whisker_right(base, self._one_gen(self.expect_ident("a modality name"), at))
         return base
 
-    def _cell_unit(self) -> "CellExpr | str":
+    def _cell_unit(self) -> "Cell2 | None":
         at = self.pos
         if self.accept("("):
             inner = self._cell_expr()
             self.expect(")")
-            if isinstance(inner, str):
-                raise self.fail("bare 'id' cannot appear inside a composite cell")
-            return inner
+            return self._no_id(inner)
         if self.accept("id"):
-            return "id"
+            return None
         name = self.expect_ident("a 2-cell name")
         if name not in self.mt.cell_gens:
             raise self.fail(f"unknown 2-cell {name!r}", at)
-        return CellGen(name)
+        return gen_cell(self.mt, name)
 
     # -- binders
 
@@ -354,14 +355,11 @@ class Parser:
         """``( mod | x`` or ``( x``, from the opening paren inclusive.  Only
         a modality can continue with ``|``, ``.`` or ``(`` after its first
         token, so the binder is a modal one exactly when one of those
-        follows; a ``.NAME`` left after the modality names an unknown
-        generator."""
+        follows."""
         self.expect("(")
         toks = self.toks
         if toks[self.pos + 1] in ("|", ".", "("):
             mod = self.parse_modexpr(amb)
-            if toks[self.pos] == "." and toks[self.pos + 1][:1] in _NAME_START:
-                raise self.fail(f"unknown modality {toks[self.pos + 1]!r}", self.pos + 1)
             self.expect("|")
             return mod, self.expect_ident("a variable name")
         return id_mod(amb), self.expect_ident("a variable name")

@@ -53,12 +53,12 @@ from .check import (
 from .modeth import (
     THEORIES,
     Cell2,
-    CellGen,
     ModeError,
     ModeTheory,
     Modality,
     compose_mod,
     eq_mod,
+    gen_cell,
     id_cell,
     id_mod,
     is_id_cell,
@@ -357,9 +357,10 @@ class _Gen:
                 out.append((k, id_cell(ann)))
             for name, (src, tgt) in mt.cell_gens.items():
                 if eq_mod(mt, src, ann) and eq_mod(mt, tgt, nu):
-                    out.append((k, Cell2(src, tgt, CellGen(name))))
+                    out.append((k, gen_cell(mt, name)))
             for last in self._layers_into(nu):
-                if not isinstance(last.expr, CellGen) and eq_mod(mt, last.src, ann):
+                (a,) = last.layers
+                if (a.pre or a.post) and eq_mod(mt, last.src, ann):  # bare ones are above
                     out.append((k, last))
                 for first in self._layers_into(last.src):
                     if eq_mod(mt, first.src, ann):
@@ -373,8 +374,8 @@ class _Gen:
         out = []
         w = nu.word
         at = [nu.mode_src] + [self.mt.modality_gens[g][1] for g in w]  # mode after w[:i]
-        for name, (src, tgt) in self.mt.cell_gens.items():
-            gen = Cell2(src, tgt, CellGen(name))
+        for name, (_, tgt) in self.mt.cell_gens.items():
+            gen = gen_cell(self.mt, name)
             n = len(tgt.word)
             for i in range(len(w) - n + 1):
                 if w[i : i + n] != tgt.word:

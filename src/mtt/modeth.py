@@ -13,6 +13,10 @@ modality words), and two facts that decide equality:
   Without one, 2-cells compare by the layered interchange normal form (see
   ``left_normal``), with whisker words rewritten only for the comparison.
 
+A 2-cell is stored as those layers (``Cell2.layers``), which its
+constructors build and check once; the decider, ``cell_check`` and the
+printer (``str``) read them as they stand.
+
 Everything here is immutable and pure.  ``id_mod`` returns one
 ``Modality`` per mode and ``id_cell`` one ``Cell2`` per modality, so the
 checker's usual question, whether an identity equals an identity, is
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import cache
-from typing import Mapping, Union
+from typing import Mapping
 
 from .record import record
 
@@ -142,111 +146,11 @@ def eq_mod(mt: "ModeTheory", a: Modality, b: Modality) -> bool:
 
 # ---------------------------------------------------------------------------
 # 2-cells
-
-# Expression trees.  Boundaries are not stored per node; the wrapping Cell2
-# carries the overall boundary and the canonicalizer recomputes the rest.
-
-
-@record
-class CellId:
-    mod: Modality
-
-
-@record
-class CellGen:
-    name: str
-
-
-@record
-class CellVComp:
-    later: "CellExpr"
-    earlier: "CellExpr"
-
-
-@record
-class CellWhiskL:
-    mod: Modality
-    cell: "CellExpr"
-
-
-@record
-class CellWhiskR:
-    cell: "CellExpr"
-    mod: Modality
-
-
-CellExpr = Union[CellId, CellGen, CellVComp, CellWhiskL, CellWhiskR]
-
-
-@record
-class Cell2:
-    """A 2-cell between parallel modalities, as an unevaluated expression."""
-
-    src: Modality
-    tgt: Modality
-    expr: CellExpr
-
-    def __str__(self) -> str:
-        return show_cell_expr(self.expr)
-
-
-def show_cell_expr(e: CellExpr) -> str:
-    match e:
-        case CellId(_):
-            return "id"
-        case CellGen(name):
-            return name
-        case CellVComp(later, earlier):
-            return f"{show_cell_expr(later)}.{show_cell_expr(earlier)}"
-        case CellWhiskL(mod, cell):
-            return f"{mod}<{show_cell_expr(cell)}"
-        case CellWhiskR(cell, mod):
-            return f"{show_cell_expr(cell)}>{mod}"
-    raise AssertionError(e)
-
-
-@cache
-def id_cell(mod: Modality) -> Cell2:
-    return Cell2(mod, mod, CellId(mod))
-
-
-def gen_cell(mt: "ModeTheory", name: str) -> Cell2:
-    try:
-        src, tgt = mt.cell_gens[name]
-    except KeyError:
-        raise ModeError(f"unknown cell generator {name!r}") from None
-    return Cell2(src, tgt, CellGen(name))
-
-
-def vcomp(later: Cell2, earlier: Cell2, mt: "ModeTheory") -> Cell2:
-    """Vertical composite: ``earlier`` first, then ``later``."""
-    if not eq_mod(mt, earlier.tgt, later.src):
-        raise ModeError(
-            f"vertical composite boundary mismatch: {earlier.tgt} then {later.src}"
-        )
-    return Cell2(earlier.src, later.tgt, CellVComp(later.expr, earlier.expr))
-
-
-def whisker_left(nu: Modality, alpha: Cell2) -> Cell2:
-    """Whisker on the outer side: boundary ``nu . src  =>  nu . tgt``."""
-    return Cell2(
-        compose_mod(nu, alpha.src),
-        compose_mod(nu, alpha.tgt),
-        CellWhiskL(nu, alpha.expr),
-    )
-
-
-def whisker_right(alpha: Cell2, nu: Modality) -> Cell2:
-    """Whisker on the inner side: boundary ``src . nu  =>  tgt . nu``."""
-    return Cell2(
-        compose_mod(alpha.src, nu),
-        compose_mod(alpha.tgt, nu),
-        CellWhiskR(alpha.expr, nu),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Canonical form of 2-cells: application-ordered single-generator layers
+#
+# A 2-cell is stored as its layers, the form in which Delpeuch & Vicary
+# normalize diagrams up to interchange.  The constructors below are the only
+# ones the kernel uses, and each checks boundaries as it builds: a whisker
+# maps the layers, and ``vcomp`` concatenates them.
 
 
 @record
@@ -263,26 +167,92 @@ class Atom:
     post: Word
 
 
-def cell_atoms(mt: "ModeTheory", cell: Cell2) -> list[Atom]:
-    """Flatten a 2-cell expression into layers, in application order."""
-    return _atoms(mt, cell.expr)
+@record
+class Cell2:
+    """A 2-cell ``src => tgt`` as its layers in application order; no layers
+    is the identity.  ``str`` gives the surface syntax the parser reads back
+    to the same layers: last applied first, joined by ``.``, each layer its
+    generator whiskered one generator at a time, ``>g`` by its inner word
+    and ``g<`` by its outer word."""
+
+    src: Modality
+    tgt: Modality
+    layers: tuple[Atom, ...]
+
+    def __str__(self) -> str:
+        parts = []
+        for a in reversed(self.layers):
+            inner = "".join(f">{g}" for g in reversed(a.pre))
+            parts.append("".join(f"{g}<" for g in reversed(a.post)) + a.gen + inner)
+        return ".".join(parts) or "id"
 
 
-def _atoms(mt: "ModeTheory", e: CellExpr) -> list[Atom]:
-    match e:
-        case CellId(_):
-            return []
-        case CellGen(name):
-            if name not in mt.cell_gens:
-                raise ModeError(f"unknown cell generator {name!r}")
-            return [Atom((), name, ())]
-        case CellVComp(later, earlier):
-            return _atoms(mt, earlier) + _atoms(mt, later)
-        case CellWhiskL(mod, inner):
-            return [Atom(a.pre, a.gen, a.post + mod.word) for a in _atoms(mt, inner)]
-        case CellWhiskR(inner, mod):
-            return [Atom(mod.word + a.pre, a.gen, a.post) for a in _atoms(mt, inner)]
-    raise AssertionError(e)
+@cache
+def id_cell(mod: Modality) -> Cell2:
+    return Cell2(mod, mod, ())
+
+
+def gen_cell(mt: "ModeTheory", name: str) -> Cell2:
+    try:
+        src, tgt = mt.cell_gens[name]
+    except KeyError:
+        raise ModeError(f"unknown cell generator {name!r}") from None
+    return Cell2(src, tgt, (Atom((), name, ()),))
+
+
+def vcomp(later: Cell2, earlier: Cell2, mt: "ModeTheory") -> Cell2:
+    """Vertical composite: ``earlier`` first, then ``later``."""
+    if not eq_mod(mt, earlier.tgt, later.src):
+        raise ModeError(f"ill-formed vertical composite: {earlier.tgt} then {later.src}")
+    return Cell2(earlier.src, later.tgt, earlier.layers + later.layers)
+
+
+def whisker_left(nu: Modality, alpha: Cell2) -> Cell2:
+    """Whisker on the outer side: boundary ``nu . src  =>  nu . tgt``."""
+    w = nu.word
+    return Cell2(
+        compose_mod(nu, alpha.src),
+        compose_mod(nu, alpha.tgt),
+        tuple([Atom(a.pre, a.gen, a.post + w) for a in alpha.layers]),
+    )
+
+
+def whisker_right(alpha: Cell2, nu: Modality) -> Cell2:
+    """Whisker on the inner side: boundary ``src . nu  =>  tgt . nu``."""
+    w = nu.word
+    return Cell2(
+        compose_mod(alpha.src, nu),
+        compose_mod(alpha.tgt, nu),
+        tuple([Atom(w + a.pre, a.gen, a.post) for a in alpha.layers]),
+    )
+
+
+def cell_check(mt: "ModeTheory", cell: Cell2) -> bool:
+    """True iff the stored boundary is the one the layers give: each layer
+    starts where the one before it, or the source, ends, and the last ends
+    at the target, modulo the word rules.  Only a cell built by hand can
+    fail it."""
+    src, tgt, layers = cell.src, cell.tgt, cell.layers
+    if not layers:
+        return eq_mod(mt, src, tgt)
+    if src.mode_src != tgt.mode_src or src.mode_tgt != tgt.mode_tgt:
+        return False
+    gens = mt.cell_gens
+    if any(a.gen not in gens for a in layers):
+        return False
+    # the source, then each layer's source and target, then the target
+    words = [src.word]
+    for a in layers:
+        s, t = gens[a.gen]
+        words += (a.pre + s.word + a.post, a.pre + t.word + a.post)
+    words.append(tgt.word)
+    return all(
+        u == v or canon_word(mt, u) == canon_word(mt, v) for u, v in zip(words[::2], words[1::2])
+    )
+
+
+# ---------------------------------------------------------------------------
+# Deciding 2-cells: the interchange normal form of the layers
 
 
 def _gen_src_word(mt: "ModeTheory", name: str) -> Word:
@@ -293,7 +263,7 @@ def _gen_tgt_word(mt: "ModeTheory", name: str) -> Word:
     return mt.cell_gens[name][1].word
 
 
-def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
+def left_normal(mt: "ModeTheory", atoms: "tuple[Atom, ...]") -> tuple[Atom, ...]:
     """Interchange normal form: move every layer as early as it can go.
 
     A later layer whose input subword lies entirely at or left of an earlier
@@ -340,10 +310,10 @@ def left_normal(mt: "ModeTheory", atoms: list[Atom]) -> tuple[Atom, ...]:
     return tuple(out)
 
 
-def _canon_atoms(mt: "ModeTheory", cell: Cell2) -> tuple[Atom, ...]:
+def _canon_layers(mt: "ModeTheory", cell: Cell2) -> tuple[Atom, ...]:
     """The interchange normal form, with whisker words then rewritten: cells
     whiskered by equal words are equal."""
-    atoms = left_normal(mt, cell_atoms(mt, cell))
+    atoms = left_normal(mt, cell.layers)
     if not mt.rules:
         return atoms
     return tuple(Atom(canon_word(mt, a.pre), a.gen, canon_word(mt, a.post)) for a in atoms)
@@ -352,7 +322,7 @@ def _canon_atoms(mt: "ModeTheory", cell: Cell2) -> tuple[Atom, ...]:
 def _table_value(mt: "ModeTheory", cell: Cell2) -> "str | None":
     """Fold a cell's layers through the theory's table; None means identity."""
     value: str | None = None
-    for a in cell_atoms(mt, cell):
+    for a in cell.layers:
         key = (canon_word(mt, a.pre), a.gen, canon_word(mt, a.post))
         try:
             name = mt.table.atom_map[key]
@@ -375,7 +345,7 @@ def _table_value(mt: "ModeTheory", cell: Cell2) -> "str | None":
 def _cell_key(mt: "ModeTheory", cell: Cell2):
     """What names a cell's equality class: its value in the theory's table if
     it has one, else its normal form.  The identity's key is None or ()."""
-    return _table_value(mt, cell) if mt.table is not None else _canon_atoms(mt, cell)
+    return _table_value(mt, cell) if mt.table is not None else _canon_layers(mt, cell)
 
 
 def eq_cell(mt: "ModeTheory", a: Cell2, b: Cell2) -> bool:
@@ -388,39 +358,6 @@ def eq_cell(mt: "ModeTheory", a: Cell2, b: Cell2) -> bool:
 def is_id_cell(mt: "ModeTheory", a: Cell2) -> bool:
     """True iff the cell equals the identity on its (necessarily equal) boundary."""
     return eq_mod(mt, a.src, a.tgt) and not _cell_key(mt, a)
-
-
-def cell_boundary(mt: "ModeTheory", e: CellExpr) -> tuple[Modality, Modality]:
-    """Recompute an expression's boundary."""
-    if e.__class__ is CellId:
-        return e.mod, e.mod
-    match e:
-        case CellGen(name):
-            if name not in mt.cell_gens:
-                raise ModeError(f"unknown cell generator {name!r}")
-            return mt.cell_gens[name]
-        case CellVComp(later, earlier):
-            esrc, etgt = cell_boundary(mt, earlier)
-            lsrc, ltgt = cell_boundary(mt, later)
-            if not eq_mod(mt, etgt, lsrc):
-                raise ModeError(f"ill-formed vertical composite: {etgt} then {lsrc}")
-            return esrc, ltgt
-        case CellWhiskL(mod, inner):
-            isrc, itgt = cell_boundary(mt, inner)
-            return compose_mod(mod, isrc), compose_mod(mod, itgt)
-        case CellWhiskR(inner, mod):
-            isrc, itgt = cell_boundary(mt, inner)
-            return compose_mod(isrc, mod), compose_mod(itgt, mod)
-    raise AssertionError(e)
-
-
-def cell_check(mt: "ModeTheory", cell: Cell2) -> bool:
-    """True iff the stored boundary matches the expression's computed one."""
-    try:
-        src, tgt = cell_boundary(mt, cell.expr)
-    except ModeError:
-        return False
-    return eq_mod(mt, src, cell.src) and eq_mod(mt, tgt, cell.tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,12 @@ payloads; reify wraps the boundary markers back on, so normal forms at
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from types import MappingProxyType
 
 from .record import field, record
 from .modeth import (
     Cell2,
-    CellId,
     Modality,
     ModeTheory,
     compose_mod,
@@ -141,36 +140,33 @@ class Body:
     """A declaration's body value, evaluated on first demand in the empty
     context that carries the declarations before it.
 
-    Forcing a body first computes every body it names by ``Const`` that is
-    not computed yet, each after the bodies that one names, so every
-    evaluation meets only computed constants.  The stack depth of forcing
-    thus does not grow with a chain of definitions ``d_i := d_{i-1}``, as
-    it would if each link forced the one before from inside its own
-    evaluation."""
+    ``named`` holds the bodies of the declarations the body names by
+    ``Const``, as checking it found them.  Forcing a body first computes
+    every one of them not computed yet, each after the bodies that one
+    names, so every evaluation meets only computed constants.  The stack
+    depth of forcing thus does not grow with a chain of definitions
+    ``d_i := d_{i-1}``, as it would if each link forced the one before from
+    inside its own evaluation."""
 
-    __slots__ = ("_mt", "_env", "_term", "_value")
+    __slots__ = ("_mt", "_env", "_term", "_named", "_value")
 
-    def __init__(self, mt: ModeTheory, env: "Env", term: Term):
-        self._mt, self._env, self._term = mt, env, term
+    def __init__(self, mt: ModeTheory, env: "Env", term: Term, named: "list[Body]"):
+        self._mt, self._env, self._term, self._named = mt, env, term, named
 
     def force(self) -> Value:
         if self._term is not None:
-            stack = [(self, self._named())]
+            stack = [(self, iter(self._named))]
             while stack:
                 body, named = stack[-1]
                 for b in named:
                     if b._term is not None:
-                        stack.append((b, b._named()))
+                        stack.append((b, iter(b._named)))
                         break
                 else:
                     stack.pop()
                     body._value = eval_tm(body._mt, body._env, body._term)
-                    body._term = None
+                    body._term = body._named = None
         return self._value
-
-    def _named(self) -> "Iterator[Body]":
-        sig = self._env.sig
-        return iter([sig[name].val for name in S.const_names(self._term)])
 
 
 @record
@@ -387,7 +383,7 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
         if isinstance(v, Thunk):
             v = v.force()
         cell = t.cell
-        if isinstance(cell.expr, CellId) or is_id_cell(mt, cell):
+        if not cell.layers or is_id_cell(mt, cell):
             return v
         return key_val(mt, cell, v)
     if c is S.App:

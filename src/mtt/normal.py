@@ -24,7 +24,6 @@ from .modeth import (
     Cell2,
     Modality,
     ModeTheory,
-    cell_atoms,
     compose_mod,
     eq_cell,
     eq_mod,
@@ -563,30 +562,17 @@ def eq_nfty(mt: ModeTheory, a: NfTy, b: NfTy) -> bool:
 
 # ---------------------------------------------------------------------------
 # Printing in surface syntax.  The output re-parses: a binder at depth d
-# is named x<d>, modalities print in composition order, and keys print as
-# canonical whisker expressions.  Deterministic; the CLI's output contract
-# lives here, and diagnostics print types the same way.
+# is named x<d>, modalities print in composition order, and a key prints
+# as ``str`` of its ``Cell2``, one whiskered generator per layer, the same
+# text ``--print-core`` and diagnostics show; an identity key prints
+# nothing.  Deterministic; the CLI's output contract lives here, and
+# diagnostics print types the same way.
 
 
 def _render_mod(mod: Modality) -> str:
     if not mod.word:
         return f"id({mod.mode_src})"
     return ".".join(reversed(mod.word))
-
-
-def _render_cell(mt: ModeTheory, cell: Cell2) -> "str | None":
-    atoms = cell_atoms(mt, cell)
-    if not atoms:
-        return None
-    parts = []
-    for a in reversed(atoms):
-        s = a.gen
-        for g in reversed(a.pre):
-            s = f"{s}>{g}"
-        for g in a.post:
-            s = f"{g}<{s}"
-        parts.append(s)
-    return ".".join(parts)
 
 
 def _wrap(s: str) -> str:
@@ -631,8 +617,7 @@ def surface_ne(mt: ModeTheory, e: Ne, depth: int = 0) -> str:
     match e:
         case NeVar(idx, cell):
             name = f"x{depth - 1 - idx}"
-            key = _render_cell(mt, cell)
-            return name if key is None else f"{name}^{key}"
+            return f"{name}^{cell}" if cell.layers else name
         case NeApp(fn, _, arg):
             f = surface_ne(mt, fn, depth)
             a = surface_nf(mt, arg, depth)

@@ -222,21 +222,6 @@ def map_vars(t: Term, at: "Callable[[Var, int], Term]", under: int = 0) -> Term:
     return c(*args)
 
 
-def const_names(t: Term) -> "list[str]":
-    """The declarations ``t`` names, each once, in no particular order."""
-    names: dict[str, None] = {}
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, Const):
-            names[u.name] = None
-        else:
-            for c in vars(u).values():
-                if isinstance(c, Term):
-                    todo.append(c)
-    return list(names)
-
-
 # ---------------------------------------------------------------------------
 # Printing core terms (``--print-core``; normal forms print via ``normal``)
 

@@ -30,7 +30,6 @@ from mtt.check import (
 )
 from mtt.modeth import (
     Cell2,
-    CellId,
     ModeError,
     ModeTheory,
     Modality,
@@ -155,7 +154,7 @@ def test_the_checks_of_a_variable_still_fire_on_identity_keys():
     # Identity keys are shared, so checking a variable mostly compares one
     # object with itself; what those checks rejected, they still reject.
     ctx = ctx_extend(empty_ctx(W, "m"), IDM, TBool())
-    bad = Cell2(IDM, IDM, CellId(MU))  # says id_m => id_m, but is id_mu
+    bad = Cell2(IDM, MU, ())  # no layers, so an identity, but says id_m => mu
     with pytest.raises(CheckError, match="ill-formed 2-cell"):
         lookup_var(ctx, 0, bad)
     ty = S.Pi(IDM, S.Bool(), S.Bool())
@@ -188,7 +187,7 @@ def test_identity_modalities_cells_and_bool_are_built_once(monkeypatch):
     # identity 2-cell or the type Bool; these are shared, so checking a
     # program builds no more of them when it has more binders or variables.
     counts = Counter()
-    for cls in (Cell2, CellId, Modality, TBool):
+    for cls in (Cell2, Modality, TBool):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             counts[_name] += 1
             _init(self, *args, **kwargs)

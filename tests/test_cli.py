@@ -19,10 +19,7 @@ from mtt import syntax as S
 from mtt.check import check_program, check_tm, check_type, empty_ctx
 from mtt.cli import ParseError, main, parse_file, surface_nf, tokenize
 from mtt.modeth import (
-    CellGen,
-    CellVComp,
-    CellWhiskL,
-    CellWhiskR,
+    Atom,
     Modality,
     Undecided,
     compose_mod,
@@ -33,6 +30,7 @@ from mtt.modeth import (
 )
 from mtt.nbe import normalize
 from mtt.normal import eq_nf
+from test_harness import _keys_of, assert_cell_reads_back
 
 IDM = id_mod("m")
 MU = Modality("n", "m", ("mu",))
@@ -150,17 +148,35 @@ def test_parse_keyed_variable():
     t = parse_term("\\x -> box l x^pt", pointed())
     cell = t.body.body.cell
     assert t.body.body.idx == 0
-    assert cell.expr == CellGen("pt")
+    assert cell.layers == (Atom((), "pt", ()),)
     assert cell.src == IDM and cell.tgt == L
 
 
 def test_parse_composite_cells():
+    # layers in application order: the right side of '.' first
     t = parse_term("\\x -> box l (box l x^(pt>l).pt)", pointed())
     cell = t.body.body.body.cell
-    assert cell.expr == CellVComp(CellWhiskR(CellGen("pt"), L), CellGen("pt"))
+    assert cell.layers == (Atom((), "pt", ()), Atom(("l",), "pt", ()))
     t2 = parse_term("\\x -> box l (box l x^l<pt.pt)", pointed())
     cell2 = t2.body.body.body.cell
-    assert cell2.expr == CellVComp(CellWhiskL(L, CellGen("pt")), CellGen("pt"))
+    assert cell2.layers == (Atom((), "pt", ()), Atom((), "pt", ("l",)))
+
+
+@pytest.mark.parametrize(
+    "key,msg,col",
+    [
+        ("(pt.pt)", "ill-formed 2-cell: ill-formed vertical composite: l then id_m", 15),
+        # a key is checked as it is read, so its boundary is blamed before
+        # the missing ')' after it
+        ("(pt.pt", "ill-formed 2-cell: ill-formed vertical composite: l then id_m", 15),
+        ("(pt.id)", "bare 'id' cannot appear inside a composite cell", 21),
+    ],
+    ids=["boundary", "boundary-first", "bare-id"],
+)
+def test_an_ill_formed_key_is_a_located_parse_error(key, msg, col):
+    with pytest.raises(ParseError) as e:
+        parse_term(f"\\x -> box l x^{key}", pointed())
+    assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, col)
 
 
 def test_parse_bare_id_key_means_identity():
@@ -554,6 +570,16 @@ def test_print_core_names_earlier_definitions(tmp_path, capsys):
     assert "core f2 = (lam (f1 (f1 x0^id)))" in capsys.readouterr().out
 
 
+def test_print_core_prints_a_key_from_its_layers(tmp_path, capsys):
+    # The key used to print as x0^l<pt>l.pt, without its parentheses, which
+    # reads back as an ill-formed vertical composite (l then l.l).
+    ty = "Pi (l | x : Bool) -> Mod l (Mod l (Mod l Bool))"
+    body = "\\(l | x) -> box l (box l (box l (x^(l<((pt>l).pt)))))"
+    path = write(tmp_path, "key.mtt", f"theory pointed\ndef f @m : {ty} := {body}\n")
+    assert main(["check", path, "--print-core"]) == 0
+    assert "core f = (lam (box l (box l (box l x0^l<pt>l.l<pt))))\n" in capsys.readouterr().out
+
+
 def test_normalize_unknown_name_exits_one(tmp_path, capsys):
     path = write(tmp_path, "good.mtt", GOOD)
     assert main(["normalize", path, "nosuch"]) == 1
@@ -847,6 +873,19 @@ def test_a_binder_modality_that_does_not_parse_is_blamed_at_the_modality(tmp_pat
     # The binder used to be reparsed as a plain one, so the error named the
     # token after the modality: expected ':', found '|' (or '.').
     done = run_mtt(tmp_path, f"theory pointed\ndef f @m : {pi} -> Bool := \\x -> true\n")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"{tmp_path / 'run.mtt'}:2:{col}: unknown modality 'q'\n"
+
+
+@pytest.mark.parametrize(
+    "decl,col",
+    [("def f @m : Mod l.q Bool := box l true", 18), ("def f @m : Mod l Bool := box l.q true", 32)],
+    ids=["type", "term"],
+)
+def test_a_dotted_name_after_a_modality_word_is_an_unknown_modality(tmp_path, decl, col):
+    # The word used to end before the '.', so the error named it: expected
+    # a type (or a term), found '.'.
+    done = run_mtt(tmp_path, f"theory pointed\n{decl}\n")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == f"{tmp_path / 'run.mtt'}:2:{col}: unknown modality 'q'\n"
 
@@ -1146,6 +1185,17 @@ CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.mtt"))
 
 def test_corpus_is_large_enough():
     assert len(CORPUS) >= 30
+
+
+def test_every_corpus_key_prints_as_a_cell_that_parses_to_the_same_layers():
+    layered = 0
+    for path in CORPUS:
+        mt, decls = parse_file(path.read_text(encoding="utf-8"))
+        for d in decls:
+            for cell in (*_keys_of(d.ty), *_keys_of(d.body)):
+                assert_cell_reads_back(mt, cell)
+                layered += bool(cell.layers)
+    assert layered >= 14  # the keys with layers the corpus writes
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)

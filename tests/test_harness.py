@@ -32,8 +32,8 @@ from mtt.harness import (
     subst,
     theory_of,
 )
-from mtt.cli import parse_file
-from mtt.modeth import CellGen, Modality, id_cell, id_mod, is_id_cell, trivial
+from mtt.cli import Parser, parse_file, tokenize
+from mtt.modeth import THEORIES, Modality, gen_cell, id_cell, id_mod, is_id_cell, trivial
 from mtt.nbe import TBool, eval_tm, normalize
 from mtt.normal import NfFalse, NfTrue
 from test_codomains import BINDERS, CORPUS, free_in
@@ -215,12 +215,12 @@ def _keys_of(t):
             yield from _keys_of(v)
 
 
-def test_generated_terms_use_whiskered_and_composite_keys():
-    cfg = GenConfig(seed=1, theory="pointed")
+def _generated_keys(theory: str, seed: int, tries: int) -> list:
+    cfg = GenConfig(seed=seed, theory=theory)
     rng = random.Random(cfg.seed)
     mt = theory_of(cfg)
     keys = []
-    for _ in range(400):
+    for _ in range(tries):
         ctx = ctx_for(mt, rng)
         try:
             ty = gen_type(cfg, ctx, rng)
@@ -230,7 +230,31 @@ def test_generated_terms_use_whiskered_and_composite_keys():
             continue
         check_tm(ctx, tm, tyv)
         keys += _keys_of(tm)
-    assert any(not is_id_cell(mt, c) and not isinstance(c.expr, CellGen) for c in keys)
+    return keys
+
+
+def test_generated_terms_use_whiskered_and_composite_keys():
+    mt = theory_of(GenConfig(theory="pointed"))
+    keys = _generated_keys("pointed", 1, 400)
+    bare = {gen_cell(mt, g).layers for g in mt.cell_gens}
+    assert any(not is_id_cell(mt, c) and c.layers not in bare for c in keys)
+
+
+@pytest.mark.parametrize("theory", sorted(THEORIES))
+def test_generated_keys_print_as_cells_that_parse_to_the_same_layers(theory):
+    mt = THEORIES[theory]()
+    keys = _generated_keys(theory, 3, 200)
+    assert any(c.layers for c in keys) == bool(mt.cell_gens)
+    for cell in keys:
+        assert_cell_reads_back(mt, cell)
+
+
+def assert_cell_reads_back(mt, cell) -> None:
+    """``str(cell)`` parses, as a key on ``cell.src``, to the same cell."""
+    p = Parser(tokenize(str(cell)), mt)
+    again = p.parse_cell(cell.src)
+    assert p.peek().kind == "eof", str(cell)
+    assert (again.src, again.tgt, again.layers) == (cell.src, cell.tgt, cell.layers), str(cell)
 
 
 def test_generation_is_deterministic():

@@ -10,7 +10,6 @@ from mtt.modeth import (
     THEORIES,
     Atom,
     Cell2,
-    CellId,
     ModeError,
     ModeTheory,
     Modality,
@@ -103,7 +102,7 @@ def test_adjoint_round_trip_rewrites_to_identity():
 def test_identities_are_shared_and_equality_does_not_rely_on_it():
     assert id_mod("m") is id_mod("m")
     mu, mu2 = Modality("n", "m", ("mu",)), Modality("n", "m", ("mu",))
-    assert id_cell(mu) is id_cell(mu2) == Cell2(mu, mu, CellId(mu))
+    assert id_cell(mu) is id_cell(mu2) == Cell2(mu, mu, ())
     # eq_mod answers by identity first, but distinct equal words still
     # compare equal, and so do words equal only modulo a rule.
     mt = free_endo()
@@ -170,8 +169,43 @@ def test_vcomp_boundary():
     c = vcomp(beta, alpha, mt)  # id => l.l
     assert eq_mod(mt, c.src, id_mod("m"))
     assert eq_mod(mt, c.tgt, compose_mod(ell, ell))
-    with pytest.raises(ModeError):
+    with pytest.raises(ModeError, match="ill-formed vertical composite: l then id_m"):
         vcomp(alpha, alpha, mt)
+
+
+def test_a_cell_is_its_layers_in_application_order():
+    # A whisker maps the layers and a vertical composite concatenates them,
+    # earlier first; the boundary is checked as the cell is built.
+    mt = pointed()
+    ell = gen_mod(mt, "l")
+    alpha = gen_cell(mt, "pt")
+    assert alpha.layers == (Atom((), "pt", ()),)
+    assert whisker_left(ell, alpha).layers == (Atom((), "pt", ("l",)),)
+    assert whisker_right(alpha, ell).layers == (Atom(("l",), "pt", ()),)
+    c = vcomp(whisker_left(ell, whisker_right(alpha, ell)), whisker_left(ell, alpha), mt)
+    assert c.layers == (Atom((), "pt", ("l",)), Atom(("l",), "pt", ("l",)))
+    assert str(c) == "l<pt>l.l<pt"
+    assert vcomp(id_cell(ell), id_cell(ell), mt).layers == ()
+    with pytest.raises(ModeError, match="cannot compose"):
+        whisker_left(Modality("n", "m", ("mu",)), alpha)
+
+
+def test_cell_check_compares_each_layer_with_the_word_before_it():
+    mt, ell = pointed(), Modality("m", "m", ("l",))
+    ll = compose_mod(ell, ell)
+    pt, lpt = Atom((), "pt", ()), Atom((), "pt", ("l",))
+    assert cell_check(mt, Cell2(id_mod("m"), ll, (pt, lpt)))
+    assert not cell_check(mt, Cell2(id_mod("m"), ll, (lpt, pt)))  # l.l then id
+    assert not cell_check(mt, Cell2(id_mod("m"), ell, (pt, lpt)))  # wrong target
+    assert not cell_check(mt, Cell2(ell, ll, (pt,)))  # wrong source
+    assert not cell_check(mt, Cell2(id_mod("m"), ell, (Atom((), "nope", ()),)))
+    assert not cell_check(mt, Cell2(id_mod("m"), ell, ()))  # no layers, but not an identity
+    # modulo the word rules: eps : l.r => id_m also goes from l.r.l.r,
+    # which the rule r.l ~> id rewrites to l.r
+    adj = adjoint()
+    lrlr = Modality("m", "m", ("r", "l", "r", "l"))
+    assert cell_check(adj, Cell2(lrlr, id_mod("m"), (Atom((), "eps", ()),)))
+    assert not cell_check(adj, Cell2(lrlr, id_mod("n"), (Atom((), "eps", ()),)))
 
 
 def test_interchange_both_bracketings():

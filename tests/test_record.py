@@ -135,8 +135,7 @@ def test_positional_match_patterns():
 def test_repr_is_the_dataclass_text():
     assert repr(Var(0, id_cell(MU))) == (
         "Var(idx=0, cell=Cell2(src=Modality(mode_src='n', mode_tgt='m', word=('mu',)), "
-        "tgt=Modality(mode_src='n', mode_tgt='m', word=('mu',)), "
-        "expr=CellId(mod=Modality(mode_src='n', mode_tgt='m', word=('mu',)))))"
+        "tgt=Modality(mode_src='n', mode_tgt='m', word=('mu',)), layers=()))"
     )
     result = DeclResult("b", "m", False, error="oops", reify_body=NfTrue)
     assert repr(Report((result,), {})) == (
