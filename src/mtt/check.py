@@ -44,7 +44,9 @@ reach inside their closures, whiskered by the locks crossed there, which
 evaluation does not track.)
 
 Diagnostics print types with ``normal.surface_nfty``, the printer of
-``mtt normalize``, so a type quoted in an error message parses again.
+``mtt normalize``, and a term that is not a type with ``syntax.show_term``
+at the context's depth; both print through ``show_term``, so what an
+error message quotes parses again.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
     if c is S.Dec:
         check_tm(ctx, t.code, UNI)
         return TDec(eval_tm(ctx.mt, ctx.env, t.code))
-    raise CheckError(f"not a type: {S.show_term(t)}")
+    raise CheckError(f"not a type: {S.show_term(t, depth(ctx))}")
 
 
 # ---------------------------------------------------------------------------

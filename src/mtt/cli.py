@@ -25,9 +25,10 @@ enclosing mode; ``id(m)`` names a mode explicitly.  Exit codes: 0 success,
 interpreter's stack, or a 2-cell question the mode theory's decider
 refuses.  Diagnostics go to stderr; all stdout output is a deterministic
 function of the input.  Normal forms print through
-``normal.surface_nf``/``surface_nfty``, whose output parses again; a
-closed stdout discards the rest of the output and changes neither the
-diagnostics nor the exit code.
+``normal.surface_nf``/``surface_nfty`` and ``--print-core`` prints the
+parsed terms, all through ``syntax.show_term``, whose output parses
+again; a closed stdout discards the rest of the output and changes
+neither the diagnostics nor the exit code.
 """
 
 from __future__ import annotations

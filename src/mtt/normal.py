@@ -1,5 +1,5 @@
-"""Context readers, renamings, unquotiented normal/neutral forms, and their
-printer.
+"""Context readers, renamings, unquotiented normal/neutral forms, their
+embedding into core terms, and their printer.
 
 Normal forms live over contexts of locks and annotated variables, whose
 record is ``check.CheckCtx``; ``depth``, ``tele_entry`` and ``locks_of``
@@ -10,14 +10,14 @@ and on variables the action composes 2-cells onto the head.  Renamings are
 kept as unevaluated trees: only their actions are ever compared, never the
 trees themselves.
 
-``surface_nf``/``surface_ne``/``surface_nfty`` print normal forms in the
+``decode_nf``/``decode_ne``/``decode_nfty`` embed normal forms into core
+terms, and ``surface_nf``/``surface_ne``/``surface_nfty`` print that
+embedding with ``syntax.show_term``, the one printer of terms, in the
 surface syntax the parser reads; the CLI's output and the checker's
 diagnostics both use them.
 """
 
 from __future__ import annotations
-
-import re
 
 from .record import record
 from .modeth import (
@@ -34,7 +34,7 @@ from .modeth import (
     whisker_right,
 )
 from . import syntax as S
-from .syntax import Term
+from .syntax import Term, show_term
 
 
 class NormalError(Exception):
@@ -424,69 +424,71 @@ def rename_nfty(mt: ModeTheory, r: Renaming, t: NfTy, mode: str) -> NfTy:
 
 
 # ---------------------------------------------------------------------------
-# Decoding into quotiented terms
+# Decoding into quotiented terms: the embedding of normal forms into core
+# terms, one class at a time.  A lambda keeps its binder's modality.
 
 
 def decode_nf(u: Nf) -> Term:
-    match u:
-        case NfTrue():
-            return S.True_()
-        case NfFalse():
-            return S.False_()
-        case NfLam(_, body):
-            return S.Lam(decode_nf(body))
-        case NfPair(a, b):
-            return S.Pair(decode_nf(a), decode_nf(b))
-        case NfMkBox(mod, body):
-            return S.MkBox(mod, decode_nf(body))
-        case NfInj(e):
-            return decode_ne(e)
-        case NfFnCode(mod, a, b):
-            return S.PiCode(mod, decode_nf(a), decode_nf(b))
-        case NfProdCode(a, b):
-            return S.SigCode(decode_nf(a), decode_nf(b))
-        case NfBoolCode():
-            return S.BoolCode()
-        case NfModifyCode(mod, a):
-            return S.ModCode(mod, decode_nf(a))
-        case NfDecIsoStar(body):
-            return S.DecIsoInv(decode_nf(body))
+    c = u.__class__
+    if c is NfInj:
+        return decode_ne(u.ne)
+    if c is NfLam:
+        return S.Lam(decode_nf(u.body), u.mod)
+    if c is NfTrue:
+        return S.True_()
+    if c is NfFalse:
+        return S.False_()
+    if c is NfPair:
+        return S.Pair(decode_nf(u.fst), decode_nf(u.snd))
+    if c is NfMkBox:
+        return S.MkBox(u.mod, decode_nf(u.body))
+    if c is NfFnCode:
+        return S.PiCode(u.mod, decode_nf(u.dom), decode_nf(u.cod))
+    if c is NfProdCode:
+        return S.SigCode(decode_nf(u.fst), decode_nf(u.snd))
+    if c is NfBoolCode:
+        return S.BoolCode()
+    if c is NfModifyCode:
+        return S.ModCode(u.mod, decode_nf(u.code))
+    if c is NfDecIsoStar:
+        return S.DecIsoInv(decode_nf(u.body))
     raise AssertionError(u)
 
 
 def decode_ne(e: Ne) -> Term:
-    match e:
-        case NeVar(k, cell):
-            return S.Var(k, cell)
-        case NeApp(fn, _, arg):
-            return S.App(decode_ne(fn), decode_nf(arg))
-        case NeProj1(p):
-            return S.Proj1(decode_ne(p))
-        case NeProj2(p):
-            return S.Proj2(decode_ne(p))
-        case NeBoolRec(motive, scrut, t, f):
-            return S.If(decode_nfty(motive), decode_nf(t), decode_nf(f), decode_ne(scrut))
-        case NeLetMod(mu, nu, motive, scrut, branch):
-            return S.LetMod(mu, nu, decode_nfty(motive), decode_ne(scrut), decode_nf(branch))
-        case NeDecIso(body):
-            return S.DecIso(decode_ne(body))
+    c = e.__class__
+    if c is NeVar:
+        return S.Var(e.idx, e.cell)
+    if c is NeApp:
+        return S.App(decode_ne(e.fn), decode_nf(e.arg))
+    if c is NeProj1:
+        return S.Proj1(decode_ne(e.pair))
+    if c is NeProj2:
+        return S.Proj2(decode_ne(e.pair))
+    if c is NeBoolRec:
+        m = decode_nfty(e.motive)
+        return S.If(m, decode_nf(e.tcase), decode_nf(e.fcase), decode_ne(e.scrut))
+    if c is NeLetMod:
+        return S.LetMod(e.mu, e.nu, decode_nfty(e.motive), decode_ne(e.scrut), decode_nf(e.branch))
+    if c is NeDecIso:
+        return S.DecIso(decode_ne(e.body))
     raise AssertionError(e)
 
 
 def decode_nfty(t: NfTy) -> Term:
-    match t:
-        case NfBool():
-            return S.Bool()
-        case NfUni():
-            return S.Uni()
-        case NfFn(mod, dom, cod):
-            return S.Pi(mod, decode_nfty(dom), decode_nfty(cod))
-        case NfProd(a, b):
-            return S.Sig(decode_nfty(a), decode_nfty(b))
-        case NfModify(mod, a):
-            return S.Mod(mod, decode_nfty(a))
-        case NfDec(u):
-            return S.Dec(decode_nf(u))
+    c = t.__class__
+    if c is NfBool:
+        return S.Bool()
+    if c is NfUni:
+        return S.Uni()
+    if c is NfFn:
+        return S.Pi(t.mod, decode_nfty(t.dom), decode_nfty(t.cod))
+    if c is NfProd:
+        return S.Sig(decode_nfty(t.fst), decode_nfty(t.snd))
+    if c is NfModify:
+        return S.Mod(t.mod, decode_nfty(t.ty))
+    if c is NfDec:
+        return S.Dec(decode_nf(t.code))
     raise AssertionError(t)
 
 
@@ -561,106 +563,18 @@ def eq_nfty(mt: ModeTheory, a: NfTy, b: NfTy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Printing in surface syntax.  The output re-parses: a binder at depth d
-# is named x<d>, modalities print in composition order, and a key prints
-# as ``str`` of its ``Cell2``, one whiskered generator per layer, the same
-# text ``--print-core`` and diagnostics show; an identity key prints
-# nothing.  Deterministic; the CLI's output contract lives here, and
-# diagnostics print types the same way.
-
-
-def _render_mod(mod: Modality) -> str:
-    if not mod.word:
-        return f"id({mod.mode_src})"
-    return ".".join(reversed(mod.word))
-
-
-def _wrap(s: str) -> str:
-    if re.fullmatch(r"[A-Za-z0-9_'^.<>|]+", s) or (s.startswith("(") and s.endswith(")")):
-        return s
-    return f"({s})"
+# Printing: a normal form prints as its embedding into core terms, through
+# ``syntax.show_term``, over ``depth`` variables.  ``bench/tracer.py`` times
+# these three as the ``cli.render`` layer.
 
 
 def surface_nf(mt: ModeTheory, u: Nf, depth: int = 0) -> str:
-    c = u.__class__
-    if c is NfTrue:
-        return "true"
-    if c is NfFalse:
-        return "false"
-    if c is NfLam:
-        b = surface_nf(mt, u.body, depth + 1)
-        return f"\\({_render_mod(u.mod)} | x{depth}) -> {b}"
-    if c is NfInj:
-        return surface_ne(mt, u.ne, depth)
-    if c is NfPair:
-        return f"({surface_nf(mt, u.fst, depth)}, {surface_nf(mt, u.snd, depth)})"
-    if c is NfMkBox:
-        return f"box {_render_mod(u.mod)} {_wrap(surface_nf(mt, u.body, depth))}"
-    if c is NfFnCode:
-        d = surface_nf(mt, u.dom, depth)
-        cod = surface_nf(mt, u.cod, depth + 1)
-        return f"PiC ({_render_mod(u.mod)} | x{depth} : {d}) -> {cod}"
-    if c is NfProdCode:
-        f = surface_nf(mt, u.fst, depth)
-        s = surface_nf(mt, u.snd, depth + 1)
-        return f"SigC (x{depth} : {f}) * {s}"
-    if c is NfBoolCode:
-        return "BoolC"
-    if c is NfModifyCode:
-        return f"ModC {_render_mod(u.mod)} {_wrap(surface_nf(mt, u.code, depth))}"
-    if c is NfDecIsoStar:
-        return f"iso-inv {_wrap(surface_nf(mt, u.body, depth))}"
-    raise ValueError(f"cannot render {type(u).__name__}")
+    return show_term(decode_nf(u), depth)
 
 
 def surface_ne(mt: ModeTheory, e: Ne, depth: int = 0) -> str:
-    match e:
-        case NeVar(idx, cell):
-            name = f"x{depth - 1 - idx}"
-            return f"{name}^{cell}" if cell.layers else name
-        case NeApp(fn, _, arg):
-            f = surface_ne(mt, fn, depth)
-            a = surface_nf(mt, arg, depth)
-            return f"({f} {_wrap(a)})"
-        case NeProj1(p):
-            return f"{_wrap(surface_ne(mt, p, depth))}.1"
-        case NeProj2(p):
-            return f"{_wrap(surface_ne(mt, p, depth))}.2"
-        case NeBoolRec(motive, scrut, tcase, fcase):
-            m = surface_nfty(mt, motive, depth + 1)
-            s = surface_ne(mt, scrut, depth)
-            t = surface_nf(mt, tcase, depth)
-            f = surface_nf(mt, fcase, depth)
-            return f"(if [x{depth}. {m}] {_wrap(s)} then {_wrap(t)} else {_wrap(f)})"
-        case NeLetMod(mu, nu, motive, scrut, branch):
-            m = surface_nfty(mt, motive, depth + 1)
-            s = surface_ne(mt, scrut, depth)
-            b = surface_nf(mt, branch, depth + 1)
-            return (
-                f"(letbox ({_render_mod(mu)} | {_render_mod(nu)}) "
-                f"[x{depth}. {m}] x{depth} = {_wrap(s)} in {b})"
-            )
-        case NeDecIso(body):
-            return f"iso {_wrap(surface_ne(mt, body, depth))}"
-    raise ValueError(f"cannot render {type(e).__name__}")
+    return show_term(decode_ne(e), depth)
 
 
 def surface_nfty(mt: ModeTheory, t: NfTy, depth: int = 0) -> str:
-    c = t.__class__
-    if c is NfBool:
-        return "Bool"
-    if c is NfFn:
-        d = surface_nfty(mt, t.dom, depth)
-        cod = surface_nfty(mt, t.cod, depth + 1)
-        return f"Pi ({_render_mod(t.mod)} | x{depth} : {d}) -> {cod}"
-    if c is NfUni:
-        return "Uni"
-    if c is NfProd:
-        f = surface_nfty(mt, t.fst, depth)
-        s = surface_nfty(mt, t.snd, depth + 1)
-        return f"Sig (x{depth} : {f}) * {s}"
-    if c is NfModify:
-        return f"Mod {_render_mod(t.mod)} ({surface_nfty(mt, t.ty, depth)})"
-    if c is NfDec:
-        return f"dec {_wrap(surface_nf(mt, t.code, depth))}"
-    raise ValueError(f"cannot render {type(t).__name__}")
+    return show_term(decode_nfty(t), depth)

@@ -12,7 +12,7 @@ a codomain as one value (``nbe.eval_ty``).  A ``Lam`` keeps the modality
 its binder was written with, for the checker to compare with its function
 type's; the parser writes the identity for a bare ``\\x``, and only a
 lambda built through the API has None, which meets any ``Pi``.  Like
-``dependent`` it takes no part in equality or printing.
+``dependent`` it takes no part in equality, but it is printed.
 
 ``BINDS`` names the fields of each former that bind a variable, and
 ``map_vars`` is the one traversal that acts on the variables of a term
@@ -20,6 +20,9 @@ under them, rebuilding every other field as it stands.
 
 Terms live over contexts of locks and annotated variables; the one record
 of such a context is ``check.CheckCtx``.
+
+``show_term`` is the one printer of terms, in the surface syntax the
+parser reads back.
 """
 
 from __future__ import annotations
@@ -223,63 +226,101 @@ def map_vars(t: Term, at: "Callable[[Var, int], Term]", under: int = 0) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Printing core terms (``--print-core``; normal forms print via ``normal``)
+# Printing, in the surface syntax the parser reads.  A binder at depth d is
+# named x<d>, a modality prints as ``id(m)`` or its generators dotted in
+# composition order, a key as ``str`` of its ``Cell2`` and an identity key
+# as nothing.  Parentheses follow each subterm's class: a word (a name, a
+# constant, or projections of one) and a form printed in its own
+# parentheses stand as an argument; any other form is wrapped there.  A
+# keyed variable is wrapped before a projection, whose ``.`` would
+# continue the key.  ``--print-core`` prints parsed terms, diagnostics
+# print terms and types, and ``mtt normalize`` prints a normal form
+# through its embedding (``normal.decode_nf``), all through ``show_term``.
+
+_KEYWORDS = {Bool: "Bool", Uni: "Uni", True_: "true", False_: "false", BoolCode: "BoolC"}
+_WORDS = frozenset({Var, Const, *_KEYWORDS})
+_PARENTHESIZED = frozenset({Pair, App, If, LetMod})
+# Forms whose last part reaches as far right as it can.
+_OPEN = frozenset({Lam, PiCode, SigCode})
 
 
-def show_term(t: Term) -> str:
-    match t:
-        case Var(idx, cell):
-            return f"x{idx}^{cell}"
-        case Const(name):
-            return name
-        case Pi(mod, dom, cod):
-            return f"(Pi ({mod} | {show_term(dom)}) -> {show_term(cod)})"
-        case Sig(fst, snd):
-            return f"(Sig {show_term(fst)} * {show_term(snd)})"
-        case Bool():
-            return "Bool"
-        case Uni():
-            return "Uni"
-        case Mod(mod, ty):
-            return f"(Mod {mod} {show_term(ty)})"
-        case Dec(code):
-            return f"(dec {show_term(code)})"
-        case Lam(body):
-            return f"(lam {show_term(body)})"
-        case App(fn, arg):
-            return f"({show_term(fn)} {show_term(arg)})"
-        case Pair(fst, snd):
-            return f"({show_term(fst)}, {show_term(snd)})"
-        case Proj1(p):
-            return f"(fst {show_term(p)})"
-        case Proj2(p):
-            return f"(snd {show_term(p)})"
-        case True_():
-            return "true"
-        case False_():
-            return "false"
-        case If(motive, tcase, fcase, scrut):
-            return (
-                f"(if [{show_term(motive)}] {show_term(scrut)} "
-                f"then {show_term(tcase)} else {show_term(fcase)})"
-            )
-        case MkBox(mod, body):
-            return f"(box {mod} {show_term(body)})"
-        case LetMod(mu, nu, motive, scrut, branch):
-            return (
-                f"(letbox {mu} {nu} [{show_term(motive)}] "
-                f"{show_term(scrut)} in {show_term(branch)})"
-            )
-        case PiCode(mod, dom, cod):
-            return f"(PiC ({mod} | {show_term(dom)}) -> {show_term(cod)})"
-        case SigCode(fst, snd):
-            return f"(SigC {show_term(fst)} * {show_term(snd)})"
-        case BoolCode():
-            return "BoolC"
-        case ModCode(mod, code):
-            return f"(ModC {mod} {show_term(code)})"
-        case DecIso(body):
-            return f"(iso {show_term(body)})"
-        case DecIsoInv(body):
-            return f"(iso-inv {show_term(body)})"
+def _render_mod(mod: Modality) -> str:
+    if not mod.word:
+        return f"id({mod.mode_src})"
+    return ".".join(reversed(mod.word))
+
+
+def _is_word(t: Term) -> bool:
+    while t.__class__ is Proj1 or t.__class__ is Proj2:
+        t = t.pair
+    return t.__class__ in _WORDS
+
+
+def _atom(t: Term, s: str) -> str:
+    """``s``, the text of ``t``, as an argument, a box's body or a
+    projection's pair.  Wrapping the returned text, rather than printing
+    here, keeps printing at one stack frame per level of the term."""
+    return s if t.__class__ in _PARENTHESIZED or _is_word(t) else f"({s})"
+
+
+def show_term(t: Term, depth: int = 0) -> str:
+    """``t``, over ``depth`` variables, as text that parses back to it."""
+    c = t.__class__
+    if c is Var:
+        name = f"x{depth - 1 - t.idx}"
+        return f"{name}^{t.cell}" if t.cell.layers else name
+    if c is Const:
+        return t.name
+    if c in _KEYWORDS:
+        return _KEYWORDS[c]
+    if c is App:
+        fn = show_term(t.fn, depth)
+        if t.fn.__class__ in _OPEN:
+            fn = f"({fn})"
+        return f"({fn} {_atom(t.arg, show_term(t.arg, depth))})"
+    if c is Proj1 or c is Proj2:
+        p = t.pair
+        if p.__class__ is Var and p.cell.layers:
+            base = f"({show_term(p, depth)})"
+        else:
+            base = _atom(p, show_term(p, depth))
+        return f"{base}.{1 if c is Proj1 else 2}"
+    if c is Lam:
+        binder = f"x{depth}" if t.mod is None else f"({_render_mod(t.mod)} | x{depth})"
+        return f"\\{binder} -> {show_term(t.body, depth + 1)}"
+    if c is Pair:
+        return f"({show_term(t.fst, depth)}, {show_term(t.snd, depth)})"
+    if c is MkBox:
+        return f"box {_render_mod(t.mod)} {_atom(t.body, show_term(t.body, depth))}"
+    if c is If:
+        m = show_term(t.motive, depth + 1)
+        s = _atom(t.scrut, show_term(t.scrut, depth))
+        tc = _atom(t.tcase, show_term(t.tcase, depth))
+        fc = _atom(t.fcase, show_term(t.fcase, depth))
+        return f"(if [x{depth}. {m}] {s} then {tc} else {fc})"
+    if c is LetMod:
+        m = show_term(t.motive, depth + 1)
+        s = _atom(t.scrut, show_term(t.scrut, depth))
+        b = show_term(t.branch, depth + 1)
+        return (
+            f"(letbox ({_render_mod(t.mu)} | {_render_mod(t.nu)}) "
+            f"[x{depth}. {m}] x{depth} = {s} in {b})"
+        )
+    if c is Pi or c is PiCode:
+        head = "Pi" if c is Pi else "PiC"
+        d, cod = show_term(t.dom, depth), show_term(t.cod, depth + 1)
+        return f"{head} ({_render_mod(t.mod)} | x{depth} : {d}) -> {cod}"
+    if c is Sig or c is SigCode:
+        head = "Sig" if c is Sig else "SigC"
+        return f"{head} (x{depth} : {show_term(t.fst, depth)}) * {show_term(t.snd, depth + 1)}"
+    if c is Mod:
+        return f"Mod {_render_mod(t.mod)} ({show_term(t.ty, depth)})"
+    if c is ModCode:
+        return f"ModC {_render_mod(t.mod)} {_atom(t.code, show_term(t.code, depth))}"
+    if c is Dec:
+        return f"dec {_atom(t.code, show_term(t.code, depth))}"
+    if c is DecIso:
+        return f"iso {_atom(t.body, show_term(t.body, depth))}"
+    if c is DecIsoInv:
+        return f"iso-inv {_atom(t.body, show_term(t.body, depth))}"
     raise AssertionError(f"not a term: {t!r}")

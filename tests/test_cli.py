@@ -561,13 +561,13 @@ def test_print_core_dumps_elaborated_terms(tmp_path, capsys):
     path = write(tmp_path, "good.mtt", GOOD)
     assert main(["check", path, "--print-core"]) == 0
     cap = capsys.readouterr()
-    assert "core k = (lam (box mu x0^id))" in cap.out
+    assert "core k = \\(mu | x0) -> box mu x0\n" in cap.out
 
 
 def test_print_core_names_earlier_definitions(tmp_path, capsys):
     path = write(tmp_path, "chain2.mtt", chain(2))
     assert main(["check", path, "--print-core"]) == 0
-    assert "core f2 = (lam (f1 (f1 x0^id)))" in capsys.readouterr().out
+    assert "core f2 = \\(id(m) | x0) -> (f1 (f1 x0))\n" in capsys.readouterr().out
 
 
 def test_print_core_prints_a_key_from_its_layers(tmp_path, capsys):
@@ -577,7 +577,7 @@ def test_print_core_prints_a_key_from_its_layers(tmp_path, capsys):
     body = "\\(l | x) -> box l (box l (box l (x^(l<((pt>l).pt)))))"
     path = write(tmp_path, "key.mtt", f"theory pointed\ndef f @m : {ty} := {body}\n")
     assert main(["check", path, "--print-core"]) == 0
-    assert "core f = (lam (box l (box l (box l x0^l<pt>l.l<pt))))\n" in capsys.readouterr().out
+    assert "core f = \\(l | x0) -> box l (box l (box l x0^l<pt>l.l<pt))\n" in capsys.readouterr().out
 
 
 def test_normalize_unknown_name_exits_one(tmp_path, capsys):
