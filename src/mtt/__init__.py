@@ -3,8 +3,8 @@
 The kernel is parameterized by a *mode theory* (a finitely presented strict
 2-category with a total equality decider).  Given one, it type-checks core
 terms bidirectionally and computes unique, eta-long normal forms by
-evaluation; conversion checking reduces to structural comparison of normal
-forms with 2-cell equality delegated to the mode theory.
+evaluation.  Conversion is decided on values, with every modality and 2-cell
+question delegated to the mode theory; normal forms are its test reference.
 
 Modules:
 
@@ -14,8 +14,8 @@ Modules:
 - ``syntax``  -- core de Bruijn terms.
 - ``normal``  -- context readers, the renaming calculus, normal/neutral forms.
 - ``nbe``     -- the semantic domain and normalization by evaluation.
-- ``check``   -- the one context record, the bidirectional checker and
-  conversion.
+- ``conv``    -- conversion, decided on values.
+- ``check``   -- the one context record and the bidirectional checker.
 - ``cli``     -- the ``.mtt`` surface language, parser, and commands.
 - ``harness`` -- term generation and the independent small-step oracle.
 """

@@ -45,8 +45,8 @@ evaluation does not track.)
 
 Diagnostics print types with ``normal.surface_nfty``, the printer of
 ``mtt normalize``, and a term that is not a type with ``syntax.show_term``
-at the context's depth; both print through ``show_term``, so what an
-error message quotes parses again.
+at the context's depth; both print through ``show_term``, and modalities
+and keys through ``str``, so what an error message quotes parses again.
 """
 
 from __future__ import annotations

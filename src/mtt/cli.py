@@ -20,7 +20,10 @@ Where tokens start is found, once per file, only when a diagnostic or
 ``Decl.line``/``col`` asks for a place.
 
 Identity modalities written bare (``id``) resolve at the lexically
-enclosing mode; ``id(m)`` names a mode explicitly.  Exit codes: 0 success,
+enclosing mode; ``id(m)`` names a mode explicitly.  A run of generator
+names is one word, built by ``modeth.word_mod``: a dotted modality, and in
+a key a run of ``NAME <`` before a cell or of ``> NAME`` after it, so a
+key whiskers once on each side whatever its depth.  Exit codes: 0 success,
 1 type error, 2 parse error, a declaration nested too deeply for the
 interpreter's stack, or a 2-cell question the mode theory's decider
 refuses.  Diagnostics go to stderr; all stdout output is a deterministic
@@ -61,6 +64,7 @@ from .modeth import (
     vcomp,
     whisker_left,
     whisker_right,
+    word_mod,
 )
 # All three are bound here: ``bench/tracer.py`` times them as ``cli:surface_*``.
 from .normal import surface_ne, surface_nf, surface_nfty  # noqa: F401
@@ -260,44 +264,35 @@ class Parser:
             if amb is None:
                 raise self.fail("bare 'id' needs a mode here: write id(<mode>)", at)
             return id_mod(amb)
-        names = [self.expect_ident("a modality name")]
+        self.expect_ident("a modality name")
         toks, gens = self.toks, self.mt.modality_gens
         while toks[self.pos] == "." and toks[self.pos + 1] in gens:
-            names.append(toks[self.pos + 1])
             self.pos += 2
-        word = tuple(reversed(names))  # application order
-        cur: "str | None" = None
-        for g in word:
-            if g not in gens:
-                raise self.fail(f"unknown modality {g!r}", at)
-            src, tgt = gens[g]
-            if cur is not None and src != cur:
-                raise self.fail(
-                    f"modality word does not compose: {g!r} starts at {src}, "
-                    f"previous part ended at {cur}",
-                    at,
-                )
-            if cur is None:
-                start = src
-            cur = tgt
+        mod = self._word(at, self.pos)
         if toks[self.pos] == "." and toks[self.pos + 1][:1] in _NAME_START:
             # only a generator could continue the word here
             raise self.fail(f"unknown modality {toks[self.pos + 1]!r}", self.pos + 1)
-        return Modality(start, cur, word)
+        return mod
 
-    def _one_gen(self, name: str, at: int) -> Modality:
-        if name not in self.mt.modality_gens:
-            raise self.fail(f"unknown modality {name!r}", at)
-        src, tgt = self.mt.modality_gens[name]
-        return Modality(src, tgt, (name,))
+    def _word(self, first: int, end: int) -> Modality:
+        """The word of the names at every other token from ``first`` to
+        ``end``, last applied leftmost.  An unknown name is blamed at its
+        token, a word that does not compose at ``first``."""
+        names = self.toks[first:end:2]
+        try:
+            return word_mod(self.mt, names[::-1])
+        except ModeError as e:
+            unknown = [i for i, g in enumerate(names) if g not in self.mt.modality_gens]
+            raise self.fail(str(e), first + 2 * unknown[-1] if unknown else first) from None
 
     # -- 2-cells (after ^)
 
     def parse_cell(self, ann: Modality) -> Cell2:
-        """grammar: cell := part ('.' part)* ; part := NAME '<' part
-        | unit ('>' NAME)* ; unit := '(' cell ')' | NAME | 'id'.  The cell
-        is built through ``modeth``'s constructors, which check its
-        boundaries as they go."""
+        """grammar: cell := part ('.' part)* ; part := (NAME '<')* unit
+        ('>' NAME)* ; unit := '(' cell ')' | NAME | 'id'.  The cell is
+        built through ``modeth``'s constructors, which check its boundaries
+        as they go; each run of names is one word, so a part whiskers once
+        on each side."""
         at = self.pos
         try:
             cell = self._cell_expr()
@@ -323,18 +318,22 @@ class Parser:
         return out
 
     def _cell_part(self) -> "Cell2 | None":
-        at = self.pos
-        t = self.toks[at]
-        if t[:1] in _NAME_START and t != "id" and self.toks[at + 1] == "<":
+        """A unit whiskered once on each side: a run of ``NAME <`` before it
+        is its outer word, a run of ``> NAME`` after it its inner word."""
+        toks, outer = self.toks, self.pos
+        while (t := toks[self.pos]) != "id" and t[:1] in _NAME_START and toks[self.pos + 1] == "<":
             self.pos += 2
-            inner = self._no_id(self._cell_part())
-            return whisker_left(self._one_gen(t, at), inner)
+        unit = self.pos
         base = self._cell_unit()
-        while self.at(">"):
+        if unit > outer or self.at(">"):
             base = self._no_id(base)
-            self.pos += 1
-            at = self.pos
-            base = whisker_right(base, self._one_gen(self.expect_ident("a modality name"), at))
+        inner = self.pos + 1
+        while self.accept(">"):
+            self.expect_ident("a modality name")
+        if self.pos > inner:
+            base = whisker_right(base, self._word(inner, self.pos))
+        if unit > outer:
+            base = whisker_left(self._word(outer, unit), base)
         return base
 
     def _cell_unit(self) -> "Cell2 | None":

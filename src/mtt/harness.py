@@ -67,6 +67,7 @@ from .modeth import (
     walking,
     whisker_left,
     whisker_right,
+    word_mod,
 )
 from .conv import conv, conv_ty
 from .nbe import (
@@ -251,12 +252,8 @@ class _Gen:
         return self.rng.choices(names, [DEFAULT_WEIGHTS[n] for n in names])[0]
 
     def _modality(self, mode: str) -> Modality:
-        gens = [
-            Modality(s, t, (g,))
-            for g, (s, t) in self.mt.modality_gens.items()
-            if t == mode
-        ]
-        return self.rng.choice([id_mod(mode)] + gens)
+        gens = [word_mod(self.mt, (g,)) for g in self.mt.modality_gens]
+        return self.rng.choice([id_mod(mode)] + [m for m in gens if m.mode_tgt == mode])
 
     # -- types
 
@@ -373,7 +370,6 @@ class _Gen:
         ``nu``; bare when both words are empty."""
         out = []
         w = nu.word
-        at = [nu.mode_src] + [self.mt.modality_gens[g][1] for g in w]  # mode after w[:i]
         for name, (_, tgt) in self.mt.cell_gens.items():
             gen = gen_cell(self.mt, name)
             n = len(tgt.word)
@@ -381,12 +377,12 @@ class _Gen:
                 if w[i : i + n] != tgt.word:
                     continue
                 # words apply first to last: w[:i] before the cell, the rest after
-                before = Modality(nu.mode_src, at[i], w[:i])
-                after = Modality(at[i + n], nu.mode_tgt, w[i + n :])
-                if not (before.word or after.word):
+                if not (i or w[i + n :]):
                     out.append(gen)
                     continue
                 try:
+                    before = word_mod(self.mt, w[:i], nu.mode_src)
+                    after = word_mod(self.mt, w[i + n :], tgt.mode_tgt)
                     out.append(whisker_left(after, whisker_right(gen, before)))
                 except ModeError:
                     pass  # the generator's modes do not fit here
@@ -600,7 +596,7 @@ def gen_closed_bool(cfg: GenConfig, rng: "random.Random | None" = None) -> Term:
 
 
 _IDM = id_mod("m")
-_MU = Modality("n", "m", ("mu",))
+_MU = word_mod(walking(), ("mu",))
 _B = S.Bool()
 
 
@@ -788,7 +784,7 @@ def near_miss(mt: ModeTheory, rng: random.Random, t: Term) -> "Term | None":
     neither.  The result need not check."""
 
     def others(mod: Modality) -> list[Modality]:
-        gens = [Modality(src, tgt, (g,)) for g, (src, tgt) in mt.modality_gens.items()]
+        gens = [word_mod(mt, (g,)) for g in mt.modality_gens]
         words = [id_mod(mod.mode_src)] + gens
         words += [compose_mod(a, b) for a in gens for b in gens if a.mode_src == b.mode_tgt]
         return [

@@ -15,7 +15,9 @@ modality words), and two facts that decide equality:
 
 A 2-cell is stored as those layers (``Cell2.layers``), which its
 constructors build and check once; the decider, ``cell_check`` and the
-printer (``str``) read them as they stand.
+printer (``str``) read them as they stand.  A modality is a word of
+generators: ``word_mod`` is the one reader of such words, a key's whisker
+runs included, and ``str`` the one printer, in the syntax the parser reads.
 
 Everything here is immutable and pure.  ``id_mod`` returns one
 ``Modality`` per mode and ``id_cell`` one ``Cell2`` per modality, so the
@@ -73,7 +75,7 @@ class Modality:
 
     def __str__(self) -> str:
         if not self.word:
-            return f"id_{self.mode_src}"
+            return f"id({self.mode_src})"
         # display in composition order (last applied leftmost)
         return ".".join(reversed(self.word))
 
@@ -83,12 +85,28 @@ def id_mod(mode: str) -> Modality:
     return Modality(mode, mode, ())
 
 
-def gen_mod(mt: "ModeTheory", name: str) -> Modality:
-    try:
-        src, tgt = mt.modality_gens[name]
-    except KeyError:
-        raise ModeError(f"unknown modality generator {name!r}") from None
-    return Modality(src, tgt, (name,))
+def word_mod(mt: "ModeTheory", word: Word, start: "str | None" = None) -> Modality:
+    """The modality ``word`` (in application order) names: each generator
+    starts where the one before ends, the first at ``start`` if given, and
+    then the empty word is the identity there.  An unknown name, the first
+    applied, is reported before a part that does not compose."""
+    gens, at = mt.modality_gens, start
+    for g in word:
+        if g not in gens:
+            raise ModeError(f"unknown modality {g!r}")
+    for g in word:
+        src, tgt = gens[g]
+        if at is None:
+            start = src
+        elif src != at:
+            raise ModeError(
+                f"modality word does not compose: {g!r} starts at {src}, "
+                f"previous part ended at {at}"
+            )
+        at = tgt
+    if at is None:
+        raise ModeError("an empty modality word needs a start mode")
+    return Modality(start, at, tuple(word))
 
 
 def compose_mod(outer: Modality, inner: Modality) -> Modality:
@@ -99,19 +117,6 @@ def compose_mod(outer: Modality, inner: Modality) -> Modality:
             f"after {inner} : {inner.mode_src} -> {inner.mode_tgt}"
         )
     return Modality(inner.mode_src, outer.mode_tgt, inner.word + outer.word)
-
-
-def check_word(mt: "ModeTheory", word: Word, start: str) -> str:
-    """Check a word chains mode-correctly from ``start``; return its target."""
-    at = start
-    for g in word:
-        if g not in mt.modality_gens:
-            raise ModeError(f"unknown modality generator {g!r}")
-        src, tgt = mt.modality_gens[g]
-        if src != at:
-            raise ModeError(f"word {word} breaks at {g!r}: expected source {at}, has {src}")
-        at = tgt
-    return at
 
 
 def canon_word(mt: "ModeTheory", word: Word) -> Word:
@@ -172,8 +177,8 @@ class Cell2:
     """A 2-cell ``src => tgt`` as its layers in application order; no layers
     is the identity.  ``str`` gives the surface syntax the parser reads back
     to the same layers: last applied first, joined by ``.``, each layer its
-    generator whiskered one generator at a time, ``>g`` by its inner word
-    and ``g<`` by its outer word."""
+    generator after a run of ``g<`` that spells its outer word and before a
+    run of ``>g`` that spells its inner word."""
 
     src: Modality
     tgt: Modality
@@ -408,18 +413,21 @@ def validate(mt: ModeTheory) -> ModeTheory:
             )
     for c, (src, tgt) in mt.cell_gens.items():
         with _blame(("cell", c)):
-            check_word(mt, src.word, src.mode_src)
-            check_word(mt, tgt.word, tgt.mode_src)
+            for w in (src, tgt):
+                if word_mod(mt, w.word, w.mode_src) != w:
+                    raise ModeError(f"cell generator {c!r}: {w} does not end at mode {w.mode_tgt}")
             if (src.mode_src, src.mode_tgt) != (tgt.mode_src, tgt.mode_tgt):
                 raise ModeError(f"cell generator {c!r} is not between parallel modalities")
             if not src.word and not tgt.word:  # see ``left_normal``
                 raise ModeError(f"cell generator {c!r} is a scalar: both its words are empty")
     for i, (lhs, rhs) in enumerate(mt.rules):
         with _blame(("rule", i)):
-            start = check_word_any(mt, lhs)
-            end = check_word(mt, lhs, start)
-            rule = f"{Modality(start, end, lhs)} ~> {Modality(start, end, rhs)}"
-            if check_word(mt, rhs, start) != end:
+            if not lhs:
+                raise ModeError("empty rule left-hand side")
+            left = word_mod(mt, lhs)
+            right = word_mod(mt, rhs, left.mode_src)
+            rule = f"{left} ~> {right}"
+            if right.mode_tgt != left.mode_tgt:
                 raise ModeError(f"word rule {rule} does not preserve boundaries")
             # Shortlex is a well-order that rewriting inside a word preserves,
             # so rules that decrease in it make ``canon_word`` terminate.
@@ -436,9 +444,8 @@ def validate(mt: ModeTheory) -> ModeTheory:
             for w, a, b in (*_critical_pairs(li, ri, lj, rj), *_critical_pairs(lj, rj, li, ri)):
                 a, b = canon_word(mt, a), canon_word(mt, b)
                 if a != b:
-                    start = check_word_any(mt, w)
-                    end = check_word(mt, w, start)
-                    w, a, b = (Modality(start, end, v) for v in (w, a, b))
+                    start = word_mod(mt, w).mode_src
+                    w, a, b = (word_mod(mt, v, start) for v in (w, a, b))
                     raise TheoryItemError(
                         f"word rules are not confluent: {w} rewrites to the normal forms "
                         f"{a} and {b}",
@@ -454,17 +461,6 @@ def _critical_pairs(l1: Word, r1: Word, l2: Word, r2: Word):
         if l1[k : k + len(l2)] == l2[: len(l1) - k]:
             w = l1[:k] + l2 + l1[k + len(l2) :]
             yield w, r1 + w[len(l1) :], w[:k] + r2 + w[k + len(l2) :]
-
-
-def check_word_any(mt: ModeTheory, word: Word) -> str:
-    """Find the unique start mode making ``word`` well-formed."""
-    if not word:
-        raise ModeError("empty rule left-hand side")
-    return mt.modality_gens[word[0]][0] if word[0] in mt.modality_gens else _bad(word)
-
-
-def _bad(word: Word) -> str:
-    raise ModeError(f"unknown modality generator {word[0]!r}")
 
 
 # ---------------------------------------------------------------------------

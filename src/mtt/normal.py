@@ -563,18 +563,18 @@ def eq_nfty(mt: ModeTheory, a: NfTy, b: NfTy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Printing: a normal form prints as its embedding into core terms, through
-# ``syntax.show_term``, over ``depth`` variables.  ``bench/tracer.py`` times
-# these three as the ``cli.render`` layer.
+# Printing: a normal form, which holds no constant, prints as its embedding
+# into core terms through ``syntax.show_term`` over ``depth`` variables,
+# binders named ``x``.  ``bench/tracer.py`` times these as ``cli.render``.
 
 
 def surface_nf(mt: ModeTheory, u: Nf, depth: int = 0) -> str:
-    return show_term(decode_nf(u), depth)
+    return show_term(decode_nf(u), depth, "x")
 
 
 def surface_ne(mt: ModeTheory, e: Ne, depth: int = 0) -> str:
-    return show_term(decode_ne(e), depth)
+    return show_term(decode_ne(e), depth, "x")
 
 
 def surface_nfty(mt: ModeTheory, t: NfTy, depth: int = 0) -> str:
-    return show_term(decode_nfty(t), depth)
+    return show_term(decode_nfty(t), depth, "x")

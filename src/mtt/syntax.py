@@ -227,10 +227,11 @@ def map_vars(t: Term, at: "Callable[[Var, int], Term]", under: int = 0) -> Term:
 
 # ---------------------------------------------------------------------------
 # Printing, in the surface syntax the parser reads.  A binder at depth d is
-# named x<d>, a modality prints as ``id(m)`` or its generators dotted in
-# composition order, a key as ``str`` of its ``Cell2`` and an identity key
-# as nothing.  Parentheses follow each subterm's class: a word (a name, a
-# constant, or projections of one) and a form printed in its own
+# named x<d>, primed where a constant of the term bears that name; a
+# modality prints as its ``str`` (``id(m)`` or its generators dotted in
+# composition order), a key as ``str`` of its ``Cell2`` and an identity
+# key as nothing.  Parentheses follow each subterm's class: a word (a name,
+# a constant, or projections of one) and a form printed in its own
 # parentheses stand as an argument; any other form is wrapped there.  A
 # keyed variable is wrapped before a projection, whose ``.`` would
 # continue the key.  ``--print-core`` prints parsed terms, diagnostics
@@ -242,12 +243,6 @@ _WORDS = frozenset({Var, Const, *_KEYWORDS})
 _PARENTHESIZED = frozenset({Pair, App, If, LetMod})
 # Forms whose last part reaches as far right as it can.
 _OPEN = frozenset({Lam, PiCode, SigCode})
-
-
-def _render_mod(mod: Modality) -> str:
-    if not mod.word:
-        return f"id({mod.mode_src})"
-    return ".".join(reversed(mod.word))
 
 
 def _is_word(t: Term) -> bool:
@@ -263,64 +258,76 @@ def _atom(t: Term, s: str) -> str:
     return s if t.__class__ in _PARENTHESIZED or _is_word(t) else f"({s})"
 
 
-def show_term(t: Term, depth: int = 0) -> str:
-    """``t``, over ``depth`` variables, as text that parses back to it."""
+def _binder_prefix(t: Term) -> str:
+    """``x``, primed until no constant in ``t`` is named ``x`` then digits."""
+    x, todo = "x", [t]
+    while todo:
+        u = todo.pop()
+        if u.__class__ is Const and u.name.startswith(x) and u.name[len(x) :].isdigit():
+            x, todo = x + "'", [t]  # and look again
+        todo += [v for v in map(u.__getattribute__, u.__match_args__) if isinstance(v, Term)]
+    return x
+
+
+def show_term(t: Term, depth: int = 0, x: "str | None" = None) -> str:
+    """``t``, over ``depth`` variables, as text that parses back to it;
+    binder d is named ``x`` then d, ``x`` by default ``_binder_prefix(t)``."""
+    if x is None:
+        x = _binder_prefix(t)
     c = t.__class__
     if c is Var:
-        name = f"x{depth - 1 - t.idx}"
+        name = f"{x}{depth - 1 - t.idx}"
         return f"{name}^{t.cell}" if t.cell.layers else name
     if c is Const:
         return t.name
     if c in _KEYWORDS:
         return _KEYWORDS[c]
     if c is App:
-        fn = show_term(t.fn, depth)
+        fn = show_term(t.fn, depth, x)
         if t.fn.__class__ in _OPEN:
             fn = f"({fn})"
-        return f"({fn} {_atom(t.arg, show_term(t.arg, depth))})"
+        return f"({fn} {_atom(t.arg, show_term(t.arg, depth, x))})"
     if c is Proj1 or c is Proj2:
         p = t.pair
         if p.__class__ is Var and p.cell.layers:
-            base = f"({show_term(p, depth)})"
+            base = f"({show_term(p, depth, x)})"
         else:
-            base = _atom(p, show_term(p, depth))
+            base = _atom(p, show_term(p, depth, x))
         return f"{base}.{1 if c is Proj1 else 2}"
     if c is Lam:
-        binder = f"x{depth}" if t.mod is None else f"({_render_mod(t.mod)} | x{depth})"
-        return f"\\{binder} -> {show_term(t.body, depth + 1)}"
+        binder = f"{x}{depth}" if t.mod is None else f"({t.mod} | {x}{depth})"
+        return f"\\{binder} -> {show_term(t.body, depth + 1, x)}"
     if c is Pair:
-        return f"({show_term(t.fst, depth)}, {show_term(t.snd, depth)})"
+        return f"({show_term(t.fst, depth, x)}, {show_term(t.snd, depth, x)})"
     if c is MkBox:
-        return f"box {_render_mod(t.mod)} {_atom(t.body, show_term(t.body, depth))}"
+        return f"box {t.mod} {_atom(t.body, show_term(t.body, depth, x))}"
     if c is If:
-        m = show_term(t.motive, depth + 1)
-        s = _atom(t.scrut, show_term(t.scrut, depth))
-        tc = _atom(t.tcase, show_term(t.tcase, depth))
-        fc = _atom(t.fcase, show_term(t.fcase, depth))
-        return f"(if [x{depth}. {m}] {s} then {tc} else {fc})"
+        m = show_term(t.motive, depth + 1, x)
+        s = _atom(t.scrut, show_term(t.scrut, depth, x))
+        tc = _atom(t.tcase, show_term(t.tcase, depth, x))
+        fc = _atom(t.fcase, show_term(t.fcase, depth, x))
+        return f"(if [{x}{depth}. {m}] {s} then {tc} else {fc})"
     if c is LetMod:
-        m = show_term(t.motive, depth + 1)
-        s = _atom(t.scrut, show_term(t.scrut, depth))
-        b = show_term(t.branch, depth + 1)
-        return (
-            f"(letbox ({_render_mod(t.mu)} | {_render_mod(t.nu)}) "
-            f"[x{depth}. {m}] x{depth} = {s} in {b})"
-        )
+        m = show_term(t.motive, depth + 1, x)
+        s = _atom(t.scrut, show_term(t.scrut, depth, x))
+        b = show_term(t.branch, depth + 1, x)
+        return f"(letbox ({t.mu} | {t.nu}) [{x}{depth}. {m}] {x}{depth} = {s} in {b})"
     if c is Pi or c is PiCode:
         head = "Pi" if c is Pi else "PiC"
-        d, cod = show_term(t.dom, depth), show_term(t.cod, depth + 1)
-        return f"{head} ({_render_mod(t.mod)} | x{depth} : {d}) -> {cod}"
+        d, cod = show_term(t.dom, depth, x), show_term(t.cod, depth + 1, x)
+        return f"{head} ({t.mod} | {x}{depth} : {d}) -> {cod}"
     if c is Sig or c is SigCode:
         head = "Sig" if c is Sig else "SigC"
-        return f"{head} (x{depth} : {show_term(t.fst, depth)}) * {show_term(t.snd, depth + 1)}"
+        fst, snd = show_term(t.fst, depth, x), show_term(t.snd, depth + 1, x)
+        return f"{head} ({x}{depth} : {fst}) * {snd}"
     if c is Mod:
-        return f"Mod {_render_mod(t.mod)} ({show_term(t.ty, depth)})"
+        return f"Mod {t.mod} ({show_term(t.ty, depth, x)})"
     if c is ModCode:
-        return f"ModC {_render_mod(t.mod)} {_atom(t.code, show_term(t.code, depth))}"
+        return f"ModC {t.mod} {_atom(t.code, show_term(t.code, depth, x))}"
     if c is Dec:
-        return f"dec {_atom(t.code, show_term(t.code, depth))}"
+        return f"dec {_atom(t.code, show_term(t.code, depth, x))}"
     if c is DecIso:
-        return f"iso {_atom(t.body, show_term(t.body, depth))}"
+        return f"iso {_atom(t.body, show_term(t.body, depth, x))}"
     if c is DecIsoInv:
-        return f"iso-inv {_atom(t.body, show_term(t.body, depth))}"
+        return f"iso-inv {_atom(t.body, show_term(t.body, depth, x))}"
     raise AssertionError(f"not a term: {t!r}")

@@ -23,7 +23,7 @@ from collections import Counter
 import _frontend as FE
 from mtt import cli
 from mtt.cli import ParseError, Parser, tokenize
-from mtt.modeth import Modality, ModeError, check_word, eq_cell, eq_mod
+from mtt.modeth import Modality, ModeError, eq_cell, eq_mod, word_mod
 
 CORPUS = sorted(pathlib.Path(__file__).with_name("corpus").glob("*.mtt"))
 
@@ -74,10 +74,6 @@ def _annotations(text: str, monkeypatch):
     return mt, sites
 
 
-def _modality_text(mod: Modality) -> str:
-    return ".".join(reversed(mod.word)) or f"id({mod.mode_src})"
-
-
 def _other_modalities(mt, mod: Modality) -> "list[str]":
     """Every modality of at most two generators with ``mod``'s boundary
     that the theory does not equate with it."""
@@ -85,13 +81,11 @@ def _other_modalities(mt, mod: Modality) -> "list[str]":
     for n in range(3):
         for word in itertools.product(sorted(mt.modality_gens), repeat=n):
             try:
-                if check_word(mt, word, mod.mode_src) != mod.mode_tgt:
-                    continue
+                other = word_mod(mt, word, mod.mode_src)
             except ModeError:
                 continue
-            other = Modality(mod.mode_src, mod.mode_tgt, word)
-            if not eq_mod(mt, other, mod):
-                out.append(_modality_text(other))
+            if other.mode_tgt == mod.mode_tgt and not eq_mod(mt, other, mod):
+                out.append(str(other))
     return out
 
 

@@ -37,7 +37,6 @@ from mtt.modeth import (
     compose_mod,
     eq_mod,
     gen_cell,
-    gen_mod,
     id_cell,
     id_mod,
     is_id_cell,
@@ -48,6 +47,7 @@ from mtt.modeth import (
     walking,
     whisker_left,
     whisker_right,
+    word_mod,
 )
 from mtt.conv import conv_ty
 from mtt.nbe import (
@@ -104,8 +104,8 @@ W = walking()
 P = pointed()
 
 IDM = id_mod("m")
-MU = gen_mod(W, "mu")
-L = gen_mod(P, "l")
+MU = word_mod(W, ("mu",))
+L = word_mod(P, ("l",))
 PT = gen_cell(P, "pt")
 
 
@@ -129,7 +129,7 @@ def test_lookup_without_cell_is_rejected():
     try:
         lookup_var(ctx, 0, id_cell(MU))
     except CheckError as e:
-        assert "mu => id_m" in str(e)
+        assert "mu => id(m)" in str(e)
 
 
 def test_lock_or_extension_at_the_wrong_mode_is_a_check_error():
@@ -154,7 +154,7 @@ def test_the_checks_of_a_variable_still_fire_on_identity_keys():
     # Identity keys are shared, so checking a variable mostly compares one
     # object with itself; what those checks rejected, they still reject.
     ctx = ctx_extend(empty_ctx(W, "m"), IDM, TBool())
-    bad = Cell2(IDM, MU, ())  # no layers, so an identity, but says id_m => mu
+    bad = Cell2(IDM, MU, ())  # no layers, so an identity, but says id(m) => mu
     with pytest.raises(CheckError, match="ill-formed 2-cell"):
         lookup_var(ctx, 0, bad)
     ty = S.Pi(IDM, S.Bool(), S.Bool())
@@ -445,7 +445,7 @@ def test_lam_binder_annotations_are_checked_along_a_run():
     with pytest.raises(CheckError) as e:
         check_tm(ctx, S.Lam(S.Lam(body, L), L), ty)
     assert str(e.value) == (
-        "modality mismatch: lambda binder annotated l at a function type annotated id_m"
+        "modality mismatch: lambda binder annotated l at a function type annotated id(m)"
     )
     mt = _rewrite_with_a_cell()  # c.c rewrites to c
     c = Modality("s", "s", ("c",))
@@ -641,7 +641,7 @@ def test_check_program_reports_each_declaration():
 
 def test_check_program_inaccessible_variable_names_the_cell():
     # Using a (mu|Bool) argument requires re-entering mu's lock by boxing;
-    # returning it bare would need a cell mu => id_m, which does not exist.
+    # returning it bare would need a cell mu => id(m), which does not exist.
     good = (
         "use",
         "m",

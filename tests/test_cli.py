@@ -1,6 +1,7 @@
 """Tests for the surface language: lexing, parsing, commands, round-trips."""
 
 import gc
+import itertools
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ import pytest
 from mtt import check as C
 from mtt import cli
 from mtt import conv
+from mtt import modeth
 from mtt import nbe
 from mtt import syntax as S
 from mtt.check import check_program, check_tm, check_type, empty_ctx
@@ -165,10 +167,10 @@ def test_parse_composite_cells():
 @pytest.mark.parametrize(
     "key,msg,col",
     [
-        ("(pt.pt)", "ill-formed 2-cell: ill-formed vertical composite: l then id_m", 15),
+        ("(pt.pt)", "ill-formed 2-cell: ill-formed vertical composite: l then id(m)", 15),
         # a key is checked as it is read, so its boundary is blamed before
         # the missing ')' after it
-        ("(pt.pt", "ill-formed 2-cell: ill-formed vertical composite: l then id_m", 15),
+        ("(pt.pt", "ill-formed 2-cell: ill-formed vertical composite: l then id(m)", 15),
         ("(pt.id)", "bare 'id' cannot appear inside a composite cell", 21),
     ],
     ids=["boundary", "boundary-first", "bare-id"],
@@ -182,6 +184,73 @@ def test_an_ill_formed_key_is_a_located_parse_error(key, msg, col):
 def test_parse_bare_id_key_means_identity():
     t = parse_term("\\x -> x^id", walking())
     assert t == S.Lam(S.Var(0, id_cell(IDM)))
+
+
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_a_key_whiskers_once_on_each_side_whatever_its_depth(monkeypatch, d):
+    # A run of ``NAME <`` or ``> NAME`` is read as one word, so the key
+    # whiskers twice, with two ``compose_mod`` calls each; one generator at
+    # a time it made 4d.
+    calls = []
+
+    def counting(outer, inner):
+        calls.append(outer)
+        return compose_mod(outer, inner)
+
+    monkeypatch.setattr(modeth, "compose_mod", counting)
+    p = cli.Parser(tokenize("l<" * d + "pt" + ">l" * d), pointed())
+    cell = p.parse_cell(IDM)
+    assert p.peek().kind == "eof"
+    assert cell.layers == (Atom(("l",) * d, "pt", ("l",) * d),)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name", sorted(modeth.THEORIES))
+def test_a_modality_reads_back_from_its_text(name):
+    # ``str`` is the one printer of modalities, so every modality that a
+    # diagnostic quotes parses again; an identity printed as id_m did not.
+    mt = modeth.THEORIES[name]()
+    mods = [id_mod(m) for m in mt.modes]
+    for n in (1, 2, 3):
+        for word in itertools.product(sorted(mt.modality_gens), repeat=n):
+            try:
+                mods.append(modeth.word_mod(mt, word))
+            except modeth.ModeError:
+                pass
+    assert len(mods) > len(mt.modes) or not mt.modality_gens
+    for mod in mods:
+        p = cli.Parser(tokenize(str(mod)), mt)
+        assert p.parse_modexpr(None) == mod
+        assert p.peek().kind == "eof"
+
+
+@pytest.mark.parametrize(
+    "mt,key,msg,col",
+    [
+        (pointed(), "l<q<l<pt", "unknown modality 'q'", 17),
+        (pointed(), "pt>l>q>l", "unknown modality 'q'", 20),
+        (
+            modeth.adjoint(),
+            "r<l<l<eps",
+            "modality word does not compose: 'l' starts at n, previous part ended at m",
+            15,
+        ),
+        (
+            modeth.adjoint(),
+            "r<l<eps",
+            "ill-formed 2-cell: cannot compose r.l : n -> n after l.r : m -> m",
+            15,
+        ),
+    ],
+    ids=["unknown-outer", "unknown-inner", "run-does-not-compose", "run-misses-the-unit"],
+)
+def test_a_whisker_run_is_blamed_where_it_fails(mt, key, msg, col):
+    # An unknown name is blamed at its own token, a run that does not
+    # compose at the run, and a run that misses the unit's boundary at the
+    # cell.
+    with pytest.raises(ParseError) as e:
+        parse_term(f"\\x -> box l x^{key}", mt)
+    assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, col)
 
 
 def test_parse_errors_carry_positions():
@@ -580,6 +649,17 @@ def test_print_core_prints_a_key_from_its_layers(tmp_path, capsys):
     assert "core f = \\(l | x0) -> box l (box l (box l x0^l<pt>l.l<pt))\n" in capsys.readouterr().out
 
 
+def test_print_core_does_not_capture_a_definition_named_like_a_binder(tmp_path, capsys):
+    # A binder printed as x0 captured the definition x0, so f's core body
+    # read back as the identity function, which still checks.
+    text = "def x0 @m : Bool := true\ndef f @m : Pi (y : Bool) -> Bool := \\y -> x0\n"
+    path = write(tmp_path, "capture.mtt", text)
+    assert main(["check", path, "--print-core"]) == 0
+    ty, body = [l[9:] for l in capsys.readouterr().out.splitlines() if l.startswith("core f ")]
+    _, decls = parse_file(f"{text.splitlines()[0]}\ndef f @m : {ty} := {body}")
+    assert decls[1].body == S.Lam(S.Const("x0"))
+
+
 def test_normalize_unknown_name_exits_one(tmp_path, capsys):
     path = write(tmp_path, "good.mtt", GOOD)
     assert main(["normalize", path, "nosuch"]) == 1
@@ -829,19 +909,19 @@ def test_a_scalar_built_from_a_unit_and_a_counit_is_a_located_refusal(tmp_path):
 
 LAMBDA_ANNOTATIONS = {
     "identity-binder-at-l": (
-        "def f @m : Pi (l | x : Bool) -> Bool := \\(id(m) | x) -> true", "f", "id_m", "l"
+        "def f @m : Pi (l | x : Bool) -> Bool := \\(id(m) | x) -> true", "f", "id(m)", "l"
     ),
     "l-binder-at-identity": (
-        "def g @m : Pi (x : Bool) -> Bool := \\(l | x) -> true", "g", "l", "id_m"
+        "def g @m : Pi (x : Bool) -> Bool := \\(l | x) -> true", "g", "l", "id(m)"
     ),
     "parenthesised-binder-at-l": (
-        "def h @m : Pi (l | x : Bool) -> Bool := \\(x) -> true", "h", "id_m", "l"
+        "def h @m : Pi (l | x : Bool) -> Bool := \\(x) -> true", "h", "id(m)", "l"
     ),
     "bare-binder-at-l": (
-        "def f @m : Pi (l | x : Bool) -> Bool := \\x -> true", "f", "id_m", "l"
+        "def f @m : Pi (l | x : Bool) -> Bool := \\x -> true", "f", "id(m)", "l"
     ),
     "bare-binder-boxed-at-l": (
-        "def g @m : Pi (l | x : Bool) -> Mod l Bool := \\x -> box l x", "g", "id_m", "l"
+        "def g @m : Pi (l | x : Bool) -> Mod l Bool := \\x -> box l x", "g", "id(m)", "l"
     ),
 }
 

@@ -22,7 +22,6 @@ from mtt.modeth import (
     eq_cell,
     eq_mod,
     gen_cell,
-    gen_mod,
     id_cell,
     id_mod,
     is_id_cell,
@@ -33,6 +32,7 @@ from mtt.modeth import (
     walking,
     whisker_left,
     whisker_right,
+    word_mod,
 )
 
 
@@ -56,14 +56,14 @@ def free_endo() -> ModeTheory:
 
 def test_compose_identity_units():
     mt = walking()
-    mu = gen_mod(mt, "mu")
+    mu = word_mod(mt, ("mu",))
     assert compose_mod(id_mod("m"), mu) == mu
     assert compose_mod(mu, id_mod("n")) == mu
 
 
 def test_compose_word_concatenation():
     mt = free_pq()
-    a, b = gen_mod(mt, "a"), gen_mod(mt, "b")
+    a, b = word_mod(mt, ("a",)), word_mod(mt, ("b",))
     ba = compose_mod(b, a)
     assert ba.word == ("a", "b")
     assert (ba.mode_src, ba.mode_tgt) == ("p", "r")
@@ -71,7 +71,7 @@ def test_compose_word_concatenation():
 
 def test_compose_mode_mismatch():
     mt = free_pq()
-    a, b = gen_mod(mt, "a"), gen_mod(mt, "b")
+    a, b = word_mod(mt, ("a",)), word_mod(mt, ("b",))
     with pytest.raises(ModeError):
         compose_mod(a, b)
 
@@ -86,12 +86,12 @@ def test_eq_mod_reflexive_and_free_inequality():
 
 def test_eq_mod_nonparallel_is_false():
     mt = free_pq()
-    assert not eq_mod(mt, gen_mod(mt, "a"), gen_mod(mt, "b"))
+    assert not eq_mod(mt, word_mod(mt, ("a",)), word_mod(mt, ("b",)))
 
 
 def test_adjoint_round_trip_rewrites_to_identity():
     mt = adjoint()
-    l, r = gen_mod(mt, "l"), gen_mod(mt, "r")
+    l, r = word_mod(mt, ("l",)), word_mod(mt, ("r",))
     assert eq_mod(mt, compose_mod(r, l), id_mod("n"))
     assert not eq_mod(mt, compose_mod(l, r), id_mod("m"))
     # nested occurrence rewrites too: word [l, l, r, r] -> [l, r] -> []
@@ -137,7 +137,7 @@ def test_compose_associative(w1, w2, w3):
 
 def test_id_cell_and_unit_laws():
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     alpha = gen_cell(mt, "pt")
     assert eq_cell(mt, vcomp(id_cell(alpha.tgt), alpha, mt), alpha)
     assert eq_cell(mt, vcomp(alpha, id_cell(alpha.src), mt), alpha)
@@ -146,14 +146,14 @@ def test_id_cell_and_unit_laws():
 
 def test_whisker_of_identity_is_identity():
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     assert eq_cell(mt, whisker_left(ell, id_cell(ell)), id_cell(compose_mod(ell, ell)))
     assert eq_cell(mt, whisker_right(id_cell(ell), ell), id_cell(compose_mod(ell, ell)))
 
 
 def test_pointed_whisker_boundary():
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     alpha = gen_cell(mt, "pt")
     w = whisker_left(ell, alpha)
     assert eq_mod(mt, w.src, ell)
@@ -163,13 +163,13 @@ def test_pointed_whisker_boundary():
 
 def test_vcomp_boundary():
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     alpha = gen_cell(mt, "pt")
     beta = whisker_left(ell, alpha)  # l => l.l
     c = vcomp(beta, alpha, mt)  # id => l.l
     assert eq_mod(mt, c.src, id_mod("m"))
     assert eq_mod(mt, c.tgt, compose_mod(ell, ell))
-    with pytest.raises(ModeError, match="ill-formed vertical composite: l then id_m"):
+    with pytest.raises(ModeError, match="ill-formed vertical composite: l then id\\(m\\)"):
         vcomp(alpha, alpha, mt)
 
 
@@ -177,7 +177,7 @@ def test_a_cell_is_its_layers_in_application_order():
     # A whisker maps the layers and a vertical composite concatenates them,
     # earlier first; the boundary is checked as the cell is built.
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     alpha = gen_cell(mt, "pt")
     assert alpha.layers == (Atom((), "pt", ()),)
     assert whisker_left(ell, alpha).layers == (Atom((), "pt", ("l",)),)
@@ -200,7 +200,7 @@ def test_cell_check_compares_each_layer_with_the_word_before_it():
     assert not cell_check(mt, Cell2(ell, ll, (pt,)))  # wrong source
     assert not cell_check(mt, Cell2(id_mod("m"), ell, (Atom((), "nope", ()),)))
     assert not cell_check(mt, Cell2(id_mod("m"), ell, ()))  # no layers, but not an identity
-    # modulo the word rules: eps : l.r => id_m also goes from l.r.l.r,
+    # modulo the word rules: eps : l.r => id(m) also goes from l.r.l.r,
     # which the rule r.l ~> id rewrites to l.r
     adj = adjoint()
     lrlr = Modality("m", "m", ("r", "l", "r", "l"))
@@ -211,7 +211,7 @@ def test_cell_check_compares_each_layer_with_the_word_before_it():
 def test_interchange_both_bracketings():
     # (l < pt) . pt  ==  (pt > l) . pt   (both equal the horizontal square)
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     alpha = gen_cell(mt, "pt")
     left = vcomp(whisker_left(ell, alpha), alpha, mt)
     right = vcomp(whisker_right(alpha, ell), alpha, mt)
@@ -236,7 +236,7 @@ def test_eq_cell_nonparallel_false():
 # Deep interchange: build the same 3-layer diagram two ways.
 def test_interchange_three_layers():
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     ell2 = compose_mod(ell, ell)
     alpha = gen_cell(mt, "pt")
     # id => l.l.l by inserting left-to-right vs right-to-left
@@ -251,7 +251,7 @@ def test_interchange_three_layers():
 def test_eq_cell_congruence_random(data):
     """Whiskering and composing eq_cell-equal cells stays eq_cell-equal."""
     mt = pointed()
-    ell = gen_mod(mt, "l")
+    ell = word_mod(mt, ("l",))
     alpha = gen_cell(mt, "pt")
     # two syntactically different but equal cells id => l.l
     a = vcomp(whisker_left(ell, alpha), alpha, mt)
@@ -355,7 +355,7 @@ def test_a_unit_and_a_counit_that_meet_the_boundary_are_decided():
 def all_adjoint_cells():
     """Every 2-cell of the split coreflection, by boundary-directed search."""
     mt = adjoint()
-    l, r = gen_mod(mt, "l"), gen_mod(mt, "r")
+    l, r = word_mod(mt, ("l",)), word_mod(mt, ("r",))
     lr = compose_mod(l, r)
     ones = [id_mod("n"), id_mod("m"), l, r, lr]
     cells = [id_cell(x) for x in ones] + [gen_cell(mt, "eps")]
@@ -365,7 +365,7 @@ def all_adjoint_cells():
 def test_adjoint_cells_enumeration_closed_under_whiskering():
     mt, ones, cells = all_adjoint_cells()
     eps = gen_cell(mt, "eps")
-    l, r = gen_mod(mt, "l"), gen_mod(mt, "r")
+    l, r = word_mod(mt, ("l",)), word_mod(mt, ("r",))
     lr = compose_mod(l, r)
     # every whisker of eps by a composable 1-cell lands on a known cell
     for nu in [l, lr]:
@@ -385,7 +385,7 @@ def test_adjoint_cells_enumeration_closed_under_whiskering():
 def test_adjoint_triangle_collapses():
     # hand-derived: eps whiskered on either side is an identity cell
     mt = adjoint()
-    l, r = gen_mod(mt, "l"), gen_mod(mt, "r")
+    l, r = word_mod(mt, ("l",)), word_mod(mt, ("r",))
     eps = gen_cell(mt, "eps")
     assert is_id_cell(mt, whisker_right(eps, l))
     assert is_id_cell(mt, whisker_left(r, eps))
@@ -394,7 +394,7 @@ def test_adjoint_triangle_collapses():
 
 def test_adjoint_table_matches_structural_on_identities():
     mt = adjoint()
-    l = gen_mod(mt, "l")
+    l = word_mod(mt, ("l",))
     assert is_id_cell(mt, id_cell(l))
     assert eq_cell(mt, id_cell(l), vcomp(id_cell(l), id_cell(l), mt))
 
@@ -431,6 +431,19 @@ def test_validate_rejects_bad_presentations():
                 {"c": (Modality("m", "n", ("f",)), id_mod("m"))},
             )
         )
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_validate_rejects_a_cell_generator_whose_stated_target_mode_is_wrong(side):
+    # The word mu ends at m, but one side states n -> n, parallel to the
+    # other side nu.mu; only the whole stated boundary shows it.
+    wrong, right = Modality("n", "n", ("mu",)), Modality("n", "n", ("mu", "nu"))
+    cell = (wrong, right) if side == "src" else (right, wrong)
+    mt = ModeTheory("bad", ("n", "m"), {"mu": ("n", "m"), "nu": ("m", "n")}, {"c": cell})
+    with pytest.raises(TheoryItemError) as e:
+        validate(mt)
+    assert e.value.item == ("cell", "c")
+    assert str(e.value) == "cell generator 'c': mu does not end at mode n"
 
 
 def test_validate_rejects_a_scalar_cell_generator():
@@ -473,7 +486,7 @@ def test_validate_accepts_rules_that_shrink_in_shortlex_order():
         # x.y.x ~> id overlaps itself in x.y.x.y.x
         ([("xyx", "")], "x.y.x.y.x rewrites to the normal forms x.y and y.x", 0),
         # y ~> id sits inside y.x ~> z
-        ([("z", ""), ("xy", "z"), ("y", "")], "y.x rewrites to the normal forms id_s and x", 2),
+        ([("z", ""), ("xy", "z"), ("y", "")], "y.x rewrites to the normal forms id(s) and x", 2),
     ],
     ids=["overlap", "self-overlap", "inclusion"],
 )

@@ -17,7 +17,6 @@ from mtt.modeth import (
     Modality,
     compose_mod,
     gen_cell,
-    gen_mod,
     id_cell,
     id_mod,
     pointed,
@@ -26,6 +25,7 @@ from mtt.modeth import (
     walking,
     whisker_left,
     whisker_right,
+    word_mod,
 )
 from mtt.nbe import NbeError, normalize, normalize_ty
 from mtt.normal import (
@@ -62,8 +62,8 @@ W = walking()
 P = pointed()
 
 IDM = id_mod("m")
-MU = gen_mod(W, "mu")
-L = gen_mod(P, "l")
+MU = word_mod(W, ("mu",))
+L = word_mod(P, ("l",))
 PT = gen_cell(P, "pt")
 
 
@@ -417,10 +417,10 @@ def test_key_val_rejects_a_head_cell_that_ends_where_the_key_does_not_start():
     # pt : id => l cannot follow a head cell that already ends at l.  Passing
     # the value through unchanged would hide a transport bug behind a wrong
     # value, so it is an error, on its own and inside a pair.
-    pt, ell = gen_cell(P, "pt"), gen_mod(P, "l")
+    pt, ell = gen_cell(P, "pt"), word_mod(P, ("l",))
     stale = nbe.VNeutral(nbe.BOOL, nbe.NeAbs(0, id_cell(ell)))
     for v in (stale, nbe.VPair(nbe.VTrue(), stale)):
-        with pytest.raises(NbeError, match="starts at id_m, but the head cell ends at l"):
+        with pytest.raises(NbeError, match="starts at id\\(m\\), but the head cell ends at l"):
             nbe.key_val(P, pt, v)
     keyed = nbe.key_val(P, pt, nbe.VNeutral(nbe.BOOL, nbe.NeAbs(0, id_cell(id_mod("m")))))
     assert keyed.ne.cell.tgt == ell

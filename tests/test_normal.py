@@ -13,7 +13,6 @@ from mtt.modeth import (
     eq_cell,
     eq_mod,
     gen_cell,
-    gen_mod,
     id_cell,
     id_mod,
     pointed,
@@ -22,6 +21,7 @@ from mtt.modeth import (
     vcomp,
     whisker_left,
     whisker_right,
+    word_mod,
 )
 from mtt.normal import (
     NeApp,
@@ -71,7 +71,7 @@ def free_pq() -> ModeTheory:
 P = pointed()
 W = walking()
 PT = gen_cell(P, "pt")
-L = gen_mod(P, "l")
+L = word_mod(P, ("l",))
 IDM = id_mod("m")
 
 
@@ -79,20 +79,20 @@ IDM = id_mod("m")
 
 
 def test_locks_of_singleton_is_identity():
-    mu = gen_mod(W, "mu")
+    mu = word_mod(W, ("mu",))
     t = ctx_extend(empty_ctx(W, "m"), mu, BOOL)
     assert locks_of(t, 0) is id_mod("m")
 
 
 def test_locks_of_single_lock():
-    mu = gen_mod(W, "mu")
+    mu = word_mod(W, ("mu",))
     t = ctx_lock(ctx_extend(empty_ctx(W, "m"), mu, BOOL), mu)
     assert eq_mod(W, locks_of(t, 0), mu)
 
 
 def test_locks_of_two_locks_fold():
     mt = free_pq()
-    a, b = gen_mod(mt, "a"), gen_mod(mt, "b")
+    a, b = word_mod(mt, ("a",)), word_mod(mt, ("b",))
     t = ctx_extend(empty_ctx(mt, "r"), id_mod("r"), BOOL)
     t = ctx_lock(ctx_lock(t, b), a)
     lk = locks_of(t, 0)
@@ -189,7 +189,7 @@ def test_nested_locks_fuse_outer_lock_last():
         {"a": ("m", "m"), "b": ("m", "m")},
         {"pa": (IDM, Modality("m", "m", ("a",)))},
     )
-    a, b, pa = gen_mod(mt, "a"), gen_mod(mt, "b"), gen_cell(mt, "pa")
+    a, b, pa = word_mod(mt, ("a",)), word_mod(mt, ("b",)), gen_cell(mt, "pa")
     ba = compose_mod(a, b)
     t = (("var", ba),)
     x = NeVar(0, id_cell(ba))
@@ -288,7 +288,7 @@ def test_decode_true():
 
 
 def test_decode_mkbox():
-    mu = gen_mod(W, "mu")
+    mu = word_mod(W, ("mu",))
     assert decode_nf(NfMkBox(mu, NfTrue())) == S.MkBox(mu, S.True_())
 
 

@@ -3,14 +3,14 @@
 import pytest
 
 from mtt.check import CheckError, ctx_extend, ctx_lock, empty_ctx
-from mtt.modeth import gen_mod, id_mod, walking
+from mtt.modeth import id_mod, walking, word_mod
 from mtt.nbe import BOOL
 from mtt.normal import depth, tele_entry
 
 
 def test_ctx_lock_mode_discipline():
     mt = walking()
-    mu = gen_mod(mt, "mu")  # n -> m
+    mu = word_mod(mt, ("mu",))  # n -> m
     locked = ctx_lock(empty_ctx(mt, "m"), mu)
     assert locked.mode == "n"
     with pytest.raises(CheckError, match="^lock mu targets m, telescope is at n$"):
@@ -28,7 +28,7 @@ def test_ctx_extend_keeps_mode():
 def test_indexing_transparency():
     # inserting a lock after an entry does not change which entry an index hits
     mt = walking()
-    mu = gen_mod(mt, "mu")
+    mu = word_mod(mt, ("mu",))
     base = ctx_extend(empty_ctx(mt, "m"), mu, BOOL)
     locked = ctx_lock(base, mu)
     assert depth(locked) == depth(base) == 1
