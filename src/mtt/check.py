@@ -467,12 +467,23 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
 
 
 TOO_DEEP = "nested too deeply"
+# What a program at fault raises while it is checked.
+PROGRAM_ERRORS = (CheckError, NormalError, NbeError, ModeError)
 
 
-def internal_error(e: Exception) -> str:
-    """The diagnostic for an exception none of the kernel's error classes
-    covers: a fault of the kernel, not of the program it checks."""
-    return f"internal error: {type(e).__name__}: {e}"
+def diagnose(e: Exception, program_errors: tuple = PROGRAM_ERRORS) -> "tuple[str, bool]":
+    """The diagnostic for ``e``, raised on a declaration, and whether it is
+    fatal, a failure of the kernel rather than of the program: the
+    decider's refusal (``Undecided``, though a ``ModeError``), the
+    interpreter's stack running out, or any exception that is not one of
+    ``program_errors``."""
+    if isinstance(e, Undecided):
+        return str(e), True
+    if isinstance(e, program_errors):
+        return str(e), False
+    if isinstance(e, RecursionError):
+        return TOO_DEEP, True
+    return f"internal error: {type(e).__name__}: {e}", True
 
 
 @record
@@ -554,12 +565,7 @@ def check_program(mt: ModeTheory, decls) -> Report:
                 )
             )
             sig[name] = Definition(mode, tyv, val)
-        except Undecided as e:
-            results.append(DeclResult(name, mode, False, error=str(e), fatal=True))
-        except (CheckError, NormalError, NbeError, ModeError) as e:
-            results.append(DeclResult(name, mode, False, error=str(e)))
-        except RecursionError:
-            results.append(DeclResult(name, mode, False, error=TOO_DEEP, fatal=True))
         except Exception as e:
-            results.append(DeclResult(name, mode, False, error=internal_error(e), fatal=True))
+            error, fatal = diagnose(e)
+            results.append(DeclResult(name, mode, False, error=error, fatal=fatal))
     return Report(tuple(results), sig)

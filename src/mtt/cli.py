@@ -54,11 +54,11 @@ from .modeth import (
     ModeTheory,
     Modality,
     TheoryItemError,
-    Undecided,
     compose_mod,
     gen_cell,
     id_cell,
     id_mod,
+    shipped_theory,
     trivial,
     validate,
     vcomp,
@@ -88,7 +88,7 @@ class ParseError(Exception):
         return self.tokens.token(self.at).col
 
 
-SHIPPED = THEORIES  # the shipped mode theories, by name
+SHIPPED = THEORIES  # the shipped mode theories, by name; ``bench/run.py`` builds each
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +598,12 @@ class Parser:
         self.expect("theory")
         name = self.toks[self.pos]
         if name[:1] in _NAME_START:
-            if name not in SHIPPED:
-                raise self.fail(
-                    f"unknown mode theory {name!r} "
-                    f"(shipped: {', '.join(sorted(SHIPPED))})"
-                )
+            try:
+                mt = shipped_theory(name)
+            except ModeError as e:
+                raise self.fail(str(e)) from None
             self.pos += 1
-            return SHIPPED[name]()
+            return mt
         self.expect("{")
         modes: list[str] = []
         mods: dict[str, tuple[str, str]] = {}
@@ -727,12 +726,10 @@ def parse_file(text: str, mt_override: "ModeTheory | None" = None):
 
 
 def _load(path: str, override_name: "str | None"):
-    if override_name is not None and override_name not in SHIPPED:
-        print(
-            f"unknown mode theory {override_name!r} "
-            f"(shipped: {', '.join(sorted(SHIPPED))})",
-            file=sys.stderr,
-        )
+    try:
+        override = None if override_name is None else shipped_theory(override_name)
+    except ModeError as e:
+        print(e, file=sys.stderr)
         return None
     try:
         # utf-8-sig drops one leading byte-order mark, as some editors write
@@ -746,7 +743,6 @@ def _load(path: str, override_name: "str | None"):
         before = text[: bad.start()].split("\n")
         print(f"{path}:{len(before)}:{len(before[-1]) + 1}: not UTF-8 text", file=sys.stderr)
         return None
-    override = SHIPPED[override_name]() if override_name else None
     try:
         return parse_file(text, override)
     except ParseError as e:
@@ -797,12 +793,8 @@ def _emit(path: str, mt: ModeTheory, decls, render, shown: slice = slice(None)) 
             if r.ok:
                 try:
                     lines = render(r)
-                except Undecided as e:
-                    error, fatal = str(e), True
-                except RecursionError:
-                    error, fatal = C.TOO_DEEP, True
                 except Exception as e:
-                    error, fatal = C.internal_error(e), True
+                    error, fatal = C.diagnose(e, ())
                 else:
                     for line in lines:
                         _out(line)

@@ -19,7 +19,8 @@ catch shared definitions: every ``Const`` naming one declaration evaluates
 to the same body value, so a type built from definitions is compared with
 itself in constant time instead of being unfolded.
 
-Read-back and ``eq_nf`` stay as the reference the tests and
+Read-back and ``eq_nf``, one structural walk over the normal forms'
+fields in ``normal``, stay as the reference the tests and
 ``harness.check_conversion`` hold this to.  The module is apart from
 ``nbe`` because ``mtt`` often starts without a bytecode cache: compiled as
 part of ``nbe``, as one larger module, this code raised the peak memory of

@@ -62,6 +62,7 @@ from .modeth import (
     id_cell,
     id_mod,
     is_id_cell,
+    shipped_theory,
     trivial,
     vcomp,
     walking,
@@ -129,9 +130,7 @@ class GenConfig:
 
 
 def theory_of(cfg: GenConfig) -> ModeTheory:
-    if cfg.theory not in THEORIES:
-        raise HarnessError(f"unknown mode theory {cfg.theory!r}")
-    return THEORIES[cfg.theory]()
+    return shipped_theory(cfg.theory)
 
 
 # ---------------------------------------------------------------------------

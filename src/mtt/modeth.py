@@ -523,3 +523,11 @@ THEORIES = {
     "pointed": pointed,
     "adjoint": adjoint,
 }
+
+
+def shipped_theory(name: str) -> ModeTheory:
+    """The shipped theory ``name``, built; a ``ModeError`` that lists the
+    shipped names if there is none."""
+    if name not in THEORIES:
+        raise ModeError(f"unknown mode theory {name!r} (shipped: {', '.join(sorted(THEORIES))})")
+    return THEORIES[name]()

@@ -4,11 +4,22 @@ embedding into core terms, and their printer.
 Normal forms live over contexts of locks and annotated variables, whose
 record is ``check.CheckCtx``; ``depth``, ``tele_entry`` and ``locks_of``
 read one by level, and the checker reaches its variables through them.
+
+Each normal-form class shares its field names with the core-term class
+it embeds into (``EMBEDS``), and so reads the scope of each field, behind
+a lock or under a binder, from ``syntax.SCOPES``.  Renaming, equality
+and the embedding are each one walk over the fields, not a case per
+former; each has three one-line entry points (normal form, neutral,
+normal type), which ``bench/tracer.py`` wraps by name.  The walks recurse
+once per level of a form and build no comprehension on the way, so each
+level costs one stack frame.
+
 Renamings are the structural morphisms between contexts (weakening, locks,
 keys, variable-for-variable extension); they act on neutrals and normals,
 and on variables the action composes 2-cells onto the head.  Renamings are
 kept as unevaluated trees: only their actions are ever compared, never the
-trees themselves.
+trees themselves.  Equality is structural, with the mode theory deciding
+the modalities and 2-cells inside.
 
 ``decode_nf``/``decode_ne``/``decode_nfty`` embed normal forms into core
 terms, and ``surface_nf``/``surface_ne``/``surface_nfty`` print that
@@ -109,20 +120,20 @@ class NfUni(NfTy):
 @record
 class NfFn(NfTy):
     mod: Modality
-    dom: NfTy  # in the mod-locked context
-    cod: NfTy  # binds 1, annotated mod
+    dom: NfTy
+    cod: NfTy
 
 
 @record
 class NfProd(NfTy):
     fst: NfTy
-    snd: NfTy  # binds 1, identity annotation
+    snd: NfTy
 
 
 @record
 class NfModify(NfTy):
     mod: Modality
-    ty: NfTy  # in the mod-locked context
+    ty: NfTy
 
 
 @record
@@ -140,7 +151,7 @@ class NeVar(Ne):
 class NeApp(Ne):
     fn: Ne
     mod: Modality  # the function type's domain annotation
-    arg: Nf  # lives in the mod-locked context
+    arg: Nf
 
 
 @record
@@ -155,7 +166,7 @@ class NeProj2(Ne):
 
 @record
 class NeBoolRec(Ne):
-    motive: NfTy  # binds 1 (identity-annotated Bool)
+    motive: NfTy
     scrut: Ne
     tcase: Nf
     fcase: Nf
@@ -165,9 +176,9 @@ class NeBoolRec(Ne):
 class NeLetMod(Ne):
     mu: Modality
     nu: Modality
-    motive: NfTy  # binds 1, annotated mu
-    scrut: Ne  # in the mu-locked context
-    branch: Nf  # binds 1, annotated mu.nu
+    motive: NfTy
+    scrut: Ne
+    branch: Nf
 
 
 @record
@@ -202,7 +213,7 @@ class NfFalse(Nf):
 @record
 class NfMkBox(Nf):
     mod: Modality
-    body: Nf  # in the mod-locked context
+    body: Nf
 
 
 @record
@@ -219,14 +230,14 @@ class NfInj(Nf):
 @record
 class NfFnCode(Nf):
     mod: Modality
-    dom: Nf  # code, in the mod-locked context
-    cod: Nf  # code, binds 1 annotated mod at Dec(dom)
+    dom: Nf
+    cod: Nf  # at Dec(dom)
 
 
 @record
 class NfProdCode(Nf):
     fst: Nf
-    snd: Nf  # binds 1, identity annotation
+    snd: Nf
 
 
 @record
@@ -237,7 +248,7 @@ class NfBoolCode(Nf):
 @record
 class NfModifyCode(Nf):
     mod: Modality
-    code: Nf  # in the mod-locked context
+    code: Nf
 
 
 @record
@@ -245,6 +256,43 @@ class NfDecIsoStar(Nf):
     """A canonical form coerced back under Dec at a canonical code."""
 
     body: Nf
+
+
+# The term class each normal-form class embeds into.  A field is scoped as
+# the term class's field of its name; an application keeps one field its
+# term class drops, its function type's domain modality, which locks its
+# argument.  ``NfInj`` embeds as its neutral.
+EMBEDS: "dict[type, type]" = {
+    NfBool: S.Bool, NfUni: S.Uni, NfFn: S.Pi, NfProd: S.Sig, NfModify: S.Mod, NfDec: S.Dec,
+    NeVar: S.Var, NeApp: S.App, NeProj1: S.Proj1, NeProj2: S.Proj2, NeBoolRec: S.If,
+    NeLetMod: S.LetMod, NeDecIso: S.DecIso, NfLam: S.Lam, NfPair: S.Pair, NfTrue: S.True_,
+    NfFalse: S.False_, NfMkBox: S.MkBox, NfFnCode: S.PiCode, NfProdCode: S.SigCode,
+    NfBoolCode: S.BoolCode, NfModifyCode: S.ModCode, NfDecIsoStar: S.DecIsoInv,
+}
+
+
+def _plan(c: type) -> tuple:
+    """Per field of ``c``: its name, whether it holds a normal form, the
+    field holding its lock's modality, and the fields whose modalities
+    compose to its binder's annotation."""
+    scoped = {"arg": ("lock", "mod")} if c is NeApp else S.SCOPES.get(EMBEDS.get(c), {})
+    out = []
+    for f in c.__match_args__:
+        kind, mods = scoped.get(f, (None, None))
+        node = c.__annotations__[f] in ("Nf", "Ne", "NfTy")
+        out.append((f, node, mods if kind == "lock" else None, mods if kind == "binds" else None))
+    return tuple(out)
+
+
+def _embedding(c: type) -> tuple:
+    """``c``'s term class, and per field of it that ``c`` has, in the term
+    class's order: its name and whether it holds a normal form."""
+    term, node = EMBEDS[c], {f: n for f, n, _, _ in _PLANS[c]}
+    return term, tuple((f, node[f]) for f in term.__match_args__ if f in node)
+
+
+_PLANS = {c: _plan(c) for c in (*EMBEDS, NfInj)}
+_EMBEDDING = {c: _embedding(c) for c in EMBEDS}
 
 
 # ---------------------------------------------------------------------------
@@ -338,228 +386,117 @@ def _act_var(
 
 
 def rename_ne(mt: ModeTheory, r: Renaming, e: Ne, mode: str) -> Ne:
-    match e:
-        case NeVar(k, cell):
-            return _act_var(mt, r, k, cell, mode)
-        case NeApp(fn, mod, arg):
-            return NeApp(
-                rename_ne(mt, r, fn, mode),
-                mod,
-                rename_nf(mt, RenLock(mod, r), arg, mod.mode_src),
-            )
-        case NeProj1(p):
-            return NeProj1(rename_ne(mt, r, p, mode))
-        case NeProj2(p):
-            return NeProj2(rename_ne(mt, r, p, mode))
-        case NeBoolRec(motive, scrut, t, f):
-            return NeBoolRec(
-                rename_nfty(mt, lift(r, id_mod(mode)), motive, mode),
-                rename_ne(mt, r, scrut, mode),
-                rename_nf(mt, r, t, mode),
-                rename_nf(mt, r, f, mode),
-            )
-        case NeLetMod(mu, nu, motive, scrut, branch):
-            return NeLetMod(
-                mu,
-                nu,
-                rename_nfty(mt, lift(r, mu), motive, mode),
-                rename_ne(mt, RenLock(mu, r), scrut, mu.mode_src),
-                rename_nf(mt, lift(r, compose_mod(mu, nu)), branch, mode),
-            )
-        case NeDecIso(body):
-            return NeDecIso(rename_ne(mt, r, body, mode))
-    raise AssertionError(e)
+    return _rename(mt, r, e, mode)
 
 
 def rename_nf(mt: ModeTheory, r: Renaming, u: Nf, mode: str) -> Nf:
-    match u:
-        case NfTrue() | NfFalse() | NfBoolCode():
-            return u
-        case NfLam(mod, body):
-            return NfLam(mod, rename_nf(mt, lift(r, mod), body, mode))
-        case NfPair(a, b):
-            return NfPair(rename_nf(mt, r, a, mode), rename_nf(mt, r, b, mode))
-        case NfMkBox(mod, body):
-            return NfMkBox(mod, rename_nf(mt, RenLock(mod, r), body, mod.mode_src))
-        case NfInj(e):
-            return NfInj(rename_ne(mt, r, e, mode))
-        case NfFnCode(mod, a, b):
-            return NfFnCode(
-                mod,
-                rename_nf(mt, RenLock(mod, r), a, mod.mode_src),
-                rename_nf(mt, lift(r, mod), b, mode),
-            )
-        case NfProdCode(a, b):
-            return NfProdCode(
-                rename_nf(mt, r, a, mode),
-                rename_nf(mt, lift(r, id_mod(mode)), b, mode),
-            )
-        case NfModifyCode(mod, a):
-            return NfModifyCode(mod, rename_nf(mt, RenLock(mod, r), a, mod.mode_src))
-        case NfDecIsoStar(body):
-            return NfDecIsoStar(rename_nf(mt, r, body, mode))
-    raise AssertionError(u)
+    return _rename(mt, r, u, mode)
 
 
 def rename_nfty(mt: ModeTheory, r: Renaming, t: NfTy, mode: str) -> NfTy:
-    match t:
-        case NfBool() | NfUni():
-            return t
-        case NfFn(mod, dom, cod):
-            return NfFn(
-                mod,
-                rename_nfty(mt, RenLock(mod, r), dom, mod.mode_src),
-                rename_nfty(mt, lift(r, mod), cod, mode),
-            )
-        case NfProd(a, b):
-            return NfProd(
-                rename_nfty(mt, r, a, mode),
-                rename_nfty(mt, lift(r, id_mod(mode)), b, mode),
-            )
-        case NfModify(mod, a):
-            return NfModify(mod, rename_nfty(mt, RenLock(mod, r), a, mod.mode_src))
-        case NfDec(u):
-            return NfDec(rename_nf(mt, r, u, mode))
-    raise AssertionError(t)
+    return _rename(mt, r, t, mode)
+
+
+def _rename(mt: ModeTheory, r: Renaming, u, mode: str):
+    """``u`` renamed along ``r``: each field as its scope says, through the
+    field's lock or past its binder, and a variable by ``_act_var``."""
+    c = u.__class__
+    if c is NeVar:
+        return _act_var(mt, r, u.idx, u.cell, mode)
+    plan = _PLANS[c]
+    if not plan:
+        return u
+    args = []
+    for f, node, lock, ann in plan:
+        v = getattr(u, f)
+        if node:
+            if lock is not None:
+                m = getattr(u, lock)
+                v = _rename(mt, RenLock(m, r), v, m.mode_src)
+            elif ann is not None:
+                v = _rename(mt, lift(r, _annotation(u, ann, mode)), v, mode)
+            else:
+                v = _rename(mt, r, v, mode)
+        args.append(v)
+    return c(*args)
+
+
+def _annotation(u, fields: "tuple[str, ...]", mode: str) -> Modality:
+    """The composite of the modalities in ``u``'s ``fields``, the identity
+    at ``mode`` when there are none."""
+    if not fields:
+        return id_mod(mode)
+    mod = getattr(u, fields[0])
+    for f in fields[1:]:
+        mod = compose_mod(mod, getattr(u, f))
+    return mod
 
 
 # ---------------------------------------------------------------------------
 # Decoding into quotiented terms: the embedding of normal forms into core
-# terms, one class at a time.  A lambda keeps its binder's modality.
+# terms.  Each class is built positionally from its plan, the fields of
+# ``EMBEDS``'s term class that it has, which lead that class's fields.
 
 
 def decode_nf(u: Nf) -> Term:
-    c = u.__class__
-    if c is NfInj:
-        return decode_ne(u.ne)
-    if c is NfLam:
-        return S.Lam(decode_nf(u.body), u.mod)
-    if c is NfTrue:
-        return S.True_()
-    if c is NfFalse:
-        return S.False_()
-    if c is NfPair:
-        return S.Pair(decode_nf(u.fst), decode_nf(u.snd))
-    if c is NfMkBox:
-        return S.MkBox(u.mod, decode_nf(u.body))
-    if c is NfFnCode:
-        return S.PiCode(u.mod, decode_nf(u.dom), decode_nf(u.cod))
-    if c is NfProdCode:
-        return S.SigCode(decode_nf(u.fst), decode_nf(u.snd))
-    if c is NfBoolCode:
-        return S.BoolCode()
-    if c is NfModifyCode:
-        return S.ModCode(u.mod, decode_nf(u.code))
-    if c is NfDecIsoStar:
-        return S.DecIsoInv(decode_nf(u.body))
-    raise AssertionError(u)
+    return _embed(u)
 
 
 def decode_ne(e: Ne) -> Term:
-    c = e.__class__
-    if c is NeVar:
-        return S.Var(e.idx, e.cell)
-    if c is NeApp:
-        return S.App(decode_ne(e.fn), decode_nf(e.arg))
-    if c is NeProj1:
-        return S.Proj1(decode_ne(e.pair))
-    if c is NeProj2:
-        return S.Proj2(decode_ne(e.pair))
-    if c is NeBoolRec:
-        m = decode_nfty(e.motive)
-        return S.If(m, decode_nf(e.tcase), decode_nf(e.fcase), decode_ne(e.scrut))
-    if c is NeLetMod:
-        return S.LetMod(e.mu, e.nu, decode_nfty(e.motive), decode_ne(e.scrut), decode_nf(e.branch))
-    if c is NeDecIso:
-        return S.DecIso(decode_ne(e.body))
-    raise AssertionError(e)
+    return _embed(e)
 
 
 def decode_nfty(t: NfTy) -> Term:
-    c = t.__class__
-    if c is NfBool:
-        return S.Bool()
-    if c is NfUni:
-        return S.Uni()
-    if c is NfFn:
-        return S.Pi(t.mod, decode_nfty(t.dom), decode_nfty(t.cod))
-    if c is NfProd:
-        return S.Sig(decode_nfty(t.fst), decode_nfty(t.snd))
-    if c is NfModify:
-        return S.Mod(t.mod, decode_nfty(t.ty))
-    if c is NfDec:
-        return S.Dec(decode_nf(t.code))
-    raise AssertionError(t)
+    return _embed(t)
+
+
+def _embed(u) -> Term:
+    if u.__class__ is NfInj:
+        u = u.ne
+    term, plan = _EMBEDDING[u.__class__]
+    args = []
+    for f, node in plan:
+        v = getattr(u, f)
+        args.append(_embed(v) if node else v)
+    return term(*args)
 
 
 # ---------------------------------------------------------------------------
-# Equality: structural, with the mode theory deciding embedded cells
+# Equality: structural, with the mode theory deciding embedded modalities
+# and cells.  Fields are compared in order, and the first that differs
+# decides.
 
 
 def eq_nf(mt: ModeTheory, a: Nf, b: Nf) -> bool:
-    match (a, b):
-        case (NfTrue(), NfTrue()) | (NfFalse(), NfFalse()) | (NfBoolCode(), NfBoolCode()):
-            return True
-        case (NfLam(m1, b1), NfLam(m2, b2)):
-            return eq_mod(mt, m1, m2) and eq_nf(mt, b1, b2)
-        case (NfPair(a1, b1), NfPair(a2, b2)):
-            return eq_nf(mt, a1, a2) and eq_nf(mt, b1, b2)
-        case (NfMkBox(m1, b1), NfMkBox(m2, b2)):
-            return eq_mod(mt, m1, m2) and eq_nf(mt, b1, b2)
-        case (NfInj(e1), NfInj(e2)):
-            return eq_ne(mt, e1, e2)
-        case (NfFnCode(m1, a1, b1), NfFnCode(m2, a2, b2)):
-            return eq_mod(mt, m1, m2) and eq_nf(mt, a1, a2) and eq_nf(mt, b1, b2)
-        case (NfProdCode(a1, b1), NfProdCode(a2, b2)):
-            return eq_nf(mt, a1, a2) and eq_nf(mt, b1, b2)
-        case (NfModifyCode(m1, a1), NfModifyCode(m2, a2)):
-            return eq_mod(mt, m1, m2) and eq_nf(mt, a1, a2)
-        case (NfDecIsoStar(b1), NfDecIsoStar(b2)):
-            return eq_nf(mt, b1, b2)
-    return False
+    return _eq(mt, a, b)
 
 
 def eq_ne(mt: ModeTheory, a: Ne, b: Ne) -> bool:
-    match (a, b):
-        case (NeVar(k1, c1), NeVar(k2, c2)):
-            return k1 == k2 and eq_cell(mt, c1, c2)
-        case (NeApp(f1, m1, a1), NeApp(f2, m2, a2)):
-            return eq_ne(mt, f1, f2) and eq_mod(mt, m1, m2) and eq_nf(mt, a1, a2)
-        case (NeProj1(p1), NeProj1(p2)) | (NeProj2(p1), NeProj2(p2)):
-            return eq_ne(mt, p1, p2)
-        case (NeBoolRec(t1, s1, x1, y1), NeBoolRec(t2, s2, x2, y2)):
-            return (
-                eq_nfty(mt, t1, t2)
-                and eq_ne(mt, s1, s2)
-                and eq_nf(mt, x1, x2)
-                and eq_nf(mt, y1, y2)
-            )
-        case (NeLetMod(mu1, nu1, t1, s1, b1), NeLetMod(mu2, nu2, t2, s2, b2)):
-            return (
-                eq_mod(mt, mu1, mu2)
-                and eq_mod(mt, nu1, nu2)
-                and eq_nfty(mt, t1, t2)
-                and eq_ne(mt, s1, s2)
-                and eq_nf(mt, b1, b2)
-            )
-        case (NeDecIso(b1), NeDecIso(b2)):
-            return eq_ne(mt, b1, b2)
-    return False
+    return _eq(mt, a, b)
 
 
 def eq_nfty(mt: ModeTheory, a: NfTy, b: NfTy) -> bool:
-    match (a, b):
-        case (NfBool(), NfBool()) | (NfUni(), NfUni()):
-            return True
-        case (NfFn(m1, d1, c1), NfFn(m2, d2, c2)):
-            return eq_mod(mt, m1, m2) and eq_nfty(mt, d1, d2) and eq_nfty(mt, c1, c2)
-        case (NfProd(a1, b1), NfProd(a2, b2)):
-            return eq_nfty(mt, a1, a2) and eq_nfty(mt, b1, b2)
-        case (NfModify(m1, t1), NfModify(m2, t2)):
-            return eq_mod(mt, m1, m2) and eq_nfty(mt, t1, t2)
-        case (NfDec(u1), NfDec(u2)):
-            return eq_nf(mt, u1, u2)
-    return False
+    return _eq(mt, a, b)
+
+
+def _eq(mt: ModeTheory, a, b) -> bool:
+    c = a.__class__
+    if c is not b.__class__:
+        return False
+    for f in c.__match_args__:
+        x, y = getattr(a, f), getattr(b, f)
+        k = x.__class__
+        if k is Modality:
+            same = eq_mod(mt, x, y)
+        elif k is Cell2:
+            same = eq_cell(mt, x, y)
+        elif k in _PLANS:
+            same = _eq(mt, x, y)
+        else:
+            same = x == y
+        if not same:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

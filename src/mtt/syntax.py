@@ -14,9 +14,13 @@ type's; the parser writes the identity for a bare ``\\x``, and only a
 lambda built through the API has None, which meets any ``Pi``.  Like
 ``dependent`` it takes no part in equality, but it is printed.
 
-``BINDS`` names the fields of each former that bind a variable, and
-``map_vars`` is the one traversal that acts on the variables of a term
-under them, rebuilding every other field as it stands.
+``SCOPES`` is the one statement of scoping: for each former, the fields
+that sit behind a lock, and of which modality, and the fields that bind
+a variable, and with which annotation.  ``normal`` reads it for normal
+forms, which share field names with these classes.  ``BINDS``, the
+binding fields, is read off it, and ``map_vars`` is the one traversal
+that acts on the variables of a term under them, rebuilding every other
+field as it stands.
 
 Terms live over contexts of locks and annotated variables; the one record
 of such a context is ``check.CheckCtx``.
@@ -57,7 +61,7 @@ class Pi(Term):
 
     mod: Modality
     dom: Term
-    cod: Term  # binds 1
+    cod: Term
     dependent: bool = field(default=True, repr=False, compare=False)
 
 
@@ -66,7 +70,7 @@ class Sig(Term):
     """``dependent`` as for ``Pi``, about ``snd``."""
 
     fst: Term
-    snd: Term  # binds 1
+    snd: Term
     dependent: bool = field(default=True, repr=False, compare=False)
 
 
@@ -93,7 +97,7 @@ class Dec(Term):
 
 @record
 class Lam(Term):
-    body: Term  # binds 1
+    body: Term
     mod: "Modality | None" = field(default=None, repr=False, compare=False)
 
 
@@ -131,7 +135,7 @@ class False_(Term):
 
 @record
 class If(Term):
-    motive: Term  # binds 1 (a Bool variable, identity annotation)
+    motive: Term
     tcase: Term
     fcase: Term
     scrut: Term
@@ -146,27 +150,27 @@ class MkBox(Term):
 @record
 class LetMod(Term):
     """Modal eliminator.  mu frames the scrutinee, nu is the boxed modality;
-    the motive binds one (mu | Mod nu A) variable and the branch one
-    (mu.nu | A) variable."""
+    the motive's variable has type Mod nu A and the branch's A, annotated
+    as ``SCOPES`` says."""
 
     mu: Modality
     nu: Modality
-    motive: Term  # binds 1
+    motive: Term
     scrut: Term
-    branch: Term  # binds 1
+    branch: Term
 
 
 @record
 class PiCode(Term):
     mod: Modality
     dom: Term
-    cod: Term  # binds 1
+    cod: Term
 
 
 @record
 class SigCode(Term):
     fst: Term
-    snd: Term  # binds 1
+    snd: Term
 
 
 @record
@@ -194,16 +198,35 @@ class DecIsoInv(Term):
     body: Term
 
 
-# The fields of each term former that bind one variable: the ``# binds 1``
-# comments above, as data.  No other field binds.
+# The scope of each field of a former that does not live in the former's
+# own context: ("lock", m) puts it behind a lock of the modality in field
+# m, and ("binds", ms) makes it bind one variable, annotated by the
+# composite of the modalities in fields ms, the identity when ms is empty.
+# No other field is scoped.  A ``Lam`` built without a modality binds its
+# variable at whatever modality its ``Pi`` has.  ``normal`` reads this
+# table for normal forms through their embedding into these classes.
+SCOPES: "dict[type, dict[str, tuple[str, object]]]" = {
+    Pi: {"dom": ("lock", "mod"), "cod": ("binds", ("mod",))},
+    Sig: {"snd": ("binds", ())},
+    Mod: {"ty": ("lock", "mod")},
+    Lam: {"body": ("binds", ("mod",))},
+    If: {"motive": ("binds", ())},
+    MkBox: {"body": ("lock", "mod")},
+    LetMod: {
+        "motive": ("binds", ("mu",)),
+        "scrut": ("lock", "mu"),
+        "branch": ("binds", ("mu", "nu")),
+    },
+    PiCode: {"dom": ("lock", "mod"), "cod": ("binds", ("mod",))},
+    SigCode: {"snd": ("binds", ())},
+    ModCode: {"code": ("lock", "mod")},
+}
+
+# The fields of each former that bind one variable.
 BINDS: "dict[type, tuple[str, ...]]" = {
-    Pi: ("cod",),
-    Sig: ("snd",),
-    Lam: ("body",),
-    If: ("motive",),
-    LetMod: ("motive", "branch"),
-    PiCode: ("cod",),
-    SigCode: ("snd",),
+    c: binds
+    for c, scopes in SCOPES.items()
+    if (binds := tuple(f for f, (kind, _) in scopes.items() if kind == "binds"))
 }
 
 

@@ -22,6 +22,7 @@ from mtt.check import check_program, check_tm, check_type, empty_ctx
 from mtt.cli import ParseError, main, parse_file, surface_nf, tokenize
 from mtt.modeth import (
     Atom,
+    ModeError,
     Modality,
     Undecided,
     compose_mod,
@@ -623,7 +624,17 @@ def test_mode_theory_override_flag(tmp_path, capsys):
 def test_unknown_mode_theory_name(tmp_path, capsys):
     path = write(tmp_path, "good.mtt", GOOD)
     assert main(["check", path, "--mode-theory", "exotic"]) == 2
-    assert "unknown mode theory 'exotic'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "unknown mode theory 'exotic' (shipped: adjoint, pointed, trivial, walking)\n"
+    )
+
+
+def test_an_unknown_theory_named_in_the_file_is_located(tmp_path, capsys):
+    path = write(tmp_path, "exotic.mtt", "-- a theory nobody ships\n  theory exotic\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:2:10: unknown mode theory 'exotic' (shipped: adjoint, pointed, trivial, walking)\n"
+    )
 
 
 def test_print_core_dumps_elaborated_terms(tmp_path, capsys):
@@ -1055,6 +1066,29 @@ def test_a_refusal_while_printing_is_a_located_refusal(tmp_path, capsys, monkeyp
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err == f"{path}:1:1: error: a: 2-cell equality undecided: a test refusal\n"
+
+
+@pytest.mark.parametrize("error, status", [(Undecided, 2), (ModeError, 1)])
+def test_a_refusal_while_checking_is_fatal_and_another_mode_error_is_not(
+    tmp_path, capsys, monkeypatch, error, status
+):
+    # ``Undecided`` is a ``ModeError``, but it is the decider's refusal,
+    # not a fault of the program, so it alone ends in exit 2.
+    real = conv.conv_ty
+
+    def refuse(mt, d, mode, a, b):
+        if isinstance(a, nbe.TUni):
+            raise error("a test refusal")
+        return real(mt, d, mode, a, b)
+
+    for module in (conv, C):
+        monkeypatch.setattr(module, "conv_ty", refuse)
+    text = "def a @m : Bool := true\ndef c @m : Uni := BoolC\n"
+    path = write(tmp_path, "refuse.mtt", text)
+    assert main(["check", path]) == status
+    cap = capsys.readouterr()
+    assert cap.out == "checked a : Bool\n"
+    assert cap.err == f"{path}:2:1: error: c: a test refusal\n"
 
 
 def test_nine_hundred_binders_check_and_normalize(tmp_path):

@@ -1,4 +1,5 @@
-"""Context readers, renaming actions, decoding, and normal-form equality."""
+"""Context readers, renaming actions, decoding, normal-form equality, and
+the scope table they read."""
 
 from random import Random
 
@@ -24,9 +25,21 @@ from mtt.modeth import (
     word_mod,
 )
 from mtt.normal import (
+    EMBEDS,
+    Ne,
+    Nf,
     NeApp,
+    NeBoolRec,
+    NeLetMod,
     NeVar,
+    NfBoolCode,
+    NfDec,
+    NfFnCode,
     NfInj,
+    NfModify,
+    NfModifyCode,
+    NfProd,
+    NfProdCode,
     NfLam,
     NfMkBox,
     NfPair,
@@ -44,6 +57,7 @@ from mtt.normal import (
     decode_nfty,
     NfBool,
     NfFn,
+    NfTy,
     eq_ne,
     eq_nf,
     eq_nfty,
@@ -52,6 +66,7 @@ from mtt.normal import (
     locks_of,
     rename_ne,
     rename_nf,
+    rename_nfty,
     tele_entry,
 )
 from mtt.nbe import BOOL
@@ -240,6 +255,55 @@ def test_lift_pushes_key_past_binder():
     assert eq_nf(P, got, want)
 
 
+def _scoped_samples(keyed: bool) -> dict:
+    """One form per scoped field of a normal form, over theta = (id | Bool)
+    with x its variable, before (``keyed`` False) and after renaming by the
+    key of pt.  In the field, x sits under the field's lock l with cell pt
+    (keyed: pt whiskered by l, after pt), or under the field's binder with
+    the identity cell (keyed: pt) beside the bound variable, whose cell
+    starts at the binder's annotation.  A LetMod locks its scrutinee by
+    mu = l and binds mu.nu = l.l.l in its branch."""
+    ll = compose_mod(L, L)
+    locked = NfInj(NeVar(0, vcomp(whisker_right(PT, L), PT, P) if keyed else PT))
+    outside = NeVar(0, PT if keyed else id_cell(IDM))
+
+    def under(ann):
+        return NfPair(NfInj(NeVar(1, outside.cell)), NfInj(NeVar(0, id_cell(ann))))
+
+    def letmod(motive=NfBool(), branch=NfTrue()):
+        return NfInj(NeLetMod(L, ll, motive, locked.ne, branch))
+
+    return {
+        "NfFn.dom": NfFn(L, NfDec(locked), NfBool()),
+        "NfFn.cod": NfFn(L, NfBool(), NfDec(under(L))),
+        "NfProd.snd": NfProd(NfBool(), NfDec(under(IDM))),
+        "NfModify.ty": NfModify(L, NfDec(locked)),
+        "NeApp.arg": NfInj(NeApp(outside, L, locked)),
+        "NeBoolRec.motive": NfInj(NeBoolRec(NfDec(under(IDM)), outside, NfTrue(), NfFalse())),
+        "NeLetMod.motive": letmod(motive=NfDec(under(L))),
+        "NeLetMod.scrut": letmod(),
+        "NeLetMod.branch": letmod(branch=under(compose_mod(L, ll))),
+        "NfLam.body": NfLam(ll, under(ll)),
+        "NfMkBox.body": NfMkBox(L, locked),
+        "NfFnCode.dom": NfFnCode(L, locked, NfBoolCode()),
+        "NfFnCode.cod": NfFnCode(L, NfBoolCode(), under(L)),
+        "NfProdCode.snd": NfProdCode(NfBoolCode(), under(IDM)),
+        "NfModifyCode.code": NfModifyCode(L, locked),
+    }
+
+
+@pytest.mark.parametrize("field", sorted(_scoped_samples(False)))
+def test_a_key_whiskers_a_variable_in_each_scoped_field(field):
+    before, want = _scoped_samples(False)[field], _scoped_samples(True)[field]
+    key = RenKey(PT, RF.key_locks((("var", IDM),)))
+    if isinstance(before, NfTy):
+        got, same = rename_nfty(P, key, before, "m"), eq_nfty
+    else:
+        got, same = rename_nf(P, key, before, "m"), eq_nf
+    assert same(P, got, want)
+    assert not same(P, got, before)
+
+
 # --- equation families, randomized -----------------------------------------
 
 
@@ -345,6 +409,36 @@ def test_eq_nfty_compares_cells_inside():
     b = NfFn(Modality("m", "m", ("l",)), NfBool(), NfBool())
     assert eq_nfty(P, a, b)
     assert not eq_nfty(P, a, NfFn(IDM, NfBool(), NfBool()))
+
+
+# --- the scope table --------------------------------------------------------
+
+
+def test_each_normal_form_shares_its_field_names_with_its_term_class():
+    # The embedding builds a term positionally from the fields its normal
+    # form has, so those must lead the term class's fields, and the rest
+    # must have defaults.  Only an application's modality is dropped.
+    forms = {*Nf.__subclasses__(), *Ne.__subclasses__(), *NfTy.__subclasses__()}
+    assert set(EMBEDS) == forms - {NfInj}
+    dropped = []
+    for c, term in EMBEDS.items():
+        dropped += [f"{c.__name__}.{f}" for f in c.__match_args__ if f not in term.__match_args__]
+        kept = [f for f in term.__match_args__ if f in c.__match_args__]
+        assert term.__match_args__[: len(kept)] == tuple(kept), c
+        assert len(term.__match_args__) - len(kept) <= len(term.__init__.__defaults__ or ()), c
+    assert dropped == ["NeApp.mod"]
+
+
+def test_binds_is_read_off_the_scope_table():
+    assert S.BINDS == {
+        S.Pi: ("cod",),
+        S.Sig: ("snd",),
+        S.Lam: ("body",),
+        S.If: ("motive",),
+        S.LetMod: ("motive", "branch"),
+        S.PiCode: ("cod",),
+        S.SigCode: ("snd",),
+    }
 
 
 # --- contexts ---------------------------------------------------------------
