@@ -28,21 +28,24 @@ key whiskers once on each side whatever its depth.  Exit codes: 0 success,
 interpreter's stack, or a 2-cell question the mode theory's decider
 refuses.  Diagnostics go to stderr; all stdout output is a deterministic
 function of the input.  Normal forms print through
-``normal.surface_nf``/``surface_nfty`` and ``--print-core`` prints the
-parsed terms, all through ``syntax.show_term``, whose output parses
-again; a closed stdout discards the rest of the output and changes
-neither the diagnostics nor the exit code.
+``normal.surface_nf``/``surface_nfty``, which read them directly, and
+``--print-core`` prints the parsed terms, all through ``syntax.show_term``,
+whose output parses again; a closed stdout discards the rest of the output
+and changes neither the diagnostics nor the exit code.
+
+A plain command line, ``check FILE`` or ``normalize FILE [NAME]`` with no
+argument that starts with ``-``, runs without ``argparse``; it is imported
+only for options, ``-h`` and usage errors, whose texts are its own.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from functools import cache
 from itertools import islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .record import field, record
 from . import check as C
@@ -69,6 +72,9 @@ from .modeth import (
 # All three are bound here: ``bench/tracer.py`` times them as ``cli:surface_*``.
 from .normal import surface_ne, surface_nf, surface_nfty  # noqa: F401
 from .syntax import Term
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class ParseError(Exception):
@@ -851,9 +857,12 @@ def cmd_normalize(
 
 
 @cache
-def _arg_parser() -> argparse.ArgumentParser:
+def _arg_parser() -> "argparse.ArgumentParser":
     """The command-line grammar, built on first use and shared by every later
-    ``main`` call in the process (parsing leaves no state on it)."""
+    ``main`` call in the process (parsing leaves no state on it).  Only a
+    command line that is not plain (``_plain_command``) loads ``argparse``."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="mtt", description="Check and normalize .mtt files."
     )
@@ -876,12 +885,36 @@ def _arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _plain_command(argv: "list[str]") -> "tuple[str, str, str | None] | None":
+    """``(command, file, name)`` for a plain ``check FILE`` or ``normalize
+    FILE [NAME]``, in which no argument starts with ``-``: ``_arg_parser``
+    parses such a line to the same, with no option set.  None for any other
+    command line."""
+    if any(a[:1] == "-" for a in argv):
+        return None
+    if len(argv) == 2 and argv[0] == "check" or len(argv) in (2, 3) and argv[0] == "normalize":
+        return argv[0], argv[1], argv[2] if len(argv) == 3 else None
+    return None
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    args = _arg_parser().parse_args(argv)
-    if args.command == "check":
-        status = cmd_check(args.file, args.mode_theory, args.print_core)
+    """Run one command, ``argv`` by default ``sys.argv[1:]``.  A plain
+    command line runs without ``argparse``; every other one (an option,
+    ``-h``, a usage error) goes through ``_arg_parser``, so help texts and
+    usage errors are argparse's own."""
+    if argv is None:
+        argv = sys.argv[1:]
+    plain = _plain_command(argv)
+    if plain is None:
+        args = _arg_parser().parse_args(argv)
+        command, path, name = args.command, args.file, getattr(args, "name", None)
+        override, print_core = args.mode_theory, args.print_core
     else:
-        status = cmd_normalize(args.file, args.name, args.mode_theory, args.print_core)
+        (command, path, name), override, print_core = plain, None, False
+    if command == "check":
+        status = cmd_check(path, override, print_core)
+    else:
+        status = cmd_normalize(path, name, override, print_core)
     _out()  # a closed stdout surfaces here at the latest, not at exit
     return status
 

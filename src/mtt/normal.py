@@ -21,11 +21,14 @@ kept as unevaluated trees: only their actions are ever compared, never the
 trees themselves.  Equality is structural, with the mode theory deciding
 the modalities and 2-cells inside.
 
+``surface_nf``/``surface_ne``/``surface_nfty`` print a normal form with
+``syntax.show_term``, the one printer of terms, in the surface syntax the
+parser reads; the CLI's output and the checker's diagnostics both use
+them.  ``show_term`` reads the form itself, as the term class ``EMBEDS``
+names (``syntax.PRINTS_AS``), and builds no term on the way.
 ``decode_nf``/``decode_ne``/``decode_nfty`` embed normal forms into core
-terms, and ``surface_nf``/``surface_ne``/``surface_nfty`` print that
-embedding with ``syntax.show_term``, the one printer of terms, in the
-surface syntax the parser reads; the CLI's output and the checker's
-diagnostics both use them.
+terms: ``check.lookup_var`` evaluates a transported type's embedding, and
+the tests print embeddings as the reference for the direct printer.
 """
 
 from __future__ import annotations
@@ -293,6 +296,8 @@ def _embedding(c: type) -> tuple:
 
 _PLANS = {c: _plan(c) for c in (*EMBEDS, NfInj)}
 _EMBEDDING = {c: _embedding(c) for c in EMBEDS}
+S.PRINTS_AS.update(EMBEDS)
+S.PRINTS_AS[NfInj] = None  # prints as its neutral
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +506,18 @@ def _eq(mt: ModeTheory, a, b) -> bool:
 
 # ---------------------------------------------------------------------------
 # Printing: a normal form, which holds no constant, prints as its embedding
-# into core terms through ``syntax.show_term`` over ``depth`` variables,
-# binders named ``x``.  ``bench/tracer.py`` times these as ``cli.render``.
+# into core terms would, read in place by ``syntax.show_term`` over
+# ``depth`` variables, binders named ``x``.  ``bench/tracer.py`` times these
+# as ``cli.render``.
 
 
 def surface_nf(mt: ModeTheory, u: Nf, depth: int = 0) -> str:
-    return show_term(decode_nf(u), depth, "x")
+    return show_term(u, depth, "x")
 
 
 def surface_ne(mt: ModeTheory, e: Ne, depth: int = 0) -> str:
-    return show_term(decode_ne(e), depth, "x")
+    return show_term(e, depth, "x")
 
 
 def surface_nfty(mt: ModeTheory, t: NfTy, depth: int = 0) -> str:
-    return show_term(decode_nfty(t), depth, "x")
+    return show_term(t, depth, "x")

@@ -26,7 +26,8 @@ Terms live over contexts of locks and annotated variables; the one record
 of such a context is ``check.CheckCtx``.
 
 ``show_term`` is the one printer of terms, in the surface syntax the
-parser reads back.
+parser reads back.  It prints a normal form as it stands, read as the term
+class it embeds into (``PRINTS_AS``).
 """
 
 from __future__ import annotations
@@ -258,8 +259,16 @@ def map_vars(t: Term, at: "Callable[[Var, int], Term]", under: int = 0) -> Term:
 # parentheses stand as an argument; any other form is wrapped there.  A
 # keyed variable is wrapped before a projection, whose ``.`` would
 # continue the key.  ``--print-core`` prints parsed terms, diagnostics
-# print terms and types, and ``mtt normalize`` prints a normal form
-# through its embedding (``normal.decode_nf``), all through ``show_term``.
+# print terms and types, and ``mtt normalize`` prints normal forms, all
+# through ``show_term``.
+
+# The classes of other modules that print as a term class, each under the
+# term class whose field names it shares: ``normal`` enters every
+# normal-form class under the class it embeds into (``normal.EMBEDS``), so
+# a normal form prints as its embedding would without building it.  A
+# class entered as None is an inclusion and prints as its one field
+# (``normal.NfInj``).
+PRINTS_AS: "dict[type, type | None]" = {}
 
 _KEYWORDS = {Bool: "Bool", Uni: "Uni", True_: "true", False_: "false", BoolCode: "BoolC"}
 _WORDS = frozenset({Var, Const, *_KEYWORDS})
@@ -268,17 +277,29 @@ _PARENTHESIZED = frozenset({Pair, App, If, LetMod})
 _OPEN = frozenset({Lam, PiCode, SigCode})
 
 
-def _is_word(t: Term) -> bool:
-    while t.__class__ is Proj1 or t.__class__ is Proj2:
-        t = t.pair
-    return t.__class__ in _WORDS
+def _as_term(t) -> "tuple[object, type]":
+    """``t`` past any inclusion, and the term class it prints as."""
+    c = t.__class__
+    c = PRINTS_AS.get(c, c)
+    while c is None:
+        t = getattr(t, t.__match_args__[0])
+        c = t.__class__
+        c = PRINTS_AS.get(c, c)
+    return t, c
 
 
-def _atom(t: Term, s: str) -> str:
+def _atom(t, s: str) -> str:
     """``s``, the text of ``t``, as an argument, a box's body or a
-    projection's pair.  Wrapping the returned text, rather than printing
-    here, keeps printing at one stack frame per level of the term."""
-    return s if t.__class__ in _PARENTHESIZED or _is_word(t) else f"({s})"
+    projection's pair: as it stands if ``t`` prints in its own parentheses
+    or as a word, else wrapped.  Wrapping the returned text, rather than
+    printing here, keeps printing at one stack frame per level of the
+    term."""
+    t, c = _as_term(t)
+    if c in _PARENTHESIZED:
+        return s
+    while c is Proj1 or c is Proj2:
+        t, c = _as_term(t.pair)
+    return s if c in _WORDS else f"({s})"
 
 
 def _binder_prefix(t: Term) -> str:
@@ -294,10 +315,11 @@ def _binder_prefix(t: Term) -> str:
 
 def show_term(t: Term, depth: int = 0, x: "str | None" = None) -> str:
     """``t``, over ``depth`` variables, as text that parses back to it;
-    binder d is named ``x`` then d, ``x`` by default ``_binder_prefix(t)``."""
+    binder d is named ``x`` then d, ``x`` by default ``_binder_prefix(t)``.
+    ``t`` may be of a class in ``PRINTS_AS``, and prints as its term class."""
     if x is None:
         x = _binder_prefix(t)
-    c = t.__class__
+    t, c = _as_term(t)
     if c is Var:
         name = f"{x}{depth - 1 - t.idx}"
         return f"{name}^{t.cell}" if t.cell.layers else name
@@ -307,12 +329,12 @@ def show_term(t: Term, depth: int = 0, x: "str | None" = None) -> str:
         return _KEYWORDS[c]
     if c is App:
         fn = show_term(t.fn, depth, x)
-        if t.fn.__class__ in _OPEN:
+        if _as_term(t.fn)[1] in _OPEN:
             fn = f"({fn})"
         return f"({fn} {_atom(t.arg, show_term(t.arg, depth, x))})"
     if c is Proj1 or c is Proj2:
-        p = t.pair
-        if p.__class__ is Var and p.cell.layers:
+        p, pc = _as_term(t.pair)
+        if pc is Var and p.cell.layers:
             base = f"({show_term(p, depth, x)})"
         else:
             base = _atom(p, show_term(p, depth, x))

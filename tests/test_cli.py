@@ -981,6 +981,34 @@ def test_a_dotted_name_after_a_modality_word_is_an_unknown_modality(tmp_path, de
     assert done.stderr == f"{tmp_path / 'run.mtt'}:2:{col}: unknown modality 'q'\n"
 
 
+@pytest.mark.parametrize(
+    "text,at,msg",
+    [
+        (
+            "def p @m : Sig (a : Bool) * Bool := (true, false)\ndef q @m : Bool := p.3\n",
+            "2:22",
+            "projections are .1 and .2, found .3",
+        ),
+        (
+            "def d @m : Bool := true\ndef e @m : Bool := d^id\n",
+            "2:20",
+            "cannot key the definition 'd': keys apply to variables",
+        ),
+        (
+            "theory { modes m; mod l : m -> m; cell c : id => l; }\ndef e @m : Bool := true\n",
+            "1:44",
+            "bare 'id' needs a mode here: write id(<mode>)",
+        ),
+        ("def x @q : Bool := true\n", "1:8", "unknown mode 'q'"),
+    ],
+    ids=["projection", "keyed-definition", "bare-id-in-theory", "unknown-mode"],
+)
+def test_a_parse_error_is_located_at_its_token(tmp_path, capsys, text, at, msg):
+    path = write(tmp_path, "bad.mtt", text)
+    assert main(["check", path]) == 2
+    assert capsys.readouterr() == ("", f"{path}:{at}: {msg}\n")
+
+
 def church(n: int, carrier: str) -> str:
     """Church numerals ``n0`` to ``n<n-1>`` over ``carrier``."""
     ty = f"Pi (f : Pi (x : {carrier}) -> {carrier}) -> Pi (x : {carrier}) -> {carrier}"
@@ -1188,7 +1216,9 @@ def test_one_process_builds_one_argument_parser(tmp_path):
         "argparse.ArgumentParser.__init__ = counting\n"
         "from mtt.cli import main\n"
         "print(len(built))\n"
-        "for argv in (['check', sys.argv[1]], ['normalize', sys.argv[1]], ['check', sys.argv[1]]):\n"
+        "f = sys.argv[1]\n"
+        "for argv in (['check', f], ['normalize', f, 'use'], ['check', '--print-core', f],\n"
+        "             ['normalize', '--print-core', f], ['check', f, '--print-core'], ['check', f]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0\n"
         "    print(len(built))\n"
@@ -1201,9 +1231,34 @@ def test_one_process_builds_one_argument_parser(tmp_path):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    # None at import; the top-level parser and its two sub-parsers on the
-    # first call; none after.
-    assert done.stdout.split() == ["0", "3", "3", "3"]
+    # None at import and none for a plain command line; the top-level
+    # parser and its two sub-parsers for the first option; none after.
+    assert done.stdout.split() == ["0", "0", "0", "3", "3", "3", "3"]
+
+
+# What the command lines below are made of: both commands, a file, a name, a
+# theory, the empty string, and what argparse reads as options (whole or
+# abbreviated), help, stdin or the end of options.
+ARGV_TOKENS = [
+    "check", "normalize", "f.mtt", "use", "walking", "",
+    "-", "--", "-h", "--print-core", "--print", "--mode-theory", "--mode",
+]
+
+
+def test_a_plain_command_line_means_what_argparse_makes_of_it():
+    plain = [t for t in ARGV_TOKENS if not t.startswith("-")]
+    accepted = 0
+    for n in range(5):
+        for argv in map(list, itertools.product(ARGV_TOKENS, repeat=n)):
+            got = cli._plain_command(argv)
+            if got is None:
+                continue
+            accepted += 1
+            args = cli._arg_parser().parse_args(argv)
+            assert (args.command, args.file, getattr(args, "name", None)) == got, argv
+            assert (args.mode_theory, args.print_core) == (None, False), argv
+    # check FILE, normalize FILE and normalize FILE NAME, over the plain tokens
+    assert accepted == 2 * len(plain) + len(plain) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The one printer of terms, ``syntax.show_term``.
 
-Normal forms print through their embedding into core terms
-(``normal.decode_nf``).  They print as the earlier text-matching printer
+A normal form prints without being embedded into core terms, exactly as
+its embedding (``normal.decode_nf``) prints.  Normal forms print as the
+earlier text-matching printer
 (``tests/_surface_reference.py``) printed them, except a projected keyed
 variable, and every printed form parses, checks and normalizes back to the
 same text.  ``--print-core`` output parses back to equal core terms.
@@ -21,8 +22,9 @@ from mtt import syntax as S
 from mtt.check import CheckError, check_program, check_tm, check_type, ctx_extend, empty_ctx
 from mtt.cli import Parser, main, parse_file, tokenize
 from mtt.harness import GenConfig, gen_type, gen_typed_term
-from mtt.modeth import THEORIES, id_cell, id_mod
+from mtt.modeth import THEORIES, Modality, gen_cell, id_cell, id_mod
 from mtt.nbe import BOOL, normalize, normalize_ty
+from mtt import normal as N
 from mtt.normal import surface_nf, surface_nfty
 
 CORPUS = sorted((pathlib.Path(__file__).parent / "corpus").glob("*.mtt"))
@@ -82,6 +84,48 @@ def test_every_normal_form_reads_back_to_the_same_text():
     for mt, mode, ty, body in _cases():
         texts = surface_nfty(mt, ty), surface_nf(mt, body)
         assert _reads_back(mt, mode, *texts) == texts
+
+
+def test_a_normal_form_prints_as_its_embedding():
+    for mt, _, ty, body in _cases():
+        assert surface_nfty(mt, ty) == S.show_term(N.decode_nfty(ty), 0, "x")
+        assert surface_nf(mt, body) == S.show_term(N.decode_nf(body), 0, "x")
+
+
+_PT = THEORIES["pointed"]()
+_IDM, _L = id_mod("m"), Modality("m", "m", ("l",))
+_X0, _X1 = N.NeVar(1, id_cell(_IDM)), N.NeVar(0, id_cell(_IDM))  # over two variables
+_X1_PT = N.NeVar(0, gen_cell(_PT, "pt"))
+
+
+# Normal forms over two variables by their text: neutrals included
+# (``NfInj``) as a box's body, an argument, a projection, a code and a branch.
+_INCLUDED = {
+    "box l x1": N.NfMkBox(_L, N.NfInj(_X1)),
+    "box l x1^pt": N.NfMkBox(_L, N.NfInj(_X1_PT)),
+    "box l (x0 x1)": N.NfMkBox(_L, N.NfInj(N.NeApp(_X0, _IDM, N.NfInj(_X1)))),
+    "box l (x1^pt).2": N.NfMkBox(_L, N.NfInj(N.NeProj2(_X1_PT))),
+    "box l ((x0 true).1)": N.NfMkBox(_L, N.NfInj(N.NeProj1(N.NeApp(_X0, _IDM, N.NfTrue())))),
+    "(x0 x1)": N.NfInj(N.NeApp(_X0, _IDM, N.NfInj(_X1))),
+    "(x0 x1.1)": N.NfInj(N.NeApp(_X0, _IDM, N.NfInj(N.NeProj1(_X1)))),
+    "(x0 (x0 false))": N.NfInj(N.NeApp(_X0, _IDM, N.NfInj(N.NeApp(_X0, _IDM, N.NfFalse())))),
+    "(x0 (box l x1))": N.NfInj(N.NeApp(_X0, _IDM, N.NfMkBox(_L, N.NfInj(_X1)))),
+    "x1.2.1": N.NfInj(N.NeProj1(N.NeProj2(_X1))),
+    "iso-inv x1": N.NfDecIsoStar(N.NfInj(_X1)),
+    "dec x1^pt": N.NfDec(N.NfInj(_X1_PT)),
+    "dec (x0 true)": N.NfDec(N.NfInj(N.NeApp(_X0, _IDM, N.NfTrue()))),
+    "ModC l (iso x1)": N.NfModifyCode(_L, N.NfInj(N.NeDecIso(_X1))),
+    "(if [x2. Bool] x1 then x0 else x1.2)": N.NfInj(
+        N.NeBoolRec(N.NfBool(), _X1, N.NfInj(_X0), N.NfInj(N.NeProj2(_X1)))
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(_INCLUDED))
+def test_an_included_neutral_prints_as_its_neutral_wherever_it_stands(text):
+    form = _INCLUDED[text]
+    assert surface_nf(_PT, form, 2) == text
+    assert S.show_term(N.decode_nf(form), 2, "x") == text
 
 
 # The earlier printer wrote a projected keyed variable without parentheses.

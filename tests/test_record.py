@@ -198,7 +198,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     script = (
         "import sys, mtt.cli\n"
         "print(sorted(m for m in sys.modules if m == 'mtt' or m.startswith('mtt.')))\n"
-        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules])\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
