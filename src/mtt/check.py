@@ -222,7 +222,7 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
         for a, seen in reversed(ctx.slots[:level])
     )
     nf = reify_ty(ctx.mt, level, ann.mode_src, stored)
-    moved = rename_nfty(ctx.mt, RenKey(alpha, crossed), nf, ann.mode_src)
+    moved = rename_nfty(ctx.mt, RenKey(alpha, crossed), nf)
     return eval_ty(ctx.mt, Env(ctx.env.vals[:level], ctx.env.sig), decode_nfty(moved))
 
 

@@ -8,7 +8,8 @@ same name: eta for functions, pairs and boxes, codes former by former at
 the universe, under a binder one fresh variable reflected at the left
 side's domain for both sides, ``Dec`` of a canonical code through its
 unfolding, and at every other type the one ``VNeutral`` arm: neutrals by
-level, frame count, head cell and then frame by frame.  Every
+level, frame count, head cell and then frame by frame, as two neutral
+pairs are too, unprojected, which by eta is exact.  Every
 modality and 2-cell question goes to the mode theory's decider, and an
 ill-formed value raises the ``NbeError`` that read-back would raise.
 
@@ -90,6 +91,8 @@ def conv(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value, w: Value) ->
             do_app(mt, v, fresh), do_app(mt, w, fresh),
         )
     elif c is TSig:
+        if cv is VNeutral and cw is VNeutral:
+            return conv_ne(mt, d, mode, v.ne, w.ne)
         a = do_proj(mt, 1, v)
         return conv(mt, d, mode, T.fst, a, do_proj(mt, 1, w)) and conv(
             mt, d, mode, inst_ty(mt, T.snd, a), do_proj(mt, 2, v), do_proj(mt, 2, w)
@@ -131,7 +134,7 @@ def conv(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value, w: Value) ->
         kinds, what = (VNeutral,), "canonical value at a neutral code"
     else:
         raise NbeError(f"cannot reify at {c.__name__}")
-    # The types left are those ``reflect`` does not expand: one arm for neutrals.
+    # The types left read a neutral back as itself: one arm for neutrals.
     if cv is VNeutral and cw is VNeutral:
         return conv_ne(mt, d, mode, v.ne, w.ne)
     _expect(v, w, kinds, what)

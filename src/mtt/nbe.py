@@ -11,11 +11,12 @@ The domain mirrors the normal forms: one value class per canonical form
 (``VLam``, ``VPair``, ``VTrue``/``VFalse``, ``VBox``, and the codes
 ``CPi``/``CSig``/``CBool``/``CMod``, which are the universe's elements),
 and one ``VNeutral(ty, ne)`` for a neutral at every type ``reflect`` does
-not expand: ``Bool``, ``Pi`` (read-back eta-expands it), ``Mod``, ``Uni``
-and ``Dec`` of a neutral code.  ``reflect`` expands a neutral at ``Sig``
-into a pair and at ``Dec`` of a canonical code through the decoding
-coercion.  So ``reify`` and ``conv`` take neutrals in one arm, read back as
-the one ``NfInj``, and the key action touches only ``VNeutral`` heads.
+not expand: ``Bool``, ``Pi`` and ``Sig`` (read-back eta-expands them, and
+``do_proj`` reflects a component when it is taken), ``Mod``, ``Uni`` and
+``Dec`` of a neutral code.  ``reflect`` expands a neutral at ``Dec`` of a
+canonical code through the decoding coercion.  So ``reify`` and ``conv``
+take neutrals in one arm, read back as the one ``NfInj``, and the key
+action touches only ``VNeutral`` heads.
 
 Earlier declarations are constants of a signature that every environment
 carries.  A constant evaluates to its stored body value, computed on first
@@ -289,8 +290,9 @@ class VBox(Value):
 @record
 class VNeutral(Value):
     """A neutral at its type, one that ``reflect`` does not expand: ``Bool``,
-    ``Pi``, ``Mod``, ``Uni`` or ``Dec`` of a neutral code.  ``do_app`` and
-    ``do_letmod`` read the domain and the boxed type from ``ty``."""
+    ``Pi``, ``Sig``, ``Mod``, ``Uni`` or ``Dec`` of a neutral code.
+    ``do_app``, ``do_proj`` and ``do_letmod`` read the domain, the
+    components and the boxed type from ``ty``."""
 
     ty: TypeValue
     ne: NeAbs
@@ -534,6 +536,9 @@ def do_proj(mt: ModeTheory, which: int, p: Value) -> Value:
     match p:
         case VPair(a, b):
             return a if which == 1 else b
+        case VNeutral(TSig(fst, snd), ne):
+            a = reflect(mt, fst, ne.push(FrProj1()))
+            return a if which == 1 else reflect(mt, inst_ty(mt, snd, a), ne.push(FrProj2()))
     raise NbeError(f"projection from a non-pair: {type(p).__name__}")
 
 
@@ -599,10 +604,6 @@ def key_val(mt: ModeTheory, cell: Cell2, v: Value) -> Value:
 
 def reflect(mt: ModeTheory, T: TypeValue, ne: NeAbs) -> Value:
     c = T.__class__
-    if c is TSig:
-        a = reflect(mt, T.fst, ne.push(FrProj1()))
-        b = reflect(mt, inst_ty(mt, T.snd, a), ne.push(FrProj2()))
-        return VPair(a, b)
     if c is TDec and T.code.__class__ is not VNeutral:
         return reflect(mt, dec_unfold(mt, T.code), ne.push(FrDecIso()))
     if isinstance(T, TypeValue):
@@ -668,7 +669,7 @@ def reify(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value) -> Nf:
             raise NbeError(f"canonical value at a neutral code: {cv.__name__}")
     else:
         raise NbeError(f"cannot reify at {c.__name__}")
-    # The types left are those ``reflect`` does not expand: one arm for neutrals.
+    # The types left read a neutral back as itself: one arm for neutrals.
     return NfInj(reify_ne(mt, d, mode, v.ne))
 
 

@@ -12,7 +12,8 @@ and the embedding are each one walk over the fields, not a case per
 former; each has three one-line entry points (normal form, neutral,
 normal type), which ``bench/tracer.py`` wraps by name.  The walks recurse
 once per level of a form and build no comprehension on the way, so each
-level costs one stack frame.
+level costs one stack frame.  Renaming counts the binders and composes
+the locks it crosses, and acts once per variable bound outside the form.
 
 Renamings are the structural morphisms between contexts (weakening, locks,
 keys, variable-for-variable extension); they act on neutrals and normals,
@@ -41,7 +42,6 @@ from .modeth import (
     compose_mod,
     eq_cell,
     eq_mod,
-    id_cell,
     id_mod,
     vcomp,
     whisker_left,
@@ -276,14 +276,13 @@ EMBEDS: "dict[type, type]" = {
 
 def _plan(c: type) -> tuple:
     """Per field of ``c``: its name, whether it holds a normal form, the
-    field holding its lock's modality, and the fields whose modalities
-    compose to its binder's annotation."""
+    field holding its lock's modality, and whether it binds a variable."""
     scoped = {"arg": ("lock", "mod")} if c is NeApp else S.SCOPES.get(EMBEDS.get(c), {})
     out = []
     for f in c.__match_args__:
-        kind, mods = scoped.get(f, (None, None))
+        kind, mod = scoped.get(f, (None, None))
         node = c.__annotations__[f] in ("Nf", "Ne", "NfTy")
-        out.append((f, node, mods if kind == "lock" else None, mods if kind == "binds" else None))
+        out.append((f, node, mod, kind == "binds"))
     return tuple(out)
 
 
@@ -351,22 +350,17 @@ class RenExt(Renaming):
     plocks: Modality
 
 
-def lift(r: Renaming, mu: Modality) -> Renaming:
-    """Extend a renaming through one binder annotated mu."""
-    return RenExt(RenComp(r, RenWeaken()), NeVar(0, id_cell(mu)), id_mod(mu.mode_tgt))
-
-
 # The action on variables.  Keys compose whisker-adjusted cells onto the
 # head; extension substitutes its payload variable, keyed by the incoming
 # cell; everything else is index arithmetic.  ``lock`` is the composite of
 # the locks the action has passed through: nested locks fuse (the outer one
 # applied last), a composite hands it to its second half, and a key under it
-# is whiskered by it.
+# is whiskered by it.  ``_rename`` calls it once per variable bound outside
+# its form, past the binders crossed, with the locks crossed as ``lock``.
 
 
 def _act_var(
-    mt: ModeTheory, r: Renaming, k: int, cell: Cell2, mode: str,
-    lock: "Modality | None" = None,
+    mt: ModeTheory, r: Renaming, k: int, cell: Cell2, lock: "Modality | None" = None
 ) -> Ne:
     match r:
         case RenId():
@@ -375,7 +369,7 @@ def _act_var(
             return NeVar(k + 1, cell)
         case RenComp(r1, r2):
             after = r2 if lock is None else RenLock(lock, r2)
-            return rename_ne(mt, after, _act_var(mt, r1, k, cell, mode, lock), mode)
+            return rename_ne(mt, after, _act_var(mt, r1, k, cell, lock))
         case RenKey(beta, locks):
             if lock is not None:
                 beta = whisker_right(beta, lock)
@@ -383,58 +377,51 @@ def _act_var(
         case RenExt(inner, payload, plocks):
             if k == 0:
                 return NeVar(payload.idx, vcomp(whisker_left(plocks, cell), payload.cell, mt))
-            return _act_var(mt, inner, k - 1, cell, mode, lock)
+            return _act_var(mt, inner, k - 1, cell, lock)
         case RenLock(kappa, inner):
             fused = kappa if lock is None else compose_mod(kappa, lock)
-            return _act_var(mt, inner, k, cell, mode, fused)
+            return _act_var(mt, inner, k, cell, fused)
     raise AssertionError(r)
 
 
-def rename_ne(mt: ModeTheory, r: Renaming, e: Ne, mode: str) -> Ne:
-    return _rename(mt, r, e, mode)
+def rename_ne(mt: ModeTheory, r: Renaming, e: Ne) -> Ne:
+    return _rename(mt, r, e)
 
 
-def rename_nf(mt: ModeTheory, r: Renaming, u: Nf, mode: str) -> Nf:
-    return _rename(mt, r, u, mode)
+def rename_nf(mt: ModeTheory, r: Renaming, u: Nf) -> Nf:
+    return _rename(mt, r, u)
 
 
-def rename_nfty(mt: ModeTheory, r: Renaming, t: NfTy, mode: str) -> NfTy:
-    return _rename(mt, r, t, mode)
+def rename_nfty(mt: ModeTheory, r: Renaming, t: NfTy) -> NfTy:
+    return _rename(mt, r, t)
 
 
-def _rename(mt: ModeTheory, r: Renaming, u, mode: str):
-    """``u`` renamed along ``r``: each field as its scope says, through the
-    field's lock or past its binder, and a variable by ``_act_var``."""
+def _rename(mt: ModeTheory, r: Renaming, u, under: int = 0, lock: "Modality | None" = None):
+    """``u`` renamed along ``r``, where ``u`` sits ``under`` binders and
+    behind the locks composing to ``lock`` (None for none) below the form
+    ``r`` acts on.  A variable bound inside that form stays as it is; any
+    other goes to ``_act_var`` past those binders and through that lock."""
     c = u.__class__
     if c is NeVar:
-        return _act_var(mt, r, u.idx, u.cell, mode)
+        k = u.idx
+        if k < under:
+            return u
+        v = _act_var(mt, r, k - under, u.cell, lock)
+        return NeVar(v.idx + under, v.cell) if under else v
     plan = _PLANS[c]
     if not plan:
         return u
     args = []
-    for f, node, lock, ann in plan:
+    for f, node, mod, binds in plan:
         v = getattr(u, f)
         if node:
-            if lock is not None:
-                m = getattr(u, lock)
-                v = _rename(mt, RenLock(m, r), v, m.mode_src)
-            elif ann is not None:
-                v = _rename(mt, lift(r, _annotation(u, ann, mode)), v, mode)
+            if mod is not None:
+                m = getattr(u, mod)
+                v = _rename(mt, r, v, under, m if lock is None else compose_mod(lock, m))
             else:
-                v = _rename(mt, r, v, mode)
+                v = _rename(mt, r, v, under + binds, lock)
         args.append(v)
     return c(*args)
-
-
-def _annotation(u, fields: "tuple[str, ...]", mode: str) -> Modality:
-    """The composite of the modalities in ``u``'s ``fields``, the identity
-    at ``mode`` when there are none."""
-    if not fields:
-        return id_mod(mode)
-    mod = getattr(u, fields[0])
-    for f in fields[1:]:
-        mod = compose_mod(mod, getattr(u, f))
-    return mod
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ lambda built through the API has None, which meets any ``Pi``.  Like
 
 ``SCOPES`` is the one statement of scoping: for each former, the fields
 that sit behind a lock, and of which modality, and the fields that bind
-a variable, and with which annotation.  ``normal`` reads it for normal
-forms, which share field names with these classes.  ``BINDS``, the
-binding fields, is read off it, and ``map_vars`` is the one traversal
-that acts on the variables of a term under them, rebuilding every other
-field as it stands.
+a variable.  ``normal`` reads it for normal forms, which share field
+names with these classes.  ``BINDS``, the binding fields, is read off it,
+and ``map_vars`` is the one traversal that acts on the variables of a
+term under them, rebuilding every other field as it stands.
 
 Terms live over contexts of locks and annotated variables; the one record
 of such a context is ``check.CheckCtx``.
@@ -151,8 +150,8 @@ class MkBox(Term):
 @record
 class LetMod(Term):
     """Modal eliminator.  mu frames the scrutinee, nu is the boxed modality;
-    the motive's variable has type Mod nu A and the branch's A, annotated
-    as ``SCOPES`` says."""
+    the motive's variable has type Mod nu A, annotated mu, and the
+    branch's A, annotated mu.nu."""
 
     mu: Modality
     nu: Modality
@@ -201,25 +200,25 @@ class DecIsoInv(Term):
 
 # The scope of each field of a former that does not live in the former's
 # own context: ("lock", m) puts it behind a lock of the modality in field
-# m, and ("binds", ms) makes it bind one variable, annotated by the
-# composite of the modalities in fields ms, the identity when ms is empty.
-# No other field is scoped.  A ``Lam`` built without a modality binds its
-# variable at whatever modality its ``Pi`` has.  ``normal`` reads this
-# table for normal forms through their embedding into these classes.
-SCOPES: "dict[type, dict[str, tuple[str, object]]]" = {
-    Pi: {"dom": ("lock", "mod"), "cod": ("binds", ("mod",))},
-    Sig: {"snd": ("binds", ())},
+# m, and ("binds", None) makes it bind one variable.  No other field is
+# scoped.  A ``Pi``, ``PiCode`` or ``Lam`` binds at its modality (a ``Lam``
+# built without one, at its ``Pi``'s), a ``LetMod`` as it says, and every
+# other former at the identity.  ``normal`` reads this table for normal
+# forms through their embedding into these classes.
+SCOPES: "dict[type, dict[str, tuple[str, str | None]]]" = {
+    Pi: {"dom": ("lock", "mod"), "cod": ("binds", None)},
+    Sig: {"snd": ("binds", None)},
     Mod: {"ty": ("lock", "mod")},
-    Lam: {"body": ("binds", ("mod",))},
-    If: {"motive": ("binds", ())},
+    Lam: {"body": ("binds", None)},
+    If: {"motive": ("binds", None)},
     MkBox: {"body": ("lock", "mod")},
     LetMod: {
-        "motive": ("binds", ("mu",)),
+        "motive": ("binds", None),
         "scrut": ("lock", "mu"),
-        "branch": ("binds", ("mu", "nu")),
+        "branch": ("binds", None),
     },
-    PiCode: {"dom": ("lock", "mod"), "cod": ("binds", ("mod",))},
-    SigCode: {"snd": ("binds", ())},
+    PiCode: {"dom": ("lock", "mod"), "cod": ("binds", None)},
+    SigCode: {"snd": ("binds", None)},
     ModCode: {"code": ("lock", "mod")},
 }
 

@@ -154,7 +154,7 @@ def identity_instance(rng: Random):
     t = rand_tele(rng)
     k, a = rand_var(rng, t)
     x = NeVar(k, a)
-    return rename_ne(P, RenId(), x, "m"), x
+    return rename_ne(P, RenId(), x), x
 
 
 def weaken_instance(rng: Random):
@@ -162,7 +162,7 @@ def weaken_instance(rng: Random):
     e = rng.randint(0, 2)
     k, a = rand_var(rng, t, extra=e)
     r = RenWeaken() if e == 0 and rng.random() < 0.5 else RenLock(lpow(e), RenWeaken())
-    return rename_ne(P, r, NeVar(k, a), "m"), NeVar(k + 1, a)
+    return rename_ne(P, r, NeVar(k, a)), NeVar(k + 1, a)
 
 
 def key_instance(rng: Random):
@@ -171,7 +171,7 @@ def key_instance(rng: Random):
     j = rng.randint(i, i + 2)
     beta = rand_cell(rng, i, j)  # l^i => l^j : maps t.lock(l^j) -> t.lock(l^i)
     k, a = rand_var(rng, t, extra=i)
-    got = rename_ne(P, RenKey(beta, key_locks(t)), NeVar(k, a), "m")
+    got = rename_ne(P, RenKey(beta, key_locks(t)), NeVar(k, a))
     want = NeVar(k, vcomp(whisker_left(scan_locks(t, k), beta), a, P))
     assert isinstance(got, NeVar) and var_ok(t, j, got)
     return got, want
@@ -186,7 +186,7 @@ def ext_zero_instance(rng: Random):
     alpha = rand_cell(rng, p, c)
     r = RenExt(RenId(), NeVar(j, beta), plocks)
     full = r if c == 0 and rng.random() < 0.5 else RenLock(lpow(c), r)
-    got = rename_ne(P, full, NeVar(0, alpha), "m")
+    got = rename_ne(P, full, NeVar(0, alpha))
     want = NeVar(j, vcomp(whisker_left(plocks, alpha), beta, P))
     assert isinstance(got, NeVar) and var_ok(s_t, c, got)
     return got, want
@@ -199,7 +199,7 @@ def ext_succ_instance(rng: Random):
     payload = NeVar(0, rand_cell(rng, 0, e))  # any payload; the branch ignores it
     r = RenExt(RenId(), payload, id_mod("m"))
     full = r if e == 0 and rng.random() < 0.5 else RenLock(lpow(e), r)
-    return rename_ne(P, full, NeVar(k + 1, a), "m"), NeVar(k, a)
+    return rename_ne(P, full, NeVar(k + 1, a)), NeVar(k, a)
 
 
 # --- composite / lock / key coherence --------------------------------------
@@ -221,8 +221,8 @@ def comp_instance(rng: Random):
         k, a = rand_var(rng, t, extra=i)
     x = NeVar(k, a)
     return (
-        rename_ne(P, RenComp(r, s), x, "m"),
-        rename_ne(P, s, rename_ne(P, r, x, "m"), "m"),
+        rename_ne(P, RenComp(r, s), x),
+        rename_ne(P, s, rename_ne(P, r, x)),
     )
 
 
@@ -242,8 +242,8 @@ def lock_funct_instance(rng: Random):
         k, a = rand_var(rng, t, extra=i + len(kap.word))
     x = NeVar(k, a)
     return (
-        rename_ne(P, RenComp(RenLock(kap, r), RenLock(kap, s)), x, "m"),
-        rename_ne(P, RenLock(kap, RenComp(r, s)), x, "m"),
+        rename_ne(P, RenComp(RenLock(kap, r), RenLock(kap, s)), x),
+        rename_ne(P, RenLock(kap, RenComp(r, s)), x),
     )
 
 
@@ -260,8 +260,8 @@ def lock_collapse_instance(rng: Random):
         k, a = rand_var(rng, t, extra=i + e1 + e2)
     x = NeVar(k, a)
     return (
-        rename_ne(P, RenLock(lpow(e2), RenLock(lpow(e1), r)), x, "m"),
-        rename_ne(P, RenLock(compose_mod(lpow(e1), lpow(e2)), r), x, "m"),
+        rename_ne(P, RenLock(lpow(e2), RenLock(lpow(e1), r)), x),
+        rename_ne(P, RenLock(compose_mod(lpow(e1), lpow(e2)), r), x),
     )
 
 
@@ -275,8 +275,8 @@ def key_vcomp_instance(rng: Random):
     k, a = rand_var(rng, t, extra=i)
     x = NeVar(k, a)
     return (
-        rename_ne(P, RenComp(RenKey(gamma, key_locks(t)), RenKey(beta, key_locks(t))), x, "m"),
-        rename_ne(P, RenKey(vcomp(beta, gamma, P), key_locks(t)), x, "m"),
+        rename_ne(P, RenComp(RenKey(gamma, key_locks(t)), RenKey(beta, key_locks(t))), x),
+        rename_ne(P, RenKey(vcomp(beta, gamma, P), key_locks(t)), x),
     )
 
 
@@ -286,8 +286,8 @@ def key_id_instance(rng: Random):
     k, a = rand_var(rng, t, extra=j)
     x = NeVar(k, a)
     return (
-        rename_ne(P, RenKey(id_cell(lpow(j)), key_locks(t)), x, "m"),
-        rename_ne(P, RenId(), x, "m"),
+        rename_ne(P, RenKey(id_cell(lpow(j)), key_locks(t)), x),
+        rename_ne(P, RenId(), x),
     )
 
 

@@ -240,7 +240,7 @@ def transport_past_the_suffix(ctx, entries, k, alpha):
     ann = entries[pos][1]
     nf = reify_ty(ctx.mt, level, ann.mode_src, ctx.types[level])
     r = RenComp(RenKey(alpha, RF.key_locks(entries[:pos])), _drop_tail(entries[pos:]))
-    moved = rename_nfty(ctx.mt, r, nf, ann.mode_src)
+    moved = rename_nfty(ctx.mt, r, nf)
     return eval_ty(ctx.mt, ctx.env, decode_nfty(moved))
 
 

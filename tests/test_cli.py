@@ -17,6 +17,7 @@ from mtt import cli
 from mtt import conv
 from mtt import modeth
 from mtt import nbe
+from mtt import normal
 from mtt import syntax as S
 from mtt.check import check_program, check_tm, check_type, empty_ctx
 from mtt.cli import ParseError, main, parse_file, surface_nf, tokenize
@@ -525,6 +526,90 @@ def test_definition_chain_checks_in_linear_evaluation_steps(tmp_path, monkeypatc
     dep, plain = counts[dependent_chain], counts[chain]
     assert dep[1] - dep[0] == dep[2] - dep[1] > 0, dep
     assert plain[0] == plain[1] == plain[2], plain
+
+
+def keyed_spine(k: int, last: "str | None" = None) -> str:
+    """A function ``p`` whose type has ``k`` binders, each over ``b``, moved
+    behind the lock ``l`` along the key pt, with its declared type there.
+    ``last`` replaces that type's last domain."""
+    dom = "dec (if [z. Uni] b then BoolC else BoolC)"
+    moved = [dom.replace(" b ", " b^pt ")] * k
+    if last is not None:
+        moved[-1] = last
+    before = "".join(f"Pi (x{i} : {dom}) -> " for i in range(k))
+    after = "".join(f"Pi (x{i} : {d}) -> " for i, d in enumerate(moved))
+    return (
+        "theory pointed\n"
+        f"def f @m : Pi (b : Bool) -> Pi (p : {before}Bool) -> Mod l ({after}Bool)"
+        " := \\b -> \\p -> box l (p^pt)\n"
+    )
+
+
+def test_key_transport_meets_each_outer_variable_once(tmp_path, monkeypatch):
+    # Renaming p's type along its key acts once on each occurrence of b,
+    # whatever the binders between.
+    acts = counting(monkeypatch, normal, "_act_var")
+    counts = []
+    for k in (16, 32, 64):
+        path = write(tmp_path, f"keyed{k}.mtt", keyed_spine(k))
+        acts.clear()
+        assert main(["check", path]) == 0
+        counts.append(len(acts))
+    assert counts[2] - counts[1] == 2 * (counts[1] - counts[0]) > 0, counts
+
+
+KEYED_DOMAINS = (
+    "Pi (id(m) | x2 : dec (if [x2. Uni] x0^pt then BoolC else BoolC)) -> "
+    "Pi (id(m) | x3 : dec (if [x3. Uni] x0^pt then BoolC else BoolC)) -> "
+    "Pi (id(m) | x4 : dec (if [x4. Uni] x0^pt then BoolC else "
+)
+
+
+def test_key_transport_through_several_binders_is_checked(tmp_path, capsys):
+    path = write(tmp_path, "keyed.mtt", keyed_spine(3))
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out.endswith(f"Mod l ({KEYED_DOMAINS}BoolC)) -> Bool)\n")
+    # A declared type that differs in the last domain is refused, and the
+    # actual type shown is the transported one, keyed in every domain.
+    last = "dec (if [z. Uni] b^pt then BoolC else SigC (u : BoolC) * BoolC)"
+    path = write(tmp_path, "mismatch.mtt", keyed_spine(3, last))
+    assert main(["check", path]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == (
+        f"{path}:2:1: error: f: type mismatch: expected {KEYED_DOMAINS}"
+        f"(SigC (x4 : BoolC) * BoolC))) -> Bool, actual {KEYED_DOMAINS}BoolC)) -> Bool\n"
+    )
+
+
+def sig_chain(n: int) -> str:
+    """Codes ``c<i>`` of pairs of ``c<i-1>``: ``dec c<n>`` unfolds to 2^n
+    leaves."""
+    lines = ["theory trivial", "def c0 @m : Uni := BoolC"]
+    lines += [f"def c{i} @m : Uni := SigC (a : c{i - 1}) * c{i - 1}" for i in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_binding_a_pair_typed_variable_reflects_it_once(tmp_path, monkeypatch):
+    # Checking c<i> binds a variable at dec c<i-1>, whose unfolding has
+    # 2^(i-1) leaves; binding it must not reflect each of them.
+    reflects = counting(monkeypatch, nbe, "reflect")
+    for module in (conv, C):  # their own bindings
+        monkeypatch.setattr(module, "reflect", nbe.reflect)
+    counts = []
+    for n in (8, 16, 32):
+        path = write(tmp_path, f"sig{n}.mtt", sig_chain(n))
+        reflects.clear()
+        assert main(["check", path]) == 0
+        counts.append(len(reflects))
+        assert counts[-1] <= 4 * n, counts  # stop before 2^32 at the next length
+    assert counts[2] - counts[1] == 2 * (counts[1] - counts[0]) > 0, counts
+
+
+def test_a_long_chain_of_pair_codes_checks(tmp_path):
+    checked = run_mtt(tmp_path, sig_chain(64), "check", timeout=30)
+    assert checked.returncode == 0, checked.stderr[-300:]
+    assert checked.stdout.endswith("checked c64 : Uni\n")
 
 
 def aliases(n: int, first: str, ty: str) -> str:

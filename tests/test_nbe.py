@@ -459,11 +459,16 @@ def test_a_neutral_without_eta_is_one_vneutral_that_keeps_its_type(name):
 
 
 def test_reflect_expands_the_types_with_eta():
+    # A neutral at Sig stays one neutral; projecting it gives the neutral
+    # projections, and read-back expands it into their pair.
     ne = nbe.NeAbs(0, id_cell(IDM))
-    pair = nbe.reflect(P, nbe.TSig(nbe.BOOL, nbe.UNI), ne)
-    assert pair == nbe.VPair(
-        nbe.VNeutral(nbe.BOOL, ne.push(nbe.FrProj1())),
-        nbe.VNeutral(nbe.UNI, ne.push(nbe.FrProj2())),
+    sig = nbe.TSig(nbe.BOOL, nbe.UNI)
+    pair = nbe.reflect(P, sig, ne)
+    assert pair == nbe.VNeutral(sig, ne)
+    assert nbe.do_proj(P, 1, pair) == nbe.VNeutral(nbe.BOOL, ne.push(nbe.FrProj1()))
+    assert nbe.do_proj(P, 2, pair) == nbe.VNeutral(nbe.UNI, ne.push(nbe.FrProj2()))
+    assert nbe.reify(P, 1, "m", sig, pair) == NfPair(
+        NfInj(NeProj1(NeVar(0, id_cell(IDM)))), NfInj(NeProj2(NeVar(0, id_cell(IDM))))
     )
     # Dec of a canonical code unfolds to the connective, with one coercion.
     assert nbe.reflect(P, nbe.TDec(nbe.CBool()), ne) == nbe.VNeutral(

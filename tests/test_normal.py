@@ -62,7 +62,6 @@ from mtt.normal import (
     eq_nf,
     eq_nfty,
     depth,
-    lift,
     locks_of,
     rename_ne,
     rename_nf,
@@ -135,20 +134,20 @@ def test_locks_of_bad_index():
 
 def test_rename_identity_fixes_variable():
     x = NeVar(2, PT)
-    assert rename_ne(P, RenId(), x, "m") == x
+    assert rename_ne(P, RenId(), x) == x
 
 
 def test_lock_weaken_bumps_index():
     x = NeVar(1, PT)
-    got = rename_ne(P, RenLock(L, RenWeaken()), x, "m")
+    got = rename_ne(P, RenLock(L, RenWeaken()), x)
     assert got == NeVar(2, PT)
-    assert rename_ne(P, RenWeaken(), x, "m") == NeVar(2, PT)
+    assert rename_ne(P, RenWeaken(), x) == NeVar(2, PT)
 
 
 def test_key_action_composes_cell():
     # theta = (id | Bool); key by pt : id => l maps theta.lock(l) -> theta
     theta = (("var", IDM),)
-    got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, id_cell(IDM)), "m")
+    got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, id_cell(IDM)))
     assert isinstance(got, NeVar) and got.idx == 0
     assert eq_cell(P, got.cell, PT)
 
@@ -156,7 +155,7 @@ def test_key_action_composes_cell():
 def test_key_action_whiskers_by_inner_locks():
     # theta = (id | Bool).lock(l): the key is whiskered by the existing lock
     theta = (("var", IDM), ("lock", L))
-    got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, PT), "m")
+    got = rename_ne(P, RenKey(PT, RF.key_locks(theta)), NeVar(0, PT))
     assert isinstance(got, NeVar)
     want = vcomp(whisker_left(L, PT), PT, P)
     assert eq_cell(P, got.cell, want)
@@ -169,14 +168,14 @@ def test_ext_substitutes_payload_at_zero():
     src = (("var", IDM),) * 4 + (("lock", L),)
     plocks = RF.scan_locks(src, 3)
     r = RenExt(RenId(), NeVar(3, PT), plocks)
-    got = rename_ne(P, r, NeVar(0, id_cell(IDM)), "m")
+    got = rename_ne(P, r, NeVar(0, id_cell(IDM)))
     assert isinstance(got, NeVar) and got.idx == 3
     assert eq_cell(P, got.cell, PT)
 
 
 def test_ext_skips_other_variables():
     r = RenExt(RenId(), NeVar(3, PT), L)
-    got = rename_ne(P, r, NeVar(2, PT), "m")
+    got = rename_ne(P, r, NeVar(2, PT))
     assert got == NeVar(1, PT)
 
 
@@ -189,7 +188,7 @@ def test_lock_functoriality_with_key_hand_computed():
     s = RenLock(L, RenWeaken())
     r1 = RenComp(RenLock(L, r), RenLock(L, s))
     x = NeVar(0, PT)
-    got = rename_ne(P, r1, x, "m")
+    got = rename_ne(P, r1, x)
     want = NeVar(1, vcomp(whisker_left(L, PT), PT, P))
     assert eq_ne(P, got, want)
 
@@ -209,21 +208,24 @@ def test_nested_locks_fuse_outer_lock_last():
     t = (("var", ba),)
     x = NeVar(0, id_cell(ba))
     nested = RenLock(b, RenLock(a, RenKey(pa, RF.key_locks(t))))
-    assert ren_respects_equations(mt, nested, RenLock(ba, RenKey(pa, RF.key_locks(t))), x, "m")
-    got = rename_ne(mt, nested, x, "m")
+    assert ren_respects_equations(mt, nested, RenLock(ba, RenKey(pa, RF.key_locks(t))), x)
+    got = rename_ne(mt, nested, x)
     assert eq_cell(mt, got.cell, vcomp(whisker_right(pa, ba), id_cell(ba), mt))
+    # A walk through box a (box b x) crosses the same locks in that order.
+    boxed = rename_nf(mt, RenKey(pa, RF.key_locks(t)), NfMkBox(a, NfMkBox(b, NfInj(x))))
+    assert eq_nf(mt, boxed, NfMkBox(a, NfMkBox(b, NfInj(got))))
 
 
-def test_lift_weaken_under_binder():
+def test_weakening_under_a_binder_bumps_only_the_free_variable():
     # weakening a lambda bumps only the free variable
     free = NfLam(IDM, NfInj(NeVar(1, id_cell(IDM))))
     bound = NfLam(IDM, NfInj(NeVar(0, id_cell(IDM))))
-    assert eq_nf(P, rename_nf(P, RenWeaken(), free, "m"),
+    assert eq_nf(P, rename_nf(P, RenWeaken(), free),
                  NfLam(IDM, NfInj(NeVar(2, id_cell(IDM)))))
-    assert eq_nf(P, rename_nf(P, RenWeaken(), bound, "m"), bound)
+    assert eq_nf(P, rename_nf(P, RenWeaken(), bound), bound)
 
 
-def test_lift_pushes_key_past_binder():
+def test_a_key_reaches_a_free_variable_under_a_binder():
     # u lives over (id | Pi).lock(id); the key by pt retargets it to lock(l).
     # The free variable appears once outside the argument lock (cell becomes
     # pt) and once under it (cell becomes pt whiskered by the lock, then pt).
@@ -238,7 +240,7 @@ def test_lift_pushes_key_past_binder():
             )
         ),
     )
-    got = rename_nf(P, RenKey(PT, RF.key_locks(theta)), u, "m")
+    got = rename_nf(P, RenKey(PT, RF.key_locks(theta)), u)
     want = NfLam(
         L,
         NfInj(
@@ -297,9 +299,9 @@ def test_a_key_whiskers_a_variable_in_each_scoped_field(field):
     before, want = _scoped_samples(False)[field], _scoped_samples(True)[field]
     key = RenKey(PT, RF.key_locks((("var", IDM),)))
     if isinstance(before, NfTy):
-        got, same = rename_nfty(P, key, before, "m"), eq_nfty
+        got, same = rename_nfty(P, key, before), eq_nfty
     else:
-        got, same = rename_nf(P, key, before, "m"), eq_nf
+        got, same = rename_nf(P, key, before), eq_nf
     assert same(P, got, want)
     assert not same(P, got, before)
 
@@ -325,23 +327,23 @@ def test_coherence_equations_random(name):
         assert eq_ne(RF.P, got, want)
 
 
-def ren_respects_equations(mt, r1, r2, x, mode) -> bool:
+def ren_respects_equations(mt, r1, r2, x) -> bool:
     """Do two parallel renamings act identically on the neutral x?"""
-    return eq_ne(mt, rename_ne(mt, r1, x, mode), rename_ne(mt, r2, x, mode))
+    return eq_ne(mt, rename_ne(mt, r1, x), rename_ne(mt, r2, x))
 
 
 def test_ren_respects_equations_comp_unit():
     theta = (("var", IDM),)
     r = RenKey(PT, RF.key_locks(theta))
     x = NeVar(0, id_cell(IDM))
-    assert ren_respects_equations(P, RenComp(RenId(), r), r, x, "m")
-    assert ren_respects_equations(P, RenComp(r, RenId()), r, x, "m")
+    assert ren_respects_equations(P, RenComp(RenId(), r), r, x)
+    assert ren_respects_equations(P, RenComp(r, RenId()), r, x)
 
 
 def test_key_of_identity_cell_acts_trivially():
     theta = (("var", IDM),)
     x = NeVar(0, PT)
-    assert ren_respects_equations(P, RenKey(id_cell(L), RF.key_locks(theta)), RenId(), x, "m")
+    assert ren_respects_equations(P, RenKey(id_cell(L), RF.key_locks(theta)), RenId(), x)
 
 
 # --- decoding ---------------------------------------------------------------
