@@ -16,10 +16,12 @@ to right, against the next ``Pi`` domain; ``check_tm`` opens a run of
 lambdas against a run of ``Pi`` types, reflecting each binder's variable at
 its level, and extends the context once for the whole run (``ctx_extend``
 with ``run``), so a k-binder run copies the context's tuples once, not k
-times.  A lambda must meet a ``Pi`` whose modality equals its binder's, the
-identity for a bare ``\\x``; only a lambda built through the API without
-one meets any ``Pi``.  Diagnostics are those of one node at a time.
-Conversion is decided on values by ``conv.conv_ty``/``conv.conv``:
+times; ``check_type`` pushes a run of ``Pi`` binders the same way, up to
+the first part that has to be checked under them.  An identity lock is
+not pushed at all.  A lambda must meet a ``Pi`` whose modality equals its
+binder's, the identity for a bare ``\\x``; only a lambda built through the
+API without one meets any ``Pi``.  Diagnostics are those of one node at a
+time.  Conversion is decided on values by ``conv.conv_ty``/``conv.conv``:
 type-directed, with eta for functions, pairs and boxes, every modality and
 2-cell question delegated to the mode theory's decider, and no normal form
 built.  Two occurrences of one definition share one value and so compare
@@ -33,7 +35,14 @@ Accessing a variable demands an explicit 2-cell from its annotation to the
 composite of the locks in front of it; no search is performed.  The parser
 built the cell's layers and checked their boundaries; ``lookup_var`` checks
 again that the cell's stored boundary is the one its layers give, one word
-comparison per layer, because a cell built by hand can misstate it.  When
+comparison per layer, because a cell built by hand can misstate it.  A bare
+variable, the common case, answers at once: when its annotation, both
+boundaries of its key and the composite of the locks after it (the shared
+``id_mod`` of the ambient mode, as no lock follows it) are one object and
+the key has no layers, every one of those checks holds by identity, and
+its stored type is its type.  Any other variable, an equal but distinct
+annotation included, takes the checks in full.  ``check_tm`` looks a
+variable up directly rather than through ``infer``.  When
 the cell is not an identity (a cell with no layers is one), the variable's
 stored type is transported along it: read back in the entry's own prefix,
 renamed along the key alone, and evaluated over the prefix's atoms.
@@ -176,16 +185,18 @@ def ctx_extend(
     whose atom the caller reflected at its level: one copy of the context's
     tuples for the whole run, however long."""
     mt, mode, env, types, locks = ctx.mt, ctx.mode, ctx.env, ctx.types, ctx.locks
-    mods, tys, atoms = zip(*run) if run else ((mu,), (tyv,), ())
+    if not run:
+        if mu.mode_tgt != mode:
+            raise CheckError(f"annotation {mu} targets {mu.mode_tgt}, telescope is at {mode}")
+        fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu))) if dependent else UNBOUND
+        return CheckCtx(
+            mt, mode, Env(env.vals + (fresh,), env.sig), ctx.named, types + (tyv,),
+            ctx.slots + ((mu, len(locks)),), locks,
+        )
+    mods, tys, atoms = zip(*run)
     for m in mods:
         if m.mode_tgt != mode:
             raise CheckError(f"annotation {m} targets {m.mode_tgt}, telescope is at {mode}")
-    if not run:
-        fresh = reflect(mt, tyv, NeAbs(len(types), id_cell(mu))) if dependent else UNBOUND
-        return CheckCtx(
-            mt, mode, Env(env.vals + (fresh,), env.sig), ctx.named, types + tys,
-            ctx.slots + ((mu, len(locks)),), locks,
-        )
     seen = len(locks)
     return CheckCtx(
         mt, mode, Env(env.vals + atoms, env.sig), ctx.named, types + tys,
@@ -198,6 +209,20 @@ def ctx_extend(
 
 
 def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
+    types = ctx.types
+    if 0 <= k < len(types):
+        ann, seen = ctx.slots[-1 - k]
+        # A bare variable: its annotation, both boundaries of its key and the
+        # composite of the locks after it (none, so the ambient identity)
+        # are one object, and its key has no layers.
+        if (
+            alpha.src is ann
+            and alpha.tgt is ann
+            and not alpha.layers
+            and seen == len(ctx.locks)
+            and ann is id_mod(ctx.mode)
+        ):
+            return types[-1 - k]
     n = depth(ctx)
     if not 0 <= k < n:
         raise CheckError(f"unbound variable index {k}")
@@ -256,18 +281,48 @@ def _require_mode(ctx: CheckCtx, mod: Modality, role: str) -> None:
 # Types
 
 
+# The types of no parts, which check in any context.
+_WORD_TYPES = {S.Bool: BOOL, S.Uni: UNI}
+
+
 def check_type(ctx: CheckCtx, t: Term) -> TypeValue:
     """Check that ``t`` is a type and return its value, built from the
     values of its checked parts (``eval_ty`` would give the same): a
     non-dependent codomain is checked under ``nbe.UNBOUND`` and its value
-    kept, any other becomes a ``Closure``."""
+    kept, any other becomes a ``Closure``.
+
+    A run of ``Pi`` binders is checked in one loop.  Its binders are
+    pushed, as one run, only when something is checked under them: a
+    domain or the last codomain other than ``Bool`` or ``Uni``, or a
+    dependent codomain, whose closure takes the environment.  The context
+    each part is checked in is the one a push per binder would give."""
     c = t.__class__
     if c is S.Pi:
-        mod, dependent = t.mod, t.dependent
-        _require_mode(ctx, mod, "function domain")
-        domv = check_type(ctx_lock(ctx, mod), t.dom)
-        codv = check_type(ctx_extend(ctx, mod, domv, dependent), t.cod)
-        return TPi(mod, domv, Closure(ctx.env, t.cod) if dependent else codv)
+        mt, run, pis = ctx.mt, [], []
+        while c is S.Pi:
+            mod, dom, dependent = t.mod, t.dom, t.dependent
+            domv = _WORD_TYPES.get(dom.__class__)
+            if run and (domv is None or dependent):
+                ctx, run = ctx_extend(ctx, run=tuple(run)), []
+            if mod is not id_mod(ctx.mode):
+                _require_mode(ctx, mod, "function domain")
+                if domv is None:
+                    domv = check_type(ctx_lock(ctx, mod), dom)
+            elif domv is None:
+                domv = check_type(ctx, dom)
+            if dependent:
+                fresh = reflect(mt, domv, NeAbs(len(ctx.types), id_cell(mod)))
+                pis.append((mod, domv, Closure(ctx.env, t.cod)))
+            else:
+                fresh = UNBOUND
+                pis.append((mod, domv, None))
+            run.append((mod, domv, fresh))
+            t = t.cod
+            c = t.__class__
+        codv = _WORD_TYPES.get(c) or check_type(ctx_extend(ctx, run=tuple(run)), t)
+        for mod, domv, clo in reversed(pis):
+            codv = TPi(mod, domv, codv if clo is None else clo)
+        return codv
     if c is S.Bool:
         return BOOL
     if c is S.Sig:
@@ -303,11 +358,12 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
             t = t.fn
             c = t.__class__
         tf = infer(ctx, t)
+        ident = id_mod(ctx.mode)
         for arg in reversed(args):
             if tf.__class__ is not TPi:
                 raise CheckError(f"application of a non-function: {_show_ty(ctx, tf)}")
-            cod = tf.cod
-            check_tm(ctx_lock(ctx, tf.mod), arg, tf.dom)
+            mod, cod = tf.mod, tf.cod
+            check_tm(ctx if mod is ident else ctx_lock(ctx, mod), arg, tf.dom)
             if not isinstance(cod, TypeValue):
                 cod = inst_ty(mt, cod, Thunk(partial(eval_tm, mt, ctx.env, arg)))
             tf = cod
@@ -412,14 +468,16 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
 
 def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
     c = t.__class__
-    if c is S.Lam:
+    if c is S.Var:  # the commonest argument: its type, without ``infer``
+        actual = lookup_var(ctx, t.idx, t.cell)
+    elif c is S.Lam:
         mt, d, run = ctx.mt, depth(ctx), []
         while c is S.Lam:
             if ty.__class__ is not TPi:
                 shown = ctx_extend(ctx, run=tuple(run)) if run else ctx
                 raise CheckError(f"function literal at non-function type {_show_ty(shown, ty)}")
             mod, dom, written = ty.mod, ty.dom, t.mod
-            if written is not None and not eq_mod(mt, written, mod):
+            if written is not mod and written is not None and not eq_mod(mt, written, mod):
                 raise CheckError(
                     f"modality mismatch: lambda binder annotated {written} "
                     f"at a function type annotated {mod}"
@@ -429,7 +487,7 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
             ty = inst_ty(mt, ty.cod, fresh)
             t = t.body
             c = t.__class__
-        check_tm(ctx_extend(ctx, run=tuple(run)), t, ty)
+        return check_tm(ctx_extend(ctx, run=tuple(run)), t, ty)
     elif c is S.Pair:
         if ty.__class__ is not TSig:
             raise CheckError(f"pair literal at non-pair type {_show_ty(ctx, ty)}")
@@ -437,14 +495,14 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
         check_tm(ctx, a, ty.fst)
         if not isinstance(snd, TypeValue):
             snd = inst_ty(ctx.mt, snd, eval_tm(ctx.mt, ctx.env, a))
-        check_tm(ctx, t.snd, snd)
+        return check_tm(ctx, t.snd, snd)
     elif c is S.MkBox:
         if ty.__class__ is not TMod:
             raise CheckError(f"boxed term at non-modal type {_show_ty(ctx, ty)}")
         mod = t.mod
         if not eq_mod(ctx.mt, mod, ty.mod):
             raise CheckError(f"modality mismatch: box {mod} at modal type Mod {ty.mod}")
-        check_tm(ctx_lock(ctx, mod), t.body, ty.inner)
+        return check_tm(ctx_lock(ctx, mod), t.body, ty.inner)
     elif c is S.DecIsoInv:
         if ty.__class__ is not TDec:
             raise CheckError(
@@ -452,14 +510,14 @@ def check_tm(ctx: CheckCtx, t: Term, ty: TypeValue) -> None:
             )
         if ty.code.__class__ is VNeutral:
             raise CheckError("cannot unfold a neutral code")
-        check_tm(ctx, t.body, dec_unfold(ctx.mt, ty.code))
+        return check_tm(ctx, t.body, dec_unfold(ctx.mt, ty.code))
     else:
         actual = infer(ctx, t)
-        if not convert_ty(ctx, actual, ty):
-            raise CheckError(
-                f"type mismatch: expected {_show_ty(ctx, ty)}, "
-                f"actual {_show_ty(ctx, actual)}"
-            )
+    if not convert_ty(ctx, actual, ty):
+        raise CheckError(
+            f"type mismatch: expected {_show_ty(ctx, ty)}, "
+            f"actual {_show_ty(ctx, actual)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +609,9 @@ def check_program(mt: ModeTheory, decls) -> Report:
         try:
             if name in sig:
                 raise CheckError(f"duplicate definition {name!r}")
-            tyv = check_type(empty_ctx(mt, mode, sig), ty)
             ctx = empty_ctx(mt, mode, sig)
+            tyv = check_type(ctx, ty)
+            ctx.named.clear()  # the body's value needs only the body's references
             check_tm(ctx, body, tyv)
             val = Body(mt, ctx.env, body, [d.val for d in ctx.named.values()])
             results.append(
@@ -561,7 +620,9 @@ def check_program(mt: ModeTheory, decls) -> Report:
                     mode,
                     True,
                     partial(reify_ty, mt, 0, mode, tyv),
-                    reify_body=partial(_reify_body, mt, mode, tyv, val),
+                    None,
+                    False,
+                    partial(_reify_body, mt, mode, tyv, val),
                 )
             )
             sig[name] = Definition(mode, tyv, val)

@@ -14,10 +14,14 @@ explicit keys).
 The name of an earlier ``def`` becomes a ``Const`` reference: the kernel
 checks each declaration once and looks its type up at every use.
 
-Lexing is one ``findall`` per file, which yields the token texts; the
-parser reads those strings and raises each diagnostic at a token index.
-Where tokens start is found, once per file, only when a diagnostic or
-``Decl.line``/``col`` asks for a place.
+A file is read as bytes and decoded once, with CRLF and lone CR line ends
+read as LF.  Lexing is one ``findall`` per file of a regex with one
+alternation, one match per token; comments are matched as tokens and
+dropped.  The parser reads the token texts and raises each diagnostic at a
+token index.  Where tokens start is found with the same regex, once per
+file, only when a diagnostic or ``Decl.line``/``col`` asks for a place.
+The commonest binders, ``Pi (x : A) ->`` and ``\\x ->``, are read and
+scoped in line.
 
 Identity modalities written bare (``id``) resolve at the lexically
 enclosing mode; ``id(m)`` names a mode explicitly.  A run of generator
@@ -44,8 +48,8 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .record import field, record
 from . import check as C
@@ -108,14 +112,12 @@ class Token(NamedTuple):
     col: int
 
 
-# One match per token: the whitespace and comments before it, then the token,
-# ``.`` for any single character (an operator, or a stray one that
-# ``tokenize`` rejects), or the empty string at the end of the text.  After
-# the greedy skip some character or the end always matches, so the skip never
-# backtracks into a comment.
-_TOKEN_RE = re.compile(
-    r"(?:\s+|--[^\n]*)*(:=|->|=>|~>|iso-inv|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|.|\Z)"
-)
+# One alternation, one match per token: ``findall`` passes over whitespace,
+# which no alternative matches.  A comment is matched as a token of its own
+# and dropped; ``\S`` takes any other single character, an operator or a
+# stray one that ``tokenize`` rejects.  Eof is appended, at the end of the
+# text.
+_TOKEN_RE = re.compile(r":=|->|=>|~>|iso-inv|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|--[^\n]*|\S")
 _NAME_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _ONE_CHAR = _NAME_START | frozenset("0123456789(){}[]|,;:.*\\^<>@=")
 
@@ -135,17 +137,21 @@ class Tokens(list):
         super().__init__(texts)
         self.source = source
         self._starts: "list[int]" = []
-        self._scan = _TOKEN_RE.finditer(source)  # lazy: matches nothing yet
+        self._scan: "Iterator[int] | None" = None
 
     def token(self, i: int) -> Token:
         """Token ``i`` with its kind, line and column.  Lines end at ``\\n``
-        only; eof sits just past the last line.  Where tokens start is found
-        by a second pass over the text, which goes only as far as token
-        ``i`` and resumes there when a later token is asked for."""
-        starts = self._starts
+        only; eof sits at the end of the text.  Where tokens start is found
+        by a second pass of ``_TOKEN_RE`` over the text, which goes only as
+        far as token ``i`` and resumes there when a later token is asked
+        for."""
+        starts, src = self._starts, self.source
         if i >= len(starts):
-            starts += [m.start(1) for m in islice(self._scan, i + 1 - len(starts))]
-        start, text, src = starts[i], self[i], self.source
+            if self._scan is None:
+                found = (m.start() for m in _TOKEN_RE.finditer(src) if m.group()[:2] != "--")
+                self._scan = chain(found, (len(src),))
+            starts += islice(self._scan, i + 1 - len(starts))
+        start, text = starts[i], self[i]
         bol = src.rfind("\n", 0, start) + 1
         return Token(_kind(text), text, src.count("\n", 0, bol) + 1, start - bol + 1)
 
@@ -153,14 +159,18 @@ class Tokens(list):
 def tokenize(text: str) -> Tokens:
     """The token texts of ``text`` from one ``findall``, ending in ``""``.
 
-    A stray character anywhere in the text is a ``ParseError`` at the first
-    one.  Positions are not computed here: ``Tokens.token`` finds them
-    when a diagnostic or ``Parser.peek`` asks.
+    Every ``--`` in the text lies in a comment, so only a text that has one
+    is searched for comments to drop.  A stray character anywhere in the
+    text is a ``ParseError`` at the first one.  Positions are not computed
+    here: ``Tokens.token`` finds them when a diagnostic or ``Parser.peek``
+    asks.
     """
-    toks = Tokens(_TOKEN_RE.findall(text), text)
-    if len(toks) > 1 and not toks[-2]:
-        del toks[-1]  # trailing space: eof matched after it and again at the end
-    stray = [t for t in set(toks) if len(t) == 1 and t not in _ONE_CHAR]
+    texts = _TOKEN_RE.findall(text)
+    if "--" in text:
+        texts = [t for t in texts if t[:2] != "--"]
+    texts.append("")
+    toks = Tokens(texts, text)
+    stray = [t for t in set(texts) if len(t) == 1 and t not in _ONE_CHAR]
     if stray:
         at = min(map(toks.index, stray))
         raise ParseError(f"unexpected character {toks[at]!r}", toks, at)
@@ -195,6 +205,10 @@ _TERM_KEYWORDS = set(
 _TYPE_START = {"Pi", "Sig", "Bool", "Uni", "Mod", "dec", "("}
 _BINDER_TERMS = {"\\", "letbox", "if", "PiC", "SigC"}
 _ATOM_START = {"true", "false", "box", "iso", "iso-inv", "BoolC", "ModC", "("}
+
+# The formers with no fields, one instance each, shared by every parse.
+_BOOL, _UNI, _TRUE, _FALSE, _BOOL_CODE = S.Bool(), S.Uni(), S.True_(), S.False_(), S.BoolCode()
+_WORD_TYPES = {"Bool": _BOOL, "Uni": _UNI}  # the types of one token
 
 
 class Parser:
@@ -379,12 +393,10 @@ class Parser:
             )
 
     def _bind(self, name: str, mod: Modality) -> None:
-        anns, levels = self.anns, self.levels
-        if name in levels:
-            levels[name].append(len(anns))
-        else:
-            levels[name] = [len(anns)]
-        anns.append(mod)
+        """Bind ``name`` at ``mod`` as the innermost binder.  ``Pi`` and
+        ``\\`` bind and unbind in line instead."""
+        self.levels.setdefault(name, []).append(len(self.anns))
+        self.anns.append(mod)
         self.used.append(False)
 
     def _unbind(self, name: str) -> bool:
@@ -402,17 +414,40 @@ class Parser:
             raise self.fail(f"expected a type, found {head!r}")
         self.pos += 1
         if head == "Pi":
-            mod, name = self._binder(amb)
-            self._guard_mode(mod, amb, at)
-            self.expect(":")
-            dom = self.parse_type(mod.mode_src)
-            self.expect(")")
-            self.expect("->")
-            self._bind(name, mod)
-            cod = self.parse_type(amb)
-            return S.Pi(mod, dom, cod, self._unbind(name))
+            toks, pos = self.toks, self.pos
+            name = toks[pos + 1]
+            if toks[pos] == "(" and toks[pos + 2] == ":" and name[:1] in _NAME_START:
+                mod = id_mod(amb)  # ``Pi (x : A) ->``, read in line
+                self.pos = pos + 3
+            else:
+                mod, name = self._binder(amb)
+                self._guard_mode(mod, amb, at)
+                self.expect(":")
+            # A domain or codomain ``Bool`` or ``Uni`` is read in line, and
+            # so is the scope of the binder.
+            dom = _WORD_TYPES.get(toks[self.pos])
+            if dom is None:
+                dom = self.parse_type(mod.mode_src)
+            else:
+                self.pos += 1
+            if toks[self.pos] != ")" or toks[self.pos + 1] != "->":
+                self.expect(")")
+                self.expect("->")
+            pos = self.pos = self.pos + 2
+            anns, levels, used = self.anns, self.levels, self.used
+            levels.setdefault(name, []).append(len(anns))
+            anns.append(mod)
+            used.append(False)
+            cod = _WORD_TYPES.get(toks[pos])
+            if cod is None:
+                cod = self.parse_type(amb)
+            else:
+                self.pos = pos + 1
+            levels[name].pop()
+            anns.pop()
+            return S.Pi(mod, dom, cod, used.pop())
         if head == "Bool":
-            return S.Bool()
+            return _BOOL
         if head == "Sig":
             self.expect("(")
             name = self.expect_ident("a variable name")
@@ -424,7 +459,7 @@ class Parser:
             snd = self.parse_type(amb)
             return S.Sig(fst, snd, self._unbind(name))
         if head == "Uni":
-            return S.Uni()
+            return _UNI
         if head == "Mod":
             mod = self.parse_modexpr(amb)
             self._guard_mode(mod, amb, at)
@@ -442,16 +477,27 @@ class Parser:
             return self.parse_app(amb)
         self.pos += 1
         if head == "\\":
-            if self.at("("):
-                mod, name = self._binder(amb)
-                self._guard_mode(mod, amb, at)
-                self.expect(")")
+            toks, pos = self.toks, self.pos
+            name = toks[pos]
+            if toks[pos + 1] == "->" and name[:1] in _NAME_START:
+                mod = id_mod(amb)  # ``\x ->``, read in line
+                self.pos = pos + 2
             else:
-                mod, name = id_mod(amb), self.expect_ident("a variable name")
-            self.expect("->")
-            self._bind(name, mod)
+                if self.at("("):
+                    mod, name = self._binder(amb)
+                    self._guard_mode(mod, amb, at)
+                    self.expect(")")
+                else:
+                    mod, name = id_mod(amb), self.expect_ident("a variable name")
+                self.expect("->")
+            anns, levels, used = self.anns, self.levels, self.used
+            levels.setdefault(name, []).append(len(anns))
+            anns.append(mod)
+            used.append(False)
             body = self.parse_term(amb)
-            self._unbind(name)
+            levels[name].pop()
+            anns.pop()
+            used.pop()
             return S.Lam(body, mod)
         if head == "letbox":
             self.expect("(")
@@ -540,7 +586,14 @@ class Parser:
             if head in _TERM_KEYWORDS or head[:1] not in _NAME_START:
                 raise self.fail(f"expected a term, found {head!r}")
             self.pos += 1
-            out = self._name_ref(head, at, amb)
+            bound = self.levels.get(head)
+            if bound and toks[self.pos] != "^":  # a bound name with no key
+                level = bound[-1]
+                self.used[level] = True
+                anns = self.anns
+                out = S.Var(len(anns) - 1 - level, id_cell(anns[level]))
+            else:
+                out = self._name_ref(head, at, amb)
         else:
             self.pos += 1
             if head == "(":
@@ -549,11 +602,11 @@ class Parser:
                     out = S.Pair(out, self.parse_term(amb))
                 self.expect(")")
             elif head == "true":
-                out = S.True_()
+                out = _TRUE
             elif head == "false":
-                out = S.False_()
+                out = _FALSE
             elif head == "BoolC":
-                out = S.BoolCode()
+                out = _BOOL_CODE
             elif head == "iso":
                 out = S.DecIso(self.parse_atom(amb))
             elif head == "iso-inv":
@@ -738,14 +791,21 @@ def _load(path: str, override_name: "str | None"):
         print(e, file=sys.stderr)
         return None
     try:
-        # utf-8-sig drops one leading byte-order mark, as some editors write
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
-            text = f.read()
+        with open(path, "rb", buffering=0) as f:
+            data = f.read()
     except OSError as e:
         print(f"{path}: {e.strerror or e}", file=sys.stderr)
         return None
-    bad = re.search("[\udc80-\udcff]", text)  # a byte that did not decode
-    if bad:
+    # utf-8-sig drops one leading byte-order mark, as some editors write, and
+    # CRLF and lone CR line ends read as LF, as text-mode ``open`` reads them
+    try:
+        text, utf8 = data.decode("utf-8-sig"), True
+    except UnicodeDecodeError:
+        text, utf8 = data.decode("utf-8-sig", "surrogateescape"), False
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not utf8:
+        bad = re.search("[\udc80-\udcff]", text)  # a byte that did not decode
         before = text[: bad.start()].split("\n")
         print(f"{path}:{len(before)}:{len(before[-1]) + 1}: not UTF-8 text", file=sys.stderr)
         return None
@@ -757,7 +817,8 @@ def _load(path: str, override_name: "str | None"):
 
 
 def _out(line: "str | None" = None) -> None:
-    """Print ``line`` to stdout, or flush stdout when there is none.
+    """Write ``line`` and its newline to stdout in one call, or flush stdout
+    when there is no line.
 
     When the reader has closed stdout, stdout is pointed at the null device
     (the SIGPIPE note in the docs of Python's ``signal`` module): the run
@@ -768,7 +829,7 @@ def _out(line: "str | None" = None) -> None:
         if line is None:
             sys.stdout.flush()
         else:
-            print(line)
+            sys.stdout.write(line + "\n")
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -192,9 +192,21 @@ class Cell2:
         return ".".join(parts) or "id"
 
 
-@cache
+_ID_CELLS: "dict[tuple[str, str, Word], Cell2]" = {}
+
+
 def id_cell(mod: Modality) -> Cell2:
-    return Cell2(mod, mod, ())
+    """The one identity cell on ``mod``'s boundary and word, looked up by a
+    tuple of strings, which hashes without calling back into Python.  An
+    identity modality's cell has ``id_mod`` of its mode as both
+    boundaries."""
+    key = (mod.mode_src, mod.mode_tgt, mod.word)
+    cell = _ID_CELLS.get(key)
+    if cell is None:
+        if not mod.word and mod.mode_src == mod.mode_tgt:
+            mod = id_mod(mod.mode_src)
+        cell = _ID_CELLS[key] = Cell2(mod, mod, ())
+    return cell
 
 
 def gen_cell(mt: "ModeTheory", name: str) -> Cell2:

@@ -602,6 +602,12 @@ def key_val(mt: ModeTheory, cell: Cell2, v: Value) -> Value:
 # Reflect / reify
 
 
+# Read-back returns one instance of each normal form without fields, as
+# evaluation does ``BOOL`` and ``UNI``.
+NF_BOOL, NF_UNI, NF_TRUE, NF_FALSE = NfBool(), NfUni(), NfTrue(), NfFalse()
+NF_BOOL_CODE = NfBoolCode()
+
+
 def reflect(mt: ModeTheory, T: TypeValue, ne: NeAbs) -> Value:
     c = T.__class__
     if c is TDec and T.code.__class__ is not VNeutral:
@@ -615,9 +621,9 @@ def reify(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value) -> Nf:
     c, cv = T.__class__, v.__class__
     if c is TBool:
         if cv is VTrue:
-            return NfTrue()
+            return NF_TRUE
         if cv is VFalse:
-            return NfFalse()
+            return NF_FALSE
         if cv is not VNeutral:
             raise NbeError(f"not a boolean value: {cv.__name__}")
     elif c is TPi:
@@ -655,7 +661,7 @@ def reify(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value) -> Nf:
                 reify(mt, d + 1, mode, UNI, instantiate(mt, v.snd, fresh)),
             )
         if cv is CBool:
-            return NfBoolCode()
+            return NF_BOOL_CODE
         if cv is CMod:
             mod = v.mod
             return NfModifyCode(mod, reify(mt, d, mod.mode_src, UNI, v.code))
@@ -712,7 +718,7 @@ def reify_ne(mt: ModeTheory, d: int, mode: str, ne: NeAbs) -> Ne:
 def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
     c = T.__class__
     if c is TBool:
-        return NfBool()
+        return NF_BOOL
     if c is TPi:
         mod, dom, cod = T.mod, T.dom, T.cod
         if not isinstance(cod, TypeValue):
@@ -724,7 +730,7 @@ def reify_ty(mt: ModeTheory, d: int, mode: str, T: TypeValue) -> NfTy:
             snd = inst_ty(mt, snd, reflect(mt, fst, NeAbs(d, id_cell(id_mod(mode)))))
         return NfProd(reify_ty(mt, d, mode, fst), reify_ty(mt, d + 1, mode, snd))
     if c is TUni:
-        return NfUni()
+        return NF_UNI
     if c is TMod:
         mod = T.mod
         return NfModify(mod, reify_ty(mt, d, mod.mode_src, T.inner))

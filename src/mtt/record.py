@@ -20,8 +20,10 @@ per-node functions dispatch on that test.
 
 Because instances never change, one instance may be shared wherever an
 equal one is needed: ``modeth.id_mod`` and ``modeth.id_cell`` return one
-object per argument, and ``nbe`` has one ``TBool`` and one ``TUni``.  Only
-records built from strings alone are shared that way; they compare
+object per argument, and the parser, evaluation and read-back each build
+one instance of each record without fields they make (``syntax.Bool``,
+``nbe.TBool``, ``normal.NfTrue`` and the like).  Only records built from
+strings alone, or from nothing, are shared that way; they compare
 structurally, so a shared one and a freshly built one are equal and
 interchangeable.
 

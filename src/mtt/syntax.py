@@ -318,7 +318,10 @@ def show_term(t: Term, depth: int = 0, x: "str | None" = None) -> str:
     ``t`` may be of a class in ``PRINTS_AS``, and prints as its term class."""
     if x is None:
         x = _binder_prefix(t)
-    t, c = _as_term(t)
+    c = t.__class__
+    c = PRINTS_AS.get(c, c)
+    if c is None:
+        t, c = _as_term(t)
     if c is Var:
         name = f"{x}{depth - 1 - t.idx}"
         return f"{name}^{t.cell}" if t.cell.layers else name

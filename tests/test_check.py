@@ -167,6 +167,57 @@ def test_the_checks_of_a_variable_still_fire_on_identity_keys():
             lookup_var(ctx, k, id_cell(IDM))
 
 
+def test_a_key_from_the_annotation_to_the_ambient_identity_is_still_checked():
+    # The other half: a variable annotated mu with no lock after it, keyed
+    # by a cell that starts at its annotation and ends at the identity its
+    # (no) locks compose to, but has no layers to get there.
+    ctx = ctx_extend(empty_ctx(W, "m"), MU, TBool())
+    bad = Cell2(MU, IDM, ())
+    with pytest.raises(CheckError, match="ill-formed 2-cell"):
+        lookup_var(ctx, 0, bad)
+    ty = S.Pi(MU, S.Bool(), S.Bool())
+    (result,) = check_program(W, [("f", "m", ty, S.Lam(S.Var(0, bad)))]).results
+    assert result.error.startswith("ill-formed 2-cell id on variable 0")
+
+
+def _count_cell_checks(monkeypatch) -> list:
+    calls = []
+    real = check.cell_check
+
+    def counting(mt, cell):
+        calls.append(cell)
+        return real(mt, cell)
+
+    monkeypatch.setattr(check, "cell_check", counting)
+    return calls
+
+
+def test_a_bare_variable_is_checked_without_a_cell_check(monkeypatch):
+    calls = _count_cell_checks(monkeypatch)
+    xs = [f"x{j}" for j in range(1, 17)]
+    ty = " -> ".join([f"Pi ({x} : Bool)" for x in xs] + ["Bool"])
+    lam = " ".join("\\" + x + " ->" for x in xs)
+    mt, decls = parse_file(
+        f"def g @m : {ty} := {lam} x1\n"
+        f"def h @m : {ty} := {lam} g {' '.join(xs)}\n"
+    )
+    report = check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
+    assert report.ok, [r.error for r in report.results]
+    assert calls == []
+
+
+def test_a_variable_annotated_like_its_locks_takes_the_checked_path(monkeypatch):
+    # Its annotation and the composite of the locks after it are equal but
+    # are two objects, so the variable is checked as any keyed one is.
+    calls = _count_cell_checks(monkeypatch)
+    mt, decls = parse_file(
+        "theory pointed\ndef k @m : Pi (l | x : Bool) -> Mod l Bool := \\(l | x) -> box l x\n"
+    )
+    report = check_program(mt, [(d.name, d.mode, d.ty, d.body) for d in decls])
+    assert report.ok, report.results[0].error
+    assert len(calls) == 1 and not calls[0].layers
+
+
 def _projection_chain(width: int) -> str:
     """Two ``width``-ary projections, the second applying the first twice,
     and a use of the second: the shape of the benchmark's ``defs`` files."""

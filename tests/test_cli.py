@@ -1460,6 +1460,27 @@ def test_corpus_file_checks(path, capsys):
     assert cap.out.startswith("checked ")
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_corpus_with_other_line_ends_prints_the_golden_output(tmp_path, capsys, newline):
+    # A file is read as bytes and decoded once; CRLF and lone CR line ends
+    # read as LF, as text-mode ``open`` reads them.
+    golden = json.loads(
+        (pathlib.Path(__file__).parents[1] / "bench" / "corpus_golden.json").read_text("utf-8")
+    )
+    for path in CORPUS:
+        copy = tmp_path / path.name
+        copy.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        for command in ("check", "normalize"):
+            assert main([command, str(copy)]) == 0, (path.name, command)
+            cap = capsys.readouterr()
+            assert (cap.out, cap.err) == (golden[path.name][command], ""), (path.name, command)
+    # and a diagnostic is placed on the line the line ends count
+    copy = tmp_path / "bad.mtt"
+    copy.write_bytes(f"def a @m : Bool := true{newline}def b @m : Bool := a a{newline}".encode())
+    assert main(["check", str(copy)]) == 1
+    assert capsys.readouterr().err.startswith(f"{copy}:2:1: error: b: application of a non-function")
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_corpus_normal_forms_roundtrip(path):
     mt, decls = parse_file(path.read_text(encoding="utf-8"))

@@ -33,9 +33,12 @@ def test_front_end_reproduces_the_fixture(path):
 
 # Pieces chosen to meet every lexical edge: comments against dashes and
 # arrows, newlines inside and after comments, stray characters, and the
-# one identifier with a dash in it.
+# one identifier with a dash in it, carriage returns, a form feed, Unicode
+# whitespace (a no-break space, a line separator) and a comment that starts
+# like an arrow.
 PIECES = ["--", "\n", "-", "$", " ", "\t", "x", "a1'", "iso-inv", "iso", "-inv",
-          "->", ":=", ":", "=", ">", "~", "(", ")", ".", "12", " ", "é"]
+          "->", ":=", ":", "=", ">", "~", "(", ")", ".", "12", "\u00a0", "\u00e9",
+          "\r", "\x0c", "\u2028", "-->"]
 
 
 def _outcome(text):
