@@ -84,6 +84,7 @@ from .normal import (
     Nf,
     NfTy,
     NormalError,
+    PrefixLocks,
     RenKey,
     decode_nfty,
     depth,
@@ -95,7 +96,9 @@ from .normal import (
 from .conv import conv, conv_ty
 from .nbe import (
     BOOL,
+    FALSE,
     NO_DEFS,
+    TRUE,
     UNBOUND,
     UNI,
     Body,
@@ -112,9 +115,7 @@ from .nbe import (
     Thunk,
     TypeValue,
     VBox,
-    VFalse,
     VNeutral,
-    VTrue,
     Value,
     dec_unfold,
     do_proj,
@@ -241,13 +242,8 @@ def lookup_var(ctx: CheckCtx, k: int, alpha: Cell2) -> TypeValue:
     # along the key, and evaluate over the prefix's atoms.  At each prefix
     # variable the key is whiskered by the locks between it and the entry.
     level = n - 1 - k  # also the depth of the entry's prefix
-    locks, lead = ctx.locks, len(nu.word)
-    crossed = tuple(
-        Modality(ann.mode_tgt, a.mode_tgt, locks[lead : len(locks) - seen])
-        for a, seen in reversed(ctx.slots[:level])
-    )
     nf = reify_ty(ctx.mt, level, ann.mode_src, stored)
-    moved = rename_nfty(ctx.mt, RenKey(alpha, crossed), nf)
+    moved = rename_nfty(ctx.mt, RenKey(alpha, PrefixLocks(ctx, level)), nf)
     return eval_ty(ctx.mt, Env(ctx.env.vals[:level], ctx.env.sig), decode_nfty(moved))
 
 
@@ -400,8 +396,8 @@ def infer(ctx: CheckCtx, t: Term) -> TypeValue:
         check_tm(ctx, scrut, BOOL)
         check_type(ctx_extend(ctx, id_mod(ctx.mode), BOOL), t.motive)
         mot = Closure(ctx.env, t.motive)
-        check_tm(ctx, t.tcase, inst_ty(mt, mot, VTrue()))
-        check_tm(ctx, t.fcase, inst_ty(mt, mot, VFalse()))
+        check_tm(ctx, t.tcase, inst_ty(mt, mot, TRUE))
+        check_tm(ctx, t.fcase, inst_ty(mt, mot, FALSE))
         return inst_ty(mt, mot, eval_tm(mt, ctx.env, scrut))
     if c is S.MkBox:
         mod = t.mod

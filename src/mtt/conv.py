@@ -4,14 +4,14 @@
 with ``nbe.reify_ty``/``reify``/``reify_ne`` and comparing the normal forms
 with ``normal.eq_nfty``/``eq_nf`` would decide, but build no normal form and
 stop at the first difference.  Each case follows the read-back case of the
-same name: eta for functions, pairs and boxes, codes former by former at
-the universe, under a binder one fresh variable reflected at the left
-side's domain for both sides, ``Dec`` of a canonical code through its
-unfolding, and at every other type the one ``VNeutral`` arm: neutrals by
-level, frame count, head cell and then frame by frame, as two neutral
-pairs are too, unprojected, which by eta is exact.  Every
-modality and 2-cell question goes to the mode theory's decider, and an
-ill-formed value raises the ``NbeError`` that read-back would raise.
+same name: eta for functions, pairs and boxes, two codes at the universe as
+the types they decode to, under a binder one fresh variable reflected at
+the left side's domain for both sides, ``Dec`` of a canonical code through
+its unfolding, and at every other type the one ``VNeutral`` arm: neutrals
+by level, frame count, head cell and then frame by frame, as two neutral
+pairs are too, unprojected, which by eta is exact.  Every modality and
+2-cell question goes to the mode theory's decider, and an ill-formed value
+raises the ``NbeError`` that read-back would raise.
 
 Identity first: each function answers at once when its two sides are one
 object, since reading back is deterministic and one object reads back to
@@ -34,10 +34,8 @@ from .modeth import ModeTheory, compose_mod, eq_cell, eq_mod, id_cell, id_mod
 from .nbe import (
     BOOL,
     UNI,
-    CBool,
-    CMod,
-    CPi,
-    CSig,
+    FALSE,
+    TRUE,
     FrApp,
     FrDecIso,
     FrIf,
@@ -54,6 +52,7 @@ from .nbe import (
     TUni,
     TypeValue,
     VBox,
+    VCode,
     VFalse,
     VNeutral,
     VTrue,
@@ -102,31 +101,10 @@ def conv(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value, w: Value) ->
             return conv(mt, d, T.mod.mode_src, T.inner, v.val, w.val)
         kinds, what = (VBox, VNeutral), "not a modal value"
     elif c is TUni:
-        if cv is cw and cv is not VNeutral:
-            if cv is CPi:
-                m1, dom = v.mod, v.dom
-                if not (eq_mod(mt, m1, w.mod) and conv(mt, d, m1.mode_src, UNI, dom, w.dom)):
-                    return False
-                fresh = reflect(mt, TDec(dom), NeAbs(d, id_cell(m1)))
-                return conv(
-                    mt, d + 1, mode, UNI,
-                    instantiate(mt, v.cod, fresh), instantiate(mt, w.cod, fresh),
-                )
-            if cv is CSig:
-                fst = v.fst
-                if not conv(mt, d, mode, UNI, fst, w.fst):
-                    return False
-                fresh = reflect(mt, TDec(fst), NeAbs(d, id_cell(id_mod(mode))))
-                return conv(
-                    mt, d + 1, mode, UNI,
-                    instantiate(mt, v.snd, fresh), instantiate(mt, w.snd, fresh),
-                )
-            if cv is CBool:
-                return True
-            if cv is CMod:
-                m1 = v.mod
-                return eq_mod(mt, m1, w.mod) and conv(mt, d, m1.mode_src, UNI, v.code, w.code)
-        kinds, what = (CPi, CSig, CBool, CMod, VNeutral), "not a universe element"
+        # A code converts as the type it decodes to.
+        if cv is VCode and cw is VCode:
+            return conv_ty(mt, d, mode, v.ty, w.ty)
+        kinds, what = (VCode, VNeutral), "not a universe element"
     elif c is TDec:
         code = T.code
         if code.__class__ is not VNeutral:
@@ -165,8 +143,8 @@ def conv_ne(mt: ModeTheory, d: int, mode: str, n1: NeAbs, n2: NeAbs) -> bool:
                 fresh = reflect(mt, BOOL, NeAbs(d, id_cell(id_mod(mode))))
                 if not (
                     conv_ty(mt, d + 1, mode, inst_ty(mt, mot1, fresh), inst_ty(mt, mot2, fresh))
-                    and conv(mt, d, mode, inst_ty(mt, mot1, VTrue()), t1, t2)
-                    and conv(mt, d, mode, inst_ty(mt, mot1, VFalse()), e1, e2)
+                    and conv(mt, d, mode, inst_ty(mt, mot1, TRUE), t1, t2)
+                    and conv(mt, d, mode, inst_ty(mt, mot1, FALSE), e1, e2)
                 ):
                     return False
             case FrLetMod(mu, nu, mot1, br1, inner), FrLetMod(mu2, nu2, mot2, br2, _):

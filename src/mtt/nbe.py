@@ -8,15 +8,15 @@ cell composition; levels convert to de Bruijn indices only at reify time
 the kernel holds no counter.
 
 The domain mirrors the normal forms: one value class per canonical form
-(``VLam``, ``VPair``, ``VTrue``/``VFalse``, ``VBox``, and the codes
-``CPi``/``CSig``/``CBool``/``CMod``, which are the universe's elements),
-and one ``VNeutral(ty, ne)`` for a neutral at every type ``reflect`` does
-not expand: ``Bool``, ``Pi`` and ``Sig`` (read-back eta-expands them, and
-``do_proj`` reflects a component when it is taken), ``Mod``, ``Uni`` and
-``Dec`` of a neutral code.  ``reflect`` expands a neutral at ``Dec`` of a
-canonical code through the decoding coercion.  So ``reify`` and ``conv``
-take neutrals in one arm, read back as the one ``NfInj``, and the key
-action touches only ``VNeutral`` heads.
+(``VLam``, ``VPair``, ``VTrue``/``VFalse``, ``VBox``), one ``VCode(ty)``
+for the universe's canonical elements, and one ``VNeutral(ty, ne)`` for a
+neutral at every type ``reflect`` does not expand: ``Bool``, ``Pi`` and
+``Sig`` (read-back eta-expands them, and ``do_proj`` reflects a component
+when it is taken), ``Mod``, ``Uni`` and ``Dec`` of a neutral code.
+``reflect`` expands a neutral at ``Dec`` of a canonical code through the
+decoding coercion.  So ``reify`` and ``conv`` take neutrals in one arm,
+read back as the one ``NfInj``, and the key action touches only
+``VNeutral`` heads.
 
 Earlier declarations are constants of a signature that every environment
 carries.  A constant evaluates to its stored body value, computed on first
@@ -39,8 +39,8 @@ reached in, evaluated again each time it is instantiated.  The codomain of
 a ``Pi`` or ``Sig`` that the syntax marks non-dependent is the exception:
 it means one type whatever the argument, so ``eval_ty`` evaluates it once
 and ``TPi.cod``/``TSig.snd`` hold that type value, which ``inst_ty``
-returns without evaluating anything.  Codes (``CPi``/``CSig``) and the
-motives of eliminators always keep closures.
+returns without evaluating anything.  Codes and the motives of
+eliminators always keep closures.
 
 ``eval_tm`` takes an application spine whole.  It evaluates the head once;
 when the head is a lambda whose body begins with further lambdas, it
@@ -52,7 +52,11 @@ at a time.
 The universe is weak Tarski: a decoded code ``Dec c`` is a type distinct from
 the connective it unfolds to.  The two coercions evaluate to the identity on
 payloads; reify wraps the boundary markers back on, so normal forms at
-``Dec c`` record the coercion exactly once.
+``Dec c`` record the coercion exactly once.  A code is the type it decodes
+to, one layer deep: ``VCode.ty`` is a ``TPi``, ``TSig`` or ``TMod`` over
+``TDec`` of the code's parts, or ``BOOL``.  Type formers are injective, so
+``dec_unfold`` reads that type, and a code reads back (and ``conv``
+compares it) as that type does.
 """
 
 from __future__ import annotations
@@ -344,31 +348,21 @@ class TDec(TypeValue):
     code: Value  # a code, or a ``VNeutral`` at the universe
 
 
-# The codes, the universe's canonical elements.
-
-
 @record
-class CPi(Value):
-    mod: Modality
-    dom: Value
-    cod: Closure
+class VCode(Value):
+    """A code, the universe's canonical element, as the type it decodes to
+    one layer deep: a ``TPi``, ``TSig`` or ``TMod`` whose parts are ``TDec``
+    of codes, with a binder a ``Closure`` over ``S.Dec`` of the code's
+    body, or ``BOOL``."""
+
+    ty: TypeValue
 
 
-@record
-class CSig(Value):
-    fst: Value
-    snd: Closure
-
-
-@record
-class CBool(Value):
-    pass
-
-
-@record
-class CMod(Value):
-    mod: Modality
-    code: Value
+# Evaluation shares one instance of each value and frame without fields it
+# builds, and one Bool code.
+TRUE, FALSE = VTrue(), VFalse()
+FR_PROJ1, FR_PROJ2, FR_DEC_ISO = FrProj1(), FrProj2(), FrDecIso()
+BOOL_CODE = VCode(BOOL)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +408,9 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
     if c is S.Lam:
         return VLam(Closure(env, t.body))
     if c is S.True_:
-        return VTrue()
+        return TRUE
     if c is S.False_:
-        return VFalse()
+        return FALSE
     if c is S.Pair:
         return VPair(eval_tm(mt, env, t.fst), eval_tm(mt, env, t.snd))
     if c is S.Proj1:
@@ -439,13 +433,13 @@ def eval_tm(mt: ModeTheory, env: Env, t: Term) -> Value:
             eval_tm(mt, env, t.scrut), Closure(env, t.branch),
         )
     if c is S.PiCode:
-        return CPi(t.mod, eval_tm(mt, env, t.dom), Closure(env, t.cod))
+        return VCode(TPi(t.mod, TDec(eval_tm(mt, env, t.dom)), Closure(env, S.Dec(t.cod))))
     if c is S.SigCode:
-        return CSig(eval_tm(mt, env, t.fst), Closure(env, t.snd))
+        return VCode(TSig(TDec(eval_tm(mt, env, t.fst)), Closure(env, S.Dec(t.snd))))
     if c is S.BoolCode:
-        return CBool()
+        return BOOL_CODE
     if c is S.ModCode:
-        return CMod(t.mod, eval_tm(mt, env, t.code))
+        return VCode(TMod(t.mod, TDec(eval_tm(mt, env, t.code))))
     if c is S.DecIso or c is S.DecIsoInv:
         return eval_tm(mt, env, t.body)
     raise NbeError(f"not a term former: {type(t).__name__}")
@@ -501,19 +495,13 @@ def inst_ty(
 
 
 def dec_unfold(mt: ModeTheory, c: Value) -> TypeValue:
-    """The connective a canonical code decodes to, one layer deep; a code
-    closure becomes a type closure under ``dec``."""
-    match c:
-        case CPi(mod, dom, cod):
-            return TPi(mod, TDec(dom), Closure(cod.env, S.Dec(cod.body)))
-        case CSig(fst, snd):
-            return TSig(TDec(fst), Closure(snd.env, S.Dec(snd.body)))
-        case CBool():
-            return BOOL
-        case CMod(mod, code):
-            return TMod(mod, TDec(code))
-        case VNeutral():
-            raise NbeError("cannot unfold a neutral code")
+    """The connective a canonical code decodes to, one layer deep: the type
+    the code holds."""
+    cc = c.__class__
+    if cc is VCode:
+        return c.ty
+    if cc is VNeutral:
+        raise NbeError("cannot unfold a neutral code")
     raise NbeError(f"not a universe element: {type(c).__name__}")
 
 
@@ -537,8 +525,8 @@ def do_proj(mt: ModeTheory, which: int, p: Value) -> Value:
         case VPair(a, b):
             return a if which == 1 else b
         case VNeutral(TSig(fst, snd), ne):
-            a = reflect(mt, fst, ne.push(FrProj1()))
-            return a if which == 1 else reflect(mt, inst_ty(mt, snd, a), ne.push(FrProj2()))
+            a = reflect(mt, fst, ne.push(FR_PROJ1))
+            return a if which == 1 else reflect(mt, inst_ty(mt, snd, a), ne.push(FR_PROJ2))
     raise NbeError(f"projection from a non-pair: {type(p).__name__}")
 
 
@@ -611,7 +599,7 @@ NF_BOOL_CODE = NfBoolCode()
 def reflect(mt: ModeTheory, T: TypeValue, ne: NeAbs) -> Value:
     c = T.__class__
     if c is TDec and T.code.__class__ is not VNeutral:
-        return reflect(mt, dec_unfold(mt, T.code), ne.push(FrDecIso()))
+        return reflect(mt, dec_unfold(mt, T.code), ne.push(FR_DEC_ISO))
     if isinstance(T, TypeValue):
         return VNeutral(T, ne)
     raise NbeError(f"cannot reflect at {type(T).__name__}")
@@ -645,26 +633,18 @@ def reify(mt: ModeTheory, d: int, mode: str, T: TypeValue, v: Value) -> Nf:
         if cv is not VNeutral:
             raise NbeError(f"not a modal value: {cv.__name__}")
     elif c is TUni:
-        if cv is CPi:
-            mod, dom = v.mod, v.dom
-            fresh = reflect(mt, TDec(dom), NeAbs(d, id_cell(mod)))
-            return NfFnCode(
-                mod,
-                reify(mt, d, mod.mode_src, UNI, dom),
-                reify(mt, d + 1, mode, UNI, instantiate(mt, v.cod, fresh)),
-            )
-        if cv is CSig:
-            fst = v.fst
-            fresh = reflect(mt, TDec(fst), NeAbs(d, id_cell(id_mod(mode))))
-            return NfProdCode(
-                reify(mt, d, mode, UNI, fst),
-                reify(mt, d + 1, mode, UNI, instantiate(mt, v.snd, fresh)),
-            )
-        if cv is CBool:
+        if cv is VCode:
+            # A code reads back as its decoding, each part a ``TDec``, so an
+            # ``NfDec`` whose ``code`` is the part's normal form.
+            nf = reify_ty(mt, d, mode, v.ty)
+            nc = nf.__class__
+            if nc is NfFn:
+                return NfFnCode(nf.mod, nf.dom.code, nf.cod.code)
+            if nc is NfProd:
+                return NfProdCode(nf.fst.code, nf.snd.code)
+            if nc is NfModify:
+                return NfModifyCode(nf.mod, nf.ty.code)
             return NF_BOOL_CODE
-        if cv is CMod:
-            mod = v.mod
-            return NfModifyCode(mod, reify(mt, d, mod.mode_src, UNI, v.code))
         if cv is not VNeutral:
             raise NbeError(f"not a universe element: {cv.__name__}")
     elif c is TDec:
@@ -698,8 +678,8 @@ def reify_ne(mt: ModeTheory, d: int, mode: str, ne: NeAbs) -> Ne:
                 out = NeBoolRec(
                     tau,
                     out,
-                    reify(mt, d, mode, inst_ty(mt, motive, VTrue()), tcase),
-                    reify(mt, d, mode, inst_ty(mt, motive, VFalse()), fcase),
+                    reify(mt, d, mode, inst_ty(mt, motive, TRUE), tcase),
+                    reify(mt, d, mode, inst_ty(mt, motive, FALSE), fcase),
                 )
             case FrLetMod(mu, nu, motive, branch, inner):
                 box_fresh = reflect(mt, TMod(nu, inner), NeAbs(d, id_cell(mu)))

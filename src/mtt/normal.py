@@ -94,6 +94,26 @@ def locks_of(ctx, k: int) -> Modality:
     return Modality(mode, ann.mode_tgt, locks[: len(locks) - seen])
 
 
+@record
+class PrefixLocks:
+    """``locks_of`` in the prefix of ``ctx`` before the variable at
+    ``level``: ``self[j]`` composes the locks between that prefix's variable
+    j and the one at ``level``.  Each composite is built when indexed, so a
+    key's renaming (``RenKey.locks``) pays only for the variables it meets,
+    not for the depth of the prefix."""
+
+    ctx: object
+    level: int
+
+    def __getitem__(self, j: int) -> Modality:
+        ctx, level = self.ctx, self.level
+        if not 0 <= j < level:
+            raise IndexError(j)
+        (ann, at_entry), (a, at_var) = ctx.slots[level], ctx.slots[level - 1 - j]
+        n = len(ctx.locks)
+        return Modality(ann.mode_tgt, a.mode_tgt, ctx.locks[n - at_entry : n - at_var])
+
+
 # ---------------------------------------------------------------------------
 # Normal, neutral, and normal-type forms
 
@@ -334,10 +354,11 @@ class RenLock(Renaming):
 @record
 class RenKey(Renaming):
     """A key: for cell : nu => mu, maps the mu-locked context to the
-    nu-locked one.  ``locks[k]`` is the unlocked one's ``locks_of`` at k."""
+    nu-locked one.  ``locks[k]`` is the unlocked one's ``locks_of`` at k:
+    a tuple, or a ``PrefixLocks`` that builds each one when asked."""
 
     cell: Cell2
-    locks: tuple[Modality, ...]
+    locks: "tuple[Modality, ...] | PrefixLocks"
 
 
 @record

@@ -22,8 +22,10 @@ Because instances never change, one instance may be shared wherever an
 equal one is needed: ``modeth.id_mod`` and ``modeth.id_cell`` return one
 object per argument, and the parser, evaluation and read-back each build
 one instance of each record without fields they make (``syntax.Bool``,
-``nbe.TBool``, ``normal.NfTrue`` and the like).  Only records built from
-strings alone, or from nothing, are shared that way; they compare
+``nbe.TBool``, ``nbe.VTrue``, ``nbe.FrProj1``, ``normal.NfTrue`` and the
+like), and evaluation one Bool code, ``nbe.BOOL_CODE``, over the one
+``TBool``.  Only records built from strings alone, or from nothing, or
+from such shared records, are shared that way; they compare
 structurally, so a shared one and a freshly built one are equal and
 interchangeable.
 

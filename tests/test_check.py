@@ -51,8 +51,8 @@ from mtt.modeth import (
 )
 from mtt.conv import conv_ty
 from mtt.nbe import (
+    BOOL_CODE,
     NO_DEFS,
-    CBool,
     Closure,
     Env,
     NeAbs,
@@ -264,6 +264,31 @@ def test_lookup_transports_type_along_key():
     moved = lookup_var(ctx3, 0, PT)
     got = reify_ty(P, depth(ctx3), ctx3.mode, moved)
     assert eq_nfty(P, got, NfDec(NfInj(NeVar(1, PT))))
+
+
+def test_a_keyed_lookup_builds_no_lock_composite_per_prefix_variable(monkeypatch):
+    # A Bool variable under a lock for l, keyed by pt, as the last of 64 and
+    # of 1,024 binders.  Its type mentions no variable, so the transport
+    # composes the locks of no prefix variable, and builds as many
+    # modalities however deep the context.
+    counts = Counter()
+
+    def counting(self, *args, _init=Modality.__init__, **kwargs):
+        counts["Modality"] += 1
+        _init(self, *args, **kwargs)
+
+    built = {}
+    for n in (64, 1024):
+        ctx = empty_ctx(P, "m")
+        for _ in range(n):
+            ctx = ctx_extend(ctx, IDM, TBool())
+        ctx = ctx_lock(ctx, L)
+        monkeypatch.setattr(Modality, "__init__", counting)
+        counts.clear()
+        assert lookup_var(ctx, 0, PT) == TBool()
+        monkeypatch.undo()
+        built[n] = counts["Modality"]
+    assert built[64] == built[1024], built
 
 
 # The key transport, differentially: ``lookup_var`` reads a keyed variable's
@@ -592,12 +617,12 @@ def test_dependent_if_motive_through_universe():
 def test_true_rejected_at_decoded_bool():
     ctx = empty_ctx(T, "m")
     with pytest.raises(CheckError, match="type mismatch"):
-        check_tm(ctx, S.True_(), TDec(CBool()))
+        check_tm(ctx, S.True_(), TDec(BOOL_CODE))
 
 
 def test_true_accepted_through_inverse_coercion():
     ctx = empty_ctx(T, "m")
-    check_tm(ctx, S.DecIsoInv(S.True_()), TDec(CBool()))
+    check_tm(ctx, S.DecIsoInv(S.True_()), TDec(BOOL_CODE))
 
 
 def test_universe_is_not_its_own_element():
@@ -608,7 +633,7 @@ def test_universe_is_not_its_own_element():
 
 def test_convert_ty_separates_decoded_bool_from_bool():
     ctx = empty_ctx(T, "m")
-    assert not convert_ty(ctx, TDec(CBool()), TBool())
+    assert not convert_ty(ctx, TDec(BOOL_CODE), TBool())
 
 
 def test_deciso_on_neutral_code_is_rejected():
@@ -818,7 +843,7 @@ def _type_value_samples() -> dict:
     env = Env((), NO_DEFS)
     samples = [
         TPi(IDM, TBool(), Closure(env, S.Bool())), TSig(TBool(), Closure(env, S.Bool())),
-        TBool(), TUni(), TMod(IDM, TBool()), TDec(CBool()),
+        TBool(), TUni(), TMod(IDM, TBool()), TDec(BOOL_CODE),
     ]
     return {type(v): v for v in samples}
 

@@ -13,6 +13,7 @@ from random import Random
 import pytest
 
 from mtt import check, cli, harness, modeth, nbe
+from mtt import conv as conv_module
 from mtt import syntax as S
 from mtt.check import check_program, check_type, empty_ctx
 from mtt.harness import (
@@ -34,6 +35,7 @@ from mtt.nbe import (
     TBool,
     TUni,
     VLam,
+    VNeutral,
     VTrue,
     eval_ty,
     reify,
@@ -65,9 +67,42 @@ FLOORS = {
 }
 
 
+# Pairs in which ``conv`` meets two canonical codes (distinct objects) at the
+# universe, by that comparison's verdict: at 150 seeds, 62 to 67 accepting
+# and 13 to 27 rejecting at the parent of the one-code-value change, where
+# every ``BoolC`` evaluated to a fresh code; 34 to 41 and 13 to 27 since,
+# evaluation sharing one Bool code.
+CODE_PAIR_FLOORS = {True: 25, False: 10}
+
+
+def _count_code_pairs(monkeypatch) -> Counter:
+    """Count, per pair ``check_conversion`` compares, the verdicts ``conv``
+    gives at the universe on two canonical codes."""
+    tally, seen = Counter(), set()
+    real_conv, real_check = conv_module.conv, harness.check_conversion
+
+    def counting_conv(mt, d, mode, T, v, w):
+        got = real_conv(mt, d, mode, T, v, w)
+        if T.__class__ is TUni and v is not w and VNeutral not in (v.__class__, w.__class__):
+            seen.add(got)
+        return got
+
+    def counting_check(*args):
+        seen.clear()
+        out = real_check(*args)
+        tally.update(seen)
+        return out
+
+    monkeypatch.setattr(conv_module, "conv", counting_conv)
+    monkeypatch.setattr(harness, "conv", counting_conv)
+    monkeypatch.setattr(harness, "check_conversion", counting_check)
+    return tally
+
+
 @pytest.mark.parametrize("name", sorted(FLOORS))
-def test_conversion_agrees_with_comparing_normal_forms(name):
+def test_conversion_agrees_with_comparing_normal_forms(name, monkeypatch):
     mt = theory(name)
+    code_pairs = _count_code_pairs(monkeypatch)
     tally = Counter()
     for seed in range(150):
         tally += conversion_trial(mt, GenConfig(seed=seed, theory="trivial"))
@@ -75,6 +110,57 @@ def test_conversion_agrees_with_comparing_normal_forms(name):
     assert tally["pairs"] >= 1200
     assert tally["rejected"] >= rejected
     assert tally["keyed"] >= keyed
+    for verdict, floor in CODE_PAIR_FLOORS.items():
+        assert code_pairs[verdict] >= floor, (verdict, dict(code_pairs))
+
+
+# Two codes at the universe, over ``u : Uni, w : Uni`` in ``pointed``: each
+# pair with the verdict both deciders must give.
+_U, _W = S.Var(1, id_cell(id_mod("m"))), S.Var(0, id_cell(id_mod("m")))
+_L = Modality("m", "m", ("l",))
+_BOOLC = S.BoolCode()
+
+
+def _pic(dom, cod, mod=id_mod("m")):
+    return S.PiCode(mod, dom, cod)
+
+
+def _up(var):
+    """A variable of the context, named under one more binder."""
+    return S.Var(var.idx + 1, var.cell)
+
+
+def _case_on_x(other):
+    """``if iso x then BoolC else other`` under the binder ``x : dec BoolC``,
+    with ``other`` one of the context's codes."""
+    x = S.DecIso(S.Var(0, id_cell(id_mod("m"))))
+    return S.If(S.Uni(), _BOOLC, _up(other), x)
+
+
+CODE_PAIRS = {
+    "equal-pi": (_pic(_BOOLC, _case_on_x(_U)), _pic(_BOOLC, _case_on_x(_U)), True),
+    "pi-domain": (_pic(_BOOLC, _BOOLC), _pic(S.ModCode(_L, _BOOLC), _BOOLC), False),
+    "pi-codomain": (_pic(_BOOLC, _case_on_x(_U)), _pic(_BOOLC, _case_on_x(_W)), False),
+    "pi-modality": (_pic(_BOOLC, _BOOLC), _pic(_BOOLC, _BOOLC, _L), False),
+    "pi-sig": (_pic(_BOOLC, _BOOLC), S.SigCode(_BOOLC, _BOOLC), False),
+    "bool-mod": (_BOOLC, S.ModCode(_L, _BOOLC), False),
+    "code-variable": (_pic(_U, _up(_W)), _U, False),
+    "two-variables": (_U, _W, False),
+}
+
+
+@pytest.mark.parametrize("name", list(CODE_PAIRS))
+def test_codes_convert_as_their_decodings(name):
+    mt = modeth.pointed()
+    ctx = empty_ctx(mt, "m")
+    for _ in range(2):
+        ctx = check.ctx_extend(ctx, id_mod("m"), nbe.UNI)
+    a, b, verdict = CODE_PAIRS[name]
+    for t in (a, b):
+        check.check_tm(ctx, t, nbe.UNI)
+    values = [nbe.eval_tm(mt, ctx.env, t) for t in (a, b)]
+    assert values[0] is not values[1]
+    assert check_conversion(ctx, nbe.UNI, *values) == (verdict, False)
 
 
 def test_conversion_campaign_reports_its_line(capsys):

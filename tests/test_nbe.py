@@ -471,6 +471,21 @@ def test_reflect_expands_the_types_with_eta():
         NfInj(NeProj1(NeVar(0, id_cell(IDM)))), NfInj(NeProj2(NeVar(0, id_cell(IDM))))
     )
     # Dec of a canonical code unfolds to the connective, with one coercion.
-    assert nbe.reflect(P, nbe.TDec(nbe.CBool()), ne) == nbe.VNeutral(
+    assert nbe.reflect(P, nbe.TDec(nbe.BOOL_CODE), ne) == nbe.VNeutral(
         nbe.BOOL, ne.push(nbe.FrDecIso())
     )
+
+
+def test_evaluation_shares_each_value_and_frame_without_fields():
+    env = nbe.Env((), nbe.NO_DEFS)
+    for t in (S.True_(), S.False_(), S.BoolCode()):
+        assert nbe.eval_tm(P, env, t) is nbe.eval_tm(P, env, t)
+    # Projecting a neutral pair, and unfolding a neutral at a decoded code,
+    # push the shared frames.
+    sig = nbe.TSig(nbe.TDec(nbe.BOOL_CODE), nbe.BOOL)
+    pair = nbe.reflect(P, sig, nbe.NeAbs(0, id_cell(IDM)))
+    a, b = nbe.do_proj(P, 1, pair), nbe.do_proj(P, 2, pair)
+    a2, b2 = nbe.do_proj(P, 1, pair), nbe.do_proj(P, 2, pair)
+    assert [len(a.ne.frames), len(b.ne.frames)] == [2, 1]
+    for x, y in ((a, a2), (b, b2)):
+        assert all(f is g for f, g in zip(x.ne.frames, y.ne.frames))

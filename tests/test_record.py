@@ -186,7 +186,7 @@ def test_no_record_of_the_kernel_has_a_subclass():
     # The scan must see the records of every module, not just some of them.
     named = {
         syntax.Var, syntax.LetMod, modeth.Modality, modeth.Cell2, nbe.VNeutral, nbe.VBox,
-        nbe.CPi, nbe.TDec, normal.NfInj, normal.NeVar, check.CheckCtx, cli.Decl,
+        nbe.VCode, nbe.TDec, normal.NfInj, normal.NeVar, check.CheckCtx, cli.Decl,
         harness.GenConfig,
     }
     assert named <= set(records)
